@@ -1,7 +1,8 @@
 """Benchmark: compiled kernels against the pure-Python fallback.
 
-Times the four hot kernels on seeded random graphs, then a small
-end-to-end generation chain under each backend.
+Times the four hot kernels on seeded random graphs, the generation glue
+``maximal_kt_free_subsets`` on seeded edge-maximal K_q-free hosts, then a
+small end-to-end generation chain under each backend.
 
 Usage:
     python benchmarks/bench_kernels.py [--trials 200] [--sizes 10,13,16]
@@ -14,6 +15,11 @@ import time
 import folkman._kernels as K
 from folkman import _kernels_py
 from folkman._kernels import available_backends
+from folkman.cliques import maximal_kt_free_subsets
+from folkman.graphs import Graph
+
+GLUE_Q = 8
+GLUE_SIZES = (12, 16, 20)
 
 
 def random_adj(rng, n, p=0.5):
@@ -65,6 +71,37 @@ def bench_kernels(backends, sizes, trials):
             print(row)
 
 
+def edge_maximal_kq_free(rng, n, q):
+    """Random edge-maximal K_q-free graph: edges in random order, each kept
+    unless its endpoints share a (q-2)-clique."""
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if not _kernels_py.has_clique_within(adj, adj[u] & adj[v], q - 2):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+def bench_glue(backends, trials):
+    rng = random.Random(1234)
+    print()
+    print(f"glue: maximal K_{GLUE_Q - 1}-free subsets of edge-maximal "
+          f"K_{GLUE_Q}-free hosts, us/host")
+    print(f"{'glue':<22}{'n':>4}" + "".join(f"{name:>14}" for name in backends))
+    label = f"max_kt_free(t={GLUE_Q - 1})"
+    for n in GLUE_SIZES:
+        hosts = [edge_maximal_kq_free(rng, n, GLUE_Q) for _ in range(trials)]
+        args_list = [(h, GLUE_Q - 1) for h in hosts]
+        row = f"{label:<22}{n:>4}"
+        for mod in backends.values():
+            K.impl = mod
+            elapsed = time_call(maximal_kt_free_subsets, args_list)
+            row += f"{elapsed * 1e6 / trials:>12.1f}us"
+        print(row)
+
+
 def bench_chain(backends):
     from folkman.arrowing import ArrowVector
     from folkman.search import FamilySpec, complete_base, generate_family
@@ -98,6 +135,7 @@ def main():
         print("note: compiled backend unavailable; timing the fallback only")
 
     bench_kernels(backends, sizes, args.trials)
+    bench_glue(backends, args.trials)
     bench_chain(backends)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _kernels as K
-from .graphs import EdgeEditError, Graph, GraphError
+from .graphs import EdgeEditError, Graph, GraphError, bits_of
 
 
 def complement_adj(adj):
@@ -58,46 +58,76 @@ def is_maximal_kq_free(g: Graph, q: int) -> bool:
     return is_plus_kt(g, q)
 
 
+def _clique_masks(adj, t):
+    """Every t-clique of the graph as a vertex mask, t >= 1."""
+    out = []
+
+    def extend(clique, cand, size):
+        if size == t:
+            out.append(clique)
+            return
+        need = t - size
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            extend(clique | b, cand & adj[b.bit_length() - 1], size + 1)
+
+    extend(0, (1 << len(adj)) - 1, 0)
+    return out
+
+
 def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     """All inclusion-maximal vertex masks whose induced subgraph has no
     K_t, in ascending mask order.
 
-    Recursive include/exclude over vertices; X holds excluded vertices that
-    could still be added (vertices blocked by the growing set are dropped
-    for good, which is safe because blocking is monotone), so a leaf is
-    maximal exactly when X is empty.
+    S is maximal K_t-free exactly when its complement is a minimal
+    transversal of the t-cliques (a minimal vertex set meeting every one),
+    so the t-cliques are listed as masks and their minimal transversals
+    are enumerated depth-first by MMCS: K. Murakami and T. Uno, *Efficient
+    algorithms for dualizing large-scale hypergraphs*, Discrete Appl. Math.
+    170 (2014) 83-94.  A graph without t-cliques yields the full mask.
+    Time and memory grow with the number of t-cliques, which is small on
+    the K_{t+1}-free hosts the family extension passes.
     """
     if t < 2:
         raise GraphError(f"subset clique threshold {t} below 2")
     n = g.n
-    adj = g.adj
-    impl = K.impl
+    full = (1 << n) - 1
+    cliques = _clique_masks(g.adj, t)
+    # inc[v]: bitmask over clique indices of the cliques containing v
+    inc = [0] * n
+    for i, c in enumerate(cliques):
+        ci = 1 << i
+        for v in bits_of(c):
+            inc[v] |= ci
     out = []
 
-    def addable(S, v):
-        return not impl.has_clique_within(adj, adj[v] & S, t - 1)
-
-    def rec(S, X, i):
-        if i == n:
-            if X == 0:
-                out.append(S)
+    # S: transversal mask so far; crit: for each vertex of S, the cliques
+    # whose only S-vertex it is, each nonempty, so S is a minimal
+    # transversal of the cliques it covers; uncov: cliques S misses, as
+    # index bits, and unc: the same cliques as vertex masks; cand: vertices
+    # the branch may still add.
+    def rec(S, crit, uncov, unc, cand):
+        if not unc:
+            out.append(full ^ S)
             return
-        bit = 1 << i
-        if addable(S, i):
-            S2 = S | bit
-            X2 = 0
-            m = X
-            while m:
-                b = m & -m
-                m ^= b
-                if addable(S2, b.bit_length() - 1):
-                    X2 |= b
-            rec(S2, X2, i + 1)
-            rec(S, X | bit, i + 1)
-        else:
-            rec(S, X, i + 1)
+        # branch on the uncovered clique with the fewest candidates: every
+        # transversal extending S takes one of them
+        best = min(map(cand.__and__, unc), key=int.bit_count)
+        cand &= ~best
+        while best:
+            b = best & -best
+            best ^= b
+            hit = inc[b.bit_length() - 1]
+            crit2 = [cu & ~hit for cu in crit]
+            if all(crit2):
+                crit2.append(hit & uncov)
+                rec(S | b, crit2, uncov & ~hit, [c for c in unc if not c & b], cand)
+            # later siblings may add b: their subtrees exclude the
+            # vertices branched on after them, so no set repeats
+            cand |= b
 
-    rec(0, 0, 0)
+    rec(0, [], (1 << len(cliques)) - 1, cliques, full)
     out.sort()
     return out
 

@@ -281,31 +281,38 @@ def valid_multisets(h: Graph, q: int, r: int, t: int, subsets=None):
     return out
 
 
+def _attach_adj(adj, masks) -> tuple:
+    """Adjacency of adj plus len(masks) new pairwise non-adjacent vertices,
+    the j-th one adjacent exactly to masks[j]."""
+    n = len(adj) + len(masks)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"extension would need {n} vertices")
+    out = list(adj)
+    for mask in masks:
+        bj = 1 << len(out)
+        out.append(mask)
+        for u in bits_of(mask):
+            out[u] |= bj
+    return tuple(out)
+
+
 def attach_vertices(h: Graph, masks) -> Graph:
     """h plus len(masks) new pairwise non-adjacent vertices, the j-th one
     adjacent exactly to masks[j]."""
-    r = len(masks)
-    n = h.n + r
-    if n > MAX_VERTICES:
-        raise CapacityError(f"extension would need {n} vertices")
-    adj = list(h.adj) + [0] * r
-    for j, mask in enumerate(masks):
-        vj = h.n + j
-        adj[vj] = mask
-        for u in bits_of(mask):
-            adj[u] |= 1 << vj
-    return Graph(n, adj)
+    return Graph(h.n + len(masks), _attach_adj(h.adj, masks))
 
 
 def _extension_worker(task):
     line, entries, q, r, t = task
     h = from_graph6(line)
     impl = K.impl
+    n = h.n + r
     results = set()
     for masks in valid_multisets(h, q, r, t):
-        g = attach_vertices(h, masks)
-        if impl.is_plus_k(g.adj, q) and arrows_adj(g.adj, entries):
-            cline, _ = _canonical_line_adj(g.n, g.adj)
+        # built from a validated host, so the adjacency skips Graph's checks
+        adj = _attach_adj(h.adj, masks)
+        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+            cline, _ = _canonical_line_adj(n, adj)
             results.add(cline)
     return sorted(results)
 

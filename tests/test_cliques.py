@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from folkman.cliques import (
     clique_number,
@@ -14,7 +16,33 @@ from folkman.cliques import (
 )
 from folkman.graphs import EdgeEditError, Graph, GraphError, join
 from tests.conftest import random_graph
-from tests.oracles import clique_number_brute, maximal_ktfree_brute
+from tests.oracles import (
+    clique_number_brute,
+    maximal_ktfree_brute,
+    maximal_ktfree_recursive,
+)
+
+
+def edge_maximal_kq_free(rng, n, q):
+    """A random edge-maximal K_q-free graph: edges in random order, each
+    kept unless it completes a K_q."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = Graph.empty(n)
+    for u, v in pairs:
+        bigger = g.add_edge(u, v)
+        if not has_clique(bigger, q):
+            g = bigger
+    return g
+
+
+@st.composite
+def graphs_and_thresholds(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.integers(2, max(n + 1, 2)))
 
 
 def test_clique_number_basics():
@@ -128,6 +156,47 @@ def test_maximal_ktfree_matches_brute(rng):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         for t in (2, 3, 4):
             assert maximal_kt_free_subsets(g, t) == maximal_ktfree_brute(g, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_and_thresholds())
+@example((Graph.empty(0), 2))
+@example((Graph.empty(7), 2))
+@example((Graph.empty(7), 4))
+@example((Graph.complete(1), 2))
+@example((Graph.complete(6), 3))
+@example((Graph.complete(9), 5))
+@example((Graph.complete(10), 10))
+@example((Graph.complete(5), 6))
+@example((Graph.cycle(8), 3))
+@example((Graph.cycle(9).complement(), 9))
+def test_maximal_ktfree_property(case):
+    g, t = case
+    assert maximal_kt_free_subsets(g, t) == maximal_ktfree_brute(g, t)
+
+
+def test_maximal_ktfree_edge_maximal_hosts(rng):
+    # the traffic shape: valid_multisets asks for maximal K_{q-1}-free sets
+    # of edge-maximal K_q-free hosts, which have few (q-1)-cliques
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        t = rng.randint(2, n)
+        g = edge_maximal_kq_free(rng, n, t + 1)
+        assert maximal_kt_free_subsets(g, t) == maximal_ktfree_brute(g, t)
+
+
+def test_maximal_ktfree_matches_recursive_at_larger_orders(rng):
+    for n, t in ((13, 3), (14, 6), (15, 4), (16, 7)):
+        g = edge_maximal_kq_free(rng, n, t + 1)
+        assert maximal_kt_free_subsets(g, t) == maximal_ktfree_recursive(g, t)
+        g = random_graph(rng, n, 0.5)
+        assert maximal_kt_free_subsets(g, t) == maximal_ktfree_recursive(g, t)
+
+
+def test_maximal_ktfree_rejects_small_threshold():
+    for t in (-1, 0, 1):
+        with pytest.raises(GraphError):
+            maximal_kt_free_subsets(Graph.cycle(5), t)
 
 
 def test_edge_monotonicity(rng):
