@@ -1,6 +1,7 @@
 """Benchmark: compiled kernels against the pure-Python fallback.
 
-Times the four hot kernels on seeded random graphs, the generation glue
+Times the four hot kernels on seeded random graphs, the graph6 codec
+(canonical line, decode, encode), the generation glue
 ``maximal_kt_free_subsets`` on seeded edge-maximal K_q-free hosts, then a
 small end-to-end generation chain under each backend.
 
@@ -15,9 +16,11 @@ import time
 import folkman._kernels as K
 from folkman import _kernels_py
 from folkman._kernels import available_backends
+from folkman.canon import canonical_line
 from folkman.cliques import maximal_kt_free_subsets
-from folkman.graphs import Graph
+from folkman.graphs import Graph, from_graph6, to_graph6
 
+CODEC_N = 13
 GLUE_Q = 8
 GLUE_SIZES = (12, 16, 20)
 
@@ -69,6 +72,26 @@ def bench_kernels(backends, sizes, trials):
                 a, b = times.values()
                 row += f"{a / b:>9.1f}x"
             print(row)
+
+
+def bench_codec(backends, trials):
+    rng = random.Random(1234)
+    graphs = [Graph(CODEC_N, random_adj(rng, CODEC_N)) for _ in range(trials)]
+    lines = [to_graph6(g) for g in graphs]
+    cases = {
+        "canonical_line": (canonical_line, [(g.adj,) for g in graphs]),
+        "from_graph6": (from_graph6, [(line,) for line in lines]),
+        "to_graph6": (to_graph6, [(g,) for g in graphs]),
+    }
+    print()
+    print(f"codec: graph6 lines of random graphs at n = {CODEC_N}, us/graph")
+    print(f"{'codec':<22}{'n':>4}" + "".join(f"{name:>14}" for name in backends))
+    for label, (fn, args_list) in cases.items():
+        row = f"{label:<22}{CODEC_N:>4}"
+        for mod in backends.values():
+            K.impl = mod
+            row += f"{time_call(fn, args_list) * 1e6 / trials:>12.1f}us"
+        print(row)
 
 
 def edge_maximal_kq_free(rng, n, q):
@@ -135,6 +158,7 @@ def main():
         print("note: compiled backend unavailable; timing the fallback only")
 
     bench_kernels(backends, sizes, args.trials)
+    bench_codec(backends, args.trials)
     bench_glue(backends, args.trials)
     bench_chain(backends)
 

@@ -13,46 +13,49 @@ import hashlib
 from typing import Iterable, Iterator
 
 from . import _kernels as K
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Graph, adj_to_graph6, from_graph6, graph6_lines
+
+
+def canonical_line(adj) -> str:
+    """graph6 line of the canonically relabeled graph with neighbour masks
+    ``adj``, encoded straight from ``adj`` in canonical order."""
+    return adj_to_graph6(len(adj), adj, K.impl.canonical_perm(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:
-    return g.relabel(K.impl.canonical_perm(g.adj))
+    return from_graph6(canonical_line(g.adj))
 
 
 def canonical_form(g: Graph) -> str:
-    return to_graph6(canonical_graph(g))
+    return canonical_line(g.adj)
 
 
 class GraphSet:
-    """Deduplicated set of isomorphism classes keyed by canonical form."""
+    """Deduplicated set of isomorphism classes keyed by canonical form.
+
+    Members are canonical lines; a line is decoded to its canonically
+    labeled graph only when graphs() or iteration first asks for it."""
 
     def __init__(self):
-        self._members: dict[str, Graph] = {}
+        self._members: dict[str, Graph | None] = {}
         self.attempts = 0
 
     def __len__(self) -> int:
         return len(self._members)
 
     def __contains__(self, g: Graph) -> bool:
-        return canonical_form(g) in self._members
+        return canonical_line(g.adj) in self._members
 
     def __iter__(self) -> Iterator[Graph]:
-        for line in self.lines():
-            yield self._members[line]
+        return iter(self.graphs())
 
     def insert(self, g: Graph) -> bool:
         """Insert an isomorphism class; returns True when it is new."""
-        self.attempts += 1
-        gc = canonical_graph(g)
-        line = to_graph6(gc)
-        if line in self._members:
-            return False
-        self._members[line] = gc
-        return True
+        return self.insert_canonical(canonical_line(g.adj))
 
-    def insert_canonical(self, line: str, g: Graph) -> bool:
-        """Insert a graph already in canonical labeling (trusted path)."""
+    def insert_canonical(self, line: str, g: Graph | None = None) -> bool:
+        """Insert a canonical line (trusted path); ``g``, when given, is its
+        decoded graph."""
         self.attempts += 1
         if line in self._members:
             return False
@@ -63,7 +66,14 @@ class GraphSet:
         return sorted(self._members)
 
     def graphs(self) -> list[Graph]:
-        return [self._members[line] for line in self.lines()]
+        members = self._members
+        out = []
+        for line in self.lines():
+            g = members[line]
+            if g is None:
+                g = members[line] = from_graph6(line)
+            out.append(g)
+        return out
 
     def update(self, other: "GraphSet") -> None:
         for line, g in other._members.items():
@@ -83,22 +93,16 @@ class GraphSet:
     def load(cls, path) -> "GraphSet":
         """Load any graph6 file, re-canonicalizing every line."""
         out = cls()
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    out.insert(from_graph6(line))
+        for line in graph6_lines(path):
+            out.insert(from_graph6(line))
         return out
 
     @classmethod
     def load_trusted(cls, path) -> "GraphSet":
         """Load a file produced by save(); lines are taken as canonical."""
         out = cls()
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    out.insert_canonical(line, from_graph6(line))
+        for line in graph6_lines(path):
+            out.insert_canonical(line)
         return out
 
 

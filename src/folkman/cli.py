@@ -14,18 +14,15 @@ from . import bounds
 from .arrowing import ArrowVector, arrows, find_free_partition
 from .canon import GraphSet, canonical_form
 from .cliques import clique_number, independence_number, is_plus_kt
-from .graphs import Graph, GraphError, bits_of, from_graph6
+from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
 from .pipeline import run_pipeline
 from .search import FamilySpec, generate_family, generate_family_cone_split
 
 
 def _graph_arg(text: str) -> Graph:
     if os.path.exists(text):
-        with open(text, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    return from_graph6(line)
+        for line in graph6_lines(text):
+            return from_graph6(line)
         raise GraphError(f"no graph6 line in {text}")
     return from_graph6(text)
 

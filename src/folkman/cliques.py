@@ -134,8 +134,7 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
 
 def cone_vertex_count(g: Graph) -> int:
     """Vertices adjacent to all other vertices."""
-    full = g.full_mask()
-    return sum(1 for v in range(g.n) if g.adj[v] | (1 << v) == full)
+    return cone_vertex_mask(g).bit_count()
 
 
 def cone_vertex_mask(g: Graph) -> int:

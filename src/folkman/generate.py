@@ -3,8 +3,10 @@
 Level-by-level vertex extension with canonical-form rejection: every class
 on k+1 vertices arises from a class on k vertices by attaching one vertex
 with some neighbourhood, so extending every class by every neighbourhood and
-deduplicating is complete.  A hereditary filter (closed under induced
-subgraphs) may prune each level without losing completeness.
+deduplicating is complete.  ``bounded_classes`` prunes each level to clique
+number below q and independence number at most t, both hereditary, so the
+pruning loses no class; ``graph_classes`` is the same scheme with bounds no
+graph of the order reaches.
 
 This is desk-scale machinery: it seeds the small base families that the
 extension chains start from and serves as the brute-force oracle in tests.
@@ -12,60 +14,23 @@ extension chains start from and serves as the brute-force oracle in tests.
 
 from __future__ import annotations
 
+from . import _kernels as K
 from .arrowing import arrows
-from .canon import GraphSet
-from .cliques import has_clique, is_plus_kt
-from .graphs import Graph, GraphError
+from .canon import GraphSet, canonical_line
+from .cliques import complement_adj, is_plus_kt
+from .graphs import Graph, GraphError, bits_of
 
 
-def graph_classes(n: int, keep=None) -> list[Graph]:
-    """All isomorphism classes on exactly n vertices, canonically labeled.
-
-    ``keep`` is an optional hereditary predicate applied at every level.
-    """
-    if n < 0:
-        raise GraphError("negative vertex count")
-    if n == 0:
-        return [Graph.empty(0)]
-    level = [Graph.empty(1)]
-    if keep is not None:
-        level = [g for g in level if keep(g)]
-    for _ in range(n - 1):
-        level = extend_classes(level, keep)
-    return level
-
-
-def extend_classes(level: list[Graph], keep=None) -> list[Graph]:
-    """All classes on k+1 vertices that contain some member of ``level``
-    (a set of k-vertex classes) as an induced subgraph."""
-    out = GraphSet()
-    for g in level:
-        k = g.n
-        bit = 1 << k
-        base = list(g.adj) + [0]
-        for nb in range(1 << k):
-            adj = list(base)
-            adj[k] = nb
-            rest = nb
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                adj[b.bit_length() - 1] |= bit
-            child = Graph(k + 1, adj)
-            if keep is None or keep(child):
-                out.insert(child)
-    return out.graphs()
+def graph_classes(n: int) -> list[Graph]:
+    """All isomorphism classes on exactly n vertices, canonically labeled."""
+    return bounded_classes(n, n + 2, n + 1)
 
 
 def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
     """All classes on n vertices with clique number below q and independence
-    number at most t.  Same level scheme as graph_classes, but the per-child
-    test is local to the attached vertex: a new K_q needs a K_{q-1} in its
-    neighbourhood, a new independent (t+1)-set needs t independent
-    non-neighbours."""
-    from . import _kernels as K
-    from .cliques import complement_adj
-
+    number at most t, canonically labeled.  The per-child test is local to
+    the attached vertex: a new K_q needs a K_{q-1} in its neighbourhood, a
+    new independent (t+1)-set needs t independent non-neighbours."""
     if n < 0:
         raise GraphError("negative vertex count")
     if q < 2 or t < 1:
@@ -79,22 +44,18 @@ def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
         for g in level:
             k = g.n
             bit = 1 << k
-            full = (1 << k) - 1
-            base = list(g.adj) + [0]
+            full = bit - 1
             cadj = complement_adj(g.adj)
             for nb in range(1 << k):
                 if impl.has_clique_within(g.adj, nb, q - 1):
                     continue
                 if impl.has_clique_within(cadj, full ^ nb, t):
                     continue
-                adj = list(base)
-                adj[k] = nb
-                rest = nb
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    adj[b.bit_length() - 1] |= bit
-                out.insert(Graph(k + 1, adj))
+                adj = list(g.adj)
+                adj.append(nb)
+                for v in bits_of(nb):
+                    adj[v] |= bit
+                out.insert_canonical(canonical_line(adj))
         level = out.graphs()
     return level
 

@@ -218,7 +218,11 @@ def to_graph6(g: Graph) -> str:
     return adj_to_graph6(g.n, g.adj)
 
 
-def adj_to_graph6(n: int, adj) -> str:
+def adj_to_graph6(n: int, adj, perm=None) -> str:
+    """graph6 line of the graph with neighbour masks ``adj``; with ``perm``,
+    of its relabeling in which position i takes the role of old vertex
+    perm[i] (as in Graph.relabel), read straight from ``adj``."""
+    order = range(n) if perm is None else perm
     if n <= 62:
         head = [chr(63 + n)]
     else:
@@ -227,9 +231,9 @@ def adj_to_graph6(n: int, adj) -> str:
     acc = 0
     nbits = 0
     for j in range(1, n):
-        aj = adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((aj >> i) & 1)
+        aj = adj[order[j]]
+        for p in order[:j]:
+            acc = (acc << 1) | ((aj >> p) & 1)
             nbits += 1
             if nbits == 6:
                 out.append(chr(63 + acc))
@@ -273,48 +277,28 @@ def from_graph6(line: str) -> Graph:
             f"expected {need} edge bytes for n = {n}, got {len(s) - body}",
             min(len(s), body + need),
         )
-    adj = [0] * n
-    k = 0
+    bits = 0
     for idx in range(body, len(s)):
-        group = val(idx)
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = (group >> shift) & 1
-            if k >= nedgebits:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bits", idx)
-                continue
-            if bit:
-                # bit k is edge (i, j) in column-major upper-triangle order
-                j = _col_of(k)
-                i = k - j * (j - 1) // 2
+        bits = (bits << 6) | val(idx)
+    # the padding fills the low end of the last byte
+    if bits & ((1 << (6 * need - nedgebits)) - 1):
+        raise Graph6ParseError("nonzero padding bits", len(s) - 1)
+    # edge bits run from the top in column-major upper-triangle order
+    k = 6 * need
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            k -= 1
+            if (bits >> k) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            k += 1
     return Graph(n, adj)
 
 
-def _col_of(k: int) -> int:
-    # Largest j with j*(j-1)/2 <= k.
-    j = int((2 * k) ** 0.5) + 1
-    while j * (j - 1) // 2 > k:
-        j -= 1
-    while (j + 1) * j // 2 <= k:
-        j += 1
-    return j
-
-
-def read_graph6_file(path) -> list[Graph]:
-    out = []
+def graph6_lines(path) -> Iterator[str]:
+    """The graph6 lines of a file, stripped, skipping blank and ``#`` lines."""
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
-                out.append(from_graph6(line))
-    return out
-
-
-def write_graph6_file(path, lines: Iterable[str]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+                yield line

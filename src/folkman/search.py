@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize
-from .canon import GraphSet, canonical_graph
+from .canon import GraphSet, canonical_line, graph_set_of
 from .cliques import (
     complement_adj,
     cone_vertex_count,
@@ -43,11 +43,9 @@ from .graphs import (
     Graph,
     GraphError,
     MAX_VERTICES,
-    adj_to_graph6,
     bits_of,
     from_graph6,
     join,
-    to_graph6,
 )
 
 
@@ -103,24 +101,6 @@ def _pool_imap(fn, tasks, workers, chunksize=16):
         yield from pool.imap_unordered(fn, tasks, chunksize=chunksize)
 
 
-def _canonical_line_adj(n, adj):
-    perm = K.impl.canonical_perm(adj)
-    pos = [0] * n
-    for i, v in enumerate(perm):
-        pos[v] = i
-    out = [0] * n
-    for i, v in enumerate(perm):
-        row = adj[v]
-        m = 0
-        while row:
-            b = row & -row
-            row ^= b
-            m |= 1 << pos[b.bit_length() - 1]
-        out[i] = m
-    out = tuple(out)
-    return adj_to_graph6(n, out), out
-
-
 def _descent_worker(task):
     line, entries, q, t = task
     g = from_graph6(line)
@@ -156,8 +136,7 @@ def _descent_worker(task):
                     continue
             elif not arrows_adj(child, entries):
                 continue
-            cline, _ = _canonical_line_adj(n, tuple(child))
-            children.add(cline)
+            children.add(canonical_line(child))
     return line, True, sorted(children)
 
 
@@ -183,7 +162,7 @@ def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
             raise GraphError(f"seed has independence number above {t}")
         if not arrows_adj(g.adj, entries):
             raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
-        line = to_graph6(canonical_graph(g))
+        line = canonical_line(g.adj)
         if line not in visited:
             visited.add(line)
             frontier.append(line)
@@ -194,7 +173,7 @@ def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
         nxt = []
         for line, plusk, children in _pool_imap(_descent_worker, tasks, workers):
             if plusk:
-                result.insert_canonical(line, from_graph6(line))
+                result.insert_canonical(line)
             for cline in children:
                 if cline not in visited:
                     visited.add(cline)
@@ -202,9 +181,9 @@ def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
         frontier = nxt
     if exclude_cone:
         filtered = GraphSet()
-        for g in result:
+        for line, g in zip(result.lines(), result.graphs()):
             if cone_vertex_count(g) == 0:
-                filtered.insert_canonical(to_graph6(g), g)
+                filtered.insert_canonical(line, g)
         return filtered
     return result
 
@@ -306,26 +285,22 @@ def _extension_worker(task):
     line, entries, q, r, t = task
     h = from_graph6(line)
     impl = K.impl
-    n = h.n + r
     results = set()
     for masks in valid_multisets(h, q, r, t):
         # built from a validated host, so the adjacency skips Graph's checks
         adj = _attach_adj(h.adj, masks)
         if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
-            cline, _ = _canonical_line_adj(n, adj)
-            results.add(cline)
+            results.add(canonical_line(adj))
     return sorted(results)
 
 
-def _extend_hosts(hosts, spec, workers):
+def _extend_hosts(host_lines, spec, workers):
     entries = spec.avec.entries
-    tasks = (
-        (to_graph6(g), entries, spec.q, spec.r, spec.t) for g in hosts
-    )
+    tasks = ((line, entries, spec.q, spec.r, spec.t) for line in host_lines)
     out = GraphSet()
     for cands in _pool_imap(_extension_worker, tasks, workers):
         for line in cands:
-            out.insert_canonical(line, from_graph6(line))
+            out.insert_canonical(line)
     return out
 
 
@@ -340,14 +315,14 @@ def generate_family(spec: FamilySpec, seeds, workers=1, descended=None) -> Algor
     from the complete maximal family of the decremented vector on n - r
     vertices.  ``descended`` may carry a precomputed plus-clique set for the
     input family (e.g. reloaded from a checkpoint)."""
-    seeds = seeds if isinstance(seeds, GraphSet) else _as_graph_set(seeds)
+    seeds = seeds if isinstance(seeds, GraphSet) else graph_set_of(seeds)
     _check_input_order(seeds, spec.n - spec.r, "input family")
     aprime = descended
     if aprime is None:
         aprime = plus_clique_descent(
             seeds, spec.decremented(), spec.q, spec.t, workers=workers
         )
-    output = _extend_hosts(aprime.graphs(), spec, workers)
+    output = _extend_hosts(aprime.lines(), spec, workers)
     return AlgorithmResult(output=output, plus_clique=aprime)
 
 
@@ -358,9 +333,9 @@ def generate_family_cone_split(
     cone-vertex-free part of the descended set.  ``cone_seeds`` is the
     complete maximal family of the decremented vector with clique bound
     q - 1 on n - 1 vertices; it contributes the coned outputs directly."""
-    seeds = seeds if isinstance(seeds, GraphSet) else _as_graph_set(seeds)
+    seeds = seeds if isinstance(seeds, GraphSet) else graph_set_of(seeds)
     cone_seeds = (
-        cone_seeds if isinstance(cone_seeds, GraphSet) else _as_graph_set(cone_seeds)
+        cone_seeds if isinstance(cone_seeds, GraphSet) else graph_set_of(cone_seeds)
     )
     _check_input_order(seeds, spec.n - spec.r, "input family")
     _check_input_order(cone_seeds, spec.n - 1, "cone input family")
@@ -369,7 +344,11 @@ def generate_family_cone_split(
         aprime = plus_clique_descent(
             seeds, spec.decremented(), spec.q, spec.t, workers=workers
         )
-    hosts = [g for g in aprime.graphs() if cone_vertex_count(g) == 0]
+    hosts = [
+        line
+        for line, g in zip(aprime.lines(), aprime.graphs())
+        if cone_vertex_count(g) == 0
+    ]
     output = _extend_hosts(hosts, spec, workers)
     entries = spec.avec.entries
     if spec.t > spec.r:
@@ -396,11 +375,4 @@ def complete_base(avec, q, n, t) -> GraphSet:
         raise GraphError(f"complete base needs a1 <= n <= q-1, got a1={a1}, n={n}, q={q}")
     out = GraphSet()
     out.insert(Graph.complete(n))
-    return out
-
-
-def _as_graph_set(graphs) -> GraphSet:
-    out = GraphSet()
-    for g in graphs:
-        out.insert(g)
     return out

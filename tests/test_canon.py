@@ -1,6 +1,13 @@
 import itertools
 
-from folkman.canon import GraphSet, canonical_form, canonical_graph, graph_set_of, merge
+from folkman.canon import (
+    GraphSet,
+    canonical_form,
+    canonical_graph,
+    canonical_line,
+    graph_set_of,
+    merge,
+)
 from folkman.graphs import Graph, from_graph6, to_graph6
 from tests.conftest import random_graph, random_permuted
 
@@ -115,3 +122,33 @@ def test_roundtrip_through_file(tmp_path):
     p = tmp_path / "one.g6"
     p.write_text(line + "\n")
     assert canonical_form(from_graph6(line)) == line
+
+
+def test_canonical_line_encodes_the_relabeled_graph(rng, monkeypatch):
+    from folkman import _kernels
+
+    for backend in _kernels.available_backends().values():
+        monkeypatch.setattr(_kernels, "impl", backend)
+        for n in range(65):  # n = 63 and 64 take the long-form header
+            # mid densities: near-empty or near-complete graphs on dozens of
+            # vertices have huge automorphism groups and search slowly
+            g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            perm = backend.canonical_perm(g.adj)
+            assert canonical_line(g.adj) == to_graph6(g.relabel(perm)), n
+
+
+def test_graph_set_decodes_lines_lazily(tmp_path, rng):
+    graphs = [random_graph(rng, rng.randint(0, 9), 0.5) for _ in range(20)]
+    lines = sorted({canonical_form(g) for g in graphs})
+    s = GraphSet()
+    for line in lines:
+        s.insert_canonical(line)
+    assert s.graphs() == [from_graph6(line) for line in s.lines()]
+    path = tmp_path / "set.g6"
+    s.save(path)
+    loaded = GraphSet.load_trusted(path)
+    assert list(loaded) == [from_graph6(line) for line in loaded.lines()]
+    for g in graphs:
+        one = GraphSet()
+        one.insert(g)
+        assert one.graphs() == [canonical_graph(g)]

@@ -184,3 +184,11 @@ def test_invariants_rejected():
         Graph(2, (1, 0))  # loop at 0
     with pytest.raises(AssertionError):
         Graph(2, (2, 0))  # asymmetric
+
+
+def test_graph6_padding_errors():
+    # n = 2 has one edge bit and n = 3 three: the rest of the byte is padding
+    for line in ("A@", "B~"):
+        with pytest.raises(Graph6ParseError) as err:
+            from_graph6(line)
+        assert err.value.offset == 1
