@@ -1,7 +1,8 @@
 """Benchmark: compiled kernels against the pure-Python fallback.
 
-Times the four hot kernels on seeded random graphs, the graph6 codec
-(canonical line, decode, encode), the generation glue
+Times the four hot kernels on seeded random graphs, ``canonical_perm`` in
+the two regimes the generation runs it in, the graph6 codec (canonical
+line, decode, encode), the generation glue
 ``maximal_kt_free_subsets`` on seeded edge-maximal K_q-free hosts, then a
 small end-to-end generation chain under each backend.
 
@@ -21,6 +22,10 @@ from folkman.cliques import maximal_kt_free_subsets
 from folkman.graphs import Graph, from_graph6, to_graph6
 
 CODEC_N = 13
+# (n, edge probability): random 8-vertex graphs as in the exhaustive
+# small-order generation, near-complete 12-vertex graphs as in the
+# plus-clique descents of the q = 9 chain
+CANON_REGIMES = ((8, 0.5), (12, 0.87))
 GLUE_Q = 8
 GLUE_SIZES = (12, 16, 20)
 
@@ -72,6 +77,20 @@ def bench_kernels(backends, sizes, trials):
                 a, b = times.values()
                 row += f"{a / b:>9.1f}x"
             print(row)
+
+
+def bench_canon(backends, trials):
+    rng = random.Random(1234)
+    print()
+    print("canonical_perm: random graphs at n = 8 and near-complete graphs "
+          "at n = 12, us/graph")
+    print(f"{'canon':<22}{'n':>4}" + "".join(f"{name:>14}" for name in backends))
+    for n, p in CANON_REGIMES:
+        args_list = [(random_adj(rng, n, p),) for _ in range(trials)]
+        row = f"{f'canonical_perm(p={p})':<22}{n:>4}"
+        for mod in backends.values():
+            row += f"{time_call(mod.canonical_perm, args_list) * 1e6 / trials:>12.1f}us"
+        print(row)
 
 
 def bench_codec(backends, trials):
@@ -158,6 +177,7 @@ def main():
         print("note: compiled backend unavailable; timing the fallback only")
 
     bench_kernels(backends, sizes, args.trials)
+    bench_canon(backends, args.trials)
     bench_codec(backends, args.trials)
     bench_glue(backends, args.trials)
     bench_chain(backends)

@@ -1,8 +1,15 @@
 """Bitset kernels: clique search, free-partition search, canonical labeling.
 
-Pure-Python reference implementation.  ``_kernels_cy`` is a compiled port of
+Pure-Python reference implementation.  ``_kernels_cy`` is a compiled twin of
 this module and has to stay behaviourally identical, including tie-breaking
 and witness choices; tests/test_kernels.py compares the two on random inputs.
+The twins agree in behaviour, not line for line: here ``_refine`` scans only
+splitters not yet verified and resumes after a split, and the canonical
+search keeps its automorphism orbits per node, while the compiled
+``_refine`` still rescans from the start after every split and rebuilds the
+orbits for every branch.  Both reach the same partitions, prunes and
+permutations; the compiled side gets the bookkeeping once ``_kernels_cy.c``
+can be regenerated from the ``.pyx`` with Cython.
 
 A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
 vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are
@@ -153,35 +160,62 @@ def free_partition(adj, limits):
     return None
 
 
-def _encode(adj, perm):
-    # Upper-triangle bits of the relabeled graph, column-major, packed
-    # MSB-first; lexicographic byte order equals bit order, and the bit
-    # sequence is the graph6 edge stream.
-    n = len(perm)
-    out = bytearray((n * (n - 1) // 2 + 7) // 8)
-    k = 0
-    for j in range(1, n):
+def _leaf_code(adj, perm):
+    # Upper-triangle bits of the relabeled graph, column-major, read as one
+    # integer whose most significant bit is the first; codes of one graph
+    # have the same length, so integer order is the order of the bit
+    # sequence, which is the graph6 edge stream.
+    code = 0
+    for j in range(1, len(perm)):
         aj = adj[perm[j]]
+        col = 0
         for i in range(j):
-            if (aj >> perm[i]) & 1:
-                out[k >> 3] |= 0x80 >> (k & 7)
-            k += 1
-    return bytes(out)
+            col = (col << 1) | ((aj >> perm[i]) & 1)
+        code = (code << j) | col
+    return code
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, fresh):
     # Equitable refinement of an ordered partition (list of cell masks).
-    # On a split the cell is replaced in place by its fragments ordered by
-    # neighbour count; the scan restarts.  All choices depend only on the
-    # partition structure, which keeps the outcome isomorphism-invariant.
+    # The scan takes splitters W and cells C in position order, W outer; the
+    # first C that W splits is replaced in place by its fragments ordered by
+    # neighbour count in W.  All choices depend only on the partition
+    # structure, which keeps the outcome isomorphism-invariant.
+    #
+    # fresh is the union of the cells not yet verified as splitters.  A
+    # splitter scanned against every cell without a split stays stable
+    # against every later cell, each being a subset of a current one, so
+    # only fresh cells are scanned.  After a split at (wi, ci) every pair
+    # before (wi, ci + fragments) if wi < ci, else before (ci, 0), is
+    # stable, and the scan resumes there: it splits the same pairs, in the
+    # same order, as a rescan from the start after each split would.  A
+    # discrete partition (n cells) has nothing left to split.
     cells = list(cells)
-    while True:
-        stable = True
-        for W in cells:
-            for ci in range(len(cells)):
-                C = cells[ci]
-                if C.bit_count() <= 1:
+    n = len(adj)
+    nc = len(cells)
+    wi = 0
+    ci = 0
+    while wi < nc < n:
+        W = cells[wi]
+        if not W & fresh:
+            wi += 1
+            continue
+        single = not W & (W - 1)
+        if single:
+            aw = adj[W.bit_length() - 1]
+        while ci < nc:
+            C = cells[ci]
+            if not C & (C - 1):
+                ci += 1
+                continue
+            if single:
+                # counts are 0 or 1: non-neighbours first, then neighbours
+                hit = C & aw
+                if not hit or hit == C:
+                    ci += 1
                     continue
+                frags = [C ^ hit, hit]
+            else:
                 groups = {}
                 m = C
                 while m:
@@ -189,51 +223,24 @@ def _refine(adj, cells):
                     m ^= b
                     k = (adj[b.bit_length() - 1] & W).bit_count()
                     groups[k] = groups.get(k, 0) | b
-                if len(groups) > 1:
-                    cells[ci : ci + 1] = [groups[k] for k in sorted(groups)]
-                    stable = False
-                    break
-            if not stable:
+                if len(groups) == 1:
+                    ci += 1
+                    continue
+                frags = [groups[k] for k in sorted(groups)]
+            cells[ci : ci + 1] = frags
+            nc += len(frags) - 1
+            fresh |= C
+            if wi < ci:
+                ci += len(frags)
+            else:
+                wi = ci
+                ci = 0
                 break
-        if stable:
-            return cells
-
-
-def _same_orbit(generators, fixed, tried, v, n):
-    # Is v in the orbit of some vertex of the tried mask under the subgroup
-    # of recorded automorphisms that fix the individualized prefix pointwise?
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in generators:
-        ok = True
-        f = fixed
-        while f:
-            b = f & -f
-            f ^= b
-            u = b.bit_length() - 1
-            if g[u] != u:
-                ok = False
-                break
-        if not ok:
-            continue
-        for u in range(n):
-            ru, rv = find(u), find(g[u])
-            if ru != rv:
-                parent[ru] = rv
-    rv = find(v)
-    m = tried
-    while m:
-        b = m & -m
-        m ^= b
-        if find(b.bit_length() - 1) == rv:
-            return True
-    return False
+        else:
+            fresh &= ~W
+            wi += 1
+            ci = 0
+    return cells
 
 
 def canonical_perm(adj):
@@ -245,21 +252,27 @@ def canonical_perm(adj):
         return tuple(range(n))
     full = (1 << n) - 1
 
-    best = {"code": None, "perm": None}
+    best_code = 0
+    best_perm = None
+    # Each recorded automorphism as (mask of the vertices it moves, pairs
+    # (u, g(u)) over those vertices).
     generators = []
 
     def leaf(cells):
-        perm = tuple(c.bit_length() - 1 for c in cells)
-        code = _encode(adj, perm)
-        if best["code"] is None or code < best["code"]:
-            best["code"] = code
-            best["perm"] = perm
-        elif code == best["code"] and len(generators) < MAX_AUT_GENERATORS:
-            bp = best["perm"]
-            g = [0] * n
-            for i in range(n):
-                g[bp[i]] = perm[i]
-            generators.append(tuple(g))
+        nonlocal best_code, best_perm
+        perm = tuple([c.bit_length() - 1 for c in cells])
+        code = _leaf_code(adj, perm)
+        if best_perm is None or code < best_code:
+            best_code = code
+            best_perm = perm
+        elif code == best_code and len(generators) < MAX_AUT_GENERATORS:
+            moved = 0
+            pairs = []
+            for u, w in zip(best_perm, perm):
+                if u != w:
+                    moved |= 1 << u
+                    pairs.append((u, w))
+            generators.append((moved, pairs))
 
     def search(cells, fixed):
         ti = -1
@@ -274,18 +287,38 @@ def canonical_perm(adj):
             return
         T = cells[ti]
         tried = 0
+        # orbit[v] is the orbit of v, as a mask, under the recorded
+        # automorphisms that fix the individualized prefix pointwise; seen
+        # counts the generators already folded in.
+        orbit = None
+        seen = 0
         m = T
         while m:
             b = m & -m
             m ^= b
-            if tried and generators and _same_orbit(
-                generators, fixed, tried, b.bit_length() - 1, n
-            ):
-                tried |= b
-                continue
+            if tried and generators:
+                if orbit is None:
+                    orbit = [1 << v for v in range(n)]
+                for moved, pairs in generators[seen:]:
+                    if moved & fixed:
+                        continue
+                    for u, w in pairs:
+                        ou = orbit[u]
+                        ow = orbit[w]
+                        if ou != ow:
+                            union = ou | ow
+                            x = union
+                            while x:
+                                y = x & -x
+                                x ^= y
+                                orbit[y.bit_length() - 1] = union
+                seen = len(generators)
+                if orbit[b.bit_length() - 1] & tried:
+                    tried |= b
+                    continue
             child = cells[:ti] + [b, T ^ b] + cells[ti + 1 :]
-            search(_refine(adj, child), fixed | b)
+            search(_refine(adj, child, T), fixed | b)
             tried |= b
 
-    search(_refine(adj, [full]), 0)
-    return best["perm"]
+    search(_refine(adj, [full], full), 0)
+    return best_perm

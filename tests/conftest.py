@@ -1,8 +1,75 @@
+import importlib.util
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from folkman import _kernels
 from folkman.graphs import Graph
+
+KERNELS_C = Path(_kernels.__file__).with_name("_kernels_cy.c")
+
+
+class _BuiltKernelsFinder:
+    """Resolves ``folkman._kernels_cy`` to a shared object built for the
+    test session."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def find_spec(self, name, path=None, target=None):
+        if name != "folkman._kernels_cy":
+            return None
+        return importlib.util.spec_from_file_location(name, self.path)
+
+
+def pytest_configure(config):
+    # Without an installed compiled backend, build one from the shipped C
+    # source so the parity tests run.  ``_kernels`` was imported above and
+    # has already chosen its backend, so the default stays the same; the
+    # build is reachable through ``available_backends()`` only.
+    if "compiled" in _kernels.available_backends():
+        return
+    cc = shutil.which("cc")
+    if cc is None or not KERNELS_C.is_file():
+        return
+    build = Path(tempfile.mkdtemp(prefix="folkman-kernels-"))
+    config.add_cleanup(lambda: shutil.rmtree(build, ignore_errors=True))
+    so = build / ("_kernels_cy" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [
+        cc, "-O2", "-shared", "-fPIC",
+        "-I" + sysconfig.get_paths()["include"],
+        str(KERNELS_C), "-o", str(so),
+    ]
+    error = None
+    try:
+        out = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+        if out.returncode:
+            error = f"cc exited {out.returncode}: {out.stderr[-2000:]}"
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        error = str(exc)
+    if error is not None:
+        config.issue_config_time_warning(
+            pytest.PytestConfigWarning("compiled kernels not built: " + error), 2
+        )
+        return
+    finder = _BuiltKernelsFinder(so)
+    sys.meta_path.insert(0, finder)
+    config.add_cleanup(lambda: sys.meta_path.remove(finder))
+
+
+@pytest.fixture(autouse=True)
+def _restore_kernel_backend():
+    # Tests may swap or reload the backend; later tests keep the default.
+    impl = _kernels.impl
+    yield
+    _kernels.impl = impl
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -13,6 +80,14 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
     return Graph(n, adj)
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_permuted(rng: random.Random, g: Graph) -> Graph:

@@ -2,12 +2,16 @@
 
 Everything here works straight from the definitions (subset enumeration and
 exhaustive colourings) and stays independent of the search code paths under
-test, except ``maximal_ktfree_recursive``, which calls the clique kernel.
+test, except ``maximal_ktfree_recursive``, which calls the clique kernel,
+and ``canonical_perm_reference``, the canonical labeling search as it stood
+before its refinement and orbit bookkeeping were made incremental: the
+kernels must return its permutation exactly.
 """
 
 from itertools import combinations, product
 
 from folkman import _kernels as K
+from folkman._kernels_py import MAX_AUT_GENERATORS
 from folkman.graphs import Graph, bits_of
 
 
@@ -107,3 +111,141 @@ def maximal_ktfree_recursive(g: Graph, t: int) -> list[int]:
 
     rec(0, 0, 0)
     return sorted(out)
+
+
+def _reference_encode(adj, perm):
+    # Upper-triangle bits of the relabeled graph, column-major, packed
+    # MSB-first; lexicographic byte order equals bit order, and the bit
+    # sequence is the graph6 edge stream.
+    n = len(perm)
+    out = bytearray((n * (n - 1) // 2 + 7) // 8)
+    k = 0
+    for j in range(1, n):
+        aj = adj[perm[j]]
+        for i in range(j):
+            if (aj >> perm[i]) & 1:
+                out[k >> 3] |= 0x80 >> (k & 7)
+            k += 1
+    return bytes(out)
+
+
+def _reference_refine(adj, cells):
+    # Equitable refinement of an ordered partition (list of cell masks).
+    # On a split the cell is replaced in place by its fragments ordered by
+    # neighbour count; the scan restarts.  All choices depend only on the
+    # partition structure, which keeps the outcome isomorphism-invariant.
+    cells = list(cells)
+    while True:
+        stable = True
+        for W in cells:
+            for ci in range(len(cells)):
+                C = cells[ci]
+                if C.bit_count() <= 1:
+                    continue
+                groups = {}
+                m = C
+                while m:
+                    b = m & -m
+                    m ^= b
+                    k = (adj[b.bit_length() - 1] & W).bit_count()
+                    groups[k] = groups.get(k, 0) | b
+                if len(groups) > 1:
+                    cells[ci : ci + 1] = [groups[k] for k in sorted(groups)]
+                    stable = False
+                    break
+            if not stable:
+                break
+        if stable:
+            return cells
+
+
+def _reference_same_orbit(generators, fixed, tried, v, n):
+    # Is v in the orbit of some vertex of the tried mask under the subgroup
+    # of recorded automorphisms that fix the individualized prefix pointwise?
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in generators:
+        ok = True
+        f = fixed
+        while f:
+            b = f & -f
+            f ^= b
+            u = b.bit_length() - 1
+            if g[u] != u:
+                ok = False
+                break
+        if not ok:
+            continue
+        for u in range(n):
+            ru, rv = find(u), find(g[u])
+            if ru != rv:
+                parent[ru] = rv
+    rv = find(v)
+    m = tried
+    while m:
+        b = m & -m
+        m ^= b
+        if find(b.bit_length() - 1) == rv:
+            return True
+    return False
+
+
+def canonical_perm_reference(adj):
+    """Permutation p (position -> original vertex) whose relabeling minimises
+    the upper-triangle adjacency encoding.  Complete isomorphism invariant:
+    two graphs get equal canonical encodings iff they are isomorphic."""
+    n = len(adj)
+    if n <= 1:
+        return tuple(range(n))
+    full = (1 << n) - 1
+
+    best = {"code": None, "perm": None}
+    generators = []
+
+    def leaf(cells):
+        perm = tuple(c.bit_length() - 1 for c in cells)
+        code = _reference_encode(adj, perm)
+        if best["code"] is None or code < best["code"]:
+            best["code"] = code
+            best["perm"] = perm
+        elif code == best["code"] and len(generators) < MAX_AUT_GENERATORS:
+            bp = best["perm"]
+            g = [0] * n
+            for i in range(n):
+                g[bp[i]] = perm[i]
+            generators.append(tuple(g))
+
+    def search(cells, fixed):
+        ti = -1
+        size = 65
+        for i, c in enumerate(cells):
+            pc = c.bit_count()
+            if 1 < pc < size:
+                ti = i
+                size = pc
+        if ti < 0:
+            leaf(cells)
+            return
+        T = cells[ti]
+        tried = 0
+        m = T
+        while m:
+            b = m & -m
+            m ^= b
+            if tried and generators and _reference_same_orbit(
+                generators, fixed, tried, b.bit_length() - 1, n
+            ):
+                tried |= b
+                continue
+            child = cells[:ti] + [b, T ^ b] + cells[ti + 1 :]
+            search(_reference_refine(adj, child), fixed | b)
+            tried |= b
+
+    search(_reference_refine(adj, [full]), 0)
+    return best["perm"]

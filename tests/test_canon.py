@@ -137,6 +137,19 @@ def test_canonical_line_encodes_the_relabeled_graph(rng, monkeypatch):
             assert canonical_line(g.adj) == to_graph6(g.relabel(perm)), n
 
 
+def test_canonical_line_invariant_on_large_automorphism_groups(rng, monkeypatch):
+    # near-empty and near-complete graphs on dozens of vertices, whose huge
+    # automorphism groups once took the pure search seconds to minutes
+    from folkman import _kernels, _kernels_py
+
+    monkeypatch.setattr(_kernels, "impl", _kernels_py)
+    for n, p in ((25, 0.985), (20, 0.02), (30, 0.99)):
+        g = random_graph(rng, n, p)
+        line = canonical_line(g.adj)
+        for _ in range(3):
+            assert canonical_line(random_permuted(rng, g).adj) == line, (n, p)
+
+
 def test_graph_set_decodes_lines_lazily(tmp_path, rng):
     graphs = [random_graph(rng, rng.randint(0, 9), 0.5) for _ in range(20)]
     lines = sorted({canonical_form(g) for g in graphs})

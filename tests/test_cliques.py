@@ -15,7 +15,7 @@ from folkman.cliques import (
     strip_cone_vertices,
 )
 from folkman.graphs import EdgeEditError, Graph, GraphError, join
-from tests.conftest import random_graph
+from tests.conftest import graphs, random_graph
 from tests.oracles import (
     clique_number_brute,
     maximal_ktfree_brute,
@@ -38,11 +38,8 @@ def edge_maximal_kq_free(rng, n, q):
 
 @st.composite
 def graphs_and_thresholds(draw, max_n=10):
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
-    return g, draw(st.integers(2, max(n + 1, 2)))
+    g = draw(graphs(max_n))
+    return g, draw(st.integers(2, max(g.n + 1, 2)))
 
 
 def test_clique_number_basics():

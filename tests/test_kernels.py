@@ -4,16 +4,27 @@ correctness of both against definition-level brute force."""
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from folkman import _kernels_py as py
 from folkman._kernels import available_backends
-from folkman.graphs import Graph
-from tests.conftest import random_graph
-from tests.oracles import clique_number_brute, has_mono_clique
+from folkman.graphs import Graph, join
+from tests.conftest import graphs, random_graph
+from tests.oracles import (
+    canonical_perm_reference,
+    clique_number_brute,
+    has_mono_clique,
+)
 
 cy = available_backends().get("compiled")
 
 needs_compiled = pytest.mark.skipif(cy is None, reason="compiled backend unavailable")
+
+
+def _assert_matches_reference(adj):
+    want = canonical_perm_reference(adj)
+    for name, kernels in available_backends().items():
+        assert kernels.canonical_perm(adj) == want, (name, adj)
 
 
 def _random_adj(rng, n, p=None):
@@ -96,6 +107,49 @@ def test_backend_parity_structured_graphs():
         assert py.canonical_perm(g.adj) == cy.canonical_perm(g.adj)
         assert py.max_clique_size(g.adj) == cy.max_clique_size(g.adj)
         assert py.free_partition(g.adj, (1, 2)) == cy.free_partition(g.adj, (1, 2))
+
+
+def test_canonical_perm_matches_reference_on_random_graphs(rng):
+    for n in range(17):
+        for p in (0, 0.02, 0.1, 0.5, 0.9, 0.98, 1):
+            for _ in range(2):
+                _assert_matches_reference(_random_adj(rng, n, p))
+
+
+def _disjoint_union(g, h):
+    return join(g.complement(), h.complement()).complement()
+
+
+def test_canonical_perm_matches_reference_on_structured_graphs():
+    petersen = Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    )
+    cases = [Graph.empty(n) for n in range(14)] + [Graph.complete(n) for n in range(14)]
+    for n in range(3, 17):
+        cases += [Graph.cycle(n), Graph.cycle(n).complement()]
+    cases += [petersen, petersen.complement()]
+    cases += [join(Graph.empty(a), Graph.empty(b)) for a in range(1, 7) for b in range(1, 7)]
+    triangles = Graph.complete(3)
+    for _ in range(5):
+        cases += [triangles, triangles.complement()]
+        triangles = _disjoint_union(triangles, Graph.complete(3))
+    # regular but not vertex-transitive: refinement leaves the partition
+    # coarser than the orbits, so leaves with different codes compete
+    for a in range(3, 9):
+        for b in range(a, 9):
+            g = _disjoint_union(Graph.cycle(a), Graph.cycle(b))
+            cases += [g, g.complement()]
+    for g in cases:
+        _assert_matches_reference(g.adj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs(12))
+def test_canonical_perm_matches_reference_property(g):
+    _assert_matches_reference(g.adj)
 
 
 def test_backend_selection_env(monkeypatch):
