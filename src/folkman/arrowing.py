@@ -35,9 +35,10 @@ class ArrowVector:
     @classmethod
     def parse(cls, text: str) -> "ArrowVector":
         parts = text.replace(",", " ").split()
-        if not parts:
-            return cls(())
-        return cls(tuple(int(p) for p in parts))
+        try:
+            return cls(tuple(int(p) for p in parts))
+        except ValueError:
+            raise GraphError(f"clique targets must be integers: {text!r}") from None
 
     def canonical(self) -> "ArrowVector":
         return ArrowVector(tuple(sorted(a for a in self.entries if a >= 2)))

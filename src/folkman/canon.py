@@ -10,6 +10,8 @@ insertion order or worker split.
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from . import _kernels as K
@@ -84,7 +86,7 @@ class GraphSet:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_write(path, "ascii") as fh:
             for line in self.lines():
                 fh.write(line)
                 fh.write("\n")
@@ -129,8 +131,24 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def atomic_write(path, encoding: str):
+    """Text handle on a sibling temporary file that replaces ``path`` once
+    the block completes.  If the block raises, the temporary file is
+    removed and ``path`` keeps its old content."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_manifest(path, fields: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "utf-8") as fh:
         for key, value in fields.items():
             fh.write(f"{key} = {value}\n")
 

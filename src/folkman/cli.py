@@ -76,7 +76,11 @@ def cmd_extend(args) -> int:
         print("--spec needs 'avec; q; n; r; t'", file=sys.stderr)
         return 2
     avec = ArrowVector.parse(parts[0])
-    q, n, r, t = (int(p) for p in parts[1:])
+    try:
+        q, n, r, t = (int(p) for p in parts[1:])
+    except ValueError:
+        print("--spec needs integers q; n; r; t", file=sys.stderr)
+        return 2
     spec = FamilySpec(avec, q, n, r, t)
     seeds = GraphSet.load(args.input)
     if args.algorithm == 1:

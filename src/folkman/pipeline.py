@@ -4,7 +4,13 @@ A pipeline config is an INI document listing base families and generation
 steps; each item's output is persisted under the run directory as a sorted
 canonical graph6 file plus a human-readable ``.meta`` manifest, which makes
 runs resumable at item granularity and byte-comparable across worker
-counts.
+counts.  Both files are written through a temporary file and renamed into
+place.  One rule decides reuse for every artifact (base, step output and
+descended plus-clique set): unless the run is fresh, an artifact is reused
+when both files exist, every manifest field other than ``seconds`` and
+``produced_by`` equals what this run would write (the input digests
+included) and the graph6 file holds exactly ``count`` lines; otherwise it
+is rebuilt.
 
 Row summaries mirror the enumeration-table layout: one row per family with
 its edge-maximal count, the plus-clique count of the family, and both
@@ -43,7 +49,7 @@ from pathlib import Path
 
 from .arrowing import ArrowVector, arrows
 from .bounds import folkman_value_at_m
-from .canon import GraphSet, file_digest, read_manifest, write_manifest
+from .canon import GraphSet, atomic_write, file_digest, graph_set_of, read_manifest, write_manifest
 from .cliques import clique_number, cone_vertex_count, has_independent_set, is_plus_kt
 from .generate import maximal_family_exhaustive
 from .graphs import GraphError
@@ -85,10 +91,14 @@ def parse_family(text: str) -> Family:
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 4:
         raise ConfigError(f"family needs 'avec; q; n; t', got {text!r}")
-    avec = ArrowVector.parse(parts[0]).canonical().entries
+    try:
+        avec = ArrowVector.parse(parts[0]).canonical().entries
+        q, n, t = (int(p) for p in parts[1:])
+    except (GraphError, ValueError):
+        raise ConfigError(f"family needs integers 'avec; q; n; t', got {text!r}") from None
     if not avec:
         raise ConfigError(f"empty target vector in {text!r}")
-    return Family(avec, int(parts[1]), int(parts[2]), int(parts[3]))
+    return Family(avec, q, n, t)
 
 
 @dataclass
@@ -132,10 +142,8 @@ class StepReport:
     algorithm: int | None = None
     count: int | None = None
     cone_free_count: int | None = None
-    plusk_count: int | None = None
     plusk_cone_free_count: int | None = None
     plusk_literal_count: int | None = None
-    plusk_vector: tuple | None = None
     seconds: float = 0.0
     resumed: bool = False
     input_digests: dict = field(default_factory=dict)
@@ -169,37 +177,41 @@ def parse_config(path) -> PipelineConfig:
     items = []
     for section in cp.sections():
         body = cp[section]
-        if section == "pipeline":
-            name = body.get("name", name)
-            workers = body.getint("workers", workers)
-            continue
         kind, _, item_name = section.partition(":")
-        if not item_name:
-            raise ConfigError(f"section [{section}] needs a name after ':'")
-        if kind == "base":
-            items.append(
-                BaseItem(
-                    name=item_name,
-                    family=parse_family(body["family"]),
-                    kind=body.get("kind", "complete"),
-                    path=body.get("path"),
+        try:
+            if section == "pipeline":
+                name = body.get("name", name)
+                workers = body.getint("workers", workers)
+            elif not item_name:
+                raise ConfigError(f"section [{section}] needs a name after ':'")
+            elif kind == "base":
+                items.append(
+                    BaseItem(
+                        name=item_name,
+                        family=parse_family(body["family"]),
+                        kind=body.get("kind", "complete"),
+                        path=body.get("path"),
+                    )
                 )
-            )
-        elif kind == "step":
-            items.append(
-                StepItem(
-                    name=item_name,
-                    family=parse_family(body["family"]),
-                    r=body.getint("r"),
-                    algorithm=body.getint("algorithm", 1),
-                    input=body["input"],
-                    input2=body.get("input2"),
+            elif kind == "step":
+                items.append(
+                    StepItem(
+                        name=item_name,
+                        family=parse_family(body["family"]),
+                        r=int(body["r"]),
+                        algorithm=body.getint("algorithm", 1),
+                        input=body["input"],
+                        input2=body.get("input2"),
+                    )
                 )
-            )
-        elif kind == "descend":
-            items.append(DescendItem(name=item_name, input=body["input"]))
-        else:
-            raise ConfigError(f"unknown section kind [{section}]")
+            elif kind == "descend":
+                items.append(DescendItem(name=item_name, input=body["input"]))
+            else:
+                raise ConfigError(f"unknown section kind [{section}]")
+        except KeyError as exc:
+            raise ConfigError(f"section [{section}] needs {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ConfigError(f"section [{section}]: {exc}") from None
     cfg = PipelineConfig(
         name=name, workers=workers, items=items, config_dir=str(Path(path).parent)
     )
@@ -288,16 +300,27 @@ def validate_config(cfg: PipelineConfig) -> None:
 # -- artifacts ----------------------------------------------------------------
 
 
-def _family_meta(fam: Family) -> dict:
-    return {
-        "family": f"{','.join(map(str, fam.avec))}; {fam.q}; {fam.n}; {fam.t}",
-    }
+def _family_line(fam: Family) -> str:
+    return f"{','.join(map(str, fam.avec))}; {fam.q}; {fam.n}; {fam.t}"
 
 
-def _counts(graphs: GraphSet) -> tuple[int, int]:
-    total = len(graphs)
-    cone_free = sum(1 for g in graphs if cone_vertex_count(g) == 0)
-    return total, cone_free
+# manifest fields a reuse does not compare with this run's values
+_UNCOMPARED = ("count", "cone_free_count", "seconds", "produced_by")
+
+
+def _reusable(meta: dict, fields: dict, path: Path) -> bool:
+    """The reuse rule: the manifest has this run's fields, in order, with
+    equal values apart from the counts, ``seconds`` and ``produced_by``,
+    and the graph6 file holds exactly ``count`` lines."""
+    if list(meta) != list(fields):
+        return False
+    if any(meta[k] != str(v) for k, v in fields.items() if k not in _UNCOMPARED):
+        return False
+    if not (meta["count"].isdigit() and meta["cone_free_count"].isdigit()):
+        return False
+    with open(path, "rb") as fh:
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+    return lines == int(meta["count"])
 
 
 class Runner:
@@ -321,66 +344,52 @@ class Runner:
         return self.dir / f"plusk_{fam.key()}{suffix}.g6"
 
     def run(self) -> list[StepReport]:
+        handlers = {
+            BaseItem: self._run_base, StepItem: self._run_step, DescendItem: self._run_descend
+        }
         for item in self.cfg.items:
-            if isinstance(item, BaseItem):
-                self._run_base(item)
-            elif isinstance(item, StepItem):
-                self._run_step(item)
-            else:
-                self._run_descend(item)
+            started = time.perf_counter()
+            report = handlers[type(item)](item)
+            report.seconds = time.perf_counter() - started
+            self._families[item.name] = report.family
+            self.reports.append(report)
         self._write_reports()
         return self.reports
 
-    # -- item handlers ---------------------------------------------------------
-
-    def _run_base(self, item: BaseItem):
-        fam = item.family
-        self._families[item.name] = fam
-        path = self.maximal_path(fam)
+    def _artifact(self, path: Path, fields: dict, build):
+        """Reuse the artifact at ``path`` or build, save and describe it.
+        ``fields`` is the manifest this run would write, in order, with
+        ``count``, ``cone_free_count`` and any ``seconds`` left as None to be
+        filled in from the build.  Returns the built graphs (None when
+        reused), the count, the cone-free count and whether it was reused."""
         meta_path = path.with_suffix(".meta")
-        started = time.perf_counter()
         if not self.fresh and path.exists() and meta_path.exists():
             meta = read_manifest(meta_path)
-            if meta.get("kind") == f"base:{item.kind}":
-                self.reports.append(
-                    StepReport(
-                        name=item.name,
-                        kind="base",
-                        family=fam,
-                        count=int(meta["count"]),
-                        cone_free_count=int(meta["cone_free_count"]),
-                        seconds=0.0,
-                        resumed=True,
-                        output_path=str(path),
-                    )
-                )
-                return
-        graphs = self._build_base(item)
+            if _reusable(meta, fields, path):
+                return None, int(meta["count"]), int(meta["cone_free_count"]), True
+        started = time.perf_counter()
+        graphs = build()
         graphs.save(path)
-        count, cone_free = _counts(graphs)
-        seconds = time.perf_counter() - started
-        write_manifest(
-            meta_path,
-            {
-                **_family_meta(fam),
-                "kind": f"base:{item.kind}",
-                "produced_by": item.name,
-                "count": count,
-                "cone_free_count": cone_free,
-                "seconds": f"{seconds:.3f}",
-            },
+        fields["count"] = len(graphs)
+        fields["cone_free_count"] = sum(1 for g in graphs if cone_vertex_count(g) == 0)
+        if "seconds" in fields:
+            fields["seconds"] = f"{time.perf_counter() - started:.3f}"
+        write_manifest(meta_path, fields)
+        return graphs, fields["count"], fields["cone_free_count"], False
+
+    # -- item handlers ---------------------------------------------------------
+
+    def _run_base(self, item: BaseItem) -> StepReport:
+        path = self.maximal_path(item.family)
+        report = StepReport(item.name, "base", item.family, output_path=str(path))
+        fields = dict(
+            family=_family_line(item.family), kind=f"base:{item.kind}",
+            produced_by=item.name, count=None, cone_free_count=None, seconds=None,
         )
-        self.reports.append(
-            StepReport(
-                name=item.name,
-                kind="base",
-                family=fam,
-                count=count,
-                cone_free_count=cone_free,
-                seconds=seconds,
-                output_path=str(path),
-            )
+        _, report.count, report.cone_free_count, report.resumed = self._artifact(
+            path, fields, lambda: self._build_base(item)
         )
+        return report
 
     def _build_base(self, item: BaseItem) -> GraphSet:
         fam = item.family
@@ -391,10 +400,7 @@ class Runner:
         if item.kind == "exhaustive":
             return maximal_family_exhaustive(fam.avec, fam.q, fam.n, fam.t)
         if item.kind == "extremal":
-            _, extremal = folkman_value_at_m(fam.avec)
-            out = GraphSet()
-            out.insert(extremal)
-            return out
+            return graph_set_of([folkman_value_at_m(fam.avec)[1]])
         # file: resolved against the run directory, then the config directory,
         # then as given
         path = Path(item.path)
@@ -419,137 +425,73 @@ class Runner:
                 )
         return graphs
 
-    def _ensure_plusk(self, fam: Family, report: StepReport, vector=None, need_graphs=True):
-        """Compute (or reload) the descended plus-clique artifact of a family
-        and record its counts on the given report.  ``vector`` defaults to
-        the family's own vector; a consuming step passes its literal
-        decremented vector, which may be weaker than the declared one when
-        the chain leans on single-entry family normalization.  With
-        ``need_graphs=False`` a reusable artifact only has its counts read."""
-        vector = tuple(vector) if vector is not None else fam.avec
-        report.plusk_vector = vector
-        src = self.maximal_path(fam)
-        path = self.plusk_path(fam, vector)
-        meta_path = path.with_suffix(".meta")
-        digest = file_digest(src)
-        if not self.fresh and path.exists() and meta_path.exists():
-            meta = read_manifest(meta_path)
-            if meta.get("source_digest") == digest:
-                report.plusk_literal_count = int(meta["count"])
-                report.plusk_cone_free_count = int(meta["cone_free_count"])
-                if not need_graphs:
-                    return None
-                return GraphSet.load_trusted(path)
-        seeds = GraphSet.load_trusted(src)
-        graphs = plus_clique_descent(
-            seeds, vector, fam.q, fam.t, workers=self.workers
+    def _ensure_plusk(self, fam: Family, report: StepReport, vector):
+        """Build or reuse the descended plus-clique artifact of a family under
+        ``vector`` and record its counts on the report.  A consuming step
+        passes its literal decremented vector, which may be weaker than the
+        family's own when the chain leans on single-entry normalization.
+        Returns a loader of the descended graphs and whether it was reused."""
+        src, path = self.maximal_path(fam), self.plusk_path(fam, vector)
+        fields = dict(
+            family=_family_line(fam), kind="plus-clique", vector=",".join(map(str, vector)),
+            count=None, cone_free_count=None, source_digest=file_digest(src),
         )
-        graphs.save(path)
-        count, cone_free = _counts(graphs)
-        write_manifest(
-            meta_path,
-            {
-                **_family_meta(fam),
-                "kind": "plus-clique",
-                "vector": ",".join(map(str, vector)),
-                "count": count,
-                "cone_free_count": cone_free,
-                "source_digest": digest,
-            },
-        )
-        report.plusk_literal_count = count
-        report.plusk_cone_free_count = cone_free
-        return graphs
 
-    def _run_step(self, item: StepItem):
-        fam = item.family
-        self._families[item.name] = fam
-        in_fam = self._families[item.input]
-        in2_fam = self._families[item.input2] if item.input2 else None
+        def descend() -> GraphSet:
+            seeds = GraphSet.load_trusted(src)
+            return plus_clique_descent(seeds, vector, fam.q, fam.t, workers=self.workers)
+
+        built = self._artifact(path, fields, descend)
+        graphs, report.plusk_literal_count, report.plusk_cone_free_count, resumed = built
+        return (lambda: GraphSet.load_trusted(path) if graphs is None else graphs), resumed
+
+    def _run_step(self, item: StepItem) -> StepReport:
+        fam, in_fam = item.family, self._families[item.input]
+        inputs = [item.input] + ([item.input2] if item.input2 else [])
+        digests = {name: file_digest(self.maximal_path(self._families[name])) for name in inputs}
         path = self.maximal_path(fam)
-        meta_path = path.with_suffix(".meta")
-        digests = {item.input: file_digest(self.maximal_path(in_fam))}
-        if in2_fam is not None:
-            digests[item.input2] = file_digest(self.maximal_path(in2_fam))
         report = StepReport(
-            name=item.name,
-            kind="step",
-            family=fam,
-            r=item.r,
-            algorithm=item.algorithm,
-            input_digests=digests,
-            output_path=str(path),
+            item.name, "step", fam, r=item.r, algorithm=item.algorithm,
+            input_digests=digests, output_path=str(path),
         )
-        started = time.perf_counter()
         spec = FamilySpec(ArrowVector(fam.avec), fam.q, fam.n, item.r, fam.t)
-        resumable = False
-        if not self.fresh and path.exists() and meta_path.exists():
-            meta = read_manifest(meta_path)
-            resumable = (
-                meta.get("inputs") == self._digest_line(digests)
-                and meta.get("algorithm") == str(item.algorithm)
-                and meta.get("r") == str(item.r)
-            )
-        aprime = self._ensure_plusk(
-            in_fam, report, vector=spec.decremented().entries, need_graphs=not resumable
-        )
-        if resumable and aprime is None:
-            report.count = int(meta["count"])
-            report.cone_free_count = int(meta["cone_free_count"])
-            report.resumed = True
-            report.seconds = time.perf_counter() - started
-            self.reports.append(report)
-            return
-        seeds = GraphSet.load_trusted(self.maximal_path(in_fam))
-        if item.algorithm == 1:
-            result = generate_family(spec, seeds, workers=self.workers, descended=aprime)
-        else:
-            cone_seeds = GraphSet.load_trusted(self.maximal_path(in2_fam))
-            result = generate_family_cone_split(
-                spec, seeds, cone_seeds, workers=self.workers, descended=aprime
-            )
-        result.output.save(path)
-        count, cone_free = _counts(result.output)
-        report.count = count
-        report.cone_free_count = cone_free
-        report.seconds = time.perf_counter() - started
-        write_manifest(
-            meta_path,
-            {
-                **_family_meta(fam),
-                "kind": "step",
-                "produced_by": item.name,
-                "algorithm": item.algorithm,
-                "r": item.r,
-                "count": count,
-                "cone_free_count": cone_free,
-                "inputs": self._digest_line(digests),
-                "seconds": f"{report.seconds:.3f}",
-            },
-        )
-        self.reports.append(report)
+        descended, _ = self._ensure_plusk(in_fam, report, spec.decremented().entries)
 
-    def _run_descend(self, item: DescendItem):
+        def build() -> GraphSet:
+            seeds = GraphSet.load_trusted(self.maximal_path(in_fam))
+            if item.algorithm == 1:
+                return generate_family(
+                    spec, seeds, workers=self.workers, descended=descended()
+                ).output
+            cone_seeds = GraphSet.load_trusted(self.maximal_path(self._families[item.input2]))
+            return generate_family_cone_split(
+                spec, seeds, cone_seeds, workers=self.workers, descended=descended()
+            ).output
+
+        fields = dict(
+            family=_family_line(fam), kind="step", produced_by=item.name,
+            algorithm=item.algorithm, r=item.r, count=None, cone_free_count=None,
+            inputs=",".join(f"{k}:{v}" for k, v in sorted(digests.items())), seconds=None,
+        )
+        _, report.count, report.cone_free_count, report.resumed = self._artifact(
+            path, fields, build
+        )
+        return report
+
+    def _run_descend(self, item: DescendItem) -> StepReport:
         fam = self._families[item.input]
-        self._families[item.name] = fam
-        report = StepReport(name=item.name, kind="descend", family=fam)
-        started = time.perf_counter()
-        self._ensure_plusk(fam, report, need_graphs=False)
-        report.seconds = time.perf_counter() - started
-        report.output_path = str(self.plusk_path(fam, fam.avec))
-        self.reports.append(report)
-
-    @staticmethod
-    def _digest_line(digests: dict) -> str:
-        return ",".join(f"{k}:{v}" for k, v in sorted(digests.items()))
+        path = self.plusk_path(fam, fam.avec)
+        report = StepReport(item.name, "descend", fam, output_path=str(path))
+        _, report.resumed = self._ensure_plusk(fam, report, fam.avec)
+        return report
 
     # -- reporting ---------------------------------------------------------------
 
     def _write_reports(self):
         rows = assemble_rows(self.cfg, self.reports)
-        with open(self.dir / "report.txt", "w", encoding="utf-8") as fh:
+        with atomic_write(self.dir / "report.txt", "utf-8") as fh:
             fh.write(format_rows(rows))
-        with open(self.dir / "report.kv", "w", encoding="utf-8") as fh:
+        with atomic_write(self.dir / "report.kv", "utf-8") as fh:
             for rep in self.reports:
                 fields = [
                     f"item = {rep.name}",
@@ -590,57 +532,51 @@ class FamilyRow:
 def assemble_rows(cfg: PipelineConfig, reports) -> list[FamilyRow]:
     """Merge per-item reports into one table row per family, appendix style:
     a family's maximal counts come from the item that produced it and its
-    plus-clique counts from whichever item descended it."""
+    plus-clique counts from the last item that descended it, or else from
+    the first step whose decremented vector is the family's own."""
     complete_bases = {
         item.family.key()
         for item in cfg.items
         if isinstance(item, BaseItem) and item.kind == "complete"
     }
-    step_r = {}
-    for item in cfg.items:
-        if isinstance(item, StepItem):
-            step_r[item.family.key()] = item.r
+    steps = {item.name: item for item in cfg.items if isinstance(item, StepItem)}
+    step_r = {item.family.key(): item.r for item in steps.values()}
+    families: dict[str, Family] = {}
     rows: dict[str, FamilyRow] = {}
-    order = []
-    by_name = {rep.name: rep for rep in reports}
     for rep in reports:
+        families[rep.name] = rep.family
         key = rep.family.key()
         if key not in rows:
             r = step_r.get(key)
             # r = 2 outputs are the whole <= t family; deeper windows are slices
             alpha = f"= {rep.family.t}" if r == rep.family.t and r > 2 else f"<= {rep.family.t}"
             rows[key] = FamilyRow(family=rep.family, alpha=alpha)
-            order.append(key)
         row = rows[key]
         row.seconds += rep.seconds
         if rep.kind in ("base", "step") and rep.count is not None:
             row.maximal = rep.count
             row.maximal_cone_free = rep.cone_free_count
-        if rep.plusk_literal_count is not None and rep.kind in ("base", "descend"):
+        if rep.plusk_literal_count is None:
+            continue
+        if rep.kind == "descend":
             row.plusk = rep.plusk_literal_count
             row.plusk_cone_free = rep.plusk_cone_free_count
-    # a step's descent counts belong to its input family's row, but only
-    # when the step's decremented vector is the family's own vector
-    for item in cfg.items:
-        if not isinstance(item, StepItem):
-            continue
-        rep = by_name.get(item.name)
-        if rep is None or rep.plusk_literal_count is None:
-            continue
-        in_rep = by_name.get(item.input)
-        if in_rep is None or rep.plusk_vector != in_rep.family.avec:
-            continue
-        row = rows.get(in_rep.family.key())
-        if row is not None and row.plusk is None:
-            row.plusk = rep.plusk_literal_count
-            row.plusk_cone_free = rep.plusk_cone_free_count
+        elif rep.kind == "step":
+            # a step's descent counts belong to its input family's row
+            in_fam = families.get(steps[rep.name].input)
+            vector = ArrowVector(rep.family.avec).decremented_first().entries
+            if in_fam is not None and vector == in_fam.avec:
+                in_row = rows[in_fam.key()]
+                if in_row.plusk is None:
+                    in_row.plusk = rep.plusk_literal_count
+                    in_row.plusk_cone_free = rep.plusk_cone_free_count
     # a complete base stands for itself in its plus-clique cell
     for key in complete_bases:
         row = rows.get(key)
         if row is not None and row.plusk is not None:
             row.plusk = 1
             row.plusk_cone_free = 0
-    return [rows[key] for key in order]
+    return list(rows.values())
 
 
 def format_rows(rows) -> str:

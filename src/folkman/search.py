@@ -140,7 +140,7 @@ def _descent_worker(task):
     return line, True, sorted(children)
 
 
-def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
+def plus_clique_descent(maximals, avec, q, t, workers=1):
     """All graphs of the family (avec; q; same order; independence <= t)
     whose every missing edge completes a new (q-1)-clique, one per
     isomorphism class.  ``maximals`` must be the complete edge-maximal
@@ -151,8 +151,7 @@ def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
     if not seeds:
         return result
     order = seeds[0].n
-    visited = set()
-    frontier = []
+    layers: dict[int, set] = {}
     for g in seeds:
         if g.n != order:
             raise GraphError("descent seeds must share a vertex count")
@@ -162,29 +161,18 @@ def plus_clique_descent(maximals, avec, q, t, exclude_cone=False, workers=1):
             raise GraphError(f"seed has independence number above {t}")
         if not arrows_adj(g.adj, entries):
             raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
-        line = canonical_line(g.adj)
-        if line not in visited:
-            visited.add(line)
-            frontier.append(line)
-    # Breadth-first over the edge-removal lattice with canonical rejection;
-    # frontiers hold graph6 lines only, keeping big levels cheap.
-    while frontier:
-        tasks = ((line, entries, q, t) for line in frontier)
-        nxt = []
+        layers.setdefault(g.edge_count(), set()).add(canonical_line(g.adj))
+    # Every child has one edge fewer than its parent, so the edge-removal
+    # lattice is walked in edge-count layers from the top and each layer's
+    # set of graph6 lines does the canonical rejection.
+    while layers:
+        edges = max(layers)
+        tasks = ((line, entries, q, t) for line in layers.pop(edges))
         for line, plusk, children in _pool_imap(_descent_worker, tasks, workers):
             if plusk:
                 result.insert_canonical(line)
-            for cline in children:
-                if cline not in visited:
-                    visited.add(cline)
-                    nxt.append(cline)
-        frontier = nxt
-    if exclude_cone:
-        filtered = GraphSet()
-        for line, g in zip(result.lines(), result.graphs()):
-            if cone_vertex_count(g) == 0:
-                filtered.insert_canonical(line, g)
-        return filtered
+            if children:
+                layers.setdefault(edges - 1, set()).update(children)
     return result
 
 

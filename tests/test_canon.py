@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from folkman.canon import (
     GraphSet,
     canonical_form,
@@ -7,6 +9,8 @@ from folkman.canon import (
     canonical_line,
     graph_set_of,
     merge,
+    read_manifest,
+    write_manifest,
 )
 from folkman.graphs import Graph, from_graph6, to_graph6
 from tests.conftest import random_graph, random_permuted
@@ -165,3 +169,32 @@ def test_graph_set_decodes_lines_lazily(tmp_path, rng):
         one = GraphSet()
         one.insert(g)
         assert one.graphs() == [canonical_graph(g)]
+
+
+def test_failed_writes_keep_the_old_file(tmp_path):
+    # a write that raises partway leaves the previous file intact and no
+    # temporary file next to it
+    class DiskFull(GraphSet):
+        def lines(self):
+            yield from super().lines()[:1]
+            raise OSError("disk full")
+
+    class Unwritable:
+        def __format__(self, spec):
+            raise OSError("disk full")
+
+    target = tmp_path / "family.g6"
+    graph_set_of([Graph.cycle(5)]).save(target)
+    before = target.read_bytes()
+    failing = DiskFull()
+    for g in (Graph.complete(3), Graph.cycle(4)):
+        failing.insert(g)
+    with pytest.raises(OSError):
+        failing.save(target)
+    assert target.read_bytes() == before
+    meta = tmp_path / "family.meta"
+    write_manifest(meta, {"count": 1})
+    with pytest.raises(OSError):
+        write_manifest(meta, {"count": 2, "seconds": Unwritable()})
+    assert read_manifest(meta) == {"count": "1"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["family.g6", "family.meta"]

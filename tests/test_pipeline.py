@@ -144,6 +144,57 @@ def test_resume_after_partial_run(tmp_path):
     assert {row.family.display(): row.maximal for row in rows}["H(3; 4; 7)"] == 5
 
 
+def test_truncated_artifact_is_rebuilt(tmp_path):
+    cfg_path = write_config(tmp_path, TINY_CONFIG)
+    run_dir = tmp_path / "run"
+    first, _ = run_pipeline(cfg_path, run_dir)
+    # a .g6 one line short of its intact manifest's count is not reused
+    out = run_dir / "maximal_a3_q4_n7_t3.g6"
+    full = out.read_text()
+    out.write_text("".join(full.splitlines(keepends=True)[:-1]))
+    reports, rows = run_pipeline(cfg_path, run_dir)
+    by_name = {r.name: r for r in reports}
+    assert by_name["s5"].resumed
+    assert not by_name["s7"].resumed
+    before = {r.name: r for r in first}["s7"]
+    assert (by_name["s7"].count, by_name["s7"].cone_free_count) == (
+        before.count,
+        before.cone_free_count,
+    )
+    assert before.count == 5
+    assert out.read_text() == full
+    assert {row.family.display(): row.maximal for row in rows}["H(3; 4; 7)"] == 5
+
+
+def test_step_resumes_when_its_descent_is_rebuilt(tmp_path):
+    cfg_path = write_config(tmp_path, TINY_CONFIG)
+    run_dir = tmp_path / "run"
+    first, _ = run_pipeline(cfg_path, run_dir)
+    plusk = run_dir / "plusk_a2_q4_n3_t3.g6"
+    descended = plusk.read_text()
+    plusk.unlink()
+    reports, _ = run_pipeline(cfg_path, run_dir)
+    by_name = {r.name: r for r in reports}
+    # the descent is redone, the step's own artifact is still reused
+    assert plusk.read_text() == descended
+    assert by_name["s5"].resumed and by_name["s7"].resumed
+    before = {r.name: r for r in first}["s5"]
+    assert by_name["s5"].plusk_literal_count == before.plusk_literal_count
+    assert by_name["s5"].count == before.count
+
+
+def test_renamed_base_resumes(tmp_path):
+    run_dir = tmp_path / "run"
+    run_pipeline(write_config(tmp_path, TINY_CONFIG), run_dir)
+    renamed = TINY_CONFIG.replace("[base:k3]", "[base:k3x]").replace(
+        "input = k3\n", "input = k3x\n"
+    )
+    reports, _ = run_pipeline(write_config(tmp_path, renamed, "renamed.cfg"), run_dir)
+    base = reports[0]
+    # produced_by names the item but is not part of the reuse rule
+    assert base.name == "k3x" and base.resumed and base.count == 1
+
+
 def test_fresh_ignores_artifacts(tmp_path):
     cfg_path = write_config(tmp_path, TINY_CONFIG)
     run_dir = tmp_path / "run"
@@ -325,6 +376,20 @@ input = k3
     assert rc == 1
 
 
-def test_cli_errors(capsys):
+def test_cli_errors(tmp_path, capsys):
     assert main(["omega", "not-a-graph6-\x01"]) == 2
     assert main(["arrows", "totally/missing/file.g6", "2 2"]) == 2
+    # malformed numbers are input errors, not "false"
+    assert main(["arrows", "Dhc", "x"]) == 2
+    seeds = tmp_path / "base.g6"
+    seeds.write_text(to_graph6(Graph.complete(3)) + "\n")
+    extend = ["extend", "--spec", "5; x; 10; 2; 3", "--input", str(seeds)]
+    assert main(extend + ["--output", str(tmp_path / "out.g6")]) == 2
+    for old, new in [
+        ("family = 3; 4; 5; 3", "family = 3; x; 5; 3"),
+        ("r = 2", "r = two"),
+        ("workers = 1", "workers = x"),
+    ]:
+        cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new, 1))
+        assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()

@@ -156,8 +156,8 @@ def test_descent_at_boundary_order_keeps_near_complete_graph():
 
 def test_exclude_cone_filters_output():
     seeds = graph_set_of([Graph.complete(7)])
-    got = plus_clique_descent(seeds, (3,), 8, 2, exclude_cone=True)
-    assert len(got) == 0
+    got = plus_clique_descent(seeds, (3,), 8, 2)
+    assert [g for g in got if cone_vertex_count(g) == 0] == []
 
 
 def test_generate_family_matches_brute_force_small():
