@@ -155,7 +155,10 @@ def cmd_bound_composite(args) -> int:
     alphas = {}
     for item in args.alpha or []:
         key, _, value = item.partition("=")
-        alphas[int(key)] = int(value)
+        try:
+            alphas[int(key)] = int(value)
+        except ValueError:
+            raise GraphError(f"--alpha needs integers I=V, got {item!r}") from None
     print(bounds.composite_lower_bound(_vector_arg(args.vector), alphas))
     return 0
 
@@ -185,16 +188,23 @@ def _load_kv_reports(path):
             fields[key.strip()] = value.strip()
         if "avec" not in fields or "maximal" not in fields:
             continue
-        out.append(
-            dict(
-                avec=ArrowVector.parse(fields["avec"]).canonical().entries,
-                q=int(fields["q"]),
-                n=int(fields["n"]),
-                r=int(fields.get("r", 2)),
-                t=int(fields["t"]),
-                count=int(fields["maximal"]),
+        avec = ArrowVector.parse(fields["avec"]).canonical().entries
+        try:
+            out.append(
+                dict(
+                    avec=avec,
+                    q=int(fields["q"]),
+                    n=int(fields["n"]),
+                    r=int(fields.get("r", 2)),
+                    t=int(fields["t"]),
+                    count=int(fields["maximal"]),
+                )
             )
-        )
+        except (KeyError, ValueError):
+            raise GraphError(
+                f"{path}: report for ({', '.join(map(str, avec))}) needs "
+                "integers q, n, t and maximal (and r, if given)"
+            ) from None
     return out
 
 

@@ -6,7 +6,9 @@ with some neighbourhood, so extending every class by every neighbourhood and
 deduplicating is complete.  ``bounded_classes`` prunes each level to clique
 number below q and independence number at most t, both hereditary, so the
 pruning loses no class; ``graph_classes`` is the same scheme with bounds no
-graph of the order reaches.
+graph of the order reaches.  ``maximal_family_exhaustive`` builds its final
+level from the same child loop but filters it by maximality and arrowing
+before canonical labeling, so only the survivors are labeled.
 
 This is desk-scale machinery: it seeds the small base families that the
 extension chains start from and serves as the brute-force oracle in tests.
@@ -15,9 +17,9 @@ extension chains start from and serves as the brute-force oracle in tests.
 from __future__ import annotations
 
 from . import _kernels as K
-from .arrowing import arrows
+from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
-from .cliques import complement_adj, is_plus_kt
+from .cliques import complement_adj
 from .graphs import Graph, GraphError, bits_of
 
 
@@ -26,36 +28,44 @@ def graph_classes(n: int) -> list[Graph]:
     return bounded_classes(n, n + 2, n + 1)
 
 
+def _children(level, q: int, t: int):
+    """Adjacency lists of every graph of ``level`` with one vertex attached
+    by every neighbourhood that keeps clique number below q and independence
+    number at most t.  The test is local to the attached vertex: a new K_q
+    needs a K_{q-1} in its neighbourhood, a new independent (t+1)-set needs
+    t independent non-neighbours."""
+    impl = K.impl
+    for g in level:
+        k = g.n
+        bit = 1 << k
+        full = bit - 1
+        cadj = complement_adj(g.adj)
+        for nb in range(1 << k):
+            if impl.has_clique_within(g.adj, nb, q - 1):
+                continue
+            if impl.has_clique_within(cadj, full ^ nb, t):
+                continue
+            adj = list(g.adj)
+            adj.append(nb)
+            for v in bits_of(nb):
+                adj[v] |= bit
+            yield adj
+
+
 def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
     """All classes on n vertices with clique number below q and independence
-    number at most t, canonically labeled.  The per-child test is local to
-    the attached vertex: a new K_q needs a K_{q-1} in its neighbourhood, a
-    new independent (t+1)-set needs t independent non-neighbours."""
+    number at most t, canonically labeled."""
     if n < 0:
         raise GraphError("negative vertex count")
     if q < 2 or t < 1:
         return []
     if n == 0:
         return [Graph.empty(0)]
-    impl = K.impl
     level = [Graph.empty(1)]
     for _ in range(n - 1):
         out = GraphSet()
-        for g in level:
-            k = g.n
-            bit = 1 << k
-            full = bit - 1
-            cadj = complement_adj(g.adj)
-            for nb in range(1 << k):
-                if impl.has_clique_within(g.adj, nb, q - 1):
-                    continue
-                if impl.has_clique_within(cadj, full ^ nb, t):
-                    continue
-                adj = list(g.adj)
-                adj.append(nb)
-                for v in bits_of(nb):
-                    adj[v] |= bit
-                out.insert_canonical(canonical_line(adj))
+        for adj in _children(level, q, t):
+            out.insert_canonical(canonical_line(adj))
         level = out.graphs()
     return level
 
@@ -69,13 +79,19 @@ def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
     """Brute-force construction of the edge-maximal members of
     H(avec; q; n) with independence number at most t.
 
-    Levels are pruned to clique number below q and independence number at
-    most t (both hereditary); the arrowing and maximality filters apply on
-    the final level only.
+    The levels below n are ``bounded_classes``.  The final level is built
+    here and filtered by maximality (the plus-clique test) and arrowing
+    before canonical labeling; both are isomorphism-invariant, so only the
+    survivors are labeled.
     """
-    entries = tuple(avec)
+    entries = canonicalize(avec).entries
+    if n == 0:
+        candidates = (g.adj for g in bounded_classes(0, q, t))
+    else:
+        candidates = _children(bounded_classes(n - 1, q, t), q, t)
+    impl = K.impl
     out = GraphSet()
-    for g in bounded_classes(n, q, t):
-        if is_plus_kt(g, q) and arrows(g, entries):
-            out.insert(g)
+    for adj in candidates:
+        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+            out.insert_canonical(canonical_line(adj))
     return out

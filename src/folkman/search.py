@@ -7,8 +7,10 @@ Two cooperating constructions:
   whose missing edges each complete a new (q-1)-clique.  Arrowing, the
   independence cap and the plus-clique property itself are all inherited
   upward along edge addition, so a graph failing any of them heads a
-  subtree that can be skipped entirely; the search therefore touches only
-  the collected set and its lower boundary.
+  subtree that can be skipped entirely.  Each child is tested against all
+  three (the plus-clique test, the most selective, first) before it is
+  canonically labeled, so only members of the collected set are labeled,
+  deduplicated and descended further.
 
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
@@ -26,7 +28,9 @@ deduplication, so the output is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import _kernels as K
@@ -89,16 +93,18 @@ class AlgorithmResult:
     plus_clique: GraphSet  # the descended set for the input family
 
 
-def _pool_imap(fn, tasks, workers, chunksize=16):
-    """Stream fn over tasks; result order is unspecified under workers > 1,
-    so callers must merge into order-insensitive structures."""
+@contextmanager
+def _worker_map(workers):
+    """Yield an imap(fn, tasks) that streams results in unspecified order,
+    so callers must merge into order-insensitive structures.  Under
+    workers > 1 every call runs on one fork pool that lives as long as the
+    block; workers <= 1 stays in-process."""
     if workers <= 1:
-        for t in tasks:
-            yield fn(t)
+        yield map
         return
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers) as pool:
-        yield from pool.imap_unordered(fn, tasks, chunksize=chunksize)
+        yield functools.partial(pool.imap_unordered, chunksize=16)
 
 
 def _descent_worker(task):
@@ -106,11 +112,6 @@ def _descent_worker(task):
     g = from_graph6(line)
     n, adj = g.n, g.adj
     impl = K.impl
-    # Losing an edge can only shrink common neighbourhoods and add non-edges,
-    # so a graph whose plus-clique test fails heads a subtree where it fails
-    # everywhere: prune here.
-    if not impl.is_plus_k(adj, q - 1):
-        return line, False, ()
     cadj = list(complement_adj(adj))
     single = entries[0] if len(entries) == 1 else 0
     children = set()
@@ -121,6 +122,12 @@ def _descent_worker(task):
             child = list(adj)
             child[u] &= ~bv
             child[v] &= ~bu
+            # Losing an edge can only shrink common neighbourhoods and add
+            # non-edges, so a child whose plus-clique test fails heads a
+            # subtree where it fails everywhere: it is dropped before it is
+            # canonically labeled.
+            if not impl.is_plus_k(child, q - 1):
+                continue
             # independence cap: a new independent (t+1)-set must contain both
             # endpoints, i.e. a (t-1)-clique in their common complement
             # neighbourhood
@@ -137,7 +144,7 @@ def _descent_worker(task):
             elif not arrows_adj(child, entries):
                 continue
             children.add(canonical_line(child))
-    return line, True, sorted(children)
+    return sorted(children)
 
 
 def plus_clique_descent(maximals, avec, q, t, workers=1):
@@ -161,18 +168,23 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
             raise GraphError(f"seed has independence number above {t}")
         if not arrows_adj(g.adj, entries):
             raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
-        layers.setdefault(g.edge_count(), set()).add(canonical_line(g.adj))
+        # a seed outside the plus-clique family heads an empty subtree
+        if K.impl.is_plus_k(g.adj, q - 1):
+            layers.setdefault(g.edge_count(), set()).add(canonical_line(g.adj))
     # Every child has one edge fewer than its parent, so the edge-removal
     # lattice is walked in edge-count layers from the top and each layer's
-    # set of graph6 lines does the canonical rejection.
-    while layers:
-        edges = max(layers)
-        tasks = ((line, entries, q, t) for line in layers.pop(edges))
-        for line, plusk, children in _pool_imap(_descent_worker, tasks, workers):
-            if plusk:
+    # set of graph6 lines does the canonical rejection.  Workers pass on
+    # plus-clique members only, so every line of a layer is kept.
+    with _worker_map(workers) as imap:
+        while layers:
+            edges = max(layers)
+            layer = layers.pop(edges)
+            for line in layer:
                 result.insert_canonical(line)
-            if children:
-                layers.setdefault(edges - 1, set()).update(children)
+            tasks = ((line, entries, q, t) for line in layer)
+            for children in imap(_descent_worker, tasks):
+                if children:
+                    layers.setdefault(edges - 1, set()).update(children)
     return result
 
 
@@ -286,9 +298,10 @@ def _extend_hosts(host_lines, spec, workers):
     entries = spec.avec.entries
     tasks = ((line, entries, spec.q, spec.r, spec.t) for line in host_lines)
     out = GraphSet()
-    for cands in _pool_imap(_extension_worker, tasks, workers):
-        for line in cands:
-            out.insert_canonical(line)
+    with _worker_map(workers) as imap:
+        for cands in imap(_extension_worker, tasks):
+            for line in cands:
+                out.insert_canonical(line)
     return out
 
 

@@ -3,7 +3,9 @@
 Everything here works straight from the definitions (subset enumeration and
 exhaustive colourings) and stays independent of the search code paths under
 test, except ``maximal_ktfree_recursive``, which calls the clique kernel,
-and ``canonical_perm_reference``, the canonical labeling search as it stood
+``maximal_family_reference``, the exhaustive family construction as it
+stood before its final level was filtered ahead of canonical labeling, and
+``canonical_perm_reference``, the canonical labeling search as it stood
 before its refinement and orbit bookkeeping were made incremental: the
 kernels must return its permutation exactly.
 """
@@ -12,6 +14,10 @@ from itertools import combinations, product
 
 from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
+from folkman.arrowing import arrows
+from folkman.canon import GraphSet
+from folkman.cliques import is_plus_kt
+from folkman.generate import bounded_classes
 from folkman.graphs import Graph, bits_of
 
 
@@ -52,6 +58,17 @@ def arrows_brute(g: Graph, entries) -> bool:
         ):
             return False
     return True
+
+
+def maximal_family_reference(avec, q: int, n: int, t: int) -> GraphSet:
+    """Edge-maximal members of H(avec; q; n) with independence number at
+    most t: every class of ``bounded_classes(n, q, t)`` filtered by the
+    plus-clique test and arrowing after it is canonically labeled."""
+    out = GraphSet()
+    for g in bounded_classes(n, q, t):
+        if is_plus_kt(g, q) and arrows(g, tuple(avec)):
+            out.insert(g)
+    return out
 
 
 def maximal_ktfree_brute(g: Graph, t: int) -> list[int]:

@@ -1,3 +1,6 @@
+import pytest
+
+from folkman import _kernels
 from folkman.canon import canonical_form
 from folkman.cliques import (
     clique_number,
@@ -14,6 +17,7 @@ from folkman.generate import (
 )
 from folkman.graphs import Graph
 from folkman.arrowing import arrows
+from tests.oracles import maximal_family_reference
 
 
 def test_class_counts_small():
@@ -73,3 +77,30 @@ def test_complete_base_matches_exhaustive():
     # on few vertices the exhaustive route degenerates to the complete graph
     fam = maximal_family_exhaustive((3,), 8, 6, 3)
     assert fam.lines() == [canonical_form(Graph.complete(6))]
+
+
+# q = 4..6, t = 1..4 and every order up to 7 for (2, 2, 2).  Candidates for
+# (2, 2, 2) and (2, 3) at q = 4 and for (2, 2, 2, 2) at q = 5 have clique
+# number at least p and below m, so their arrowing runs free_partition.
+EXHAUSTIVE_GRID = [((2, 2, 2), 4, n, 3) for n in range(8)] + [
+    ((2, 2), 4, 7, 3),
+    ((2, 3), 4, 8, 3),
+    ((3,), 4, 8, 3),
+    ((2, 3), 5, 7, 3),
+    ((2, 2, 2, 2), 5, 7, 3),
+    ((4,), 5, 7, 4),
+    ((3,), 5, 6, 1),
+    ((3,), 6, 8, 2),
+    ((2, 3), 6, 7, 3),
+    ((2, 2), 6, 7, 4),
+]
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_exhaustive_final_level_filter_matches_reference(backend, monkeypatch):
+    # filtering the last level before canonical labeling keeps exactly the
+    # classes that filtering the labeled level keeps
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    for avec, q, n, t in EXHAUSTIVE_GRID:
+        want = maximal_family_reference(avec, q, n, t).lines()
+        assert maximal_family_exhaustive(avec, q, n, t).lines() == want, (avec, q, n, t)

@@ -393,3 +393,11 @@ def test_cli_errors(tmp_path, capsys):
         cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new, 1))
         assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
+    assert main(["bound", "composite", "7,7", "--alpha", "6=x"]) == 2
+    for field in ("q", "n", "r", "t", "maximal"):
+        reports = tmp_path / f"bad_{field}.kv"
+        block = {"avec": "3", "q": "4", "n": "5", "r": "2", "t": "3", "maximal": "2"}
+        block[field] = "x"
+        reports.write_text("".join(f"{k} = {v}\n" for k, v in block.items()))
+        certify = ["bound", "certify", "3", "4", "5", "--reports", str(reports)]
+        assert main(certify) == 2, field

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from folkman.arrowing import ArrowVector, arrows
@@ -15,6 +17,7 @@ from folkman.generate import maximal_family_exhaustive
 from folkman.graphs import Graph, GraphError, bits_of, join
 from folkman.search import (
     FamilySpec,
+    _worker_map,
     attach_vertices,
     complete_base,
     generate_family,
@@ -126,21 +129,40 @@ def test_descent_seed_validation():
 
 
 def test_descent_members_are_plus_clique_family_members():
-    base = maximal_family_exhaustive((3,), 5, 7, 3)
-    got = plus_clique_descent(base, (3,), 5, 3)
-    for g in got:
-        assert is_plus_kt(g, 4)
-        assert has_clique(g, 3) and not has_clique(g, 5)
-        assert not has_independent_set(g, 4)
-    # brute-force the same set over all classes
     from folkman.generate import bounded_classes
 
-    expected = {
-        canonical_form(g)
-        for g in bounded_classes(7, 5, 3)
-        if is_plus_kt(g, 4) and has_clique(g, 3)
-    }
-    assert set(got.lines()) == expected
+    # q = 4..6 and a multi-entry vector
+    for avec, q, n, t in (
+        ((3,), 5, 7, 3),
+        ((3,), 4, 7, 3),
+        ((2, 2), 4, 7, 3),
+        ((4,), 6, 7, 3),
+        ((2, 3), 6, 7, 3),
+    ):
+        base = maximal_family_exhaustive(avec, q, n, t)
+        got = plus_clique_descent(base, avec, q, t)
+        for g in got:
+            assert is_plus_kt(g, q - 1)
+            assert arrows(g, avec) and not has_clique(g, q)
+            assert not has_independent_set(g, t + 1)
+        # brute-force the same set over all classes
+        expected = {
+            canonical_form(g)
+            for g in bounded_classes(n, q, t)
+            if is_plus_kt(g, q - 1) and arrows(g, avec)
+        }
+        assert set(got.lines()) == expected, (avec, q, n, t)
+
+
+def test_descent_drops_seeds_outside_the_plus_clique_family():
+    # a triangle plus an isolated vertex arrows (3) without K_5 or an
+    # independent 4-set, but joining the isolated vertex to the triangle
+    # completes no K_4: the seed heads an empty subtree
+    outside = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert not is_plus_kt(outside, 4)
+    assert plus_clique_descent(graph_set_of([outside]), (3,), 5, 3).lines() == []
+    got = plus_clique_descent(graph_set_of([outside, Graph.complete(4)]), (3,), 5, 3)
+    assert got.lines() == ["C^", "C~"]  # K_4 less an edge, and K_4
 
 
 def test_descent_at_boundary_order_keeps_near_complete_graph():
@@ -263,6 +285,23 @@ def test_worker_count_does_not_change_results():
     b = generate_family(spec((4,), 8, 8, 2, 3), base, workers=3)
     assert a.output.lines() == b.output.lines()
     assert a.plus_clique.lines() == b.plus_clique.lines()
+
+
+def test_worker_map_ends_its_pool_when_the_block_raises():
+    with pytest.raises(RuntimeError):
+        with _worker_map(2) as imap:
+            assert sorted(imap(abs, [-2, 1, -3])) == [1, 2, 3]
+            pool_workers = multiprocessing.active_children()
+            assert pool_workers
+            # one pool serves every call made inside the block
+            assert sorted(imap(abs, [-4])) == [4]
+            assert {p.pid for p in multiprocessing.active_children()} == {
+                p.pid for p in pool_workers
+            }
+            raise RuntimeError
+    assert not any(p.is_alive() for p in pool_workers)
+    with _worker_map(1) as imap:
+        assert imap is map
 
 
 def test_join_example_host():
