@@ -2,13 +2,17 @@
 
 Level-by-level vertex extension with canonical-form rejection: every class
 on k+1 vertices arises from a class on k vertices by attaching one vertex
-with some neighbourhood, so extending every class by every neighbourhood and
-deduplicating is complete.  ``bounded_classes`` prunes each level to clique
-number below q and independence number at most t, both hereditary, so the
-pruning loses no class; ``graph_classes`` is the same scheme with bounds no
-graph of the order reaches.  ``maximal_family_exhaustive`` builds its final
-level from the same child loop but filters it by maximality and arrowing
-before canonical labeling, so only the survivors are labeled.
+of largest degree with some neighbourhood, so extending every class by every
+neighbourhood that makes the new vertex a largest-degree one (McKay's
+canonical-parent test, invariant half) and deduplicating is complete.  The
+degree test is two mask tests per neighbourhood, made before any kernel call;
+the per-level set of canonical lines stays the exact isomorph rejection.
+``bounded_classes`` prunes each level to clique number below q and
+independence number at most t, both hereditary, so neither the pruning nor
+the degree test loses a class; ``graph_classes`` is the same scheme with
+bounds no graph of the order reaches.  ``maximal_family_exhaustive`` builds
+its final level from the same child loop but filters it by maximality and
+arrowing before canonical labeling, so only the survivors are labeled.
 
 This is desk-scale machinery: it seeds the small base families that the
 extension chains start from and serves as the brute-force oracle in tests.
@@ -31,16 +35,28 @@ def graph_classes(n: int) -> list[Graph]:
 def _children(level, q: int, t: int):
     """Adjacency lists of every graph of ``level`` with one vertex attached
     by every neighbourhood that keeps clique number below q and independence
-    number at most t.  The test is local to the attached vertex: a new K_q
-    needs a K_{q-1} in its neighbourhood, a new independent (t+1)-set needs
-    t independent non-neighbours."""
+    number at most t and gives the new vertex the largest degree of the
+    child (ties kept).  The bound tests are local to the attached vertex: a
+    new K_q needs a K_{q-1} in its neighbourhood, a new independent
+    (t+1)-set needs t independent non-neighbours.  The degree test is the
+    invariant half of McKay's canonical parent: the child less a vertex of
+    largest degree lies in ``level``, so the class is still reached."""
     impl = K.impl
     for g in level:
         k = g.n
         bit = 1 << k
         full = bit - 1
         cadj = complement_adj(g.adj)
+        # at_least[d]: vertices of degree >= d in g
+        at_least = [0] * (k + 2)
+        for v, row in enumerate(g.adj):
+            for d in range(row.bit_count() + 1):
+                at_least[d] |= 1 << v
         for nb in range(1 << k):
+            # in the child a neighbour gains one, the new vertex has degree s
+            s = nb.bit_count()
+            if at_least[s] & nb or at_least[s + 1] & ~nb:
+                continue
             if impl.has_clique_within(g.adj, nb, q - 1):
                 continue
             if impl.has_clique_within(cadj, full ^ nb, t):

@@ -69,6 +69,15 @@ class Graph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+        """Graph on a tuple of n masks already known to be symmetric and
+        loop-free, without the checks of ``__init__``."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = adj
+        return g
+
+    @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, (0,) * n)
 
@@ -283,16 +292,19 @@ def from_graph6(line: str) -> Graph:
     # the padding fills the low end of the last byte
     if bits & ((1 << (6 * need - nedgebits)) - 1):
         raise Graph6ParseError("nonzero padding bits", len(s) - 1)
-    # edge bits run from the top in column-major upper-triangle order
-    k = 6 * need
+    # edge bits run from the top in column-major upper-triangle order, so
+    # in the reversed stream column j is the j bits from j(j-1)/2 up, bit i
+    # standing for the edge ij
+    stream = int(format(bits, f"0{6 * need}b")[::-1], 2)
     adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            k -= 1
-            if (bits >> k) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(n, adj)
+        col = (stream >> (j * (j - 1) // 2)) & ((1 << j) - 1)
+        adj[j] = col
+        bj = 1 << j
+        for i in bits_of(col):
+            adj[i] |= bj
+    # symmetric and loop-free by construction: skip Graph's debug scan
+    return Graph._trusted(n, tuple(adj))
 
 
 def graph6_lines(path) -> Iterator[str]:

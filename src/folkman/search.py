@@ -8,9 +8,14 @@ Two cooperating constructions:
   independence cap and the plus-clique property itself are all inherited
   upward along edge addition, so a graph failing any of them heads a
   subtree that can be skipped entirely.  Each child is tested against all
-  three (the plus-clique test, the most selective, first) before it is
-  canonically labeled, so only members of the collected set are labeled,
-  deduplicated and descended further.
+  three (the plus-clique test, the most selective, first) and against the
+  invariant half of McKay's canonical-parent test before it is canonically
+  labeled: P - uv is kept only if no re-addable non-edge of the child has a
+  larger (common neighbours, degree sum) key than uv.  The non-edges that
+  keep their key and re-addability from P are checked before the family
+  tests, the others after.  So only members of the collected set are
+  labeled, most of them once; the per-layer sets of canonical lines stay
+  the exact isomorph rejection.
 
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
@@ -114,11 +119,46 @@ def _descent_worker(task):
     impl = K.impl
     cadj = list(complement_adj(adj))
     single = entries[0] if len(entries) == 1 else 0
+    deg = [row.bit_count() for row in adj]
+    # Canonical parent (McKay, invariant half): C = P - uv is kept only if
+    # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
+    # is re-addable when its common neighbourhood holds no K_{q-2}, so that
+    # C + xy is a family member one layer up; key(x, y) is (common
+    # neighbours, degree sum) in C, packed into one int (degree sums stay
+    # below 1 << 7 on 64 vertices).  Each class is still reached: from the
+    # class of C + xy for its largest-key xy.  P's non-edges are listed
+    # once, largest key first.
+    gaps = sorted(
+        (
+            ((adj[x] & adj[y]).bit_count() << 7 | (deg[x] + deg[y]), x, y)
+            for x in range(n)
+            for y in bits_of(~adj[x] & (g.full_mask() >> (x + 1) << (x + 1)))
+        ),
+        reverse=True,
+    )
+    readd = [
+        (k, 1 << x | 1 << y)
+        for k, x, y in gaps
+        if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2)
+    ]
     children = set()
     for u in range(n):
         row = adj[u] >> (u + 1) << (u + 1)
         for v in bits_of(row):
             bu, bv = 1 << u, 1 << v
+            uv = bu | bv
+            key = (adj[u] & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
+            # A re-addable non-edge of P away from u and v stays one in C
+            # with the same key.
+            outranked = False
+            for k, pair in readd:
+                if k <= key:
+                    break
+                if not pair & uv:
+                    outranked = True
+                    break
+            if outranked:
+                continue
             child = list(adj)
             child[u] &= ~bv
             child[v] &= ~bu
@@ -143,7 +183,25 @@ def _descent_worker(task):
                     continue
             elif not arrows_adj(child, entries):
                 continue
-            children.add(canonical_line(child))
+            # The rest of the rule: non-edges at u or v lose v or u from
+            # the common neighbourhood and one from the degree sum, and
+            # those with u and v both in the common neighbourhood lose the
+            # edge uv inside it.  Keys only fall, so P's order bounds the
+            # scan.
+            for k, x, y in gaps:
+                if k <= key:
+                    break
+                common = child[x] & child[y]
+                if x == u or x == v or y == u or y == v:
+                    if (common.bit_count() << 7 | (k & 127) - 1) <= key:
+                        continue
+                elif common & uv != uv:
+                    continue
+                if not impl.has_clique_within(child, common, q - 2):
+                    outranked = True
+                    break
+            if not outranked:
+                children.add(canonical_line(child))
     return sorted(children)
 
 
@@ -151,7 +209,9 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     """All graphs of the family (avec; q; same order; independence <= t)
     whose every missing edge completes a new (q-1)-clique, one per
     isomorphism class.  ``maximals`` must be the complete edge-maximal
-    family; ``avec`` is that family's own vector."""
+    family; ``avec`` is that family's own vector.  A class is reached only
+    through its canonical parent, so from an incomplete family the descent
+    can miss classes that a walk over every child would find."""
     entries = canonicalize(avec).entries
     seeds = maximals.graphs() if isinstance(maximals, GraphSet) else list(maximals)
     result = GraphSet()

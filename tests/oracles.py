@@ -2,12 +2,21 @@
 
 Everything here works straight from the definitions (subset enumeration and
 exhaustive colourings) and stays independent of the search code paths under
-test, except ``maximal_ktfree_recursive``, which calls the clique kernel,
-``maximal_family_reference``, the exhaustive family construction as it
-stood before its final level was filtered ahead of canonical labeling, and
-``canonical_perm_reference``, the canonical labeling search as it stood
-before its refinement and orbit bookkeeping were made incremental: the
-kernels must return its permutation exactly.
+test, except these, which call the engine's kernels or canonical labeling:
+
+* ``maximal_ktfree_recursive`` calls the clique kernel;
+* ``maximal_family_reference`` is the exhaustive family construction as it
+  stood before its final level was filtered ahead of canonical labeling;
+* ``bounded_classes_reference`` is the level loop of ``bounded_classes`` as
+  it stood before it kept only children whose new vertex has the largest
+  degree: every class is extended by every neighbourhood and the canonical
+  lines alone reject isomorphs;
+* ``plus_clique_descent_reference`` is the plus-clique descent as it stood
+  before the canonical-parent rule on the removed edge: every child that
+  passes the family tests is labeled and deduplicated;
+* ``canonical_perm_reference`` is the canonical labeling search as it stood
+  before its refinement and orbit bookkeeping were made incremental: the
+  kernels must return its permutation exactly.
 """
 
 from itertools import combinations, product
@@ -15,8 +24,8 @@ from itertools import combinations, product
 from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
 from folkman.arrowing import arrows
-from folkman.canon import GraphSet
-from folkman.cliques import is_plus_kt
+from folkman.canon import GraphSet, canonical_line
+from folkman.cliques import complement_adj, has_independent_set, is_plus_kt
 from folkman.generate import bounded_classes
 from folkman.graphs import Graph, bits_of
 
@@ -68,6 +77,57 @@ def maximal_family_reference(avec, q: int, n: int, t: int) -> GraphSet:
     for g in bounded_classes(n, q, t):
         if is_plus_kt(g, q) and arrows(g, tuple(avec)):
             out.insert(g)
+    return out
+
+
+def bounded_classes_reference(n: int, q: int, t: int) -> list[Graph]:
+    """Classes on n vertices with clique number below q and independence
+    number at most t: each level extended by every neighbourhood that keeps
+    both bounds, deduplicated by canonical line only."""
+    if q < 2 or t < 1:
+        return []
+    if n == 0:
+        return [Graph.empty(0)]
+    impl = K.impl
+    level = [Graph.empty(1)]
+    for _ in range(n - 1):
+        out = GraphSet()
+        for g in level:
+            bit = 1 << g.n
+            cadj = complement_adj(g.adj)
+            for nb in range(bit):
+                if impl.has_clique_within(g.adj, nb, q - 1):
+                    continue
+                if impl.has_clique_within(cadj, (bit - 1) ^ nb, t):
+                    continue
+                adj = list(g.adj) + [nb]
+                for v in bits_of(nb):
+                    adj[v] |= bit
+                out.insert_canonical(canonical_line(adj))
+        level = out.graphs()
+    return level
+
+
+def plus_clique_descent_reference(maximals, avec, q: int, t: int) -> GraphSet:
+    """Every graph reached from ``maximals`` by removing edges one at a time
+    while staying K_q-free with independence number at most t, arrowing
+    ``avec`` and having each missing edge complete a new (q-1)-clique; one
+    per isomorphism class.  Every such child is labeled."""
+    out = GraphSet()
+    todo = [g for g in maximals if is_plus_kt(g, q - 1)]
+    for g in todo:
+        out.insert(g)
+    while todo:
+        g = todo.pop()
+        for u, v in g.edges():
+            child = g.remove_edge(u, v)
+            if (
+                is_plus_kt(child, q - 1)
+                and not has_independent_set(child, t + 1)
+                and arrows(child, tuple(avec))
+                and out.insert(child)
+            ):
+                todo.append(child)
     return out
 
 

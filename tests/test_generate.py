@@ -15,16 +15,38 @@ from folkman.generate import (
     maximal_family_exhaustive,
     ramsey_graphs,
 )
-from folkman.graphs import Graph
+from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
-from tests.oracles import maximal_family_reference
+from tests.oracles import bounded_classes_reference, maximal_family_reference
 
 
 def test_class_counts_small():
     assert [len(graph_classes(n)) for n in range(0, 7)] == [1, 1, 2, 4, 11, 34, 156]
 
 
+def test_class_counts_order_8():
+    # OEIS A000088; and the three (3, 4)-Ramsey graphs on 8 vertices
+    assert len(graph_classes(8)) == 12346
+    assert len(ramsey_graphs(3, 4, 8)) == 3
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_bounded_classes_match_unfiltered_reference(backend, monkeypatch):
+    # attaching only vertices of largest degree keeps every class that
+    # attaching every vertex keeps
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    for n in range(8):
+        for q, t in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 4), (9, 8)):
+            want = [to_graph6(g) for g in bounded_classes_reference(n, q, t)]
+            got = [to_graph6(g) for g in bounded_classes(n, q, t)]
+            assert got == want, (n, q, t)
+
+
 def test_bounded_classes_match_filtered_full_enumeration():
+    """Both sides come from the child loop with the largest-degree rule
+    (``graph_classes`` is ``bounded_classes`` with slack bounds), so this
+    checks the bound pruning, not the rule; the rule is checked against
+    ``bounded_classes_reference``."""
     for n in range(1, 7):
         for q, t in ((3, 2), (4, 3), (5, 4)):
             full = [

@@ -2,6 +2,7 @@ import multiprocessing
 
 import pytest
 
+from folkman import _kernels
 from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_form, graph_set_of
 from folkman.cliques import (
@@ -25,6 +26,7 @@ from folkman.search import (
     plus_clique_descent,
     valid_multisets,
 )
+from tests.oracles import plus_clique_descent_reference
 
 
 def spec(avec, q, n, r, t):
@@ -128,17 +130,20 @@ def test_descent_seed_validation():
         plus_clique_descent(seeds, (3,), 5, 3)  # seed does not arrow
 
 
+# q = 4..6 and multi-entry vectors
+DESCENT_CONFIGS = (
+    ((3,), 5, 7, 3),
+    ((3,), 4, 7, 3),
+    ((2, 2), 4, 7, 3),
+    ((4,), 6, 7, 3),
+    ((2, 3), 6, 7, 3),
+)
+
+
 def test_descent_members_are_plus_clique_family_members():
     from folkman.generate import bounded_classes
 
-    # q = 4..6 and a multi-entry vector
-    for avec, q, n, t in (
-        ((3,), 5, 7, 3),
-        ((3,), 4, 7, 3),
-        ((2, 2), 4, 7, 3),
-        ((4,), 6, 7, 3),
-        ((2, 3), 6, 7, 3),
-    ):
+    for avec, q, n, t in DESCENT_CONFIGS:
         base = maximal_family_exhaustive(avec, q, n, t)
         got = plus_clique_descent(base, avec, q, t)
         for g in got:
@@ -152,6 +157,26 @@ def test_descent_members_are_plus_clique_family_members():
             if is_plus_kt(g, q - 1) and arrows(g, avec)
         }
         assert set(got.lines()) == expected, (avec, q, n, t)
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
+    # labeling only children whose removed edge has the largest key among
+    # the re-addable non-edges keeps every class that labeling every child
+    # keeps; K_7 has the largest automorphism group, (2, 2, 2) at q = 4 is
+    # settled by free_partition
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    cases = [
+        (maximal_family_exhaustive(avec, q, n, t), avec, q, t)
+        for avec, q, n, t in DESCENT_CONFIGS + (((2, 2, 2), 4, 7, 3),)
+    ]
+    cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
+    for seeds, avec, q, t in cases:
+        want = plus_clique_descent_reference(seeds, avec, q, t).lines()
+        assert want
+        for workers in (1, 2):
+            got = plus_clique_descent(seeds, avec, q, t, workers=workers)
+            assert got.lines() == want, (avec, q, t, workers)
 
 
 def test_descent_drops_seeds_outside_the_plus_clique_family():
