@@ -3,13 +3,16 @@
 Pure-Python reference implementation.  ``_kernels_cy`` is a compiled twin of
 this module and has to stay behaviourally identical, including tie-breaking
 and witness choices; tests/test_kernels.py compares the two on random inputs.
-The twins agree in behaviour, not line for line: here ``_refine`` scans only
-splitters not yet verified and resumes after a split, and the canonical
-search keeps its automorphism orbits per node, while the compiled
-``_refine`` still rescans from the start after every split and rebuilds the
-orbits for every branch.  Both reach the same partitions, prunes and
-permutations; the compiled side gets the bookkeeping once ``_kernels_cy.c``
-can be regenerated from the ``.pyx`` with Cython.
+The twins agree in behaviour, not line for line.  Here ``_refine`` scans
+only splitters not yet verified and resumes after a split, the canonical
+search keeps its automorphism orbits per node, and a leaf that repeats the
+best code sends the search back to the deepest common ancestor of the two
+leaves.  The compiled ``_refine`` still rescans from the start after every
+split, its search rebuilds the orbits for every branch and visits every
+leaf that orbit pruning leaves.  Both refine to the same partitions at the
+nodes they visit and return the same permutations; the compiled side gets
+the bookkeeping once ``_kernels_cy.c`` can be regenerated from the ``.pyx``
+with Cython.
 
 A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
 vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are
@@ -254,18 +257,30 @@ def canonical_perm(adj):
 
     best_code = 0
     best_perm = None
+    best_path = ()
+    path = []  # the vertex bits individualized on the way to the current node
     # Each recorded automorphism as (mask of the vertices it moves, pairs
     # (u, g(u)) over those vertices).
     generators = []
 
     def leaf(cells):
-        nonlocal best_code, best_perm
+        # Returns the depth to go back to.  A leaf whose code equals the
+        # best one is the image of the best leaf under an automorphism that
+        # fixes their common path prefix and maps the best path's next
+        # vertex to this path's; what is left of this subtree is then the
+        # image of part of the one already explored below the best path's
+        # vertex, so the search resumes at the deepest common ancestor.
+        nonlocal best_code, best_perm, best_path
         perm = tuple([c.bit_length() - 1 for c in cells])
         code = _leaf_code(adj, perm)
         if best_perm is None or code < best_code:
             best_code = code
             best_perm = perm
-        elif code == best_code and len(generators) < MAX_AUT_GENERATORS:
+            best_path = tuple(path)
+            return len(path)
+        if code > best_code:
+            return len(path)
+        if len(generators) < MAX_AUT_GENERATORS:
             moved = 0
             pairs = []
             for u, w in zip(best_perm, perm):
@@ -273,8 +288,16 @@ def canonical_perm(adj):
                     moved |= 1 << u
                     pairs.append((u, w))
             generators.append((moved, pairs))
+        common = 0
+        for u, w in zip(best_path, path):
+            if u != w:
+                break
+            common += 1
+        return common
 
     def search(cells, fixed):
+        # Returns the depth to go back to: this node's own depth when its
+        # subtree is done, less when a leaf below asks to jump higher.
         ti = -1
         size = 65
         for i, c in enumerate(cells):
@@ -283,8 +306,8 @@ def canonical_perm(adj):
                 ti = i
                 size = pc
         if ti < 0:
-            leaf(cells)
-            return
+            return leaf(cells)
+        depth = len(path)
         T = cells[ti]
         tried = 0
         # orbit[v] is the orbit of v, as a mask, under the recorded
@@ -317,8 +340,13 @@ def canonical_perm(adj):
                     tried |= b
                     continue
             child = cells[:ti] + [b, T ^ b] + cells[ti + 1 :]
-            search(_refine(adj, child, T), fixed | b)
+            path.append(b)
+            back = search(_refine(adj, child, T), fixed | b)
+            path.pop()
+            if back < depth:
+                return back
             tried |= b
+        return depth
 
     search(_refine(adj, [full], full), 0)
     return best_perm

@@ -16,7 +16,7 @@ from .canon import GraphSet, canonical_form
 from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
 from .pipeline import run_pipeline
-from .search import FamilySpec, generate_family, generate_family_cone_split
+from .search import FamilySpec, generate_family, generate_family_cone_split, worker_pool
 
 
 def _graph_arg(text: str) -> Graph:
@@ -29,6 +29,16 @@ def _graph_arg(text: str) -> Graph:
 
 def _vector_arg(text: str) -> ArrowVector:
     return ArrowVector.parse(text)
+
+
+def _workers_arg(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {workers}")
+    return workers
 
 
 def cmd_arrows(args) -> int:
@@ -82,15 +92,17 @@ def cmd_extend(args) -> int:
         print("--spec needs integers q; n; r; t", file=sys.stderr)
         return 2
     spec = FamilySpec(avec, q, n, r, t)
-    seeds = GraphSet.load(args.input)
-    if args.algorithm == 1:
-        result = generate_family(spec, seeds, workers=args.workers)
-    else:
-        if not args.input2:
-            print("--algorithm 2 needs --input2", file=sys.stderr)
-            return 2
-        cone_seeds = GraphSet.load(args.input2)
-        result = generate_family_cone_split(spec, seeds, cone_seeds, workers=args.workers)
+    if args.algorithm == 2 and not args.input2:
+        print("--algorithm 2 needs --input2", file=sys.stderr)
+        return 2
+    # forked before the inputs are loaded, so the workers stay small
+    with worker_pool(args.workers):
+        seeds = GraphSet.load(args.input)
+        if args.algorithm == 1:
+            result = generate_family(spec, seeds, workers=args.workers)
+        else:
+            cone_seeds = GraphSet.load(args.input2)
+            result = generate_family_cone_split(spec, seeds, cone_seeds, workers=args.workers)
     result.output.save(args.output)
     print(f"maximal graphs: {len(result.output)}")
     print(f"plus-clique graphs descended from the input: {len(result.plus_clique)}")
@@ -246,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input2", help="graph6 file of the q-1 family (algorithm 2)")
     p.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     p.add_argument("--output", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers_arg, default=1)
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("pipeline", help="run a chain config")
     p.add_argument("config")
     p.add_argument("--dir", required=True, help="run/checkpoint directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_workers_arg, default=None)
     p.add_argument("--fresh", action="store_true", help="ignore existing artifacts")
     p.set_defaults(fn=cmd_pipeline)
 

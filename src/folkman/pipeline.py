@@ -59,6 +59,7 @@ from .search import (
     generate_family,
     generate_family_cone_split,
     plus_clique_descent,
+    worker_pool,
 )
 
 EXHAUSTIVE_BASE_LIMIT = 10
@@ -222,6 +223,8 @@ def parse_config(path) -> PipelineConfig:
 def validate_config(cfg: PipelineConfig) -> None:
     """Reject inconsistent chains before any computation starts."""
     problems = []
+    if cfg.workers < 1:
+        problems.append(f"workers must be at least 1, got {cfg.workers}")
     families = {}
     for item in cfg.items:
         if item.name in families:
@@ -347,12 +350,14 @@ class Runner:
         handlers = {
             BaseItem: self._run_base, StepItem: self._run_step, DescendItem: self._run_descend
         }
-        for item in self.cfg.items:
-            started = time.perf_counter()
-            report = handlers[type(item)](item)
-            report.seconds = time.perf_counter() - started
-            self._families[item.name] = report.family
-            self.reports.append(report)
+        # one pool for the whole run, forked before any artifact is loaded
+        with worker_pool(self.workers):
+            for item in self.cfg.items:
+                started = time.perf_counter()
+                report = handlers[type(item)](item)
+                report.seconds = time.perf_counter() - started
+                self._families[item.name] = report.family
+                self.reports.append(report)
         self._write_reports()
         return self.reports
 

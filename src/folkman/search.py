@@ -27,13 +27,18 @@ Two cooperating constructions:
   cone-vertex-free hosts and recovers the coned part of the family directly
   from the one-smaller and one-sparser families.
 
-Work units are single seed graphs; results merge through canonical
-deduplication, so the output is identical for any worker count.
+Both constructions run their work units through ``_dispatch``: one line
+of the descent, or one chunk of extension hosts, per task.  Under
+workers > 1 the tasks run on one fork pool, shared by every call made
+inside a ``worker_pool`` block (a pipeline run opens one for the whole
+run), and the descent submits each line as soon as it first enters its
+edge layer instead of waiting for the layer above to finish.  Results
+merge into sets of canonical lines, so the output is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -98,22 +103,130 @@ class AlgorithmResult:
     plus_clique: GraphSet  # the descended set for the input family
 
 
+class _Pool:
+    """``workers`` forked processes, each running the tasks sent down its own
+    pipe in order.  Unlike ``multiprocessing.Pool``, no thread relays the
+    tasks and results, so a round trip costs two process wake-ups; the
+    streamed descent waits on one per edge layer."""
+
+    def __init__(self, workers):
+        ctx = multiprocessing.get_context("fork")
+        self.conns = []
+        self.procs = []
+        self.closed = False
+        try:
+            for _ in range(workers):
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+                proc.start()
+                theirs.close()
+                self.conns.append(ours)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self):
+        self.closed = True
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
+
+
+def _serve(conn):
+    while True:
+        try:
+            fn, task = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(task))
+        except Exception as exc:
+            import traceback
+
+            reply = (False, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+# (workers, pool) of the innermost open worker_pool block, or None
+_open_pool = None
+
+
 @contextmanager
-def _worker_map(workers):
-    """Yield an imap(fn, tasks) that streams results in unspecified order,
-    so callers must merge into order-insensitive structures.  Under
-    workers > 1 every call runs on one fork pool that lives as long as the
-    block; workers <= 1 stays in-process."""
+def worker_pool(workers):
+    """Fork ``workers`` processes once; every plus_clique_descent and
+    family extension made with the same worker count inside the block runs
+    on them.  Yields the pool, or None when workers <= 1 (everything stays
+    in-process).  Inside a block that already holds a pool of that size,
+    yields that pool; otherwise the pool forked here is terminated when the
+    block exits, however it exits."""
+    global _open_pool
     if workers <= 1:
-        yield map
+        yield None
         return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
-        yield functools.partial(pool.imap_unordered, chunksize=16)
+    if _open_pool is not None and _open_pool[0] == workers and not _open_pool[1].closed:
+        yield _open_pool[1]
+        return
+    outer = _open_pool
+    pool = _Pool(workers)
+    _open_pool = (workers, pool)
+    try:
+        yield pool
+    finally:
+        _open_pool = outer
+        pool.close()
+
+
+def _dispatch(fn, take, give, workers):
+    """Call give(task, fn(task)) for every task that take() hands out, until
+    take() returns None with no task in flight.  take() may return None
+    while tasks are in flight; it is asked again after each give(), so
+    give() can make new tasks from results.  Under workers > 1 each worker
+    of the worker_pool holds one task at a time, taken the moment it is
+    free, and results are given in completion order; a task that raises
+    raises here.  Under workers <= 1 each task runs in-process as it is
+    taken."""
+    if workers <= 1:
+        while (task := take()) is not None:
+            give(task, fn(task))
+        return
+    with worker_pool(workers) as pool:
+        # loaded with the pool's pipes; kept off the module import path
+        from multiprocessing.connection import wait
+
+        idle = pool.conns[::-1]
+        running = {}  # conn -> its task
+        try:
+            while True:
+                while idle and (task := take()) is not None:
+                    conn = idle.pop()
+                    conn.send((fn, task))
+                    running[conn] = task
+                if not running:
+                    return
+                for conn in wait(list(running)):
+                    try:
+                        ok, value = conn.recv()
+                    except EOFError:
+                        raise RuntimeError("a worker process exited during its task") from None
+                    task = running.pop(conn)
+                    idle.append(conn)
+                    if not ok:
+                        exc, where = value
+                        raise exc from RuntimeError(f"in a worker process:\n{where}")
+                    give(task, value)
+        except BaseException:
+            # Tasks left running would answer the next call: end them now.
+            # A later call inside the same worker_pool block forks anew.
+            pool.close()
+            raise
 
 
 def _descent_worker(task):
-    line, entries, q, t = task
+    _, line, entries, q, t = task
     g = from_graph6(line)
     n, adj = g.n, g.adj
     impl = K.impl
@@ -218,7 +331,50 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     if not seeds:
         return result
     order = seeds[0].n
+    # Every child has one edge fewer than its parent, so the edge-removal
+    # lattice falls into edge-count layers and each layer's set of graph6
+    # lines does the canonical rejection.  Workers pass on plus-clique
+    # members only, so every line entering a layer is kept.  A line is
+    # submitted as soon as it enters its layer, highest layer first.  A
+    # layer only receives children of the layer above, so its set is
+    # dropped once no line at or above it is pending or in flight.
     layers: dict[int, set] = {}
+    pending: dict[int, list] = {}  # edges -> lines not yet submitted
+    live: dict[int, int] = {}  # edges -> lines pending or in flight
+
+    def enter(edges, lines):
+        layer = layers.setdefault(edges, set())
+        fresh = set(lines).difference(layer)
+        if fresh:
+            layer |= fresh
+            for line in fresh:
+                result.insert_canonical(line)
+            pending.setdefault(edges, []).extend(fresh)
+            live[edges] = live.get(edges, 0) + len(fresh)
+
+    def take():
+        if not pending:
+            return None
+        edges = max(pending)
+        lines = pending[edges]
+        line = lines.pop()
+        if not lines:
+            del pending[edges]
+        return edges, line, entries, q, t
+
+    def give(task, children):
+        edges = task[0]
+        if children:
+            enter(edges - 1, children)
+        left = live[edges] - 1
+        if left:
+            live[edges] = left
+        else:
+            del live[edges]
+            top = max(live, default=-1)
+            for done in [e for e in layers if e >= top]:
+                del layers[done]
+
     for g in seeds:
         if g.n != order:
             raise GraphError("descent seeds must share a vertex count")
@@ -230,21 +386,8 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
             raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
-            layers.setdefault(g.edge_count(), set()).add(canonical_line(g.adj))
-    # Every child has one edge fewer than its parent, so the edge-removal
-    # lattice is walked in edge-count layers from the top and each layer's
-    # set of graph6 lines does the canonical rejection.  Workers pass on
-    # plus-clique members only, so every line of a layer is kept.
-    with _worker_map(workers) as imap:
-        while layers:
-            edges = max(layers)
-            layer = layers.pop(edges)
-            for line in layer:
-                result.insert_canonical(line)
-            tasks = ((line, entries, q, t) for line in layer)
-            for children in imap(_descent_worker, tasks):
-                if children:
-                    layers.setdefault(edges - 1, set()).update(children)
+            enter(g.edge_count(), [canonical_line(g.adj)])
+    _dispatch(_descent_worker, take, give, workers)
     return result
 
 
@@ -342,26 +485,38 @@ def attach_vertices(h: Graph, masks) -> Graph:
 
 
 def _extension_worker(task):
-    line, entries, q, r, t = task
-    h = from_graph6(line)
+    """Extend each host line of a chunk; one sorted list of output lines
+    per host."""
+    lines, entries, q, r, t = task
     impl = K.impl
-    results = set()
-    for masks in valid_multisets(h, q, r, t):
-        # built from a validated host, so the adjacency skips Graph's checks
-        adj = _attach_adj(h.adj, masks)
-        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
-            results.add(canonical_line(adj))
-    return sorted(results)
+    out = []
+    for line in lines:
+        h = from_graph6(line)
+        results = set()
+        for masks in valid_multisets(h, q, r, t):
+            # built from a validated host, so the adjacency skips Graph's checks
+            adj = _attach_adj(h.adj, masks)
+            if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+                results.add(canonical_line(adj))
+        out.append(sorted(results))
+    return out
 
 
 def _extend_hosts(host_lines, spec, workers):
-    entries = spec.avec.entries
-    tasks = ((line, entries, spec.q, spec.r, spec.t) for line in host_lines)
+    # about four chunks per worker, so a few hosts still spread over them
+    size = max(1, -(-len(host_lines) // (4 * max(workers, 1))))
+    chunks = [
+        (host_lines[i : i + size], spec.avec.entries, spec.q, spec.r, spec.t)
+        for i in range(0, len(host_lines), size)
+    ]
     out = GraphSet()
-    with _worker_map(workers) as imap:
-        for cands in imap(_extension_worker, tasks):
+
+    def give(_, per_host):
+        for cands in per_host:
             for line in cands:
                 out.insert_canonical(line)
+
+    _dispatch(_extension_worker, lambda: chunks.pop() if chunks else None, give, workers)
     return out
 
 

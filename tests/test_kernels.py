@@ -120,17 +120,41 @@ def _disjoint_union(g, h):
     return join(g.complement(), h.complement()).complement()
 
 
-def test_canonical_perm_matches_reference_on_structured_graphs():
-    petersen = Graph.from_edges(
+def _petersen():
+    return Graph.from_edges(
         10,
         [(i, (i + 1) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
     )
+
+
+def _prism(k):
+    return Graph.from_edges(
+        2 * k,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, k + i) for i in range(k)],
+    )
+
+
+def _complete_less_matching(n):
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + n // 2]
+    )
+
+
+def test_canonical_perm_matches_reference_on_structured_graphs():
+    petersen = _petersen()
     cases = [Graph.empty(n) for n in range(14)] + [Graph.complete(n) for n in range(14)]
     for n in range(3, 17):
         cases += [Graph.cycle(n), Graph.cycle(n).complement()]
     cases += [petersen, petersen.complement()]
+    # large automorphism groups: K_{3,3,3}, the 5-prism, K_12 less a
+    # perfect matching
+    k333 = join(join(Graph.empty(3), Graph.empty(3)), Graph.empty(3))
+    for g in (k333, _prism(5), _complete_less_matching(12)):
+        cases += [g, g.complement()]
     cases += [join(Graph.empty(a), Graph.empty(b)) for a in range(1, 7) for b in range(1, 7)]
     triangles = Graph.complete(3)
     for _ in range(5):
@@ -144,6 +168,25 @@ def test_canonical_perm_matches_reference_on_structured_graphs():
             cases += [g, g.complement()]
     for g in cases:
         _assert_matches_reference(g.adj)
+
+
+def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
+    # A leaf with the best code so far maps the best leaf by an automorphism
+    # fixing their common path prefix, so the search resumes at their
+    # deepest common ancestor.  Without that rule these graphs take 11 and
+    # 32 leaves.
+    calls = []
+    leaf_code = py._leaf_code
+
+    def counted(adj, perm):
+        calls.append(perm)
+        return leaf_code(adj, perm)
+
+    monkeypatch.setattr(py, "_leaf_code", counted)
+    for g, leaves in ((_petersen(), 5), (_complete_less_matching(12), 7)):
+        calls.clear()
+        assert py.canonical_perm(g.adj) == canonical_perm_reference(g.adj)
+        assert len(calls) == leaves
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from folkman import search
 from folkman.canon import GraphSet
 from folkman.cli import main
 from folkman.graphs import Graph, from_graph6, to_graph6
@@ -117,6 +118,39 @@ def test_tiny_pipeline_counts(tmp_path):
     lines = fam_file.read_text().splitlines()
     assert lines == sorted(lines)
     assert all(from_graph6(line).n == 5 for line in lines)
+
+
+def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
+    tmp_path, monkeypatch
+):
+    made = []
+
+    class CountedPool(search._Pool):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(search, "_Pool", CountedPool)
+    cfg_path = write_config(tmp_path, TINY_CONFIG)
+    artifacts = {}
+    for workers, pools in ((1, []), (2, [2])):
+        made.clear()
+        run_dir = tmp_path / f"run{workers}"
+        run_pipeline(cfg_path, run_dir, workers=workers)
+        # every descent and extension of the run shares one pool
+        assert made == pools, workers
+        # the bytes of every artifact, less the run times
+        artifacts[workers] = {
+            path.name: b"".join(
+                line
+                for line in path.read_bytes().splitlines(keepends=True)
+                if not line.startswith(b"seconds =")
+            )
+            for path in sorted(run_dir.iterdir())
+            if path.suffix in (".g6", ".meta")
+        }
+    assert len(artifacts[1]) == 12
+    assert artifacts[1] == artifacts[2]
 
 
 def test_resume_reuses_artifacts(tmp_path):
@@ -385,10 +419,24 @@ def test_cli_errors(tmp_path, capsys):
     seeds.write_text(to_graph6(Graph.complete(3)) + "\n")
     extend = ["extend", "--spec", "5; x; 10; 2; 3", "--input", str(seeds)]
     assert main(extend + ["--output", str(tmp_path / "out.g6")]) == 2
+    # a worker count below 1 is a usage error, not an in-process run
+    extend = ["extend", "--spec", "3; 4; 5; 2; 3", "--input", str(seeds)]
+    extend += ["--output", str(tmp_path / "out.g6")]
+    cfg_path = write_config(tmp_path, TINY_CONFIG)
+    pipeline = ["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]
+    for argv in (extend, pipeline):
+        for workers in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", workers])
+            assert exc.value.code == 2, (argv[0], workers)
+    assert "at least 1 worker" in capsys.readouterr().err
+    assert not (tmp_path / "out.g6").exists()
     for old, new in [
         ("family = 3; 4; 5; 3", "family = 3; x; 5; 3"),
         ("r = 2", "r = two"),
         ("workers = 1", "workers = x"),
+        ("workers = 1", "workers = 0"),
+        ("workers = 1", "workers = -2"),
     ]:
         cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new, 1))
         assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2

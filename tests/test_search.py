@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import pytest
 
@@ -16,15 +17,18 @@ from folkman.cliques import (
 )
 from folkman.generate import maximal_family_exhaustive
 from folkman.graphs import Graph, GraphError, bits_of, join
+from folkman import search
 from folkman.search import (
     FamilySpec,
-    _worker_map,
+    _descent_worker,
+    _dispatch,
     attach_vertices,
     complete_base,
     generate_family,
     generate_family_cone_split,
     plus_clique_descent,
     valid_multisets,
+    worker_pool,
 )
 from tests.oracles import plus_clique_descent_reference
 
@@ -174,7 +178,7 @@ def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
     for seeds, avec, q, t in cases:
         want = plus_clique_descent_reference(seeds, avec, q, t).lines()
         assert want
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             got = plus_clique_descent(seeds, avec, q, t, workers=workers)
             assert got.lines() == want, (avec, q, t, workers)
 
@@ -312,21 +316,62 @@ def test_worker_count_does_not_change_results():
     assert a.plus_clique.lines() == b.plus_clique.lines()
 
 
-def test_worker_map_ends_its_pool_when_the_block_raises():
+def _abs_all(tasks, workers):
+    tasks = list(tasks)
+    out = []
+    _dispatch(abs, lambda: tasks.pop() if tasks else None, lambda _, r: out.append(r), workers)
+    return sorted(out)
+
+
+def test_worker_pool_ends_when_the_block_raises():
     with pytest.raises(RuntimeError):
-        with _worker_map(2) as imap:
-            assert sorted(imap(abs, [-2, 1, -3])) == [1, 2, 3]
+        with worker_pool(2):
+            assert _abs_all([-2, 1, -3], 2) == [1, 2, 3]
             pool_workers = multiprocessing.active_children()
             assert pool_workers
             # one pool serves every call made inside the block
-            assert sorted(imap(abs, [-4])) == [4]
+            assert _abs_all([-4], 2) == [4]
             assert {p.pid for p in multiprocessing.active_children()} == {
                 p.pid for p in pool_workers
             }
             raise RuntimeError
     assert not any(p.is_alive() for p in pool_workers)
-    with _worker_map(1) as imap:
-        assert imap is map
+    with worker_pool(1) as pool:
+        assert pool is None
+        assert _abs_all([-5, 6], 1) == [5, 6]
+        assert not multiprocessing.active_children()
+
+
+def _descent_worker_failing_low(task):
+    # K_7 passes; its child, one edge down, fails
+    if task[0] < 21:
+        raise ValueError("worker failed")
+    return _descent_worker(task)
+
+
+def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
+    seeds = graph_set_of([Graph.complete(7)])
+    want = plus_clique_descent(seeds, (3,), 8, 2).lines()
+    monkeypatch.setattr(search, "_descent_worker", _descent_worker_failing_low)
+    with pytest.raises(ValueError, match="worker failed"):
+        plus_clique_descent(seeds, (3,), 8, 2, workers=2)
+    assert not multiprocessing.active_children()
+    # the same inside an open pool: the failed call ends the pool at once,
+    # and the next call in the block forks a fresh one
+    with worker_pool(2):
+        with pytest.raises(ValueError, match="worker failed"):
+            plus_clique_descent(seeds, (3,), 8, 2, workers=2)
+        assert not multiprocessing.active_children()
+        monkeypatch.undo()
+        assert plus_clique_descent(seeds, (3,), 8, 2, workers=2).lines() == want
+    assert not multiprocessing.active_children()
+
+
+def test_worker_exit_raises_instead_of_hanging():
+    tasks = [3]
+    with pytest.raises(RuntimeError, match="exited"):
+        _dispatch(os._exit, lambda: tasks.pop() if tasks else None, None, 2)
+    assert not multiprocessing.active_children()
 
 
 def test_join_example_host():
