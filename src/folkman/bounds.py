@@ -205,23 +205,14 @@ class Verdict:
         return f"withheld: {self.reason}"
 
 
-def _slice_of(report):
-    if isinstance(report, dict):
-        return (
-            tuple(report["avec"]),
-            report["q"],
-            report["n"],
-            report["r"],
-            report["t"],
-            report["count"],
-        )
+def _slice_of(report: dict):
     return (
-        tuple(report.avec),
-        report.q,
-        report.n,
-        report.r,
-        report.t,
-        report.count,
+        tuple(report["avec"]),
+        report["q"],
+        report["n"],
+        report["r"],
+        report["t"],
+        report["count"],
     )
 
 
@@ -229,11 +220,11 @@ def verify_emptiness_certificate(avec, q: int, n: int, reports, registry=None) -
     """Check that emptiness reports cover every feasible independence number
     of the n-vertex family, which proves the Folkman number exceeds n.
 
-    Each report carries (avec, q, n, r, t, count): an exhausted search over
-    the family members with independence number in [r, t].  The feasible
-    range runs from the Ramsey-derived floor up to the cap given by the
-    independence-cap law (when q = m - 1) or by deleting an independent set
-    against a registry value for the once-decremented vector.
+    Each report is a dict of avec, q, n, r, t and count: an exhausted
+    search over the family members with independence number in [r, t].  The
+    feasible range runs from the Ramsey-derived floor up to the cap given by
+    the independence-cap law (when q = m - 1) or by deleting an independent
+    set against a registry value for the once-decremented vector.
     """
     registry = registry or default_registry()
     vec = canonicalize(avec)

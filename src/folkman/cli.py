@@ -15,7 +15,7 @@ from .arrowing import ArrowVector, arrows, find_free_partition
 from .canon import GraphSet, canonical_form
 from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
-from .pipeline import run_pipeline
+from .pipeline import format_rows, run_pipeline
 from .search import FamilySpec, generate_family, generate_family_cone_split, worker_pool
 
 
@@ -70,13 +70,11 @@ def cmd_plus_k(args) -> int:
 
 def cmd_canon(args) -> int:
     graphs = GraphSet.load(args.file)
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
+    if args.output is None:
         for line in graphs.lines():
-            out.write(line + "\n")
-    finally:
-        if args.output is not None:
-            out.close()
+            print(line)
+    else:
+        graphs.save(args.output)
     return 0
 
 
@@ -113,8 +111,6 @@ def cmd_pipeline(args) -> int:
     reports, rows = run_pipeline(
         args.config, args.dir, workers=args.workers, fresh=args.fresh
     )
-    from .pipeline import format_rows
-
     print(format_rows(rows), end="")
     print(f"reports written under {args.dir}")
     return 0

@@ -150,23 +150,6 @@ class StepReport:
     input_digests: dict = field(default_factory=dict)
     output_path: str = ""
 
-    # convenience accessors for the certificate checker
-    @property
-    def avec(self):
-        return self.family.avec
-
-    @property
-    def q(self):
-        return self.family.q
-
-    @property
-    def n(self):
-        return self.family.n
-
-    @property
-    def t(self):
-        return self.family.t
-
 
 def parse_config(path) -> PipelineConfig:
     cp = configparser.ConfigParser()

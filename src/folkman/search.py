@@ -14,8 +14,9 @@ Two cooperating constructions:
   larger (common neighbours, degree sum) key than uv.  The non-edges that
   keep their key and re-addability from P are checked before the family
   tests, the others after.  So only members of the collected set are
-  labeled, most of them once; the per-layer sets of canonical lines stay
-  the exact isomorph rejection.
+  labeled, most of them once; the collected set of canonical lines stays
+  the exact isomorph rejection, and a line is expanded only when it first
+  enters it.
 
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
@@ -31,10 +32,9 @@ Both constructions run their work units through ``_dispatch``: one line
 of the descent, or one chunk of extension hosts, per task.  Under
 workers > 1 the tasks run on one fork pool, shared by every call made
 inside a ``worker_pool`` block (a pipeline run opens one for the whole
-run), and the descent submits each line as soon as it first enters its
-edge layer instead of waiting for the layer above to finish.  Results
-merge into sets of canonical lines, so the output is identical for any
-worker count.
+run).  The descent's work list is a stack of the lines not yet expanded;
+a line is pushed when it first enters the result.  Results merge into sets
+of canonical lines, so the output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ class FamilySpec:
     def decremented(self) -> ArrowVector:
         return self.avec.decremented_first()
 
-    def family_str(self) -> str:
-        return f"H({self.avec}; {self.q}; {self.n})"
-
 
 @dataclass
 class AlgorithmResult:
@@ -107,7 +104,7 @@ class _Pool:
     """``workers`` forked processes, each running the tasks sent down its own
     pipe in order.  Unlike ``multiprocessing.Pool``, no thread relays the
     tasks and results, so a round trip costs two process wake-ups; the
-    streamed descent waits on one per edge layer."""
+    descent makes one per class it expands."""
 
     def __init__(self, workers):
         ctx = multiprocessing.get_context("fork")
@@ -180,31 +177,29 @@ def worker_pool(workers):
         pool.close()
 
 
-def _dispatch(fn, take, give, workers):
-    """Call give(task, fn(task)) for every task that take() hands out, until
-    take() returns None with no task in flight.  take() may return None
-    while tasks are in flight; it is asked again after each give(), so
-    give() can make new tasks from results.  Under workers > 1 each worker
-    of the worker_pool holds one task at a time, taken the moment it is
-    free, and results are given in completion order; a task that raises
-    raises here.  Under workers <= 1 each task runs in-process as it is
-    taken."""
+def _dispatch(fn, tasks, give, workers):
+    """Call give(fn(task)) for every task of the list ``tasks``, last one
+    first, until the list is empty with no task in flight.  give() may push
+    new tasks onto the list.  Under workers > 1 each worker of the
+    worker_pool holds one task at a time, popped the moment it is free, and
+    results are given in completion order; a task that raises raises here.
+    Under workers <= 1 each task runs in-process as it is popped."""
     if workers <= 1:
-        while (task := take()) is not None:
-            give(task, fn(task))
+        while tasks:
+            give(fn(tasks.pop()))
         return
     with worker_pool(workers) as pool:
         # loaded with the pool's pipes; kept off the module import path
         from multiprocessing.connection import wait
 
         idle = pool.conns[::-1]
-        running = {}  # conn -> its task
+        running = set()
         try:
             while True:
-                while idle and (task := take()) is not None:
+                while idle and tasks:
                     conn = idle.pop()
-                    conn.send((fn, task))
-                    running[conn] = task
+                    conn.send((fn, tasks.pop()))
+                    running.add(conn)
                 if not running:
                     return
                 for conn in wait(list(running)):
@@ -212,12 +207,12 @@ def _dispatch(fn, take, give, workers):
                         ok, value = conn.recv()
                     except EOFError:
                         raise RuntimeError("a worker process exited during its task") from None
-                    task = running.pop(conn)
+                    running.remove(conn)
                     idle.append(conn)
                     if not ok:
                         exc, where = value
                         raise exc from RuntimeError(f"in a worker process:\n{where}")
-                    give(task, value)
+                    give(value)
         except BaseException:
             # Tasks left running would answer the next call: end them now.
             # A later call inside the same worker_pool block forks anew.
@@ -226,12 +221,11 @@ def _dispatch(fn, take, give, workers):
 
 
 def _descent_worker(task):
-    _, line, entries, q, t = task
+    line, entries, q, t = task
     g = from_graph6(line)
     n, adj = g.n, g.adj
     impl = K.impl
     cadj = list(complement_adj(adj))
-    single = entries[0] if len(entries) == 1 else 0
     deg = [row.bit_count() for row in adj]
     # Canonical parent (McKay, invariant half): C = P - uv is kept only if
     # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
@@ -291,10 +285,7 @@ def _descent_worker(task):
             cadj[v] &= ~bu
             if grew:
                 continue
-            if single:
-                if not impl.has_clique_at_least(child, single):
-                    continue
-            elif not arrows_adj(child, entries):
+            if not arrows_adj(child, entries):
                 continue
             # The rest of the rule: non-edges at u or v lose v or u from
             # the common neighbourhood and one from the degree sum, and
@@ -331,49 +322,16 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     if not seeds:
         return result
     order = seeds[0].n
-    # Every child has one edge fewer than its parent, so the edge-removal
-    # lattice falls into edge-count layers and each layer's set of graph6
-    # lines does the canonical rejection.  Workers pass on plus-clique
-    # members only, so every line entering a layer is kept.  A line is
-    # submitted as soon as it enters its layer, highest layer first.  A
-    # layer only receives children of the layer above, so its set is
-    # dropped once no line at or above it is pending or in flight.
-    layers: dict[int, set] = {}
-    pending: dict[int, list] = {}  # edges -> lines not yet submitted
-    live: dict[int, int] = {}  # edges -> lines pending or in flight
+    # Workers pass on plus-clique members only, so every line they return
+    # belongs in the result, and a line goes on the work list only when it
+    # first enters the result: each class is expanded once.  The list is
+    # popped last in, first out, so it stays small.
+    tasks = []
 
-    def enter(edges, lines):
-        layer = layers.setdefault(edges, set())
-        fresh = set(lines).difference(layer)
-        if fresh:
-            layer |= fresh
-            for line in fresh:
-                result.insert_canonical(line)
-            pending.setdefault(edges, []).extend(fresh)
-            live[edges] = live.get(edges, 0) + len(fresh)
-
-    def take():
-        if not pending:
-            return None
-        edges = max(pending)
-        lines = pending[edges]
-        line = lines.pop()
-        if not lines:
-            del pending[edges]
-        return edges, line, entries, q, t
-
-    def give(task, children):
-        edges = task[0]
-        if children:
-            enter(edges - 1, children)
-        left = live[edges] - 1
-        if left:
-            live[edges] = left
-        else:
-            del live[edges]
-            top = max(live, default=-1)
-            for done in [e for e in layers if e >= top]:
-                del layers[done]
+    def enter(lines):
+        for line in lines:
+            if result.insert_canonical(line):
+                tasks.append((line, entries, q, t))
 
     for g in seeds:
         if g.n != order:
@@ -386,19 +344,18 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
             raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
-            enter(g.edge_count(), [canonical_line(g.adj)])
-    _dispatch(_descent_worker, take, give, workers)
+            enter([canonical_line(g.adj)])
+    _dispatch(_descent_worker, tasks, enter, workers)
     return result
 
 
-def valid_multisets(h: Graph, q: int, r: int, t: int, subsets=None):
+def valid_multisets(h: Graph, q: int, r: int, t: int):
     """The r-element multisets of maximal K_{q-1}-free vertex sets of h that
     can serve as neighbourhoods of r new independent vertices: every pair
     (repeats included) intersects in a set carrying a K_{q-2}, and deleting
     the union of any k of them leaves independence number at most t - k.
     Returned as tuples of masks in nondecreasing set order."""
-    if subsets is None:
-        subsets = maximal_kt_free_subsets(h, q - 1)
+    subsets = maximal_kt_free_subsets(h, q - 1)
     impl = K.impl
     adj = h.adj
     full = h.full_mask()
@@ -511,12 +468,12 @@ def _extend_hosts(host_lines, spec, workers):
     ]
     out = GraphSet()
 
-    def give(_, per_host):
+    def give(per_host):
         for cands in per_host:
             for line in cands:
                 out.insert_canonical(line)
 
-    _dispatch(_extension_worker, lambda: chunks.pop() if chunks else None, give, workers)
+    _dispatch(_extension_worker, chunks, give, workers)
     return out
 
 

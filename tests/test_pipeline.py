@@ -341,8 +341,12 @@ def test_cli_canon(tmp_path, capsys):
         to_graph6(c5) + "\n" + to_graph6(c5.relabel((2, 0, 3, 1, 4))) + "\n"
     )
     assert main(["canon", str(src)]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 1
+    listing = capsys.readouterr().out
+    assert len(listing.strip().splitlines()) == 1
+    dst = tmp_path / "out.g6"
+    assert main(["canon", str(src), "--output", str(dst)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dst.read_bytes() == listing.encode("ascii")
 
 
 def test_cli_extend(tmp_path, capsys):

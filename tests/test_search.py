@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from folkman.cliques import (
     maximal_kt_free_subsets,
 )
 from folkman.generate import maximal_family_exhaustive
-from folkman.graphs import Graph, GraphError, bits_of, join
+from folkman.graphs import Graph, GraphError, bits_of, from_graph6, join
 from folkman import search
 from folkman.search import (
     FamilySpec,
@@ -183,6 +184,29 @@ def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
             assert got.lines() == want, (avec, q, t, workers)
 
 
+def test_descent_expands_each_class_once(monkeypatch):
+    # the work list is deduplicated by the result itself: a child already
+    # in the result is not pushed again, which changes no output but would
+    # expand its class (and its whole subtree) once per parent
+    expanded = Counter()
+
+    def counting(task):
+        expanded[task[0]] += 1
+        return _descent_worker(task)
+
+    monkeypatch.setattr(search, "_descent_worker", counting)
+    cases = [
+        (maximal_family_exhaustive(avec, q, n, t), avec, q, t)
+        for avec, q, n, t in DESCENT_CONFIGS
+    ]
+    cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
+    for seeds, avec, q, t in cases:
+        expanded.clear()
+        got = plus_clique_descent(seeds, avec, q, t)
+        assert sorted(expanded) == got.lines(), (avec, q, t)
+        assert set(expanded.values()) == {1}, (avec, q, t)
+
+
 def test_descent_drops_seeds_outside_the_plus_clique_family():
     # a triangle plus an isolated vertex arrows (3) without K_5 or an
     # independent 4-set, but joining the isolated vertex to the triangle
@@ -319,7 +343,7 @@ def test_worker_count_does_not_change_results():
 def _abs_all(tasks, workers):
     tasks = list(tasks)
     out = []
-    _dispatch(abs, lambda: tasks.pop() if tasks else None, lambda _, r: out.append(r), workers)
+    _dispatch(abs, tasks, out.append, workers)
     return sorted(out)
 
 
@@ -344,7 +368,7 @@ def test_worker_pool_ends_when_the_block_raises():
 
 def _descent_worker_failing_low(task):
     # K_7 passes; its child, one edge down, fails
-    if task[0] < 21:
+    if from_graph6(task[0]).edge_count() < 21:
         raise ValueError("worker failed")
     return _descent_worker(task)
 
@@ -368,9 +392,8 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
 
 
 def test_worker_exit_raises_instead_of_hanging():
-    tasks = [3]
     with pytest.raises(RuntimeError, match="exited"):
-        _dispatch(os._exit, lambda: tasks.pop() if tasks else None, None, 2)
+        _dispatch(os._exit, [3], None, 2)
     assert not multiprocessing.active_children()
 
 
