@@ -2,7 +2,14 @@ from setuptools import Extension, setup
 
 try:
     from Cython.Build import cythonize
-
+except ImportError:
+    # No Cython: compile the C source generated from the .pyx and shipped
+    # beside it.  Either way the extension is optional, so without a C
+    # compiler the package still works on the pure-Python kernels.
+    ext_modules = [
+        Extension("folkman._kernels_cy", ["src/folkman/_kernels_cy.c"], optional=True)
+    ]
+else:
     ext_modules = cythonize(
         [
             Extension(
@@ -18,8 +25,5 @@ try:
             "cdivision": True,
         },
     )
-except ImportError:
-    # No Cython: the package still works on the pure-Python kernels.
-    ext_modules = []
 
 setup(ext_modules=ext_modules)

@@ -5,8 +5,12 @@ on k+1 vertices arises from a class on k vertices by attaching one vertex
 of largest degree with some neighbourhood, so extending every class by every
 neighbourhood that makes the new vertex a largest-degree one (McKay's
 canonical-parent test, invariant half) and deduplicating is complete.  The
-degree test is two mask tests per neighbourhood, made before any kernel call;
-the per-level set of canonical lines stays the exact isomorph rejection.
+degree test is two mask tests per neighbourhood, made before any kernel call.
+A neighbourhood is then tried only when it meets every twin class of the
+parent (``cliques.twin_pairs``) in a prefix, one per orbit of the parent's
+twin swaps: a swap maps the child onto an isomorphic sibling, and the degree
+and bound tests commute with it.  The per-level set of canonical lines stays
+the exact isomorph rejection.
 ``bounded_classes`` prunes each level to clique number below q and
 independence number at most t, both hereditary, so neither the pruning nor
 the degree test loses a class; ``graph_classes`` is the same scheme with
@@ -23,7 +27,7 @@ from __future__ import annotations
 from . import _kernels as K
 from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
-from .cliques import complement_adj
+from .cliques import complement_adj, twin_pairs
 from .graphs import Graph, GraphError, bits_of
 
 
@@ -36,7 +40,8 @@ def _children(level, q: int, t: int):
     """Adjacency lists of every graph of ``level`` with one vertex attached
     by every neighbourhood that keeps clique number below q and independence
     number at most t and gives the new vertex the largest degree of the
-    child (ties kept).  The bound tests are local to the attached vertex: a
+    child (ties kept), one neighbourhood per orbit of the graph's twin
+    swaps.  The bound tests are local to the attached vertex: a
     new K_q needs a K_{q-1} in its neighbourhood, a new independent
     (t+1)-set needs t independent non-neighbours.  The degree test is the
     invariant half of McKay's canonical parent: the child less a vertex of
@@ -52,10 +57,15 @@ def _children(level, q: int, t: int):
         for v, row in enumerate(g.adj):
             for d in range(row.bit_count() + 1):
                 at_least[d] |= 1 << v
+        # (v, its preceding twin) as bits: nb is tried only when it meets
+        # every twin class in a prefix
+        pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(g.adj)) if p]
         for nb in range(1 << k):
             # in the child a neighbour gains one, the new vertex has degree s
             s = nb.bit_count()
             if at_least[s] & nb or at_least[s + 1] & ~nb:
+                continue
+            if any(nb & b and not nb & p for b, p in pairs):
                 continue
             if impl.has_clique_within(g.adj, nb, q - 1):
                 continue

@@ -146,7 +146,9 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = self.full_mask()
-        return Graph(self.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(self.adj)))
+        return Graph._trusted(
+            self.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(self.adj))
+        )
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced on a mask or iterable of vertices, relabeled to
@@ -158,7 +160,7 @@ class Graph:
         for i, v in enumerate(keep):
             for u in bits_of(self.adj[v] & mask):
                 adj[i] |= 1 << pos[u]
-        return Graph(len(keep), adj)
+        return Graph._trusted(len(keep), tuple(adj))
 
     def delete_vertices(self, vertices) -> "Graph":
         mask = self._as_mask(vertices)
@@ -171,7 +173,7 @@ class Graph:
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, adj)
+        return Graph._trusted(self.n, tuple(adj))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         self._check_pair(u, v)
@@ -180,10 +182,12 @@ class Graph:
         adj = list(self.adj)
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-        return Graph(self.n, adj)
+        return Graph._trusted(self.n, tuple(adj))
 
     def relabel(self, perm) -> "Graph":
         """New graph with position i taking the role of old vertex perm[i]."""
+        if sorted(perm) != list(range(self.n)):
+            raise GraphError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
         pos = [0] * self.n
         for i, v in enumerate(perm):
             pos[v] = i
@@ -191,7 +195,7 @@ class Graph:
         for i, v in enumerate(perm):
             for u in bits_of(self.adj[v]):
                 adj[i] |= 1 << pos[u]
-        return Graph(self.n, adj)
+        return Graph._trusted(self.n, tuple(adj))
 
     def _as_mask(self, vertices) -> int:
         mask = vertices if isinstance(vertices, int) else mask_of(vertices)
@@ -216,7 +220,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     m2 = g2.full_mask() << g1.n
     adj = [row | m2 for row in g1.adj]
     adj += [(row << g1.n) | m1 for row in g2.adj]
-    return Graph(n, adj)
+    return Graph._trusted(n, tuple(adj))
 
 
 # -- graph6 ----------------------------------------------------------------

@@ -7,8 +7,12 @@ Two cooperating constructions:
   whose missing edges each complete a new (q-1)-clique.  Arrowing, the
   independence cap and the plus-clique property itself are all inherited
   upward along edge addition, so a graph failing any of them heads a
-  subtree that can be skipped entirely.  Each child is tested against all
-  three (the plus-clique test, the most selective, first) and against the
+  subtree that can be skipped entirely.  A parent loses one edge per orbit
+  of its twin swaps (transpositions of vertices with equal open or closed
+  neighbourhoods, see ``cliques.twin_pairs``): every test below commutes
+  with automorphisms of the parent, so the other edges of an orbit give
+  isomorphic children with the same verdict.  Each child is tested against
+  all three (the plus-clique test, the most selective, first) and against the
   invariant half of McKay's canonical-parent test before it is canonically
   labeled: P - uv is kept only if no re-addable non-edge of the child has a
   larger (common neighbours, degree sum) key than uv.  The non-edges that
@@ -51,6 +55,7 @@ from .cliques import (
     cone_vertex_count,
     maximal_kt_free_subsets,
     strip_cone_vertices,
+    twin_pairs,
 )
 from .graphs import (
     CapacityError,
@@ -220,6 +225,24 @@ def _dispatch(fn, tasks, give, workers):
             raise
 
 
+def _orbit_rows(adj):
+    """For each vertex u, the mask of the v > u such that uv is the first
+    edge of its orbit under the twin swaps of ``adj`` (see twin_pairs):
+    u is the first of its twin class and v is the first of its own or the
+    next twin of u."""
+    twin = twin_pairs(adj)
+    later = 0
+    after = [0] * len(adj)
+    for v, p in enumerate(twin):
+        if p:
+            later |= 1 << v
+            after[p.bit_length() - 1] = 1 << v
+    return [
+        0 if p else (row >> (u + 1) << (u + 1) & ~later) | (after[u] & row)
+        for u, (row, p) in enumerate(zip(adj, twin))
+    ]
+
+
 def _descent_worker(task):
     line, entries, q, t = task
     g = from_graph6(line)
@@ -249,8 +272,7 @@ def _descent_worker(task):
         if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2)
     ]
     children = set()
-    for u in range(n):
-        row = adj[u] >> (u + 1) << (u + 1)
+    for u, row in enumerate(_orbit_rows(adj)):
         for v in bits_of(row):
             bu, bv = 1 << u, 1 << v
             uv = bu | bv

@@ -82,6 +82,13 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, adj)
 
 
+def complete_less_matching(n):
+    """K_n less the perfect matching {i, i + n/2}, n even."""
+    return Graph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + n // 2]
+    )
+
+
 @st.composite
 def graphs(draw, max_n):
     n = draw(st.integers(0, max_n))

@@ -9,11 +9,13 @@ test, except these, which call the engine's kernels or canonical labeling:
   stood before its final level was filtered ahead of canonical labeling;
 * ``bounded_classes_reference`` is the level loop of ``bounded_classes`` as
   it stood before it kept only children whose new vertex has the largest
-  degree: every class is extended by every neighbourhood and the canonical
-  lines alone reject isomorphs;
+  degree and whose neighbourhood is the first of its twin-swap orbit:
+  every class is extended by every neighbourhood and the canonical lines
+  alone reject isomorphs;
 * ``plus_clique_descent_reference`` is the plus-clique descent as it stood
-  before the canonical-parent rule on the removed edge: every child that
-  passes the family tests is labeled and deduplicated;
+  before the canonical-parent rule on the removed edge and the one edge
+  per twin-swap orbit: every child that passes the family tests is
+  labeled and deduplicated;
 * ``canonical_perm_reference`` is the canonical labeling search as it stood
   before its refinement and orbit bookkeeping were made incremental: the
   kernels must return its permutation exactly.
@@ -129,6 +131,49 @@ def plus_clique_descent_reference(maximals, avec, q: int, t: int) -> GraphSet:
             ):
                 todo.append(child)
     return out
+
+
+def twin_classes_brute(g: Graph) -> list[list[int]]:
+    """The nontrivial classes of vertices whose transposition is an
+    automorphism (equal neighbourhoods once the pair itself is ignored),
+    as ascending vertex lists: a vertex joins the first class all of whose
+    members it can be swapped with."""
+
+    def swappable(u, v):
+        other = ~(1 << u | 1 << v)
+        return g.adj[u] & other == g.adj[v] & other
+
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            if all(swappable(u, v) for u in cls):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return [cls for cls in classes if len(cls) > 1]
+
+
+def twin_swap_edge_orbits(g: Graph) -> list[set[tuple[int, int]]]:
+    """The orbits of the edges of g under the group generated by the
+    transpositions within the classes of ``twin_classes_brute``."""
+    parent = {e: e for e in g.edges()}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for cls in twin_classes_brute(g):
+        for a, b in combinations(cls, 2):
+            swap = {a: b, b: a}
+            for u, v in g.edges():
+                x, y = sorted((swap.get(u, u), swap.get(v, v)))
+                parent[find((u, v))] = find((x, y))
+    orbits = {}
+    for e in parent:
+        orbits.setdefault(find(e), set()).add(e)
+    return list(orbits.values())
 
 
 def maximal_ktfree_brute(g: Graph, t: int) -> list[int]:

@@ -13,13 +13,15 @@ from folkman.cliques import (
     is_plus_kt,
     maximal_kt_free_subsets,
     strip_cone_vertices,
+    twin_pairs,
 )
 from folkman.graphs import EdgeEditError, Graph, GraphError, join
-from tests.conftest import graphs, random_graph
+from tests.conftest import complete_less_matching, graphs, random_graph
 from tests.oracles import (
     clique_number_brute,
     maximal_ktfree_brute,
     maximal_ktfree_recursive,
+    twin_classes_brute,
 )
 
 
@@ -219,3 +221,38 @@ def test_cone_vertices():
 def test_has_independent_set():
     assert has_independent_set(Graph.cycle(5), 2)
     assert not has_independent_set(Graph.cycle(5), 3)
+
+
+def _preceding(classes, n):
+    # preceding-twin bits from twin classes given as ascending vertex lists
+    out = [0] * n
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            out[b] = 1 << a
+    return out
+
+
+def test_twin_pairs_examples():
+    k333 = join(join(Graph.empty(3), Graph.empty(3)), Graph.empty(3))
+    star = join(Graph.empty(1), Graph.empty(5))
+    cases = [
+        (Graph.complete(6), [range(6)]),  # one closed class
+        (k333, [range(0, 3), range(3, 6), range(6, 9)]),  # three open classes
+        (complete_less_matching(12), [(v, v + 6) for v in range(6)]),  # open pairs
+        (Graph.cycle(5), []),
+        (Graph.empty(7), [range(7)]),
+        (Graph.empty(0), []),
+        (star, [range(1, 6)]),  # the leaves; the centre stands alone
+    ]
+    for g, classes in cases:
+        want = _preceding([list(c) for c in classes], g.n)
+        assert twin_pairs(g.adj) == want, g
+        assert twin_pairs(g.adj) == _preceding(twin_classes_brute(g), g.n), g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs(9))
+@example(Graph.complete(2))
+@example(join(Graph.complete(3), Graph.empty(3)))
+def test_twin_pairs_matches_definition(g):
+    assert twin_pairs(g.adj) == _preceding(twin_classes_brute(g), g.n)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from folkman import _kernels
@@ -10,6 +12,7 @@ from folkman.cliques import (
     is_plus_kt,
 )
 from folkman.generate import (
+    _children,
     bounded_classes,
     graph_classes,
     maximal_family_exhaustive,
@@ -17,6 +20,7 @@ from folkman.generate import (
 )
 from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
+from tests.conftest import complete_less_matching
 from tests.oracles import bounded_classes_reference, maximal_family_reference
 
 
@@ -40,6 +44,53 @@ def test_bounded_classes_match_unfiltered_reference(backend, monkeypatch):
             want = [to_graph6(g) for g in bounded_classes_reference(n, q, t)]
             got = [to_graph6(g) for g in bounded_classes(n, q, t)]
             assert got == want, (n, q, t)
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_bounded_classes_match_reference_on_twin_rich_levels(backend, monkeypatch):
+    # attaching by one neighbourhood per twin-swap orbit keeps every class on
+    # levels full of twins: K_8 less a perfect matching and coned graphs
+    # have clique number below 5 and independence number at most 2
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    want = [to_graph6(g) for g in bounded_classes_reference(8, 5, 2)]
+    got = [to_graph6(g) for g in bounded_classes(8, 5, 2)]
+    assert got == want
+    assert canonical_form(complete_less_matching(8)) in got
+
+
+class _CountingKernels:
+    """The current kernels, counting has_clique_within calls by the clique
+    size they look for."""
+
+    def __init__(self, impl):
+        self.impl = impl
+        self.calls = Counter()
+
+    def has_clique_within(self, adj, mask, t):
+        self.calls[t] += 1
+        return self.impl.has_clique_within(adj, mask, t)
+
+    def __getattr__(self, name):
+        return getattr(self.impl, name)
+
+
+def test_twin_swaps_leave_one_neighbourhood_per_orbit(monkeypatch):
+    # all k vertices of the empty graph are twins, so a neighbourhood is
+    # fixed up to a swap by its size: k + 1 of the 2^k reach the clique
+    # test (a K_{k+2} in the neighbourhood at q = k + 3), the first of the
+    # two bound tests, and with these slack bounds all k + 1 are attached
+    kernels = _CountingKernels(_kernels.impl)
+    monkeypatch.setattr(_kernels, "impl", kernels)
+    for k in range(1, 8):
+        kernels.calls.clear()
+        children = list(_children([Graph.empty(k)], k + 3, k + 1))
+        assert kernels.calls[k + 2] == k + 1
+        assert sorted(adj[k] for adj in children) == [(1 << s) - 1 for s in range(k + 1)]
+    # C_5 has no twins: each of the 16 neighbourhoods of three or more
+    # vertices passes the degree tests and reaches the clique test
+    kernels.calls.clear()
+    assert len(list(_children([Graph.cycle(5)], 7, 5))) == 16
+    assert kernels.calls[6] == 16
 
 
 def test_bounded_classes_match_filtered_full_enumeration():

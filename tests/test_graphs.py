@@ -11,6 +11,7 @@ from folkman.graphs import (
     mask_of,
     to_graph6,
 )
+from tests.conftest import random_graph
 
 
 def test_constructors():
@@ -145,8 +146,6 @@ def test_graph6_roundtrip_all_4_vertex_graphs():
 
 
 def test_graph6_roundtrip_random(rng):
-    from tests.conftest import random_graph
-
     for _ in range(300):
         g = random_graph(rng, rng.randint(0, 20), rng.random())
         assert from_graph6(to_graph6(g)) == g
@@ -177,6 +176,44 @@ def test_graph6_errors():
 def test_capacity():
     with pytest.raises(CapacityError):
         Graph.empty(65)
+
+
+def test_operations_equal_their_checked_construction(rng):
+    # the operations build through Graph._trusted, skipping the __debug__
+    # scan: each result must equal the Graph(...) built from its edge list
+    for n in (0, 1, 2, 5, 9, 13):
+        g = random_graph(rng, n)
+        h = random_graph(rng, n % 4 + 1)
+        edges = list(g.edges())
+        assert g.complement() == Graph.from_edges(n, g.non_edges())
+        mask = rng.getrandbits(n) if n else 0
+        keep = [v for v in range(n) if mask >> v & 1]
+        pos = {v: i for i, v in enumerate(keep)}
+        assert g.induced(mask) == Graph.from_edges(
+            len(keep), [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos]
+        )
+        perm = list(range(n))
+        rng.shuffle(perm)
+        at = {v: i for i, v in enumerate(perm)}
+        assert g.relabel(perm) == Graph.from_edges(n, [(at[u], at[v]) for u, v in edges])
+        cross = [(u, n + v) for u in range(n) for v in range(h.n)]
+        shifted = [(n + u, n + v) for u, v in h.edges()]
+        assert join(g, h) == Graph.from_edges(n + h.n, edges + shifted + cross)
+        for u, v in list(g.non_edges())[:3]:
+            assert g.add_edge(u, v) == Graph.from_edges(n, edges + [(u, v)])
+        for u, v in edges[:3]:
+            assert g.remove_edge(u, v) == Graph.from_edges(
+                n, [e for e in edges if e != (u, v)]
+            )
+        for out in (g.complement(), g.induced(mask), g.relabel(perm), join(g, h)):
+            assert Graph(out.n, out.adj) == out
+
+
+def test_relabel_rejects_a_non_permutation():
+    g = Graph.cycle(4)
+    for perm in ((0, 1, 2), (0, 1, 2, 2), (1, 2, 3, 4)):
+        with pytest.raises(GraphError):
+            g.relabel(perm)
 
 
 def test_invariants_rejected():

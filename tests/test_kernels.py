@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from folkman import _kernels_py as py
 from folkman._kernels import available_backends
 from folkman.graphs import Graph, join
-from tests.conftest import graphs, random_graph
+from tests.conftest import complete_less_matching, graphs, random_graph
 from tests.oracles import (
     canonical_perm_reference,
     clique_number_brute,
@@ -138,12 +138,6 @@ def _prism(k):
     )
 
 
-def _complete_less_matching(n):
-    return Graph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + n // 2]
-    )
-
-
 def test_canonical_perm_matches_reference_on_structured_graphs():
     petersen = _petersen()
     cases = [Graph.empty(n) for n in range(14)] + [Graph.complete(n) for n in range(14)]
@@ -153,7 +147,7 @@ def test_canonical_perm_matches_reference_on_structured_graphs():
     # large automorphism groups: K_{3,3,3}, the 5-prism, K_12 less a
     # perfect matching
     k333 = join(join(Graph.empty(3), Graph.empty(3)), Graph.empty(3))
-    for g in (k333, _prism(5), _complete_less_matching(12)):
+    for g in (k333, _prism(5), complete_less_matching(12)):
         cases += [g, g.complement()]
     cases += [join(Graph.empty(a), Graph.empty(b)) for a in range(1, 7) for b in range(1, 7)]
     triangles = Graph.complete(3)
@@ -183,7 +177,7 @@ def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
         return leaf_code(adj, perm)
 
     monkeypatch.setattr(py, "_leaf_code", counted)
-    for g, leaves in ((_petersen(), 5), (_complete_less_matching(12), 7)):
+    for g, leaves in ((_petersen(), 5), (complete_less_matching(12), 7)):
         calls.clear()
         assert py.canonical_perm(g.adj) == canonical_perm_reference(g.adj)
         assert len(calls) == leaves

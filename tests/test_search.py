@@ -23,6 +23,7 @@ from folkman.search import (
     FamilySpec,
     _descent_worker,
     _dispatch,
+    _orbit_rows,
     attach_vertices,
     complete_base,
     generate_family,
@@ -31,7 +32,8 @@ from folkman.search import (
     valid_multisets,
     worker_pool,
 )
-from tests.oracles import plus_clique_descent_reference
+from tests.conftest import complete_less_matching
+from tests.oracles import plus_clique_descent_reference, twin_swap_edge_orbits
 
 
 def spec(avec, q, n, r, t):
@@ -184,6 +186,22 @@ def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
             assert got.lines() == want, (avec, q, t, workers)
 
 
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_descent_matches_reference_on_twin_rich_seeds(backend, monkeypatch):
+    # removing one edge per twin-swap orbit keeps every class: complete
+    # families holding K_n less a perfect matching (n/2 open twin pairs) and
+    # coned graphs (on 8 vertices some with two cones, a closed class)
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    for avec, q, n, t in (((3,), 4, 6, 2), ((4,), 5, 8, 2), ((3,), 5, 8, 4)):
+        seeds = maximal_family_exhaustive(avec, q, n, t)
+        assert complete_less_matching(n) in seeds
+        assert any(cone_vertex_count(g) for g in seeds)
+        want = plus_clique_descent_reference(seeds, avec, q, t).lines()
+        for workers in (1, 2):
+            got = plus_clique_descent(seeds, avec, q, t, workers=workers)
+            assert got.lines() == want, (avec, q, n, t, workers)
+
+
 def test_descent_expands_each_class_once(monkeypatch):
     # the work list is deduplicated by the result itself: a child already
     # in the result is not pushed again, which changes no output but would
@@ -205,6 +223,39 @@ def test_descent_expands_each_class_once(monkeypatch):
         got = plus_clique_descent(seeds, avec, q, t)
         assert sorted(expanded) == got.lines(), (avec, q, t)
         assert set(expanded.values()) == {1}, (avec, q, t)
+
+
+def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
+    # the worker removes the first edge of each orbit of the parent's twin
+    # swaps and no other; the parents include K_7 (one closed class), the
+    # q = 5 bases on 8 vertices with K_8 less a perfect matching (four open
+    # pairs) and coned graphs
+    tried = []
+
+    def recording(adj):
+        rows = _orbit_rows(adj)
+        tried.append((tuple(adj), rows))
+        return rows
+
+    monkeypatch.setattr(search, "_orbit_rows", recording)
+    cases = [
+        (maximal_family_exhaustive(avec, q, n, t), avec, q, t)
+        for avec, q, n, t in DESCENT_CONFIGS + (((3,), 5, 8, 4),)
+    ]
+    cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
+    merged = 0
+    for seeds, avec, q, t in cases:
+        tried.clear()
+        got = plus_clique_descent(seeds, avec, q, t)
+        assert len(tried) == len(got), (avec, q, t)
+        for adj, rows in tried:
+            g = Graph(len(adj), adj)
+            edges = {(u, v) for u, row in enumerate(rows) for v in bits_of(row)}
+            orbits = twin_swap_edge_orbits(g)
+            assert sorted(len(edges & orbit) for orbit in orbits) == [1] * len(orbits)
+            assert edges <= set(g.edges())
+            merged += g.edge_count() - len(orbits)
+    assert merged > 0
 
 
 def test_descent_drops_seeds_outside_the_plus_clique_family():
