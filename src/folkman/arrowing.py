@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels as K
-from .graphs import Graph, GraphError, bits_of
+from .graphs import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -108,21 +108,3 @@ def find_free_partition(g: Graph, v):
         return None  # the empty vector arrows everything
     limits = tuple(a - 1 for a in vec.entries)
     return K.impl.free_partition(g.adj, limits)
-
-
-def arrows_after_deletion(g: Graph, v, i: int, vertices) -> bool:
-    """Arrowing of g minus an independent set against the vector with entry
-    i lowered by one.  Matches direct evaluation; exposed because the chains
-    use it as a pruning law."""
-    vec = _as_vector(v)
-    if not 0 <= i < len(vec.entries):
-        raise GraphError(f"entry index {i} out of range")
-    if vec.entries[i] < 2:
-        raise GraphError(f"entry {vec.entries[i]} cannot be decremented")
-    mask = g._as_mask(vertices)
-    for u in bits_of(mask):
-        if g.adj[u] & mask:
-            raise GraphError("deleted set is not independent")
-    entries = list(vec.entries)
-    entries[i] -= 1
-    return arrows(g.delete_vertices(mask), ArrowVector(tuple(entries)))

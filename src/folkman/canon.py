@@ -1,10 +1,11 @@
 """Canonical labeling and the isomorphism-deduplicated graph store.
 
 The canonical form of a graph is the graph6 line of its canonically
-relabeled copy: equal lines exactly for isomorphic graphs.  GraphSets key
-their members by that line and persist as sorted line files, so two runs
-that compute the same family produce byte-identical artifacts regardless of
-insertion order or worker split.
+relabeled copy: equal lines exactly for isomorphic graphs.  A GraphSet is a
+set of those lines and persists as a sorted line file, so two runs that
+compute the same family produce byte-identical artifacts regardless of
+insertion order or worker split.  It keeps no graphs: iteration decodes
+each line afresh and retains nothing, so a family costs its lines alone.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ def canonical_line(adj) -> str:
     return adj_to_graph6(len(adj), adj, K.impl.canonical_perm(adj))
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return from_graph6(canonical_line(g.adj))
-
-
 def canonical_form(g: Graph) -> str:
     return canonical_line(g.adj)
 
@@ -35,12 +32,11 @@ def canonical_form(g: Graph) -> str:
 class GraphSet:
     """Deduplicated set of isomorphism classes keyed by canonical form.
 
-    Members are canonical lines; a line is decoded to its canonically
-    labeled graph only when graphs() or iteration first asks for it."""
+    Members are canonical lines only.  Iteration decodes them in sorted
+    order to canonically labeled graphs, one at a time, and keeps none."""
 
     def __init__(self):
-        self._members: dict[str, Graph | None] = {}
-        self.attempts = 0
+        self._members: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._members)
@@ -49,39 +45,29 @@ class GraphSet:
         return canonical_line(g.adj) in self._members
 
     def __iter__(self) -> Iterator[Graph]:
-        return iter(self.graphs())
+        for line in self.lines():
+            yield from_graph6(line)
 
     def insert(self, g: Graph) -> bool:
         """Insert an isomorphism class; returns True when it is new."""
         return self.insert_canonical(canonical_line(g.adj))
 
     def insert_canonical(self, line: str, g: Graph | None = None) -> bool:
-        """Insert a canonical line (trusted path); ``g``, when given, is its
-        decoded graph."""
-        self.attempts += 1
+        """Insert a canonical line (trusted path); returns True when it is
+        new.  ``g`` is ignored: the set keeps lines only."""
         if line in self._members:
             return False
-        self._members[line] = g
+        self._members.add(line)
         return True
 
     def lines(self) -> list[str]:
         return sorted(self._members)
 
     def graphs(self) -> list[Graph]:
-        members = self._members
-        out = []
-        for line in self.lines():
-            g = members[line]
-            if g is None:
-                g = members[line] = from_graph6(line)
-            out.append(g)
-        return out
+        return list(self)
 
     def update(self, other: "GraphSet") -> None:
-        for line, g in other._members.items():
-            self.attempts += 1
-            if line not in self._members:
-                self._members[line] = g
+        self._members |= other._members
 
     # -- persistence ---------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _kernels as K
-from .graphs import EdgeEditError, Graph, GraphError, bits_of
+from .graphs import Graph, GraphError, bits_of
 
 
 def complement_adj(adj):
@@ -63,29 +63,12 @@ def has_independent_set(g: Graph, t: int) -> bool:
     return K.impl.has_clique_at_least(complement_adj(g.adj), t)
 
 
-def edge_completes_new_clique(g: Graph, u: int, v: int, t: int) -> bool:
-    """Would adding the missing edge [u, v] create a new t-clique?"""
-    if u == v:
-        raise EdgeEditError(f"loop [{u}, {v}]")
-    if g.has_edge(u, v):
-        raise EdgeEditError(f"edge [{u}, {v}] already present")
-    return K.impl.has_clique_within(g.adj, g.adj[u] & g.adj[v], t - 2)
-
-
 def is_plus_kt(g: Graph, t: int) -> bool:
     """True iff every missing edge would create a new t-clique (vacuously
     true for complete graphs)."""
     if t < 2:
         raise GraphError(f"plus-clique threshold {t} below 2")
     return K.impl.is_plus_k(g.adj, t)
-
-
-def is_maximal_kq_free(g: Graph, q: int) -> bool:
-    """Maximality within the K_q-free world: no edge can be added without
-    raising the clique number to q.  Requires clique number below q."""
-    if has_clique(g, q):
-        raise GraphError(f"clique number is not below {q}")
-    return is_plus_kt(g, q)
 
 
 def _clique_masks(adj, t):

@@ -96,11 +96,6 @@ def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
     return level
 
 
-def ramsey_graphs(k: int, l: int, n: int) -> list[Graph]:
-    """Classes on n vertices with no K_k and no independent set of size l."""
-    return bounded_classes(n, k, l - 1)
-
-
 def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
     """Brute-force construction of the edge-maximal members of
     H(avec; q; n) with independence number at most t.

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize
-from .canon import GraphSet, canonical_line, graph_set_of
+from .canon import GraphSet, canonical_line
 from .cliques import (
     complement_adj,
     cone_vertex_count,
@@ -339,7 +339,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     through its canonical parent, so from an incomplete family the descent
     can miss classes that a walk over every child would find."""
     entries = canonicalize(avec).entries
-    seeds = maximals.graphs() if isinstance(maximals, GraphSet) else list(maximals)
+    seeds = list(maximals)
     result = GraphSet()
     if not seeds:
         return result
@@ -510,7 +510,7 @@ def generate_family(spec: FamilySpec, seeds, workers=1, descended=None) -> Algor
     from the complete maximal family of the decremented vector on n - r
     vertices.  ``descended`` may carry a precomputed plus-clique set for the
     input family (e.g. reloaded from a checkpoint)."""
-    seeds = seeds if isinstance(seeds, GraphSet) else graph_set_of(seeds)
+    seeds = list(seeds)
     _check_input_order(seeds, spec.n - spec.r, "input family")
     aprime = descended
     if aprime is None:
@@ -528,10 +528,8 @@ def generate_family_cone_split(
     cone-vertex-free part of the descended set.  ``cone_seeds`` is the
     complete maximal family of the decremented vector with clique bound
     q - 1 on n - 1 vertices; it contributes the coned outputs directly."""
-    seeds = seeds if isinstance(seeds, GraphSet) else graph_set_of(seeds)
-    cone_seeds = (
-        cone_seeds if isinstance(cone_seeds, GraphSet) else graph_set_of(cone_seeds)
-    )
+    seeds = list(seeds)
+    cone_seeds = list(cone_seeds)
     _check_input_order(seeds, spec.n - spec.r, "input family")
     _check_input_order(cone_seeds, spec.n - 1, "cone input family")
     aprime = descended
@@ -539,19 +537,15 @@ def generate_family_cone_split(
         aprime = plus_clique_descent(
             seeds, spec.decremented(), spec.q, spec.t, workers=workers
         )
-    hosts = [
-        line
-        for line, g in zip(aprime.lines(), aprime.graphs())
-        if cone_vertex_count(g) == 0
-    ]
+    hosts = [line for line in aprime.lines() if cone_vertex_count(from_graph6(line)) == 0]
     output = _extend_hosts(hosts, spec, workers)
     entries = spec.avec.entries
     if spec.t > spec.r:
-        for w in seeds.graphs():
+        for w in seeds:
             if cone_vertex_count(w) == 1 and arrows_adj(w.adj, entries):
                 output.insert(join(Graph.empty(spec.r + 1), strip_cone_vertices(w)))
     impl = K.impl
-    for h in cone_seeds.graphs():
+    for h in cone_seeds:
         if impl.has_clique_at_least(complement_adj(h.adj), spec.r):
             g = join(Graph.complete(1), h)
             if arrows_adj(g.adj, entries):

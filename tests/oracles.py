@@ -18,18 +18,21 @@ test, except these, which call the engine's kernels or canonical labeling:
   labeled and deduplicated;
 * ``canonical_perm_reference`` is the canonical labeling search as it stood
   before its refinement and orbit bookkeeping were made incremental: the
-  kernels must return its permutation exactly.
+  kernels must return its permutation exactly;
+* ``ramsey_graphs``, ``edge_completes_new_clique``, ``is_maximal_kq_free``
+  and ``arrows_after_deletion`` are the per-definition helpers that the
+  engine no longer needs, kept for the laws the tests state with them.
 """
 
 from itertools import combinations, product
 
 from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
-from folkman.arrowing import arrows
+from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_line
-from folkman.cliques import complement_adj, has_independent_set, is_plus_kt
+from folkman.cliques import complement_adj, has_clique, has_independent_set, is_plus_kt
 from folkman.generate import bounded_classes
-from folkman.graphs import Graph, bits_of
+from folkman.graphs import EdgeEditError, Graph, GraphError, bits_of
 
 
 def clique_number_brute(g: Graph) -> int:
@@ -69,6 +72,44 @@ def arrows_brute(g: Graph, entries) -> bool:
         ):
             return False
     return True
+
+
+def ramsey_graphs(k: int, l: int, n: int) -> list[Graph]:
+    """Classes on n vertices with no K_k and no independent set of size l."""
+    return bounded_classes(n, k, l - 1)
+
+
+def edge_completes_new_clique(g: Graph, u: int, v: int, t: int) -> bool:
+    """Would adding the missing edge [u, v] create a new t-clique?"""
+    if u == v:
+        raise EdgeEditError(f"loop [{u}, {v}]")
+    if g.has_edge(u, v):
+        raise EdgeEditError(f"edge [{u}, {v}] already present")
+    return K.impl.has_clique_within(g.adj, g.adj[u] & g.adj[v], t - 2)
+
+
+def is_maximal_kq_free(g: Graph, q: int) -> bool:
+    """Maximality within the K_q-free world: no edge can be added without
+    raising the clique number to q.  Requires clique number below q."""
+    if has_clique(g, q):
+        raise GraphError(f"clique number is not below {q}")
+    return is_plus_kt(g, q)
+
+
+def arrows_after_deletion(g: Graph, v, i: int, vertices) -> bool:
+    """Arrowing of g minus an independent set against the vector with entry
+    i lowered by one."""
+    entries = list(ArrowVector(tuple(v)).entries)
+    if not 0 <= i < len(entries):
+        raise GraphError(f"entry index {i} out of range")
+    if entries[i] < 2:
+        raise GraphError(f"entry {entries[i]} cannot be decremented")
+    mask = g._as_mask(vertices)
+    for u in bits_of(mask):
+        if g.adj[u] & mask:
+            raise GraphError("deleted set is not independent")
+    entries[i] -= 1
+    return arrows(g.delete_vertices(mask), tuple(entries))
 
 
 def maximal_family_reference(avec, q: int, n: int, t: int) -> GraphSet:

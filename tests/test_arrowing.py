@@ -3,14 +3,13 @@ import pytest
 from folkman.arrowing import (
     ArrowVector,
     arrows,
-    arrows_after_deletion,
     canonicalize,
     find_free_partition,
 )
 from folkman.cliques import clique_number
 from folkman.graphs import Graph, GraphError, join
 from tests.conftest import random_graph
-from tests.oracles import arrows_brute
+from tests.oracles import arrows_after_deletion, arrows_brute
 
 
 def test_canonical_form_of_vectors():

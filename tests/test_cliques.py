@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from folkman.cliques import (
     clique_number,
     cone_vertex_count,
-    edge_completes_new_clique,
     has_clique,
     has_independent_set,
     independence_number,
-    is_maximal_kq_free,
     is_plus_kt,
     maximal_kt_free_subsets,
     strip_cone_vertices,
@@ -19,6 +17,8 @@ from folkman.graphs import EdgeEditError, Graph, GraphError, join
 from tests.conftest import complete_less_matching, graphs, random_graph
 from tests.oracles import (
     clique_number_brute,
+    edge_completes_new_clique,
+    is_maximal_kq_free,
     maximal_ktfree_brute,
     maximal_ktfree_recursive,
     twin_classes_brute,

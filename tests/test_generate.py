@@ -16,12 +16,11 @@ from folkman.generate import (
     bounded_classes,
     graph_classes,
     maximal_family_exhaustive,
-    ramsey_graphs,
 )
 from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
 from tests.conftest import complete_less_matching
-from tests.oracles import bounded_classes_reference, maximal_family_reference
+from tests.oracles import bounded_classes_reference, maximal_family_reference, ramsey_graphs
 
 
 def test_class_counts_small():

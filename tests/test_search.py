@@ -280,7 +280,7 @@ def test_descent_at_boundary_order_keeps_near_complete_graph():
     assert canonical_form(Graph.complete(7).remove_edge(0, 1)) in lines
 
 
-def test_exclude_cone_filters_output():
+def test_descent_from_k7_yields_only_coned_classes():
     seeds = graph_set_of([Graph.complete(7)])
     got = plus_clique_descent(seeds, (3,), 8, 2)
     assert [g for g in got if cone_vertex_count(g) == 0] == []
@@ -304,13 +304,34 @@ def test_generate_family_chain_matches_brute_force_n7():
 
 
 def test_cone_split_equals_plain_on_q4():
-    base = complete_base((2,), 4, 3, 3)
-    mid = generate_family(spec((3,), 4, 5, 2, 3), base)
-    cone_input = maximal_family_exhaustive((2,), 3, 4, 3)
-    a = generate_family(spec((3,), 4, 5, 2, 3), base)
-    b = generate_family_cone_split(spec((3,), 4, 5, 2, 3), base, cone_input)
-    assert a.output.lines() == b.output.lines()
-    del mid
+    # (spec, seeds, cone seeds, hosts, cone-free hosts): every host of n = 5
+    # is coned, while n = 8 makes the cone split extend its 21 cone-free
+    # hosts and skip the other 9
+    cases = [
+        (
+            spec((3,), 4, 5, 2, 3),
+            complete_base((2,), 4, 3, 3),
+            maximal_family_exhaustive((2,), 3, 4, 3),
+            2,
+            0,
+        ),
+        (
+            spec((3,), 4, 8, 2, 3),
+            maximal_family_exhaustive((2,), 4, 6, 3),
+            maximal_family_exhaustive((2,), 3, 7, 3),
+            30,
+            21,
+        ),
+    ]
+    for sp, seeds, cone_seeds, hosts, cone_free in cases:
+        plain = generate_family(sp, seeds)
+        assert len(plain.plus_clique) == hosts
+        assert sum(cone_vertex_count(h) == 0 for h in plain.plus_clique) == cone_free
+        want = maximal_family_exhaustive((3,), 4, sp.n, 3).lines()
+        assert plain.output.lines() == want
+        for workers in (1, 2):
+            split = generate_family_cone_split(sp, seeds, cone_seeds, workers=workers)
+            assert split.output.lines() == want, (sp.n, workers)
 
 
 def test_outputs_satisfy_family_contracts():
