@@ -20,8 +20,8 @@ test, except these, which call the engine's kernels or canonical labeling:
   before its refinement and orbit bookkeeping were made incremental: the
   kernels must return its permutation exactly;
 * ``ramsey_graphs``, ``edge_completes_new_clique``, ``is_maximal_kq_free``
-  and ``arrows_after_deletion`` are the per-definition helpers that the
-  engine no longer needs, kept for the laws the tests state with them.
+  and ``arrows_after_deletion`` are small helpers the engine does not use;
+  the tests state laws with them.
 """
 
 from itertools import combinations, product

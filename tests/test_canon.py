@@ -1,6 +1,5 @@
 import gc
 import itertools
-import random
 import tracemalloc
 
 import pytest
@@ -173,11 +172,9 @@ def test_graph_set_decodes_each_line_afresh_on_every_iteration(tmp_path, rng):
         assert one.graphs() == [from_graph6(canonical_line(g.adj))]
 
 
-def test_graph_set_iteration_retains_no_graphs():
+def test_graph_set_iteration_retains_no_graphs(rng):
     # a family in flight costs its lines alone: walking it, by iteration or
     # through graphs(), leaves no decoded graph behind
-    rng = random.Random(5)
-
     def random_set(count):
         s = GraphSet()
         for _ in range(count):
