@@ -133,19 +133,29 @@ def atomic_write(path, encoding: str):
         raise
 
 
+def format_kv(fields: dict) -> str:
+    """``key = value`` lines, in order, for the fields that are not None."""
+    return "".join(f"{key} = {value}\n" for key, value in fields.items() if value is not None)
+
+
+def parse_kv(text: str) -> dict:
+    """Fields of ``key = value`` lines as strings; blank lines and ``#``
+    comments are skipped."""
+    out = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
+
+
 def write_manifest(path, fields: dict) -> None:
     with atomic_write(path, "utf-8") as fh:
-        for key, value in fields.items():
-            fh.write(f"{key} = {value}\n")
+        fh.write(format_kv(fields))
 
 
 def read_manifest(path) -> dict:
-    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+        return parse_kv(fh.read())

@@ -12,10 +12,10 @@ import sys
 
 from . import bounds
 from .arrowing import ArrowVector, arrows, find_free_partition
-from .canon import GraphSet, canonical_form
+from .canon import GraphSet, canonical_form, parse_kv
 from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
-from .pipeline import format_rows, run_pipeline
+from .pipeline import format_rows, run_pipeline, split_family
 from .search import FamilySpec, generate_family, generate_family_cone_split, worker_pool
 
 
@@ -79,16 +79,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    parts = [p.strip() for p in args.spec.split(";")]
-    if len(parts) != 5:
-        print("--spec needs 'avec; q; n; r; t'", file=sys.stderr)
-        return 2
-    avec = ArrowVector.parse(parts[0])
-    try:
-        q, n, r, t = (int(p) for p in parts[1:])
-    except ValueError:
-        print("--spec needs integers q; n; r; t", file=sys.stderr)
-        return 2
+    avec, (q, n, r, t) = split_family(args.spec, "avec; q; n; r; t")
     spec = FamilySpec(avec, q, n, r, t)
     if args.algorithm == 2 and not args.input2:
         print("--algorithm 2 needs --input2", file=sys.stderr)
@@ -190,10 +181,7 @@ def _load_kv_reports(path):
     with open(path, "r", encoding="utf-8") as fh:
         blocks = fh.read().split("\n\n")
     for block in blocks:
-        fields = {}
-        for line in block.splitlines():
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+        fields = parse_kv(block)
         if "avec" not in fields or "maximal" not in fields:
             continue
         avec = ArrowVector.parse(fields["avec"]).canonical().entries
@@ -325,10 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,18 +26,22 @@ Config format::
     workers = 1
 
     [base:k6]
-    family = 3; 8; 6; 3        # avec ; q ; n ; t
-    kind = complete            # complete | exhaustive | extremal | file | empty
-    # path = seeds.g6          # for kind = file
+    # family = avec; q; n; t
+    family = 3; 8; 6; 3
+    # kind = complete | exhaustive | extremal | file | empty
+    kind = complete
+    # path = seeds.g6, for kind = file
 
     [step:s1]
     family = 4; 8; 8; 3
     r = 2
-    algorithm = 1              # 2 adds: input2 = <name of the q-1 family>
+    # algorithm = 2 adds input2 = <name of the q-1 family>
+    algorithm = 1
     input = k6
 
+    # counts the plus-clique set of s1's family
     [descend:d1]
-    input = s1                 # counts the plus-clique set of s1's family
+    input = s1
 """
 
 from __future__ import annotations
@@ -49,7 +53,15 @@ from pathlib import Path
 
 from .arrowing import ArrowVector, arrows
 from .bounds import folkman_value_at_m
-from .canon import GraphSet, atomic_write, file_digest, graph_set_of, read_manifest, write_manifest
+from .canon import (
+    GraphSet,
+    atomic_write,
+    file_digest,
+    format_kv,
+    graph_set_of,
+    read_manifest,
+    write_manifest,
+)
 from .cliques import clique_number, cone_vertex_count, has_independent_set, is_plus_kt
 from .generate import maximal_family_exhaustive
 from .graphs import GraphError
@@ -88,17 +100,24 @@ class Family:
         return self
 
 
-def parse_family(text: str) -> Family:
+def split_family(text: str, layout: str) -> tuple[tuple[int, ...], list[int]]:
+    """The canonical vector entries and the integers of family text laid out
+    as ``layout``, e.g. ``'avec; q; n; t'``."""
     parts = [p.strip() for p in text.split(";")]
-    if len(parts) != 4:
-        raise ConfigError(f"family needs 'avec; q; n; t', got {text!r}")
+    if len(parts) != layout.count(";") + 1:
+        raise ConfigError(f"family needs {layout!r}, got {text!r}")
     try:
         avec = ArrowVector.parse(parts[0]).canonical().entries
-        q, n, t = (int(p) for p in parts[1:])
+        numbers = [int(p) for p in parts[1:]]
     except (GraphError, ValueError):
-        raise ConfigError(f"family needs integers 'avec; q; n; t', got {text!r}") from None
+        raise ConfigError(f"family needs integers {layout!r}, got {text!r}") from None
     if not avec:
         raise ConfigError(f"empty target vector in {text!r}")
+    return avec, numbers
+
+
+def parse_family(text: str) -> Family:
+    avec, (q, n, t) = split_family(text, "avec; q; n; t")
     return Family(avec, q, n, t)
 
 
@@ -148,7 +167,6 @@ class StepReport:
     seconds: float = 0.0
     resumed: bool = False
     input_digests: dict = field(default_factory=dict)
-    output_path: str = ""
 
 
 def parse_config(path) -> PipelineConfig:
@@ -217,11 +235,10 @@ def validate_config(cfg: PipelineConfig) -> None:
             if item.kind not in ("complete", "exhaustive", "extremal", "file", "empty"):
                 problems.append(f"{item.name}: unknown base kind {item.kind!r}")
             if item.kind == "complete":
-                if len(fam.avec) != 1 or not fam.avec[0] <= fam.n <= fam.q - 1:
-                    problems.append(
-                        f"{item.name}: complete base needs a single-entry vector "
-                        f"with a1 <= n <= q-1, got {fam.display()}"
-                    )
+                try:
+                    complete_base(fam.avec, fam.q, fam.n, fam.t)
+                except GraphError as exc:
+                    problems.append(f"{item.name}: {exc}")
             if item.kind == "exhaustive" and fam.n > EXHAUSTIVE_BASE_LIMIT:
                 problems.append(
                     f"{item.name}: exhaustive base capped at "
@@ -318,6 +335,8 @@ class Runner:
         self.fresh = fresh
         self.reports: list[StepReport] = []
         self._families: dict[str, Family] = {}
+        # (literal, cone-free) counts of plusk_path(fam, fam.avec) by fam.key()
+        self._plusk: dict[str, tuple[int, int]] = {}
 
     # paths
     def maximal_path(self, fam: Family) -> Path:
@@ -329,7 +348,7 @@ class Runner:
             suffix = f"_v{'-'.join(map(str, vector))}"
         return self.dir / f"plusk_{fam.key()}{suffix}.g6"
 
-    def run(self) -> list[StepReport]:
+    def run(self) -> tuple[list[StepReport], list[FamilyRow]]:
         handlers = {
             BaseItem: self._run_base, StepItem: self._run_step, DescendItem: self._run_descend
         }
@@ -341,20 +360,21 @@ class Runner:
                 report.seconds = time.perf_counter() - started
                 self._families[item.name] = report.family
                 self.reports.append(report)
-        self._write_reports()
-        return self.reports
+        rows = assemble_rows(self.cfg, self.reports, self._plusk)
+        self._write_reports(rows)
+        return self.reports, rows
 
     def _artifact(self, path: Path, fields: dict, build):
         """Reuse the artifact at ``path`` or build, save and describe it.
         ``fields`` is the manifest this run would write, in order, with
         ``count``, ``cone_free_count`` and any ``seconds`` left as None to be
-        filled in from the build.  Returns the built graphs (None when
-        reused), the count, the cone-free count and whether it was reused."""
+        filled in from the build.  Returns the count, the cone-free count and
+        whether it was reused."""
         meta_path = path.with_suffix(".meta")
         if not self.fresh and path.exists() and meta_path.exists():
             meta = read_manifest(meta_path)
             if _reusable(meta, fields, path):
-                return None, int(meta["count"]), int(meta["cone_free_count"]), True
+                return int(meta["count"]), int(meta["cone_free_count"]), True
         started = time.perf_counter()
         graphs = build()
         graphs.save(path)
@@ -363,19 +383,18 @@ class Runner:
         if "seconds" in fields:
             fields["seconds"] = f"{time.perf_counter() - started:.3f}"
         write_manifest(meta_path, fields)
-        return graphs, fields["count"], fields["cone_free_count"], False
+        return fields["count"], fields["cone_free_count"], False
 
     # -- item handlers ---------------------------------------------------------
 
     def _run_base(self, item: BaseItem) -> StepReport:
-        path = self.maximal_path(item.family)
-        report = StepReport(item.name, "base", item.family, output_path=str(path))
+        report = StepReport(item.name, "base", item.family)
         fields = dict(
             family=_family_line(item.family), kind=f"base:{item.kind}",
             produced_by=item.name, count=None, cone_free_count=None, seconds=None,
         )
-        _, report.count, report.cone_free_count, report.resumed = self._artifact(
-            path, fields, lambda: self._build_base(item)
+        report.count, report.cone_free_count, report.resumed = self._artifact(
+            self.maximal_path(item.family), fields, lambda: self._build_base(item)
         )
         return report
 
@@ -413,12 +432,13 @@ class Runner:
                 )
         return graphs
 
-    def _ensure_plusk(self, fam: Family, report: StepReport, vector):
+    def _ensure_plusk(self, fam: Family, report: StepReport, vector) -> bool:
         """Build or reuse the descended plus-clique artifact of a family under
-        ``vector`` and record its counts on the report.  A consuming step
+        ``vector`` and record its counts on the report, and under the family
+        for its row when ``vector`` is the family's own.  A consuming step
         passes its literal decremented vector, which may be weaker than the
         family's own when the chain leans on single-entry normalization.
-        Returns a loader of the descended graphs and whether it was reused."""
+        Returns whether the artifact was reused."""
         src, path = self.maximal_path(fam), self.plusk_path(fam, vector)
         fields = dict(
             family=_family_line(fam), kind="plus-clique", vector=",".join(map(str, vector)),
@@ -429,31 +449,34 @@ class Runner:
             seeds = GraphSet.load_trusted(src)
             return plus_clique_descent(seeds, vector, fam.q, fam.t, workers=self.workers)
 
-        built = self._artifact(path, fields, descend)
-        graphs, report.plusk_literal_count, report.plusk_cone_free_count, resumed = built
-        return (lambda: GraphSet.load_trusted(path) if graphs is None else graphs), resumed
+        report.plusk_literal_count, report.plusk_cone_free_count, resumed = self._artifact(
+            path, fields, descend
+        )
+        if tuple(vector) == fam.avec:
+            self._plusk[fam.key()] = report.plusk_literal_count, report.plusk_cone_free_count
+        return resumed
 
     def _run_step(self, item: StepItem) -> StepReport:
         fam, in_fam = item.family, self._families[item.input]
         inputs = [item.input] + ([item.input2] if item.input2 else [])
         digests = {name: file_digest(self.maximal_path(self._families[name])) for name in inputs}
-        path = self.maximal_path(fam)
         report = StepReport(
-            item.name, "step", fam, r=item.r, algorithm=item.algorithm,
-            input_digests=digests, output_path=str(path),
+            item.name, "step", fam, r=item.r, algorithm=item.algorithm, input_digests=digests
         )
         spec = FamilySpec(ArrowVector(fam.avec), fam.q, fam.n, item.r, fam.t)
-        descended, _ = self._ensure_plusk(in_fam, report, spec.decremented().entries)
+        vector = spec.decremented().entries
+        self._ensure_plusk(in_fam, report, vector)
 
         def build() -> GraphSet:
             seeds = GraphSet.load_trusted(self.maximal_path(in_fam))
+            descended = GraphSet.load_trusted(self.plusk_path(in_fam, vector))
             if item.algorithm == 1:
                 return generate_family(
-                    spec, seeds, workers=self.workers, descended=descended()
+                    spec, seeds, workers=self.workers, descended=descended
                 ).output
             cone_seeds = GraphSet.load_trusted(self.maximal_path(self._families[item.input2]))
             return generate_family_cone_split(
-                spec, seeds, cone_seeds, workers=self.workers, descended=descended()
+                spec, seeds, cone_seeds, workers=self.workers, descended=descended
             ).output
 
         fields = dict(
@@ -461,49 +484,36 @@ class Runner:
             algorithm=item.algorithm, r=item.r, count=None, cone_free_count=None,
             inputs=",".join(f"{k}:{v}" for k, v in sorted(digests.items())), seconds=None,
         )
-        _, report.count, report.cone_free_count, report.resumed = self._artifact(
-            path, fields, build
+        report.count, report.cone_free_count, report.resumed = self._artifact(
+            self.maximal_path(fam), fields, build
         )
         return report
 
     def _run_descend(self, item: DescendItem) -> StepReport:
         fam = self._families[item.input]
-        path = self.plusk_path(fam, fam.avec)
-        report = StepReport(item.name, "descend", fam, output_path=str(path))
-        _, report.resumed = self._ensure_plusk(fam, report, fam.avec)
+        report = StepReport(item.name, "descend", fam)
+        report.resumed = self._ensure_plusk(fam, report, fam.avec)
         return report
 
     # -- reporting ---------------------------------------------------------------
 
-    def _write_reports(self):
-        rows = assemble_rows(self.cfg, self.reports)
+    def _write_reports(self, rows):
         with atomic_write(self.dir / "report.txt", "utf-8") as fh:
             fh.write(format_rows(rows))
         with atomic_write(self.dir / "report.kv", "utf-8") as fh:
             for rep in self.reports:
-                fields = [
-                    f"item = {rep.name}",
-                    f"kind = {rep.kind}",
-                    f"avec = {','.join(map(str, rep.family.avec))}",
-                    f"q = {rep.family.q}",
-                    f"n = {rep.family.n}",
-                    f"t = {rep.family.t}",
-                ]
-                if rep.r is not None:
-                    fields.append(f"r = {rep.r}")
-                if rep.algorithm is not None:
-                    fields.append(f"algorithm = {rep.algorithm}")
-                if rep.count is not None:
-                    fields.append(f"maximal = {rep.count}")
-                    fields.append(f"maximal_cone_free = {rep.cone_free_count}")
-                if rep.plusk_literal_count is not None:
-                    fields.append(f"plus_clique = {rep.plusk_literal_count}")
-                    fields.append(f"plus_clique_cone_free = {rep.plusk_cone_free_count}")
-                fields.append(f"seconds = {rep.seconds:.3f}")
-                fields.append(f"resumed = {rep.resumed}")
+                fam = rep.family
+                fields = dict(
+                    item=rep.name, kind=rep.kind, avec=",".join(map(str, fam.avec)),
+                    q=fam.q, n=fam.n, t=fam.t, r=rep.r, algorithm=rep.algorithm,
+                    maximal=rep.count, maximal_cone_free=rep.cone_free_count,
+                    plus_clique=rep.plusk_literal_count,
+                    plus_clique_cone_free=rep.plusk_cone_free_count,
+                    seconds=f"{rep.seconds:.3f}", resumed=rep.resumed,
+                )
                 for key, value in sorted(rep.input_digests.items()):
-                    fields.append(f"input_digest:{key} = {value}")
-                fh.write("\n".join(fields) + "\n\n")
+                    fields[f"input_digest:{key}"] = value
+                fh.write(format_kv(fields) + "\n")
 
 
 @dataclass
@@ -517,22 +527,19 @@ class FamilyRow:
     seconds: float = 0.0
 
 
-def assemble_rows(cfg: PipelineConfig, reports) -> list[FamilyRow]:
+def assemble_rows(cfg: PipelineConfig, reports, plusk: dict) -> list[FamilyRow]:
     """Merge per-item reports into one table row per family, appendix style:
     a family's maximal counts come from the item that produced it and its
-    plus-clique counts from the last item that descended it, or else from
-    the first step whose decremented vector is the family's own."""
+    plus-clique counts, ``plusk[key]``, from its descended artifact under
+    its own vector."""
     complete_bases = {
         item.family.key()
         for item in cfg.items
         if isinstance(item, BaseItem) and item.kind == "complete"
     }
-    steps = {item.name: item for item in cfg.items if isinstance(item, StepItem)}
-    step_r = {item.family.key(): item.r for item in steps.values()}
-    families: dict[str, Family] = {}
+    step_r = {item.family.key(): item.r for item in cfg.items if isinstance(item, StepItem)}
     rows: dict[str, FamilyRow] = {}
     for rep in reports:
-        families[rep.name] = rep.family
         key = rep.family.key()
         if key not in rows:
             r = step_r.get(key)
@@ -541,29 +548,13 @@ def assemble_rows(cfg: PipelineConfig, reports) -> list[FamilyRow]:
             rows[key] = FamilyRow(family=rep.family, alpha=alpha)
         row = rows[key]
         row.seconds += rep.seconds
-        if rep.kind in ("base", "step") and rep.count is not None:
+        if rep.count is not None:
             row.maximal = rep.count
             row.maximal_cone_free = rep.cone_free_count
-        if rep.plusk_literal_count is None:
-            continue
-        if rep.kind == "descend":
-            row.plusk = rep.plusk_literal_count
-            row.plusk_cone_free = rep.plusk_cone_free_count
-        elif rep.kind == "step":
-            # a step's descent counts belong to its input family's row
-            in_fam = families.get(steps[rep.name].input)
-            vector = ArrowVector(rep.family.avec).decremented_first().entries
-            if in_fam is not None and vector == in_fam.avec:
-                in_row = rows[in_fam.key()]
-                if in_row.plusk is None:
-                    in_row.plusk = rep.plusk_literal_count
-                    in_row.plusk_cone_free = rep.plusk_cone_free_count
-    # a complete base stands for itself in its plus-clique cell
-    for key in complete_bases:
-        row = rows.get(key)
-        if row is not None and row.plusk is not None:
-            row.plusk = 1
-            row.plusk_cone_free = 0
+    for key, row in rows.items():
+        if key in plusk:
+            # a complete base stands for itself in its plus-clique cell
+            row.plusk, row.plusk_cone_free = (1, 0) if key in complete_bases else plusk[key]
     return list(rows.values())
 
 
@@ -589,6 +580,4 @@ def _cell(value) -> str:
 
 def run_pipeline(config_path, out_dir, workers=None, fresh=False):
     cfg = parse_config(config_path)
-    runner = Runner(cfg, out_dir, workers=workers, fresh=fresh)
-    reports = runner.run()
-    return reports, assemble_rows(cfg, reports)
+    return Runner(cfg, out_dir, workers=workers, fresh=fresh).run()

@@ -464,21 +464,18 @@ def attach_vertices(h: Graph, masks) -> Graph:
 
 
 def _extension_worker(task):
-    """Extend each host line of a chunk; one sorted list of output lines
-    per host."""
+    """Extend each host line of a chunk; the set of their output lines."""
     lines, entries, q, r, t = task
     impl = K.impl
-    out = []
+    results = set()
     for line in lines:
         h = from_graph6(line)
-        results = set()
         for masks in valid_multisets(h, q, r, t):
             # built from a validated host, so the adjacency skips Graph's checks
             adj = _attach_adj(h.adj, masks)
             if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
                 results.add(canonical_line(adj))
-        out.append(sorted(results))
-    return out
+    return results
 
 
 def _extend_hosts(host_lines, spec, workers):
@@ -490,10 +487,9 @@ def _extend_hosts(host_lines, spec, workers):
     ]
     out = GraphSet()
 
-    def give(per_host):
-        for cands in per_host:
-            for line in cands:
-                out.insert_canonical(line)
+    def give(lines):
+        for line in lines:
+            out.insert_canonical(line)
 
     _dispatch(_extension_worker, chunks, give, workers)
     return out

@@ -1,9 +1,10 @@
 import os
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from folkman import search
+from folkman import pipeline, search
 from folkman.canon import GraphSet
 from folkman.cli import main
 from folkman.graphs import Graph, from_graph6, to_graph6
@@ -60,6 +61,13 @@ def test_parse_and_validate_tiny(tmp_path):
     cfg = parse_config(write_config(tmp_path, TINY_CONFIG))
     assert cfg.name == "tiny-q4"
     assert len(cfg.items) == 4
+
+
+def test_docstring_config_example_parses(tmp_path):
+    example = textwrap.dedent(pipeline.__doc__.split("Config format::")[1])
+    cfg = parse_config(write_config(tmp_path, example))
+    assert [item.name for item in cfg.items] == ["k6", "s1", "d1"]
+    assert cfg.items[0].family == Family((3,), 8, 6, 3)
 
 
 def test_validation_rejects_broken_chain(tmp_path):
@@ -215,6 +223,39 @@ def test_step_resumes_when_its_descent_is_rebuilt(tmp_path):
     before = {r.name: r for r in first}["s5"]
     assert by_name["s5"].plusk_literal_count == before.plusk_literal_count
     assert by_name["s5"].count == before.count
+
+
+def test_weaker_decremented_vector_gets_its_own_artifact(tmp_path):
+    # K_3 is the complete base of H(3; 4; 3) by normalization, but the step
+    # descends it under its literal decremented vector (2)
+    cfg = """
+[base:k3]
+family = 3; 4; 3; 3
+kind = complete
+
+[step:s5]
+family = 3; 4; 5; 3
+r = 2
+algorithm = 1
+input = k3
+"""
+    cfg_path = write_config(tmp_path, cfg)
+    run_dir = tmp_path / "run"
+    first, rows = run_pipeline(cfg_path, run_dir)
+    assert (run_dir / "plusk_a3_q4_n3_t3_v2.g6").exists()
+    assert not (run_dir / "plusk_a3_q4_n3_t3.g6").exists()
+    built = os.stat(run_dir / "plusk_a3_q4_n3_t3_v2.meta").st_mtime_ns
+    by_fam = {row.family.display(): row for row in rows}
+    base = by_fam["H(3; 4; 3)"]
+    assert (base.plusk, base.plusk_cone_free) == (None, None)
+    base_line = (run_dir / "report.txt").read_text().splitlines()[2]
+    assert base_line.startswith("H(3; 4; 3)") and base_line.split()[-3:-1] == ["-", "-"]
+    assert by_fam["H(3; 4; 5)"].maximal == 2
+    second, rows = run_pipeline(cfg_path, run_dir)
+    assert all(r.resumed for r in second)
+    assert os.stat(run_dir / "plusk_a3_q4_n3_t3_v2.meta").st_mtime_ns == built
+    assert second[1].plusk_literal_count == first[1].plusk_literal_count
+    assert {row.family.display(): row.plusk for row in rows}["H(3; 4; 3)"] is None
 
 
 def test_renamed_base_resumes(tmp_path):
@@ -417,6 +458,15 @@ input = k3
 def test_cli_errors(tmp_path, capsys):
     assert main(["omega", "not-a-graph6-\x01"]) == 2
     assert main(["arrows", "totally/missing/file.g6", "2 2"]) == 2
+    capsys.readouterr()
+    # other OS errors are input errors too, and never "false"
+    assert main(["arrows", str(tmp_path), "2 2"]) == 2
+    assert main(["canon", str(tmp_path)]) == 2
+    not_a_dir = tmp_path / "plain.txt"
+    not_a_dir.write_text("")
+    tiny = write_config(tmp_path, TINY_CONFIG, "tiny.cfg")
+    assert main(["pipeline", str(tiny), "--dir", str(not_a_dir / "run")]) == 2
+    assert capsys.readouterr().err.count("error: ") == 3
     # malformed numbers are input errors, not "false"
     assert main(["arrows", "Dhc", "x"]) == 2
     seeds = tmp_path / "base.g6"
