@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .arrowing import arrows, canonicalize
-from .cliques import clique_number
+from .arrowing import canonicalize
 from .graphs import Graph, GraphError, join
+from .search import family_defect
 
 
 class RegistryError(GraphError):
@@ -112,7 +112,9 @@ def folkman_value_at_m(avec) -> tuple[int, Graph]:
     if m < p + 1:
         raise GraphError(f"no K_{m}-free arrowing graphs for ({vec})")
     extremal = join(Graph.complete(m - p - 1), Graph.cycle(2 * p + 1).complement())
-    assert arrows(extremal, vec) and clique_number(extremal) < m
+    defect = family_defect(extremal.adj, vec.entries, m, extremal.n)
+    if defect:
+        raise GraphError(f"extremal graph for ({vec}) {defect}")
     return m + p, extremal
 
 
@@ -148,7 +150,7 @@ def independence_cap(avec, n: int):
     return None
 
 
-def independence_floor(avec, q: int, n: int, registry=None) -> int:
+def independence_floor(q: int, n: int, registry=None) -> int:
     """Smallest independence number forced on n-vertex K_q-free family
     members: 2 as soon as complete graphs are excluded (n >= q), raised by
     any registry Ramsey value R(k, q) at or below n."""
@@ -229,7 +231,7 @@ def verify_emptiness_certificate(avec, q: int, n: int, reports, registry=None) -
     registry = registry or default_registry()
     vec = canonicalize(avec)
     m = vec.m
-    floor = independence_floor(vec, q, n, registry)
+    floor = independence_floor(q, n, registry)
     caps = []
     if q == m - 1:
         cap = independence_cap(vec, n)

@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from . import _kernels as K
-from .graphs import Graph, GraphError, bits_of
-
-
-def complement_adj(adj):
-    n = len(adj)
-    full = (1 << n) - 1
-    return tuple((full ^ row) & ~(1 << v) for v, row in enumerate(adj))
+from .graphs import Graph, GraphError, bits_of, complement_adj
 
 
 def twin_pairs(adj) -> list[int]:

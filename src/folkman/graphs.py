@@ -55,14 +55,15 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise GraphError(f"adjacency length {len(adj)} != n = {n}")
-        if __debug__:
-            full = (1 << n) - 1
-            for v, row in enumerate(adj):
-                assert 0 <= row <= full, f"neighbour bits of {v} outside 0..n-1"
-                assert not (row >> v) & 1, f"loop at vertex {v}"
-            for v in range(n):
-                for u in bits_of(adj[v]):
-                    assert (adj[u] >> v) & 1, f"asymmetric edge [{u}, {v}]"
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
+            if not 0 <= row <= full:
+                raise GraphError(f"neighbour bits of {v} outside 0..n-1")
+            if (row >> v) & 1:
+                raise GraphError(f"loop at vertex {v}")
+            for u in bits_of(row):
+                if not (adj[u] >> v) & 1:
+                    raise GraphError(f"asymmetric edge [{u}, {v}]")
         self.n = n
         self.adj = adj
 
@@ -98,8 +99,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise EdgeEditError(f"loop [{u}, {v}]")
+            cls._check_pair(n, u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, adj)
@@ -145,10 +145,7 @@ class Graph:
     # -- construction operators --------------------------------------------
 
     def complement(self) -> "Graph":
-        full = self.full_mask()
-        return Graph._trusted(
-            self.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(self.adj))
-        )
+        return Graph._trusted(self.n, complement_adj(self.adj))
 
     def induced(self, vertices) -> "Graph":
         """Subgraph induced on a mask or iterable of vertices, relabeled to
@@ -167,7 +164,7 @@ class Graph:
         return self.induced(self.full_mask() & ~mask)
 
     def add_edge(self, u: int, v: int) -> "Graph":
-        self._check_pair(u, v)
+        self._check_pair(self.n, u, v)
         if self.has_edge(u, v):
             raise EdgeEditError(f"edge [{u}, {v}] already present")
         adj = list(self.adj)
@@ -176,7 +173,7 @@ class Graph:
         return Graph._trusted(self.n, tuple(adj))
 
     def remove_edge(self, u: int, v: int) -> "Graph":
-        self._check_pair(u, v)
+        self._check_pair(self.n, u, v)
         if not self.has_edge(u, v):
             raise EdgeEditError(f"edge [{u}, {v}] not present")
         adj = list(self.adj)
@@ -203,11 +200,17 @@ class Graph:
             raise GraphError(f"vertex set {bin(mask)} outside universe 0..{self.n - 1}")
         return mask
 
-    def _check_pair(self, u, v):
+    @staticmethod
+    def _check_pair(n, u, v):
         if u == v:
             raise EdgeEditError(f"loop [{u}, {v}]")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise EdgeEditError(f"endpoint outside 0..{self.n - 1}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeEditError(f"endpoint outside 0..{n - 1}")
+
+
+def complement_adj(adj) -> tuple:
+    full = (1 << len(adj)) - 1
+    return tuple((full ^ row) & ~(1 << v) for v, row in enumerate(adj))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -307,7 +310,7 @@ def from_graph6(line: str) -> Graph:
         bj = 1 << j
         for i in bits_of(col):
             adj[i] |= bj
-    # symmetric and loop-free by construction: skip Graph's debug scan
+    # symmetric and loop-free by construction: skip Graph's checks
     return Graph._trusted(n, tuple(adj))
 
 

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .arrowing import ArrowVector, arrows
+from .arrowing import ArrowVector
 from .bounds import folkman_value_at_m
 from .canon import (
     GraphSet,
@@ -62,12 +62,13 @@ from .canon import (
     read_manifest,
     write_manifest,
 )
-from .cliques import clique_number, cone_vertex_count, has_independent_set, is_plus_kt
+from .cliques import cone_vertex_count, is_plus_kt
 from .generate import maximal_family_exhaustive
-from .graphs import GraphError
+from .graphs import GraphError, from_graph6
 from .search import (
     FamilySpec,
     complete_base,
+    family_defect,
     generate_family,
     generate_family_cone_split,
     plus_clique_descent,
@@ -151,6 +152,7 @@ class PipelineConfig:
     workers: int
     items: list
     config_dir: str = "."
+    families: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -222,11 +224,11 @@ def parse_config(path) -> PipelineConfig:
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    """Reject inconsistent chains before any computation starts."""
+    """Reject inconsistent chains before any computation starts; fill ``cfg.families``."""
     problems = []
     if cfg.workers < 1:
         problems.append(f"workers must be at least 1, got {cfg.workers}")
-    families = {}
+    families = cfg.families = {}
     for item in cfg.items:
         if item.name in families:
             problems.append(f"duplicate item name {item.name!r}")
@@ -334,7 +336,6 @@ class Runner:
         self.workers = workers if workers is not None else cfg.workers
         self.fresh = fresh
         self.reports: list[StepReport] = []
-        self._families: dict[str, Family] = {}
         # (literal, cone-free) counts of plusk_path(fam, fam.avec) by fam.key()
         self._plusk: dict[str, tuple[int, int]] = {}
 
@@ -358,7 +359,6 @@ class Runner:
                 started = time.perf_counter()
                 report = handlers[type(item)](item)
                 report.seconds = time.perf_counter() - started
-                self._families[item.name] = report.family
                 self.reports.append(report)
         rows = assemble_rows(self.cfg, self.reports, self._plusk)
         self._write_reports(rows)
@@ -419,17 +419,13 @@ class Runner:
         if not path.exists():
             raise ConfigError(f"base {item.name}: file {item.path} not found")
         graphs = GraphSet.load(path)
-        for g in graphs:
-            if (
-                clique_number(g) >= fam.q
-                or has_independent_set(g, fam.t + 1)
-                or not is_plus_kt(g, fam.q)
-                or not arrows(g, fam.avec)
-            ):
-                raise ConfigError(
-                    f"base {item.name}: file member is not an edge-maximal graph "
-                    f"of {fam.display()} with independence <= {fam.t}"
-                )
+        for line in graphs.lines():
+            g = from_graph6(line)
+            defect = family_defect(g.adj, fam.avec, fam.q, fam.t)
+            if defect is None and not is_plus_kt(g, fam.q):
+                defect = "is not edge-maximal"
+            if defect:
+                raise ConfigError(f"base {item.name}: file member {line}: {defect}")
         return graphs
 
     def _ensure_plusk(self, fam: Family, report: StepReport, vector) -> bool:
@@ -457,9 +453,10 @@ class Runner:
         return resumed
 
     def _run_step(self, item: StepItem) -> StepReport:
-        fam, in_fam = item.family, self._families[item.input]
+        families = self.cfg.families
+        fam, in_fam = item.family, families[item.input]
         inputs = [item.input] + ([item.input2] if item.input2 else [])
-        digests = {name: file_digest(self.maximal_path(self._families[name])) for name in inputs}
+        digests = {name: file_digest(self.maximal_path(families[name])) for name in inputs}
         report = StepReport(
             item.name, "step", fam, r=item.r, algorithm=item.algorithm, input_digests=digests
         )
@@ -474,7 +471,7 @@ class Runner:
                 return generate_family(
                     spec, seeds, workers=self.workers, descended=descended
                 ).output
-            cone_seeds = GraphSet.load_trusted(self.maximal_path(self._families[item.input2]))
+            cone_seeds = GraphSet.load_trusted(self.maximal_path(families[item.input2]))
             return generate_family_cone_split(
                 spec, seeds, cone_seeds, workers=self.workers, descended=descended
             ).output
@@ -490,7 +487,7 @@ class Runner:
         return report
 
     def _run_descend(self, item: DescendItem) -> StepReport:
-        fam = self._families[item.input]
+        fam = self.cfg.families[item.input]
         report = StepReport(item.name, "descend", fam)
         report.resumed = self._ensure_plusk(fam, report, fam.avec)
         return report

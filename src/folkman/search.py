@@ -331,6 +331,18 @@ def _descent_worker(task):
     return sorted(children)
 
 
+def family_defect(adj, entries, q, t):
+    """Why the graph with masks ``adj`` is not K_q-free with independence
+    number at most t and arrowing the canonical ``entries``, or None."""
+    if K.impl.has_clique_at_least(adj, q):
+        return f"has a K_{q}"
+    if K.impl.has_clique_at_least(complement_adj(adj), t + 1):
+        return f"has independence number above {t}"
+    if not arrows_adj(adj, entries):
+        return f"does not arrow ({', '.join(map(str, entries))})"
+    return None
+
+
 def plus_clique_descent(maximals, avec, q, t, workers=1):
     """All graphs of the family (avec; q; same order; independence <= t)
     whose every missing edge completes a new (q-1)-clique, one per
@@ -358,12 +370,9 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     for g in seeds:
         if g.n != order:
             raise GraphError("descent seeds must share a vertex count")
-        if K.impl.has_clique_at_least(g.adj, q):
-            raise GraphError(f"seed has a K_{q}")
-        if K.impl.has_clique_at_least(complement_adj(g.adj), t + 1):
-            raise GraphError(f"seed has independence number above {t}")
-        if not arrows_adj(g.adj, entries):
-            raise GraphError(f"seed does not arrow ({', '.join(map(str, entries))})")
+        defect = family_defect(g.adj, entries, q, t)
+        if defect:
+            raise GraphError(f"seed {defect}")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
             enter([canonical_line(g.adj)])
@@ -464,12 +473,15 @@ def attach_vertices(h: Graph, masks) -> Graph:
 
 
 def _extension_worker(task):
-    """Extend each host line of a chunk; the set of their output lines."""
-    lines, entries, q, r, t = task
+    """Extend each host line of a chunk (if ``cone_free``, each cone-free
+    one); the set of their output lines."""
+    lines, entries, q, r, t, cone_free = task
     impl = K.impl
     results = set()
     for line in lines:
         h = from_graph6(line)
+        if cone_free and cone_vertex_count(h):
+            continue
         for masks in valid_multisets(h, q, r, t):
             # built from a validated host, so the adjacency skips Graph's checks
             adj = _attach_adj(h.adj, masks)
@@ -478,12 +490,18 @@ def _extension_worker(task):
     return results
 
 
-def _extend_hosts(host_lines, spec, workers):
+def _extend(spec, seeds, workers, descended, cone_free=False):
+    """Order-check ``seeds``, extend ``descended`` or their descent (cone-free
+    hosts only under ``cone_free``); the output and the plus-clique set."""
+    _check_input_order(seeds, spec.n - spec.r, "input family")
+    if descended is None:
+        descended = plus_clique_descent(seeds, spec.decremented(), spec.q, spec.t, workers=workers)
+    hosts = descended.lines()
     # about four chunks per worker, so a few hosts still spread over them
-    size = max(1, -(-len(host_lines) // (4 * max(workers, 1))))
+    size = max(1, -(-len(hosts) // (4 * max(workers, 1))))
     chunks = [
-        (host_lines[i : i + size], spec.avec.entries, spec.q, spec.r, spec.t)
-        for i in range(0, len(host_lines), size)
+        (hosts[i : i + size], spec.avec.entries, spec.q, spec.r, spec.t, cone_free)
+        for i in range(0, len(hosts), size)
     ]
     out = GraphSet()
 
@@ -492,7 +510,7 @@ def _extend_hosts(host_lines, spec, workers):
             out.insert_canonical(line)
 
     _dispatch(_extension_worker, chunks, give, workers)
-    return out
+    return out, descended
 
 
 def _check_input_order(seeds, expected, what):
@@ -506,14 +524,7 @@ def generate_family(spec: FamilySpec, seeds, workers=1, descended=None) -> Algor
     from the complete maximal family of the decremented vector on n - r
     vertices.  ``descended`` may carry a precomputed plus-clique set for the
     input family (e.g. reloaded from a checkpoint)."""
-    seeds = list(seeds)
-    _check_input_order(seeds, spec.n - spec.r, "input family")
-    aprime = descended
-    if aprime is None:
-        aprime = plus_clique_descent(
-            seeds, spec.decremented(), spec.q, spec.t, workers=workers
-        )
-    output = _extend_hosts(aprime.lines(), spec, workers)
+    output, aprime = _extend(spec, list(seeds), workers, descended)
     return AlgorithmResult(output=output, plus_clique=aprime)
 
 
@@ -526,15 +537,8 @@ def generate_family_cone_split(
     q - 1 on n - 1 vertices; it contributes the coned outputs directly."""
     seeds = list(seeds)
     cone_seeds = list(cone_seeds)
-    _check_input_order(seeds, spec.n - spec.r, "input family")
     _check_input_order(cone_seeds, spec.n - 1, "cone input family")
-    aprime = descended
-    if aprime is None:
-        aprime = plus_clique_descent(
-            seeds, spec.decremented(), spec.q, spec.t, workers=workers
-        )
-    hosts = [line for line in aprime.lines() if cone_vertex_count(from_graph6(line)) == 0]
-    output = _extend_hosts(hosts, spec, workers)
+    output, aprime = _extend(spec, seeds, workers, descended, cone_free=True)
     entries = spec.avec.entries
     if spec.t > spec.r:
         for w in seeds:

@@ -103,9 +103,9 @@ def test_independence_cap():
 
 
 def test_independence_floor():
-    assert independence_floor((2, 2, 2, 4), 5, 18) == 3  # via R(3,5) = 14
-    assert independence_floor((2, 2, 2, 7), 9, 20) == 2
-    assert independence_floor((7, 7), 8, 28) == 3  # via R(3,8) = 28
+    assert independence_floor(5, 18) == 3  # via R(3,5) = 14
+    assert independence_floor(9, 20) == 2
+    assert independence_floor(8, 28) == 3  # via R(3,8) = 28
 
 
 def test_composite_lower_bound_values():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from folkman.graphs import (
@@ -125,6 +130,12 @@ def test_edge_edit_errors():
         g.add_edge(2, 2)
 
 
+def test_from_edges_rejects_endpoints_outside_the_vertex_range():
+    for edge in ((0, 3), (-1, 1)):
+        with pytest.raises(EdgeEditError, match="endpoint outside 0..2"):
+            Graph.from_edges(3, [edge])
+
+
 def test_graph6_basics():
     assert to_graph6(Graph.complete(1)) == "@"
     g = from_graph6("D??")
@@ -217,10 +228,31 @@ def test_relabel_rejects_a_non_permutation():
 
 
 def test_invariants_rejected():
-    with pytest.raises(AssertionError):
-        Graph(2, (1, 0))  # loop at 0
-    with pytest.raises(AssertionError):
-        Graph(2, (2, 0))  # asymmetric
+    with pytest.raises(GraphError, match="loop at vertex 0"):
+        Graph(2, (1, 0))
+    with pytest.raises(GraphError, match="asymmetric edge"):
+        Graph(2, (2, 0))
+    for row in (4, -1):
+        with pytest.raises(GraphError, match="outside 0..n-1"):
+            Graph(2, (row, 0))
+
+
+def test_invariants_rejected_under_optimize():
+    # python -O drops assert statements; the checks must not be asserts
+    code = (
+        "from folkman.graphs import Graph, GraphError\n"
+        "try:\n"
+        "    Graph(2, (2, 0))\n"
+        "except GraphError:\n"
+        "    print('rejected')\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "rejected\n"
 
 
 def test_graph6_padding_errors():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from folkman import pipeline, search
-from folkman.canon import GraphSet
+from folkman.canon import GraphSet, canonical_line
 from folkman.cli import main
 from folkman.graphs import Graph, from_graph6, to_graph6
 from folkman.pipeline import (
@@ -302,12 +302,22 @@ def test_file_base_roundtrip(tmp_path):
 
 
 def test_file_base_rejects_non_members(tmp_path):
-    seeds = tmp_path / "seeds.g6"
-    seeds.write_text(to_graph6(Graph.empty(3)) + "\n")
-    cfg = TINY_CONFIG.replace("kind = complete", f"kind = file\npath = {seeds}")
-    cfg_path = write_config(tmp_path, cfg)
-    with pytest.raises(ConfigError):
-        run_pipeline(cfg_path, tmp_path / "run")
+    # members of H(2; 4; 3) with independence <= 3 are K_4-free, arrow (2)
+    # and, being edge-maximal, gain a K_4 from every added edge
+    cases = [
+        (Graph.empty(3), "does not arrow (2)"),
+        (Graph.complete(4), "has a K_4"),
+        (Graph.from_edges(3, [(0, 1), (1, 2)]), "is not edge-maximal"),
+    ]
+    for i, (g, reason) in enumerate(cases):
+        seeds = tmp_path / f"seeds{i}.g6"
+        seeds.write_text(to_graph6(g) + "\n")
+        cfg = TINY_CONFIG.replace("kind = complete", f"kind = file\npath = {seeds}")
+        cfg_path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(cfg_path, tmp_path / f"run{i}")
+        line = canonical_line(g.adj)
+        assert str(err.value) == f"base k3: file member {line}: {reason}"
 
 
 def test_empty_base_flows_through(tmp_path):

@@ -130,11 +130,18 @@ def test_conditions_match_unfiltered_construction():
 
 def test_descent_seed_validation():
     seeds = graph_set_of([Graph.complete(5)])
-    with pytest.raises(GraphError):
-        plus_clique_descent(seeds, (3,), 5, 3)  # seed has a K_5
+    with pytest.raises(GraphError, match="seed has a K_5"):
+        plus_clique_descent(seeds, (3,), 5, 3)
+    # K_4 plus an isolated vertex
+    seeds = graph_set_of([Graph.from_edges(5, Graph.complete(4).edges())])
+    with pytest.raises(GraphError, match="seed has independence number above 1"):
+        plus_clique_descent(seeds, (3,), 5, 1)
     seeds = graph_set_of([Graph.empty(4)])
-    with pytest.raises(GraphError):
-        plus_clique_descent(seeds, (3,), 5, 3)  # seed does not arrow
+    with pytest.raises(GraphError, match="seed has independence number above 3"):
+        plus_clique_descent(seeds, (3,), 5, 3)
+    seeds = graph_set_of([Graph.cycle(5)])
+    with pytest.raises(GraphError, match=r"seed does not arrow \(3\)"):
+        plus_clique_descent(seeds, (3,), 5, 3)
 
 
 # q = 4..6 and multi-entry vectors
@@ -303,10 +310,19 @@ def test_generate_family_chain_matches_brute_force_n7():
     assert out.output.lines() == brute.lines()
 
 
-def test_cone_split_equals_plain_on_q4():
+def test_cone_split_equals_plain_on_q4(monkeypatch):
     # (spec, seeds, cone seeds, hosts, cone-free hosts): every host of n = 5
     # is coned, while n = 8 makes the cone split extend its 21 cone-free
     # hosts and skip the other 9
+    extended = []
+    real_valid_multisets = search.valid_multisets
+
+    def counted(h, *args):
+        extended.append(h)
+        return real_valid_multisets(h, *args)
+
+    # the count is seen in-process only, so at one worker
+    monkeypatch.setattr(search, "valid_multisets", counted)
     cases = [
         (
             spec((3,), 4, 5, 2, 3),
@@ -324,14 +340,18 @@ def test_cone_split_equals_plain_on_q4():
         ),
     ]
     for sp, seeds, cone_seeds, hosts, cone_free in cases:
+        extended.clear()
         plain = generate_family(sp, seeds)
-        assert len(plain.plus_clique) == hosts
+        assert len(plain.plus_clique) == hosts == len(extended)
         assert sum(cone_vertex_count(h) == 0 for h in plain.plus_clique) == cone_free
         want = maximal_family_exhaustive((3,), 4, sp.n, 3).lines()
         assert plain.output.lines() == want
         for workers in (1, 2):
+            extended.clear()
             split = generate_family_cone_split(sp, seeds, cone_seeds, workers=workers)
             assert split.output.lines() == want, (sp.n, workers)
+            if workers == 1:
+                assert len(extended) == cone_free, sp.n
 
 
 def test_outputs_satisfy_family_contracts():
