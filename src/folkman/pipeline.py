@@ -422,6 +422,8 @@ class Runner:
         for line in graphs.lines():
             g = from_graph6(line)
             defect = family_defect(g.adj, fam.avec, fam.q, fam.t)
+            if defect is None and g.n != fam.n:
+                defect = f"has {g.n} vertices, family has {fam.n}"
             if defect is None and not is_plus_kt(g, fam.q):
                 defect = "is not edge-maximal"
             if defect:

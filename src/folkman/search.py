@@ -32,12 +32,16 @@ Two cooperating constructions:
   cone-vertex-free hosts and recovers the coned part of the family directly
   from the one-smaller and one-sparser families.
 
-Both constructions run their work units through ``_dispatch``: one line
+Both constructions run their work units through ``_dispatch``: one class
 of the descent, or one chunk of extension hosts, per task.  Under
 workers > 1 the tasks run on one fork pool, shared by every call made
 inside a ``worker_pool`` block (a pipeline run opens one for the whole
-run).  The descent's work list is a stack of the lines not yet expanded;
-a line is pushed when it first enters the result.  Results merge into sets
+run), and the descent ships its tasks in batches of up to 64 per message.
+The descent's work list is a stack of the classes not yet expanded, each
+held as the adjacency its worker built, so no class is decoded from graph6
+again; a class is pushed when its canonical line first enters the result.
+Every child test commutes with relabeling, so the children's lines do not
+depend on which labeling of a class is expanded.  Results merge into sets
 of canonical lines, so the output is identical for any worker count.
 """
 
@@ -108,8 +112,9 @@ class AlgorithmResult:
 class _Pool:
     """``workers`` forked processes, each running the tasks sent down its own
     pipe in order.  Unlike ``multiprocessing.Pool``, no thread relays the
-    tasks and results, so a round trip costs two process wake-ups; the
-    descent makes one per class it expands."""
+    tasks and results, so a round trip costs two process wake-ups.  Each
+    message carries a batch of tasks and its reply the list of their
+    results; the descent batches up to 64 of the classes it expands."""
 
     def __init__(self, workers):
         ctx = multiprocessing.get_context("fork")
@@ -141,11 +146,11 @@ class _Pool:
 def _serve(conn):
     while True:
         try:
-            fn, task = conn.recv()
+            fn, batch = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, fn(task))
+            reply = (True, [fn(task) for task in batch])
         except Exception as exc:
             import traceback
 
@@ -182,13 +187,16 @@ def worker_pool(workers):
         pool.close()
 
 
-def _dispatch(fn, tasks, give, workers):
+def _dispatch(fn, tasks, give, workers, batch=1):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
     first, until the list is empty with no task in flight.  give() may push
     new tasks onto the list.  Under workers > 1 each worker of the
-    worker_pool holds one task at a time, popped the moment it is free, and
-    results are given in completion order; a task that raises raises here.
-    Under workers <= 1 each task runs in-process as it is popped."""
+    worker_pool holds one batch at a time: the moment it is free it is sent
+    up to min(batch, max(1, len(tasks) // (2 * workers))) tasks popped in
+    one message, so a long list costs few round trips while a short one
+    still spreads over the workers.  Results are given in completion order,
+    a batch's in the order its tasks were popped; a task that raises raises
+    here.  Under workers <= 1 each task runs in-process as it is popped."""
     if workers <= 1:
         while tasks:
             give(fn(tasks.pop()))
@@ -202,8 +210,9 @@ def _dispatch(fn, tasks, give, workers):
         try:
             while True:
                 while idle and tasks:
+                    k = min(batch, max(1, len(tasks) // (2 * workers)))
                     conn = idle.pop()
-                    conn.send((fn, tasks.pop()))
+                    conn.send((fn, [tasks.pop() for _ in range(k)]))
                     running.add(conn)
                 if not running:
                     return
@@ -217,7 +226,8 @@ def _dispatch(fn, tasks, give, workers):
                     if not ok:
                         exc, where = value
                         raise exc from RuntimeError(f"in a worker process:\n{where}")
-                    give(value)
+                    for result in value:
+                        give(result)
         except BaseException:
             # Tasks left running would answer the next call: end them now.
             # A later call inside the same worker_pool block forks anew.
@@ -244,9 +254,10 @@ def _orbit_rows(adj):
 
 
 def _descent_worker(task):
-    line, entries, q, t = task
-    g = from_graph6(line)
-    n, adj = g.n, g.adj
+    """The children of one class: sorted (canonical line, adjacency) pairs,
+    one per child class, each adjacency as built here from ``adj``."""
+    adj, entries, q, t = task
+    n = len(adj)
     impl = K.impl
     cadj = list(complement_adj(adj))
     deg = [row.bit_count() for row in adj]
@@ -257,24 +268,31 @@ def _descent_worker(task):
     # neighbours, degree sum) in C, packed into one int (degree sums stay
     # below 1 << 7 on 64 vertices).  Each class is still reached: from the
     # class of C + xy for its largest-key xy.  P's non-edges are listed
-    # once, largest key first.
-    gaps = sorted(
-        (
-            ((adj[x] & adj[y]).bit_count() << 7 | (deg[x] + deg[y]), x, y)
-            for x in range(n)
-            for y in bits_of(~adj[x] & (g.full_mask() >> (x + 1) << (x + 1)))
-        ),
-        reverse=True,
-    )
+    # once, largest key first.  (Bits are iterated inline here and in the
+    # edge loop below: a generator costs more than the work per bit.)
+    gaps = []
+    full = (1 << n) - 1
+    for x in range(n):
+        ax, dx = adj[x], deg[x]
+        rest = ~ax & full >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            y = b.bit_length() - 1
+            gaps.append(((ax & adj[y]).bit_count() << 7 | (dx + deg[y]), x, y))
+    gaps.sort(reverse=True)
     readd = [
         (k, 1 << x | 1 << y)
         for k, x, y in gaps
         if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2)
     ]
-    children = set()
+    children = {}
     for u, row in enumerate(_orbit_rows(adj)):
-        for v in bits_of(row):
-            bu, bv = 1 << u, 1 << v
+        bu = 1 << u
+        while row:
+            bv = row & -row
+            row ^= bv
+            v = bv.bit_length() - 1
             uv = bu | bv
             key = (adj[u] & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
             # A re-addable non-edge of P away from u and v stays one in C
@@ -327,8 +345,8 @@ def _descent_worker(task):
                     outranked = True
                     break
             if not outranked:
-                children.add(canonical_line(child))
-    return sorted(children)
+                children.setdefault(canonical_line(child), tuple(child))
+    return sorted(children.items())
 
 
 def family_defect(adj, entries, q, t):
@@ -357,15 +375,16 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
         return result
     order = seeds[0].n
     # Workers pass on plus-clique members only, so every line they return
-    # belongs in the result, and a line goes on the work list only when it
-    # first enters the result: each class is expanded once.  The list is
-    # popped last in, first out, so it stays small.
+    # belongs in the result, and a class goes on the work list, as the
+    # adjacency that came with its line, only when the line first enters
+    # the result: each class is expanded once.  The list is popped last in,
+    # first out, so it stays small.
     tasks = []
 
-    def enter(lines):
-        for line in lines:
+    def enter(children):
+        for line, adj in children:
             if result.insert_canonical(line):
-                tasks.append((line, entries, q, t))
+                tasks.append((adj, entries, q, t))
 
     for g in seeds:
         if g.n != order:
@@ -375,8 +394,8 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
             raise GraphError(f"seed {defect}")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
-            enter([canonical_line(g.adj)])
-    _dispatch(_descent_worker, tasks, enter, workers)
+            enter([(canonical_line(g.adj), g.adj)])
+    _dispatch(_descent_worker, tasks, enter, workers, batch=64)
     return result
 
 

@@ -302,11 +302,13 @@ def test_file_base_roundtrip(tmp_path):
 
 
 def test_file_base_rejects_non_members(tmp_path):
-    # members of H(2; 4; 3) with independence <= 3 are K_4-free, arrow (2)
-    # and, being edge-maximal, gain a K_4 from every added edge
+    # members of H(2; 4; 3) with independence <= 3 are K_4-free, arrow (2),
+    # have 3 vertices and, being edge-maximal, gain a K_4 from every added
+    # edge
     cases = [
         (Graph.empty(3), "does not arrow (2)"),
         (Graph.complete(4), "has a K_4"),
+        (Graph.complete(4).remove_edge(0, 1), "has 4 vertices, family has 3"),
         (Graph.from_edges(3, [(0, 1), (1, 2)]), "is not edge-maximal"),
     ]
     for i, (g, reason) in enumerate(cases):

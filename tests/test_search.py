@@ -6,7 +6,7 @@ import pytest
 
 from folkman import _kernels
 from folkman.arrowing import ArrowVector, arrows
-from folkman.canon import GraphSet, canonical_form, graph_set_of
+from folkman.canon import GraphSet, canonical_form, canonical_line, graph_set_of
 from folkman.cliques import (
     clique_number,
     cone_vertex_count,
@@ -17,7 +17,7 @@ from folkman.cliques import (
     maximal_kt_free_subsets,
 )
 from folkman.generate import maximal_family_exhaustive
-from folkman.graphs import Graph, GraphError, bits_of, from_graph6, join
+from folkman.graphs import Graph, GraphError, bits_of, join
 from folkman import search
 from folkman.search import (
     FamilySpec,
@@ -32,7 +32,7 @@ from folkman.search import (
     valid_multisets,
     worker_pool,
 )
-from tests.conftest import complete_less_matching
+from tests.conftest import complete_less_matching, random_permuted
 from tests.oracles import plus_clique_descent_reference, twin_swap_edge_orbits
 
 
@@ -216,7 +216,7 @@ def test_descent_expands_each_class_once(monkeypatch):
     expanded = Counter()
 
     def counting(task):
-        expanded[task[0]] += 1
+        expanded[canonical_line(task[0])] += 1
         return _descent_worker(task)
 
     monkeypatch.setattr(search, "_descent_worker", counting)
@@ -230,6 +230,66 @@ def test_descent_expands_each_class_once(monkeypatch):
         got = plus_clique_descent(seeds, avec, q, t)
         assert sorted(expanded) == got.lines(), (avec, q, t)
         assert set(expanded.values()) == {1}, (avec, q, t)
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_descent_worker_children_do_not_depend_on_labeling(backend, monkeypatch, rng):
+    # the work list holds a class as the labeling its parent's worker built,
+    # so a class must give the same child lines from any of its labelings;
+    # each child comes with a labeling of its own line's class
+    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    cases = []
+    for avec, q, n, t in DESCENT_CONFIGS:
+        members = plus_clique_descent(maximal_family_exhaustive(avec, q, n, t), avec, q, t)
+        picked = rng.sample(members.graphs(), min(8, len(members)))
+        cases += [(g, avec, q, t) for g in picked]
+    cases.append((Graph.complete(7), (3,), 8, 2))
+    children = 0
+    for g, avec, q, t in cases:
+        entries = ArrowVector(avec).canonical().entries
+        want = [line for line, _ in _descent_worker((g.adj, entries, q, t))]
+        for _ in range(4):
+            got = _descent_worker((random_permuted(rng, g).adj, entries, q, t))
+            assert [line for line, _ in got] == want, (avec, q, t, canonical_form(g))
+            assert all(canonical_line(adj) == line for line, adj in got)
+        children += len(want)
+    assert children
+
+
+class _RecordingPool(search._Pool):
+    """A pool that records the batch of tasks in each message it sends."""
+
+    sent = []
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        for conn in self.conns:
+            conn.send = self._recording(conn.send)
+
+    @classmethod
+    def _recording(cls, send):
+        def record(message):
+            cls.sent.append(message[1])
+            return send(message)
+
+        return record
+
+
+def test_descent_ships_classes_in_batches(monkeypatch):
+    # the work list of this descent peaks at about two dozen classes, so an
+    # idle worker is sent several per message; each class is still expanded
+    # once, and the result is the one-worker result
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    seeds = maximal_family_exhaustive((3,), 4, 8, 3)
+    want = plus_clique_descent(seeds, (3,), 4, 3).lines()
+    assert len(want) == 707
+    for workers in (2, 3):
+        _RecordingPool.sent.clear()
+        got = plus_clique_descent(seeds, (3,), 4, 3, workers=workers)
+        assert got.lines() == want, workers
+        sent = _RecordingPool.sent
+        assert sorted(canonical_line(task[0]) for batch in sent for task in batch) == want
+        assert len(sent) < len(want), workers
 
 
 def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
@@ -458,10 +518,21 @@ def test_worker_pool_ends_when_the_block_raises():
         assert not multiprocessing.active_children()
 
 
+def _edge_count(adj):
+    return sum(row.bit_count() for row in adj) // 2
+
+
 def _descent_worker_failing_low(task):
     # K_7 passes; its child, one edge down, fails
-    if from_graph6(task[0]).edge_count() < 21:
+    if _edge_count(task[0]) < 21:
         raise ValueError("worker failed")
+    return _descent_worker(task)
+
+
+def _descent_worker_failing_deep(task):
+    # on 8 vertices, past the depth where the work list holds many classes
+    if _edge_count(task[0]) < 16:
+        raise ValueError("worker failed deep")
     return _descent_worker(task)
 
 
@@ -481,6 +552,18 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
         monkeypatch.undo()
         assert plus_clique_descent(seeds, (3,), 8, 2, workers=2).lines() == want
     assert not multiprocessing.active_children()
+    # a task that fails inside a batch of several raises the same way
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    monkeypatch.setattr(search, "_descent_worker", _descent_worker_failing_deep)
+    _RecordingPool.sent.clear()
+    seeds = maximal_family_exhaustive((3,), 4, 8, 3)
+    with pytest.raises(ValueError, match="worker failed deep"):
+        plus_clique_descent(seeds, (3,), 4, 3, workers=2)
+    assert not multiprocessing.active_children()
+    assert any(
+        len(batch) > 1 and any(_edge_count(task[0]) < 16 for task in batch)
+        for batch in _RecordingPool.sent
+    )
 
 
 def test_worker_exit_raises_instead_of_hanging():
