@@ -33,10 +33,10 @@ Two cooperating constructions:
   from the one-smaller and one-sparser families.
 
 Both constructions run their work units through ``_dispatch``: one class
-of the descent, or one chunk of extension hosts, per task.  Under
-workers > 1 the tasks run on one fork pool, shared by every call made
-inside a ``worker_pool`` block (a pipeline run opens one for the whole
-run), and the descent ships its tasks in batches of up to 64 per message.
+of the descent, or one extension host, per task.  Under workers > 1 the
+tasks run on one fork pool, shared by every call made inside a
+``worker_pool`` block (a pipeline run opens one for the whole run), and
+an idle worker is sent up to ``_BATCH`` tasks per message.
 The descent's work list is a stack of the classes not yet expanded, each
 held as the adjacency its worker built, so no class is decoded from graph6
 again; a class is pushed when its canonical line first enters the result.
@@ -50,6 +50,7 @@ from __future__ import annotations
 import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize
@@ -114,7 +115,8 @@ class _Pool:
     pipe in order.  Unlike ``multiprocessing.Pool``, no thread relays the
     tasks and results, so a round trip costs two process wake-ups.  Each
     message carries a batch of tasks and its reply the list of their
-    results; the descent batches up to 64 of the classes it expands."""
+    results.  A worker closes the parent's ends of the pool's pipes, so it
+    sees EOF and exits when the parent dies without closing the pool."""
 
     def __init__(self, workers):
         ctx = multiprocessing.get_context("fork")
@@ -124,7 +126,7 @@ class _Pool:
         try:
             for _ in range(workers):
                 ours, theirs = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+                proc = ctx.Process(target=_serve, args=(theirs, self.conns + [ours]), daemon=True)
                 proc.start()
                 theirs.close()
                 self.conns.append(ours)
@@ -143,7 +145,9 @@ class _Pool:
             proc.join()
 
 
-def _serve(conn):
+def _serve(conn, parent_ends):
+    for end in parent_ends:
+        end.close()
     while True:
         try:
             fn, batch = conn.recv()
@@ -187,16 +191,20 @@ def worker_pool(workers):
         pool.close()
 
 
-def _dispatch(fn, tasks, give, workers, batch=1):
+_BATCH = 64  # most tasks sent to a worker in one message
+
+
+def _dispatch(fn, tasks, give, workers):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
     first, until the list is empty with no task in flight.  give() may push
     new tasks onto the list.  Under workers > 1 each worker of the
     worker_pool holds one batch at a time: the moment it is free it is sent
-    up to min(batch, max(1, len(tasks) // (2 * workers))) tasks popped in
+    up to min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks popped in
     one message, so a long list costs few round trips while a short one
-    still spreads over the workers.  Results are given in completion order,
-    a batch's in the order its tasks were popped; a task that raises raises
-    here.  Under workers <= 1 each task runs in-process as it is popped."""
+    still spreads over the workers.  A task is one item; the constants of
+    the call go on ``fn`` (a ``partial``).  Results are given in completion
+    order, a batch's in the order its tasks were popped; a task that raises
+    raises here.  Under workers <= 1 each task runs in-process as it is popped."""
     if workers <= 1:
         while tasks:
             give(fn(tasks.pop()))
@@ -210,7 +218,7 @@ def _dispatch(fn, tasks, give, workers, batch=1):
         try:
             while True:
                 while idle and tasks:
-                    k = min(batch, max(1, len(tasks) // (2 * workers)))
+                    k = min(_BATCH, max(1, len(tasks) // (2 * workers)))
                     conn = idle.pop()
                     conn.send((fn, [tasks.pop() for _ in range(k)]))
                     running.add(conn)
@@ -253,10 +261,9 @@ def _orbit_rows(adj):
     ]
 
 
-def _descent_worker(task):
-    """The children of one class: sorted (canonical line, adjacency) pairs,
-    one per child class, each adjacency as built here from ``adj``."""
-    adj, entries, q, t = task
+def _descent_worker(entries, q, t, adj):
+    """The children of ``adj`` in (entries; q; t): sorted (canonical line,
+    adjacency) pairs, one per child class, each adjacency as built here."""
     n = len(adj)
     impl = K.impl
     cadj = list(complement_adj(adj))
@@ -384,7 +391,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     def enter(children):
         for line, adj in children:
             if result.insert_canonical(line):
-                tasks.append((adj, entries, q, t))
+                tasks.append(adj)
 
     for g in seeds:
         if g.n != order:
@@ -395,7 +402,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
             enter([(canonical_line(g.adj), g.adj)])
-    _dispatch(_descent_worker, tasks, enter, workers, batch=64)
+    _dispatch(partial(_descent_worker, entries, q, t), tasks, enter, workers)
     return result
 
 
@@ -491,44 +498,37 @@ def attach_vertices(h: Graph, masks) -> Graph:
     return Graph(h.n + len(masks), _attach_adj(h.adj, masks))
 
 
-def _extension_worker(task):
-    """Extend each host line of a chunk (if ``cone_free``, each cone-free
-    one); the set of their output lines."""
-    lines, entries, q, r, t, cone_free = task
+def _extension_worker(entries, q, r, t, cone_free, line):
+    """The set of output lines of one host line (none for a coned host
+    under ``cone_free``)."""
     impl = K.impl
     results = set()
-    for line in lines:
-        h = from_graph6(line)
-        if cone_free and cone_vertex_count(h):
-            continue
-        for masks in valid_multisets(h, q, r, t):
-            # built from a validated host, so the adjacency skips Graph's checks
-            adj = _attach_adj(h.adj, masks)
-            if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
-                results.add(canonical_line(adj))
+    h = from_graph6(line)
+    if cone_free and cone_vertex_count(h):
+        return results
+    for masks in valid_multisets(h, q, r, t):
+        # built from a validated host, so the adjacency skips Graph's checks
+        adj = _attach_adj(h.adj, masks)
+        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+            results.add(canonical_line(adj))
     return results
 
 
 def _extend(spec, seeds, workers, descended, cone_free=False):
     """Order-check ``seeds``, extend ``descended`` or their descent (cone-free
-    hosts only under ``cone_free``); the output and the plus-clique set."""
+    hosts only under ``cone_free``), one host line per task; the output and
+    the plus-clique set."""
     _check_input_order(seeds, spec.n - spec.r, "input family")
     if descended is None:
         descended = plus_clique_descent(seeds, spec.decremented(), spec.q, spec.t, workers=workers)
-    hosts = descended.lines()
-    # about four chunks per worker, so a few hosts still spread over them
-    size = max(1, -(-len(hosts) // (4 * max(workers, 1))))
-    chunks = [
-        (hosts[i : i + size], spec.avec.entries, spec.q, spec.r, spec.t, cone_free)
-        for i in range(0, len(hosts), size)
-    ]
     out = GraphSet()
 
     def give(lines):
         for line in lines:
             out.insert_canonical(line)
 
-    _dispatch(_extension_worker, chunks, give, workers)
+    worker = partial(_extension_worker, spec.avec.entries, spec.q, spec.r, spec.t, cone_free)
+    _dispatch(worker, descended.lines(), give, workers)
     return out, descended
 
 

@@ -1,6 +1,11 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -215,9 +220,9 @@ def test_descent_expands_each_class_once(monkeypatch):
     # expand its class (and its whole subtree) once per parent
     expanded = Counter()
 
-    def counting(task):
-        expanded[canonical_line(task[0])] += 1
-        return _descent_worker(task)
+    def counting(entries, q, t, adj):
+        expanded[canonical_line(adj)] += 1
+        return _descent_worker(entries, q, t, adj)
 
     monkeypatch.setattr(search, "_descent_worker", counting)
     cases = [
@@ -247,9 +252,9 @@ def test_descent_worker_children_do_not_depend_on_labeling(backend, monkeypatch,
     children = 0
     for g, avec, q, t in cases:
         entries = ArrowVector(avec).canonical().entries
-        want = [line for line, _ in _descent_worker((g.adj, entries, q, t))]
+        want = [line for line, _ in _descent_worker(entries, q, t, g.adj)]
         for _ in range(4):
-            got = _descent_worker((random_permuted(rng, g).adj, entries, q, t))
+            got = _descent_worker(entries, q, t, random_permuted(rng, g).adj)
             assert [line for line, _ in got] == want, (avec, q, t, canonical_form(g))
             assert all(canonical_line(adj) == line for line, adj in got)
         children += len(want)
@@ -288,8 +293,28 @@ def test_descent_ships_classes_in_batches(monkeypatch):
         got = plus_clique_descent(seeds, (3,), 4, 3, workers=workers)
         assert got.lines() == want, workers
         sent = _RecordingPool.sent
-        assert sorted(canonical_line(task[0]) for batch in sent for task in batch) == want
+        assert sorted(canonical_line(adj) for batch in sent for adj in batch) == want
         assert len(sent) < len(want), workers
+
+
+def test_extension_ships_hosts_in_batches(monkeypatch):
+    # a task is one host line, and an idle worker is sent several per
+    # message while many remain; each host is still extended once, and the
+    # output is the one-worker output
+    sp = spec((3,), 4, 8, 2, 3)
+    seeds = maximal_family_exhaustive((2,), 4, 6, 3)
+    descended = plus_clique_descent(seeds, (2,), 4, 3)
+    hosts = descended.lines()
+    assert len(hosts) == 30
+    want = generate_family(sp, seeds).output.lines()
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    for workers in (2, 3):
+        _RecordingPool.sent.clear()
+        got = generate_family(sp, seeds, workers=workers, descended=descended)
+        assert got.output.lines() == want, workers
+        sent = _RecordingPool.sent
+        assert sorted(line for batch in sent for line in batch) == hosts, workers
+        assert len(sent) < len(hosts), workers
 
 
 def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
@@ -522,18 +547,18 @@ def _edge_count(adj):
     return sum(row.bit_count() for row in adj) // 2
 
 
-def _descent_worker_failing_low(task):
+def _descent_worker_failing_low(entries, q, t, adj):
     # K_7 passes; its child, one edge down, fails
-    if _edge_count(task[0]) < 21:
+    if _edge_count(adj) < 21:
         raise ValueError("worker failed")
-    return _descent_worker(task)
+    return _descent_worker(entries, q, t, adj)
 
 
-def _descent_worker_failing_deep(task):
+def _descent_worker_failing_deep(entries, q, t, adj):
     # on 8 vertices, past the depth where the work list holds many classes
-    if _edge_count(task[0]) < 16:
+    if _edge_count(adj) < 16:
         raise ValueError("worker failed deep")
-    return _descent_worker(task)
+    return _descent_worker(entries, q, t, adj)
 
 
 def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
@@ -561,7 +586,7 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
         plus_clique_descent(seeds, (3,), 4, 3, workers=2)
     assert not multiprocessing.active_children()
     assert any(
-        len(batch) > 1 and any(_edge_count(task[0]) < 16 for task in batch)
+        len(batch) > 1 and any(_edge_count(adj) < 16 for adj in batch)
         for batch in _RecordingPool.sent
     )
 
@@ -570,6 +595,57 @@ def test_worker_exit_raises_instead_of_hanging():
     with pytest.raises(RuntimeError, match="exited"):
         _dispatch(os._exit, [3], None, 2)
     assert not multiprocessing.active_children()
+
+
+def _start_time(pid):
+    """The start time of process ``pid``, or None once it has exited (a
+    zombie counts as exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return None if fields[0] == "Z" else fields[19]
+
+
+def test_pool_workers_exit_when_the_parent_dies(tmp_path):
+    # a parent that dies without closing its pool (a signal, the OOM
+    # killer, os._exit) must not leave its workers asleep on their pipes
+    pids = tmp_path / "pids"
+    script = (
+        "import os\n"
+        "from folkman.search import _Pool\n"
+        "pool = _Pool(2)\n"
+        f"with open({str(pids)!r}, 'w') as f:\n"
+        "    f.write(' '.join(str(p.pid) for p in pool.procs))\n"
+        "os._exit(0)\n"
+    )
+    src = str(Path(search.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # an inherited stdout pipe would stay open as long as a worker lives
+    subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=60,
+    )
+    # a pid is matched with its start time, so a reused pid is not taken
+    # for a worker
+    started = {pid: _start_time(pid) for pid in map(int, pids.read_text().split())}
+    assert len(started) == 2
+
+    def running():
+        return [pid for pid, at in started.items() if at and _start_time(pid) == at]
+
+    try:
+        deadline = time.monotonic() + 5
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running()
+    finally:
+        for pid in running():
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_join_example_host():
