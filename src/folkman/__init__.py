@@ -3,7 +3,7 @@ number bound calculus on bitset graphs of at most 64 vertices."""
 
 from ._kernels import backend_name
 from .arrowing import ArrowVector, arrows, find_free_partition
-from .canon import GraphSet, canonical_form, merge
+from .canon import GraphSet, canonical_form
 from .cliques import (
     clique_number,
     has_clique,
@@ -30,6 +30,5 @@ __all__ = [
     "is_plus_kt",
     "join",
     "maximal_kt_free_subsets",
-    "merge",
     "to_graph6",
 ]

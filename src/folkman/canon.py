@@ -41,9 +41,6 @@ class GraphSet:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, g: Graph) -> bool:
-        return canonical_line(g.adj) in self._members
-
     def __iter__(self) -> Iterator[Graph]:
         for line in self.lines():
             yield from_graph6(line)
@@ -62,9 +59,6 @@ class GraphSet:
 
     def lines(self) -> list[str]:
         return sorted(self._members)
-
-    def graphs(self) -> list[Graph]:
-        return list(self)
 
     def update(self, other: "GraphSet") -> None:
         self._members |= other._members
@@ -92,14 +86,6 @@ class GraphSet:
         for line in graph6_lines(path):
             out.insert_canonical(line)
         return out
-
-
-def merge(a: GraphSet, b: GraphSet) -> GraphSet:
-    """Union of isomorphism classes (commutative, associative, idempotent)."""
-    out = GraphSet()
-    out.update(a)
-    out.update(b)
-    return out
 
 
 def graph_set_of(graphs: Iterable[Graph]) -> GraphSet:

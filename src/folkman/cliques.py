@@ -51,12 +51,6 @@ def has_clique(g: Graph, t: int) -> bool:
     return K.impl.has_clique_at_least(g.adj, t)
 
 
-def has_independent_set(g: Graph, t: int) -> bool:
-    if t < 0:
-        raise GraphError(f"independent set size {t} negative")
-    return K.impl.has_clique_at_least(complement_adj(g.adj), t)
-
-
 def is_plus_kt(g: Graph, t: int) -> bool:
     """True iff every missing edge would create a new t-clique (vacuously
     true for complete graphs)."""

@@ -13,8 +13,7 @@ and bound tests commute with it.  The per-level set of canonical lines stays
 the exact isomorph rejection.
 ``bounded_classes`` prunes each level to clique number below q and
 independence number at most t, both hereditary, so neither the pruning nor
-the degree test loses a class; ``graph_classes`` is the same scheme with
-bounds no graph of the order reaches.  ``maximal_family_exhaustive`` builds
+the degree test loses a class.  ``maximal_family_exhaustive`` builds
 its final level from the same child loop but filters it by maximality and
 arrowing before canonical labeling, so only the survivors are labeled.
 
@@ -29,11 +28,6 @@ from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
 from .cliques import complement_adj, twin_pairs
 from .graphs import Graph, GraphError, bits_of
-
-
-def graph_classes(n: int) -> list[Graph]:
-    """All isomorphism classes on exactly n vertices, canonically labeled."""
-    return bounded_classes(n, n + 2, n + 1)
 
 
 def _children(level, q: int, t: int):
@@ -92,7 +86,7 @@ def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
         out = GraphSet()
         for adj in _children(level, q, t):
             out.insert_canonical(canonical_line(adj))
-        level = out.graphs()
+        level = list(out)
     return level
 
 

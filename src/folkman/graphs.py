@@ -1,8 +1,8 @@
 """Immutable bitset graphs on at most 64 vertices, with graph6 I/O.
 
 Vertices are 0..n-1 and every vertex subset is an int bitmask, so set algebra
-is plain integer arithmetic.  Graphs are values: every edit returns a new
-graph, which makes sharing across worker processes safe.
+is plain integer arithmetic.  Graphs are immutable values, which makes
+sharing across worker processes safe.
 """
 
 from __future__ import annotations
@@ -20,21 +20,10 @@ class CapacityError(GraphError):
     """More than 64 vertices requested."""
 
 
-class EdgeEditError(GraphError):
-    """Edge edit precondition violated (loop, missing or duplicate edge)."""
-
-
 class Graph6ParseError(GraphError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -95,15 +84,6 @@ class Graph:
             n, tuple((1 << ((v + 1) % n)) | (1 << ((v - 1) % n)) for v in range(n))
         )
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [0] * n
-        for u, v in edges:
-            cls._check_pair(n, u, v)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, adj)
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other):
@@ -122,24 +102,9 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in bits_of(self.adj[u] >> (u + 1) << (u + 1)):
-                yield (u, v)
-
-    def non_edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            rest = self.full_mask() >> (u + 1) << (u + 1)
-            for v in bits_of(rest & ~self.adj[u]):
                 yield (u, v)
 
     # -- construction operators --------------------------------------------
@@ -147,10 +112,11 @@ class Graph:
     def complement(self) -> "Graph":
         return Graph._trusted(self.n, complement_adj(self.adj))
 
-    def induced(self, vertices) -> "Graph":
-        """Subgraph induced on a mask or iterable of vertices, relabeled to
-        0..k-1 in ascending original-index order."""
-        mask = self._as_mask(vertices)
+    def induced(self, mask: int) -> "Graph":
+        """Subgraph induced on a vertex mask, relabeled to 0..k-1 in
+        ascending original-index order."""
+        if mask < 0 or mask >> self.n:
+            raise GraphError(f"vertex set {bin(mask)} outside universe 0..{self.n - 1}")
         keep = list(bits_of(mask))
         pos = {v: i for i, v in enumerate(keep)}
         adj = [0] * len(keep)
@@ -159,27 +125,9 @@ class Graph:
                 adj[i] |= 1 << pos[u]
         return Graph._trusted(len(keep), tuple(adj))
 
-    def delete_vertices(self, vertices) -> "Graph":
-        mask = self._as_mask(vertices)
-        return self.induced(self.full_mask() & ~mask)
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        self._check_pair(self.n, u, v)
-        if self.has_edge(u, v):
-            raise EdgeEditError(f"edge [{u}, {v}] already present")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph._trusted(self.n, tuple(adj))
-
-    def remove_edge(self, u: int, v: int) -> "Graph":
-        self._check_pair(self.n, u, v)
-        if not self.has_edge(u, v):
-            raise EdgeEditError(f"edge [{u}, {v}] not present")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph._trusted(self.n, tuple(adj))
+    def delete_vertices(self, mask: int) -> "Graph":
+        # a mask outside the universe stays outside it, so induced() rejects it
+        return self.induced(self.full_mask() ^ mask)
 
     def relabel(self, perm) -> "Graph":
         """New graph with position i taking the role of old vertex perm[i]."""
@@ -193,19 +141,6 @@ class Graph:
             for u in bits_of(self.adj[v]):
                 adj[i] |= 1 << pos[u]
         return Graph._trusted(self.n, tuple(adj))
-
-    def _as_mask(self, vertices) -> int:
-        mask = vertices if isinstance(vertices, int) else mask_of(vertices)
-        if mask < 0 or mask >> self.n:
-            raise GraphError(f"vertex set {bin(mask)} outside universe 0..{self.n - 1}")
-        return mask
-
-    @staticmethod
-    def _check_pair(n, u, v):
-        if u == v:
-            raise EdgeEditError(f"loop [{u}, {v}]")
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeEditError(f"endpoint outside 0..{n - 1}")
 
 
 def complement_adj(adj) -> tuple:

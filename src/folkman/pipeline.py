@@ -10,7 +10,9 @@ descended plus-clique set): unless the run is fresh, an artifact is reused
 when both files exist, every manifest field other than ``seconds`` and
 ``produced_by`` equals what this run would write (the input digests
 included) and the graph6 file holds exactly ``count`` lines; otherwise it
-is rebuilt.
+is rebuilt.  A file base whose path is the artifact an earlier item wrote
+here reuses it as it stands, manifest included, when that manifest names
+the same family and the file holds ``count`` lines.
 
 Row summaries mirror the enumeration-table layout: one row per family with
 its edge-maximal count, the plus-clique count of the family, and both
@@ -321,7 +323,13 @@ def _reusable(meta: dict, fields: dict, path: Path) -> bool:
         return False
     if any(meta[k] != str(v) for k, v in fields.items() if k not in _UNCOMPARED):
         return False
-    if not (meta["count"].isdigit() and meta["cone_free_count"].isdigit()):
+    return _holds_count(meta, path)
+
+
+def _holds_count(meta: dict, path: Path) -> bool:
+    """The manifest's counts are numbers and the graph6 file holds exactly
+    ``count`` lines."""
+    if not (meta.get("count", "").isdigit() and meta.get("cone_free_count", "").isdigit()):
         return False
     with open(path, "rb") as fh:
         lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
@@ -389,14 +397,39 @@ class Runner:
 
     def _run_base(self, item: BaseItem) -> StepReport:
         report = StepReport(item.name, "base", item.family)
+        path = self.maximal_path(item.family)
+        meta_path = path.with_suffix(".meta")
+        # A file base naming the artifact an earlier item wrote here keeps it
+        # and its manifest, so that item still resumes on a rerun.
+        if item.kind == "file" and not self.fresh and meta_path.exists():
+            src, meta = self._base_file(item), read_manifest(meta_path)
+            if (
+                src.exists() and src.samefile(path)
+                and meta.get("family") == _family_line(item.family)
+                and _holds_count(meta, path)
+            ):
+                report.count = int(meta["count"])
+                report.cone_free_count = int(meta["cone_free_count"])
+                report.resumed = True
+                return report
         fields = dict(
             family=_family_line(item.family), kind=f"base:{item.kind}",
             produced_by=item.name, count=None, cone_free_count=None, seconds=None,
         )
         report.count, report.cone_free_count, report.resumed = self._artifact(
-            self.maximal_path(item.family), fields, lambda: self._build_base(item)
+            path, fields, lambda: self._build_base(item)
         )
         return report
+
+    def _base_file(self, item: BaseItem) -> Path:
+        """A file base's path, resolved against the run directory, then the
+        config directory, then as given."""
+        path = Path(item.path)
+        if not path.is_absolute():
+            for root in (self.dir, Path(self.cfg.config_dir)):
+                if (root / item.path).exists():
+                    return root / item.path
+        return path
 
     def _build_base(self, item: BaseItem) -> GraphSet:
         fam = item.family
@@ -408,14 +441,7 @@ class Runner:
             return maximal_family_exhaustive(fam.avec, fam.q, fam.n, fam.t)
         if item.kind == "extremal":
             return graph_set_of([folkman_value_at_m(fam.avec)[1]])
-        # file: resolved against the run directory, then the config directory,
-        # then as given
-        path = Path(item.path)
-        if not path.is_absolute():
-            for root in (self.dir, Path(self.cfg.config_dir)):
-                if (root / item.path).exists():
-                    path = root / item.path
-                    break
+        path = self._base_file(item)
         if not path.exists():
             raise ConfigError(f"base {item.name}: file {item.path} not found")
         graphs = GraphSet.load(path)

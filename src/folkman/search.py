@@ -266,7 +266,7 @@ def _descent_worker(entries, q, t, adj):
     adjacency) pairs, one per child class, each adjacency as built here."""
     n = len(adj)
     impl = K.impl
-    cadj = list(complement_adj(adj))
+    cadj = complement_adj(adj)
     deg = [row.bit_count() for row in adj]
     # Canonical parent (McKay, invariant half): C = P - uv is kept only if
     # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
@@ -324,13 +324,10 @@ def _descent_worker(entries, q, t, adj):
                 continue
             # independence cap: a new independent (t+1)-set must contain both
             # endpoints, i.e. a (t-1)-clique in their common complement
-            # neighbourhood
-            cadj[u] |= bv
-            cadj[v] |= bu
-            grew = impl.has_clique_within(cadj, cadj[u] & cadj[v] & ~bu & ~bv, t - 1)
-            cadj[u] &= ~bv
-            cadj[v] &= ~bu
-            if grew:
+            # neighbourhood.  That mask avoids u and v, and a clique search
+            # inside a mask reads only the rows of its vertices, which the
+            # child's complement shares with the parent's.
+            if impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1):
                 continue
             if not arrows_adj(child, entries):
                 continue

@@ -72,6 +72,53 @@ def _restore_kernel_backend():
     _kernels.impl = impl
 
 
+def mask_of(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def from_edges(n: int, edges) -> Graph:
+    """The graph on 0..n-1 with the given edges, through Graph's checks."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool((g.adj[u] >> v) & 1)
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.adj[v].bit_count()
+
+
+def edge_count(g: Graph) -> int:
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
+def non_edges(g: Graph):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not has_edge(g, u, v):
+                yield (u, v)
+
+
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """g with its non-edge uv added."""
+    assert u != v and not has_edge(g, u, v)
+    return from_edges(g.n, [*g.edges(), (u, v)])
+
+
+def remove_edge(g: Graph, u: int, v: int) -> Graph:
+    """g with its edge uv removed."""
+    assert has_edge(g, u, v)
+    return from_edges(g.n, [e for e in g.edges() if set(e) != {u, v}])
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     adj = [0] * n
     for u in range(n):
@@ -84,7 +131,7 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 def complete_less_matching(n):
     """K_n less the perfect matching {i, i + n/2}, n even."""
-    return Graph.from_edges(
+    return from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + n // 2]
     )
 
@@ -94,7 +141,7 @@ def graphs(draw, max_n):
     n = draw(st.integers(0, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
 
 
 def random_permuted(rng: random.Random, g: Graph) -> Graph:

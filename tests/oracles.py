@@ -19,8 +19,9 @@ test, except these, which call the engine's kernels or canonical labeling:
 * ``canonical_perm_reference`` is the canonical labeling search as it stood
   before its refinement and orbit bookkeeping were made incremental: the
   kernels must return its permutation exactly;
-* ``ramsey_graphs``, ``edge_completes_new_clique``, ``is_maximal_kq_free``
-  and ``arrows_after_deletion`` are small helpers the engine does not use;
+* ``graph_classes``, ``ramsey_graphs``, ``has_independent_set``,
+  ``edge_completes_new_clique``, ``is_maximal_kq_free`` and
+  ``arrows_after_deletion`` are small helpers the engine does not use;
   the tests state laws with them.
 """
 
@@ -30,16 +31,17 @@ from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
 from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_line
-from folkman.cliques import complement_adj, has_clique, has_independent_set, is_plus_kt
+from folkman.cliques import complement_adj, has_clique, is_plus_kt
 from folkman.generate import bounded_classes
-from folkman.graphs import EdgeEditError, Graph, GraphError, bits_of
+from folkman.graphs import Graph, GraphError, bits_of
+from tests.conftest import has_edge, mask_of, remove_edge
 
 
 def clique_number_brute(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):
         for sub in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            if all(has_edge(g, u, v) for u, v in combinations(sub, 2)):
                 return size
     return best
 
@@ -53,7 +55,7 @@ def has_mono_clique(g: Graph, mask: int, size: int) -> bool:
     if size == 2:
         return any(g.adj[v] & mask for v in vertices)
     for sub in combinations(vertices, size):
-        if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+        if all(has_edge(g, u, v) for u, v in combinations(sub, 2)):
             return True
     return False
 
@@ -74,6 +76,18 @@ def arrows_brute(g: Graph, entries) -> bool:
     return True
 
 
+def graph_classes(n: int) -> list[Graph]:
+    """All isomorphism classes on exactly n vertices, canonically labeled:
+    ``bounded_classes`` with bounds no graph of the order reaches."""
+    return bounded_classes(n, n + 2, n + 1)
+
+
+def has_independent_set(g: Graph, t: int) -> bool:
+    if t < 0:
+        raise GraphError(f"independent set size {t} negative")
+    return K.impl.has_clique_at_least(complement_adj(g.adj), t)
+
+
 def ramsey_graphs(k: int, l: int, n: int) -> list[Graph]:
     """Classes on n vertices with no K_k and no independent set of size l."""
     return bounded_classes(n, k, l - 1)
@@ -82,9 +96,9 @@ def ramsey_graphs(k: int, l: int, n: int) -> list[Graph]:
 def edge_completes_new_clique(g: Graph, u: int, v: int, t: int) -> bool:
     """Would adding the missing edge [u, v] create a new t-clique?"""
     if u == v:
-        raise EdgeEditError(f"loop [{u}, {v}]")
-    if g.has_edge(u, v):
-        raise EdgeEditError(f"edge [{u}, {v}] already present")
+        raise GraphError(f"loop [{u}, {v}]")
+    if has_edge(g, u, v):
+        raise GraphError(f"edge [{u}, {v}] already present")
     return K.impl.has_clique_within(g.adj, g.adj[u] & g.adj[v], t - 2)
 
 
@@ -104,12 +118,13 @@ def arrows_after_deletion(g: Graph, v, i: int, vertices) -> bool:
         raise GraphError(f"entry index {i} out of range")
     if entries[i] < 2:
         raise GraphError(f"entry {entries[i]} cannot be decremented")
-    mask = g._as_mask(vertices)
+    mask = mask_of(vertices)
+    rest = g.delete_vertices(mask)
     for u in bits_of(mask):
         if g.adj[u] & mask:
             raise GraphError("deleted set is not independent")
     entries[i] -= 1
-    return arrows(g.delete_vertices(mask), tuple(entries))
+    return arrows(rest, tuple(entries))
 
 
 def maximal_family_reference(avec, q: int, n: int, t: int) -> GraphSet:
@@ -147,7 +162,7 @@ def bounded_classes_reference(n: int, q: int, t: int) -> list[Graph]:
                 for v in bits_of(nb):
                     adj[v] |= bit
                 out.insert_canonical(canonical_line(adj))
-        level = out.graphs()
+        level = list(out)
     return level
 
 
@@ -163,7 +178,7 @@ def plus_clique_descent_reference(maximals, avec, q: int, t: int) -> GraphSet:
     while todo:
         g = todo.pop()
         for u, v in g.edges():
-            child = g.remove_edge(u, v)
+            child = remove_edge(g, u, v)
             if (
                 is_plus_kt(child, q - 1)
                 and not has_independent_set(child, t + 1)

@@ -15,7 +15,7 @@ from folkman.arrowing import ArrowVector, arrows
 from folkman.bounds import chain_projection, composite_lower_bound, folkman_value_at_m
 from folkman.canon import canonical_form
 from folkman.cliques import clique_number, has_clique, is_plus_kt
-from folkman.generate import graph_classes, maximal_family_exhaustive
+from folkman.generate import maximal_family_exhaustive
 from folkman.graphs import Graph, from_graph6
 from folkman.pipeline import run_pipeline
 from folkman.search import (
@@ -25,7 +25,7 @@ from folkman.search import (
     generate_family_cone_split,
 )
 from tests.conftest import random_graph
-from tests.oracles import arrows_brute
+from tests.oracles import arrows_brute, graph_classes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

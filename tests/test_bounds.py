@@ -238,7 +238,7 @@ def test_min_over_vector_class_is_all_twos(rng):
     # same threshold and peak, checked where both sides are decidable by
     # brute search over small orders
     from folkman.cliques import has_clique
-    from folkman.generate import graph_classes
+    from tests.oracles import graph_classes
 
     def smallest_order(entries, q, max_n=7):
         for n in range(1, max_n + 1):

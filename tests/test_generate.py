@@ -7,20 +7,24 @@ from folkman.canon import canonical_form
 from folkman.cliques import (
     clique_number,
     has_clique,
-    has_independent_set,
     independence_number,
     is_plus_kt,
 )
 from folkman.generate import (
     _children,
     bounded_classes,
-    graph_classes,
     maximal_family_exhaustive,
 )
 from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
 from tests.conftest import complete_less_matching
-from tests.oracles import bounded_classes_reference, maximal_family_reference, ramsey_graphs
+from tests.oracles import (
+    bounded_classes_reference,
+    graph_classes,
+    has_independent_set,
+    maximal_family_reference,
+    ramsey_graphs,
+)
 
 
 def test_class_counts_small():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from folkman import _kernels_py as py
 from folkman._kernels import available_backends
 from folkman.graphs import Graph, join
-from tests.conftest import complete_less_matching, graphs, random_graph
+from tests.conftest import complete_less_matching, from_edges, graphs, random_graph
 from tests.oracles import (
     canonical_perm_reference,
     clique_number_brute,
@@ -121,7 +121,7 @@ def _disjoint_union(g, h):
 
 
 def _petersen():
-    return Graph.from_edges(
+    return from_edges(
         10,
         [(i, (i + 1) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
@@ -130,7 +130,7 @@ def _petersen():
 
 
 def _prism(k):
-    return Graph.from_edges(
+    return from_edges(
         2 * k,
         [(i, (i + 1) % k) for i in range(k)]
         + [(k + i, k + (i + 1) % k) for i in range(k)]

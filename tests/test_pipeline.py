@@ -15,6 +15,7 @@ from folkman.pipeline import (
     parse_family,
     run_pipeline,
 )
+from tests.conftest import from_edges, remove_edge
 
 TINY_CONFIG = """
 [pipeline]
@@ -284,7 +285,7 @@ def test_changed_input_invalidates_resume(tmp_path):
     run_pipeline(cfg_path, run_dir)
     # swap the base family for a different graph; downstream must recompute
     base_file = run_dir / "maximal_a2_q4_n3_t3.g6"
-    base_file.write_text(to_graph6(Graph.from_edges(3, [(0, 1), (1, 2)])) + "\n")
+    base_file.write_text(to_graph6(from_edges(3, [(0, 1), (1, 2)])) + "\n")
     reports, _ = run_pipeline(cfg_path, run_dir)
     by_name = {r.name: r for r in reports}
     assert not by_name["s5"].resumed
@@ -301,6 +302,40 @@ def test_file_base_roundtrip(tmp_path):
     assert {row.family.display(): row.maximal for row in rows}["H(3; 4; 7)"] == 5
 
 
+def test_file_base_on_an_earlier_artifact_keeps_it(tmp_path):
+    # config B reads step s5's output of config A from the shared run
+    # directory; running A, B, A must leave A's artifacts resumable
+    config_a = TINY_CONFIG.split("[step:s7]")[0]
+    config_b = """
+[base:q4-s5]
+family = 3; 4; 5; 3
+kind = file
+path = maximal_a3_q4_n5_t3.g6
+
+[step:s7]
+family = 3; 4; 7; 3
+r = 2
+algorithm = 1
+input = q4-s5
+"""
+    path_a = write_config(tmp_path, config_a, "a.cfg")
+    path_b = write_config(tmp_path, config_b, "b.cfg")
+    run_dir = tmp_path / "run"
+    first, _ = run_pipeline(path_a, run_dir)
+    meta = run_dir / "maximal_a3_q4_n5_t3.meta"
+    written = meta.read_bytes()
+    reports_b, _ = run_pipeline(path_b, run_dir)
+    assert meta.read_bytes() == written
+    base = {r.name: r for r in reports_b}["q4-s5"]
+    s5 = {r.name: r for r in first}["s5"]
+    assert base.resumed
+    assert (base.count, base.cone_free_count) == (s5.count, s5.cone_free_count) == (2, 0)
+    reports_a, _ = run_pipeline(path_a, run_dir)
+    assert all(r.resumed for r in reports_a)
+    blocks = (run_dir / "report.kv").read_text().split("\n\n")
+    assert "item = s5\n" in blocks[1] and "resumed = True\n" in blocks[1]
+
+
 def test_file_base_rejects_non_members(tmp_path):
     # members of H(2; 4; 3) with independence <= 3 are K_4-free, arrow (2),
     # have 3 vertices and, being edge-maximal, gain a K_4 from every added
@@ -308,8 +343,8 @@ def test_file_base_rejects_non_members(tmp_path):
     cases = [
         (Graph.empty(3), "does not arrow (2)"),
         (Graph.complete(4), "has a K_4"),
-        (Graph.complete(4).remove_edge(0, 1), "has 4 vertices, family has 3"),
-        (Graph.from_edges(3, [(0, 1), (1, 2)]), "is not edge-maximal"),
+        (remove_edge(Graph.complete(4), 0, 1), "has 4 vertices, family has 3"),
+        (from_edges(3, [(0, 1), (1, 2)]), "is not edge-maximal"),
     ]
     for i, (g, reason) in enumerate(cases):
         seeds = tmp_path / f"seeds{i}.g6"
