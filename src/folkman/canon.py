@@ -45,6 +45,10 @@ class GraphSet:
         for line in self.lines():
             yield from_graph6(line)
 
+    # ``g in s`` would otherwise fall back to __iter__ and compare labeled
+    # graphs one by one; test canonical_form(g) in s.lines() instead
+    __contains__ = None
+
     def insert(self, g: Graph) -> bool:
         """Insert an isomorphism class; returns True when it is new."""
         return self.insert_canonical(canonical_line(g.adj))

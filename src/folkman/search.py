@@ -27,10 +27,15 @@ Two cooperating constructions:
   complete family on n vertices with independence number in [r, t]: attach r
   new independent vertices whose neighbourhoods are maximal K_{q-1}-free
   sets chosen under the pair-intersection and independence-residue
-  conditions, then keep the edge-maximal results that arrow the full target
-  vector.  The cone-split variant restricts the expensive extension to
-  cone-vertex-free hosts and recovers the coned part of the family directly
-  from the one-smaller and one-sparser families.
+  conditions, then keep the results that arrow the full target vector.
+  Such a result is edge-maximal (plus-K_q) exactly when the chosen sets
+  together fix every non-edge of the host whose common neighbourhood
+  holds no K_{q-2}; ``valid_multisets`` searches only multisets that can
+  still cover those non-edges and returns only covering ones, so no
+  extended graph is tested for it afterwards.  The cone-split variant
+  restricts the expensive extension to cone-vertex-free hosts and recovers
+  the coned part of the family directly from the one-smaller and
+  one-sparser families.
 
 Both constructions run their work units through ``_dispatch``: one class
 of the descent, or one extension host, per task.  Under workers > 1 the
@@ -405,10 +410,24 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
 
 def valid_multisets(h: Graph, q: int, r: int, t: int):
     """The r-element multisets of maximal K_{q-1}-free vertex sets of h that
-    can serve as neighbourhoods of r new independent vertices: every pair
-    (repeats included) intersects in a set carrying a K_{q-2}, and deleting
-    the union of any k of them leaves independence number at most t - k.
-    Returned as tuples of masks in nondecreasing set order."""
+    can serve as neighbourhoods of r new independent vertices and make the
+    extended graph plus-K_q: every pair (repeats included) intersects in a
+    set carrying a K_{q-2}, deleting the union of any k of them leaves
+    independence number at most t - k, and their fixes cover D(h) (below).
+    Returned as tuples of masks in nondecreasing set order.
+
+    Lemma.  Let G be h plus new vertices with neighbourhoods M_1..M_r.  A
+    new-old non-edge of G completes a K_q, because M_j is maximal
+    K_{q-1}-free; a new-new one does by the pair condition.  Call a
+    non-edge xy of h deficient when N(x) & N(y) holds no K_{q-2}, and say
+    M_j fixes it when x, y are in M_j and N(x) & N(y) & M_j holds a
+    K_{q-3}: the new vertices are independent, so a K_{q-2} in the common
+    neighbourhood of xy in G has at most one of them.  So G is plus-K_q
+    exactly when the fixes of M_1..M_r cover D(h), the set of deficient
+    non-edges.  D(h) is found once per host and each candidate's fixes
+    once, as a bitmask over D(h); the search stops at the first candidate
+    from which the fixes still available (repeats allowed, so its own
+    included) cannot cover what is left."""
     subsets = maximal_kt_free_subsets(h, q - 1)
     impl = K.impl
     adj = h.adj
@@ -428,6 +447,29 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
         for i, M in enumerate(subsets)
         if impl.has_clique_within(adj, M, q - 2) and rest_ok(M, 1)
     ]
+    deficient = []
+    for x in range(h.n):
+        rest = ~adj[x] & full >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common = adj[x] & adj[b.bit_length() - 1]
+            if not impl.has_clique_within(adj, common, q - 2):
+                deficient.append((1 << x | b, common))
+    need = (1 << len(deficient)) - 1
+    # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
+    # fixed by cand[pos:], all that the slots from pos on may still add
+    fix = []
+    for i in cand:
+        M = subsets[i]
+        f = 0
+        for bit, (pair, common) in enumerate(deficient):
+            if pair & M == pair and impl.has_clique_within(adj, common & M, q - 3):
+                f |= 1 << bit
+        fix.append(f)
+    ahead = [0] * (len(cand) + 1)
+    for pos in range(len(cand) - 1, -1, -1):
+        ahead[pos] = ahead[pos + 1] | fix[pos]
     pair_ok = {}
 
     def compatible(i, j):
@@ -441,12 +483,17 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     out = []
     chosen = []
 
-    def rec(start):
+    def rec(start, covered):
         d = len(chosen)
         if d == r:
-            out.append(tuple(subsets[i] for i in chosen))
+            if covered == need:
+                out.append(tuple(subsets[i] for i in chosen))
             return
         for pos in range(start, len(cand)):
+            # ahead only shrinks with pos: no later candidate can finish
+            # either (at the root this drops a host that no multiset covers)
+            if covered | ahead[pos] != need:
+                break
             i = cand[pos]
             if any(not compatible(j, i) for j in chosen):
                 continue
@@ -467,10 +514,10 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
             if not ok:
                 continue
             chosen.append(i)
-            rec(pos)
+            rec(pos, covered | fix[pos])
             chosen.pop()
 
-    rec(0)
+    rec(0, 0)
     return out
 
 
@@ -498,15 +545,15 @@ def attach_vertices(h: Graph, masks) -> Graph:
 def _extension_worker(entries, q, r, t, cone_free, line):
     """The set of output lines of one host line (none for a coned host
     under ``cone_free``)."""
-    impl = K.impl
     results = set()
     h = from_graph6(line)
     if cone_free and cone_vertex_count(h):
         return results
+    # every multiset gives a plus-K_q graph (see valid_multisets)
     for masks in valid_multisets(h, q, r, t):
         # built from a validated host, so the adjacency skips Graph's checks
         adj = _attach_adj(h.adj, masks)
-        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+        if arrows_adj(adj, entries):
             results.add(canonical_line(adj))
     return results
 

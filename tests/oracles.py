@@ -16,6 +16,10 @@ test, except these, which call the engine's kernels or canonical labeling:
   before the canonical-parent rule on the removed edge and the one edge
   per twin-swap orbit: every child that passes the family tests is
   labeled and deduplicated;
+* ``valid_multisets_reference`` is the extension's multiset search as it
+  stood before plus-K_q was decided as a cover inside it: every multiset
+  that passes the pair and residue conditions is extended and tested with
+  ``is_plus_k``;
 * ``canonical_perm_reference`` is the canonical labeling search as it stood
   before its refinement and orbit bookkeeping were made incremental: the
   kernels must return its permutation exactly;
@@ -31,9 +35,15 @@ from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
 from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_line
-from folkman.cliques import complement_adj, has_clique, is_plus_kt
+from folkman.cliques import (
+    complement_adj,
+    has_clique,
+    is_plus_kt,
+    maximal_kt_free_subsets,
+)
 from folkman.generate import bounded_classes
 from folkman.graphs import Graph, GraphError, bits_of
+from folkman.search import attach_vertices
 from tests.conftest import has_edge, mask_of, remove_edge
 
 
@@ -187,6 +197,76 @@ def plus_clique_descent_reference(maximals, avec, q: int, t: int) -> GraphSet:
             ):
                 todo.append(child)
     return out
+
+
+def valid_multisets_reference(h: Graph, q: int, r: int, t: int):
+    """``valid_multisets`` as it stood before it decided plus-K_q as a
+    cover of the host's deficient non-edges: the pair and residue search
+    over every candidate, then ``is_plus_k`` on each extended graph."""
+    subsets = maximal_kt_free_subsets(h, q - 1)
+    impl = K.impl
+    adj = h.adj
+    full = h.full_mask()
+    cadj = complement_adj(adj)
+    alpha_rest = {}
+
+    def rest_ok(union, k):
+        got = alpha_rest.get(union)
+        if got is None:
+            got = impl.max_clique_size_within(cadj, full & ~union)
+            alpha_rest[union] = got
+        return got <= t - k
+
+    cand = [
+        i
+        for i, M in enumerate(subsets)
+        if impl.has_clique_within(adj, M, q - 2) and rest_ok(M, 1)
+    ]
+    pair_ok = {}
+
+    def compatible(i, j):
+        key = (i, j) if i <= j else (j, i)
+        got = pair_ok.get(key)
+        if got is None:
+            got = impl.has_clique_within(adj, subsets[i] & subsets[j], q - 2)
+            pair_ok[key] = got
+        return got
+
+    out = []
+    chosen = []
+
+    def rec(start):
+        d = len(chosen)
+        if d == r:
+            out.append(tuple(subsets[i] for i in chosen))
+            return
+        for pos in range(start, len(cand)):
+            i = cand[pos]
+            if any(not compatible(j, i) for j in chosen):
+                continue
+            ok = True
+            for sub in range(1 << d):
+                union = subsets[i]
+                k = 1
+                rest = sub
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    union |= subsets[chosen[b.bit_length() - 1]]
+                    k += 1
+                if not rest_ok(union, k):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            chosen.append(i)
+            rec(pos)
+            chosen.pop()
+
+    rec(0)
+    return [
+        masks for masks in out if impl.is_plus_k(attach_vertices(h, masks).adj, q)
+    ]
 
 
 def twin_classes_brute(g: Graph) -> list[list[int]]:

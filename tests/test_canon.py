@@ -58,6 +58,15 @@ def test_graph_set_insert_semantics(rng):
     assert canonical_form(c5) in s.lines()
 
 
+def test_graph_set_refuses_membership_tests():
+    # a labeled graph cannot be looked up directly: `in` raises instead of
+    # scanning the set
+    s = graph_set_of([Graph.cycle(5)])
+    with pytest.raises(TypeError):
+        Graph.cycle(5) in s
+    assert canonical_form(Graph.cycle(5)) in s.lines()
+
+
 def test_graph_set_insert_labeled_variants():
     s = GraphSet()
     pairs = list(itertools.combinations(range(4), 2))

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkman import _kernels
 from folkman.arrowing import ArrowVector, arrows
@@ -21,7 +24,15 @@ from folkman.cliques import (
     maximal_kt_free_subsets,
 )
 from folkman.generate import maximal_family_exhaustive
-from folkman.graphs import Graph, GraphError, bits_of, join
+from folkman.graphs import (
+    Graph,
+    GraphError,
+    bits_of,
+    from_graph6,
+    graph6_lines,
+    join,
+    to_graph6,
+)
 from folkman import search
 from folkman.search import (
     FamilySpec,
@@ -41,6 +52,7 @@ from tests.conftest import (
     degree,
     edge_count,
     from_edges,
+    graphs,
     has_edge,
     random_permuted,
     remove_edge,
@@ -49,6 +61,7 @@ from tests.oracles import (
     has_independent_set,
     plus_clique_descent_reference,
     twin_swap_edge_orbits,
+    valid_multisets_reference,
 )
 
 
@@ -113,6 +126,92 @@ def test_valid_multisets_residue_condition():
     # two vertices attached to all of K7 would leave an independent 3-set
     # with the spare vertex, so the window t = 2 rejects every multiset
     assert valid_multisets(Graph.complete(7), 8, 2, 2) == []
+
+
+HOSTS_H6_8_12 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "plusk_h6_8_12_t3.g6"
+
+
+def _multisets_match_reference(h, q, r, t):
+    # under every available backend; the autouse fixture restores the default
+    for kernels in _kernels.available_backends().values():
+        _kernels.impl = kernels
+        assert valid_multisets(h, q, r, t) == valid_multisets_reference(h, q, r, t), (
+            kernels.BACKEND, to_graph6(h), q, r, t,
+        )
+
+
+def _deficient_pairs(h, q):
+    return [
+        (x, y)
+        for x in range(h.n)
+        for y in range(x + 1, h.n)
+        if not has_edge(h, x, y)
+        and not _kernels.impl.has_clique_within(h.adj, h.adj[x] & h.adj[y], q - 2)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    graphs(8),
+    st.sampled_from((3, 4, 5)),
+    st.sampled_from((2, 3)),
+    st.integers(0, 3),
+)
+def test_valid_multisets_match_reference_on_random_hosts(h, q, r, slack):
+    # the cover lemma holds for any host: filtering by is_plus_k after the
+    # search returns the same multisets in the same order
+    _multisets_match_reference(h, q, r, r + slack)
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_valid_multisets_match_reference_on_h6_8_12_hosts(r):
+    lines = list(graph6_lines(HOSTS_H6_8_12))
+    hits = 0
+    for line in random.Random(r).sample(lines, 100):
+        h = from_graph6(line)
+        _multisets_match_reference(h, 8, r, 3)
+        hits += bool(valid_multisets(h, 8, r, 3))
+    assert hits
+
+
+def test_valid_multisets_without_deficient_pairs():
+    # every non-edge already completes a K_q in h, so nothing is cut:
+    # C_5 at q = 3, K_6 less a perfect matching at q = 4
+    for h, q in ((Graph.cycle(5), 3), (complete_less_matching(6), 4)):
+        assert not _deficient_pairs(h, q)
+        for r in (2, 3):
+            assert valid_multisets(h, q, r, r + 2)
+            _multisets_match_reference(h, q, r, r + 2)
+
+
+def test_valid_multisets_with_an_unfixable_deficient_pair():
+    # K_3 plus an isolated vertex at q = 4: the isolated vertex shares no
+    # neighbour with the triangle, so no new vertex can fix those non-edges
+    h = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    assert _deficient_pairs(h, 4) == [(0, 3), (1, 3), (2, 3)]
+    for r in (2, 3):
+        assert valid_multisets(h, 4, r, 3) == []
+        _multisets_match_reference(h, 4, r, 3)
+
+
+def test_valid_multisets_at_q3_fix_by_containment():
+    # at q = 3 a set fixes a deficient pair when it holds both ends
+    hosts = (
+        Graph.empty(3),
+        from_edges(3, [(0, 2)]),
+        from_edges(5, [(0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]),
+        from_edges(6, [(0, 5), (1, 5), (2, 5)]),
+    )
+    for h in hosts:
+        deficient = _deficient_pairs(h, 3)
+        assert deficient
+        for r in (2, 3):
+            out = valid_multisets(h, 3, r, r + 2)
+            assert out
+            _multisets_match_reference(h, 3, r, r + 2)
+            for masks in out:
+                for x, y in deficient:
+                    assert any(m >> x & m >> y & 1 for m in masks)
 
 
 def test_conditions_match_unfiltered_construction():
