@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import _kernels as K
-from .graphs import Graph, GraphError, bits_of, complement_adj
+from .graphs import Graph, GraphError, complement_adj
 
 
 def twin_pairs(adj) -> list[int]:
@@ -99,8 +99,10 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     inc = [0] * n
     for i, c in enumerate(cliques):
         ci = 1 << i
-        for v in bits_of(c):
-            inc[v] |= ci
+        while c:
+            b = c & -c
+            c ^= b
+            inc[b.bit_length() - 1] |= ci
     out = []
 
     # S: transversal mask so far; crit: for each vertex of S, the cliques

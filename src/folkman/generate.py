@@ -27,7 +27,7 @@ from . import _kernels as K
 from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
 from .cliques import complement_adj, twin_pairs
-from .graphs import Graph, GraphError, bits_of
+from .graphs import Graph, GraphError
 
 
 def _children(level, q: int, t: int):
@@ -67,8 +67,11 @@ def _children(level, q: int, t: int):
                 continue
             adj = list(g.adj)
             adj.append(nb)
-            for v in bits_of(nb):
-                adj[v] |= bit
+            rest = nb
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                adj[b.bit_length() - 1] |= bit
             yield adj
 
 

@@ -243,8 +243,10 @@ def from_graph6(line: str) -> Graph:
         col = (stream >> (j * (j - 1) // 2)) & ((1 << j) - 1)
         adj[j] = col
         bj = 1 << j
-        for i in bits_of(col):
-            adj[i] |= bj
+        while col:
+            b = col & -col
+            col ^= b
+            adj[b.bit_length() - 1] |= bj
     # symmetric and loop-free by construction: skip Graph's checks
     return Graph._trusted(n, tuple(adj))
 

@@ -31,8 +31,9 @@ Two cooperating constructions:
   Such a result is edge-maximal (plus-K_q) exactly when the chosen sets
   together fix every non-edge of the host whose common neighbourhood
   holds no K_{q-2}; ``valid_multisets`` searches only multisets that can
-  still cover those non-edges and returns only covering ones, so no
-  extended graph is tested for it afterwards.  The cone-split variant
+  still cover those non-edges, and fills the last slot only with a set
+  that completes the cover, so every multiset it returns covers them and
+  no extended graph is tested for it afterwards.  The cone-split variant
   restricts the expensive extension to cone-vertex-free hosts and recovers
   the coned part of the family directly from the one-smaller and
   one-sparser families.
@@ -72,7 +73,6 @@ from .graphs import (
     Graph,
     GraphError,
     MAX_VERTICES,
-    bits_of,
     from_graph6,
     join,
 )
@@ -425,9 +425,12 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     neighbourhood of xy in G has at most one of them.  So G is plus-K_q
     exactly when the fixes of M_1..M_r cover D(h), the set of deficient
     non-edges.  D(h) is found once per host and each candidate's fixes
-    once, as a bitmask over D(h); the search stops at the first candidate
+    once, as a bitmask over D(h); every slot stops at the first candidate
     from which the fixes still available (repeats allowed, so its own
-    included) cannot cover what is left."""
+    included) cannot cover what is left, and the last slot takes only a
+    candidate that finishes the cover itself, before its pair and residue
+    tests, so a full multiset covers D(h) and is emitted untested.  At
+    r = 0 that leaves h itself, valid exactly when D(h) is empty."""
     subsets = maximal_kt_free_subsets(h, q - 1)
     impl = K.impl
     adj = h.adj
@@ -457,6 +460,9 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
             if not impl.has_clique_within(adj, common, q - 2):
                 deficient.append((1 << x | b, common))
     need = (1 << len(deficient)) - 1
+    if r == 0:
+        # h alone: no slot can fix anything, so D(h) must be empty
+        return [] if need else [()]
     # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
     # fixed by cand[pos:], all that the slots from pos on may still add
     fix = []
@@ -486,14 +492,18 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     def rec(start, covered):
         d = len(chosen)
         if d == r:
-            if covered == need:
-                out.append(tuple(subsets[i] for i in chosen))
+            # the last slot took only a candidate that finished the cover
+            out.append(tuple(subsets[i] for i in chosen))
             return
+        last = d == r - 1
         for pos in range(start, len(cand)):
             # ahead only shrinks with pos: no later candidate can finish
             # either (at the root this drops a host that no multiset covers)
             if covered | ahead[pos] != need:
                 break
+            # the last slot must finish the cover itself
+            if last and covered | fix[pos] != need:
+                continue
             i = cand[pos]
             if any(not compatible(j, i) for j in chosen):
                 continue
@@ -531,8 +541,10 @@ def _attach_adj(adj, masks) -> tuple:
     for mask in masks:
         bj = 1 << len(out)
         out.append(mask)
-        for u in bits_of(mask):
-            out[u] |= bj
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out[b.bit_length() - 1] |= bj
     return tuple(out)
 
 

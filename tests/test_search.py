@@ -154,12 +154,13 @@ def _deficient_pairs(h, q):
 @given(
     graphs(8),
     st.sampled_from((3, 4, 5)),
-    st.sampled_from((2, 3)),
+    st.sampled_from((0, 1, 2, 3)),
     st.integers(0, 3),
 )
 def test_valid_multisets_match_reference_on_random_hosts(h, q, r, slack):
     # the cover lemma holds for any host: filtering by is_plus_k after the
-    # search returns the same multisets in the same order
+    # search returns the same multisets in the same order (at r = 1 the
+    # only slot is the last one, at r = 0 there is none)
     _multisets_match_reference(h, q, r, r + slack)
 
 
@@ -179,7 +180,7 @@ def test_valid_multisets_without_deficient_pairs():
     # C_5 at q = 3, K_6 less a perfect matching at q = 4
     for h, q in ((Graph.cycle(5), 3), (complete_less_matching(6), 4)):
         assert not _deficient_pairs(h, q)
-        for r in (2, 3):
+        for r in (0, 1, 2, 3):
             assert valid_multisets(h, q, r, r + 2)
             _multisets_match_reference(h, q, r, r + 2)
 
@@ -189,7 +190,7 @@ def test_valid_multisets_with_an_unfixable_deficient_pair():
     # neighbour with the triangle, so no new vertex can fix those non-edges
     h = from_edges(4, [(0, 1), (0, 2), (1, 2)])
     assert _deficient_pairs(h, 4) == [(0, 3), (1, 3), (2, 3)]
-    for r in (2, 3):
+    for r in (0, 1, 2, 3):
         assert valid_multisets(h, 4, r, 3) == []
         _multisets_match_reference(h, 4, r, 3)
 
