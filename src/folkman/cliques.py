@@ -86,12 +86,13 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     so the t-cliques are listed as masks and their minimal transversals
     are enumerated depth-first by MMCS: K. Murakami and T. Uno, *Efficient
     algorithms for dualizing large-scale hypergraphs*, Discrete Appl. Math.
-    170 (2014) 83-94.  A graph without t-cliques yields the full mask.
+    170 (2014) 83-94.  A graph without t-cliques yields the full mask; at
+    t = 1 every vertex is a K_1, so only the empty mask is left.
     Time and memory grow with the number of t-cliques, which is small on
     the K_{t+1}-free hosts the family extension passes.
     """
-    if t < 2:
-        raise GraphError(f"subset clique threshold {t} below 2")
+    if t < 1:
+        raise GraphError(f"subset clique threshold {t} below 1")
     n = g.n
     full = (1 << n) - 1
     cliques = _clique_masks(g.adj, t)
@@ -133,6 +134,48 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     rec(0, [], (1 << len(cliques)) - 1, cliques, full)
     out.sort()
     return out
+
+
+def deficient_cover(adj, q: int):
+    """Plus-K_q of a K_q-free graph h, given as ``adj``, grown by new
+    vertices on maximal K_{q-1}-free sets of h, decided as a set cover.
+    Returns ``(need, fixes)``: one bit of ``need`` per deficient non-edge
+    of h, and ``fixes(M)`` the bits of those that M fixes.
+
+    Lemma.  Let G be h plus r new pairwise non-adjacent vertices whose
+    neighbourhoods M_1..M_r are maximal K_{q-1}-free sets of h, every two of
+    them (repeats included) meeting in a set that holds a K_{q-2}.  A
+    new-old non-edge of G completes a K_q, because M_j is maximal
+    K_{q-1}-free; a new-new one does by the pair condition.  Call a
+    non-edge xy of h deficient when N(x) & N(y) holds no K_{q-2}, and say
+    M fixes it when x, y are in M and N(x) & N(y) & M holds a K_{q-3}: the
+    new vertices are independent, so a K_{q-2} in the common
+    neighbourhood of xy in G has at most one of them.  So G is plus-K_q
+    exactly when the fixes of M_1..M_r cover the deficient non-edges.  At
+    r = 1 there is no pair condition: one new vertex on a maximal
+    K_{q-1}-free set M gives a plus-K_q graph exactly when ``fixes(M) ==
+    need``.  At r = 0, G = h is plus-K_q exactly when ``need`` is 0.
+    """
+    impl = K.impl
+    full = (1 << len(adj)) - 1
+    deficient = []
+    for x, row in enumerate(adj):
+        rest = ~row & full >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common = row & adj[b.bit_length() - 1]
+            if not impl.has_clique_within(adj, common, q - 2):
+                deficient.append((1 << x | b, common))
+
+    def fixes(M):
+        f = 0
+        for bit, (pair, common) in enumerate(deficient):
+            if pair & M == pair and impl.has_clique_within(adj, common & M, q - 3):
+                f |= 1 << bit
+        return f
+
+    return (1 << len(deficient)) - 1, fixes
 
 
 def cone_vertex_count(g: Graph) -> int:

@@ -8,17 +8,21 @@ canonical-parent test, invariant half) and deduplicating is complete.  The
 degree test is two mask tests per neighbourhood, made before any kernel call.
 A neighbourhood is then tried only when it meets every twin class of the
 parent (``cliques.twin_pairs``) in a prefix, one per orbit of the parent's
-twin swaps: a swap maps the child onto an isomorphic sibling, and the degree
-and bound tests commute with it.  The per-level set of canonical lines stays
-the exact isomorph rejection.
+twin swaps: a swap maps the child onto an isomorphic sibling, and the degree,
+bound and maximality tests commute with it.  The per-level set of canonical
+lines stays the exact isomorph rejection.
 ``bounded_classes`` prunes each level to clique number below q and
 independence number at most t, both hereditary, so neither the pruning nor
 the degree test loses a class.  ``maximal_family_exhaustive`` builds
-its final level from the same child loop but filters it by maximality and
-arrowing before canonical labeling, so only the survivors are labeled.
+its final level from the same child loop, but gives the new vertex only
+maximal K_{q-1}-free sets that fix every deficient non-edge of the parent
+(``cliques.deficient_cover``): exactly the neighbourhoods that leave the
+child edge-maximal, so no child is tested for it.  Only the children that
+also arrow are labeled.
 
 This is desk-scale machinery: it seeds the small base families that the
-extension chains start from and serves as the brute-force oracle in tests.
+extension chains start from, and the tests check it against the
+brute-force ``tests/oracles.py::maximal_family_reference``.
 """
 
 from __future__ import annotations
@@ -26,11 +30,16 @@ from __future__ import annotations
 from . import _kernels as K
 from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
-from .cliques import complement_adj, twin_pairs
+from .cliques import (
+    complement_adj,
+    deficient_cover,
+    maximal_kt_free_subsets,
+    twin_pairs,
+)
 from .graphs import Graph, GraphError
 
 
-def _children(level, q: int, t: int):
+def _children(level, q: int, t: int, maximal=False):
     """Adjacency lists of every graph of ``level`` with one vertex attached
     by every neighbourhood that keeps clique number below q and independence
     number at most t and gives the new vertex the largest degree of the
@@ -39,7 +48,13 @@ def _children(level, q: int, t: int):
     new K_q needs a K_{q-1} in its neighbourhood, a new independent
     (t+1)-set needs t independent non-neighbours.  The degree test is the
     invariant half of McKay's canonical parent: the child less a vertex of
-    largest degree lies in ``level``, so the class is still reached."""
+    largest degree lies in ``level``, so the class is still reached.
+
+    Under ``maximal`` only the edge-maximal K_q-free children are made: the
+    neighbourhoods are the maximal K_{q-1}-free sets of the graph that fix
+    every deficient non-edge (``cliques.deficient_cover`` at r = 1).  In an
+    edge-maximal K_q-free graph every vertex's neighbourhood is a maximal
+    K_{q-1}-free set of the graph less that vertex, so no class is lost."""
     impl = K.impl
     for g in level:
         k = g.n
@@ -54,16 +69,24 @@ def _children(level, q: int, t: int):
         # (v, its preceding twin) as bits: nb is tried only when it meets
         # every twin class in a prefix
         pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(g.adj)) if p]
-        for nb in range(1 << k):
+        if maximal:
+            masks = maximal_kt_free_subsets(g, q - 1)
+            need, fixes = deficient_cover(g.adj, q)
+        else:
+            masks = range(bit)
+        for nb in masks:
             # in the child a neighbour gains one, the new vertex has degree s
             s = nb.bit_count()
             if at_least[s] & nb or at_least[s + 1] & ~nb:
                 continue
             if any(nb & b and not nb & p for b, p in pairs):
                 continue
-            if impl.has_clique_within(g.adj, nb, q - 1):
+            # a maximal K_{q-1}-free set holds no K_{q-1}
+            if not maximal and impl.has_clique_within(g.adj, nb, q - 1):
                 continue
             if impl.has_clique_within(cadj, full ^ nb, t):
+                continue
+            if maximal and fixes(nb) != need:
                 continue
             adj = list(g.adj)
             adj.append(nb)
@@ -94,22 +117,20 @@ def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
 
 
 def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
-    """Brute-force construction of the edge-maximal members of
+    """Exhaustive construction of the edge-maximal members of
     H(avec; q; n) with independence number at most t.
 
-    The levels below n are ``bounded_classes``.  The final level is built
-    here and filtered by maximality (the plus-clique test) and arrowing
-    before canonical labeling; both are isomorphism-invariant, so only the
-    survivors are labeled.
+    The levels below n are ``bounded_classes``.  The final level is
+    ``_children`` of level n - 1 under ``maximal``: every child is
+    edge-maximal by construction, and it is labeled only if it arrows.
     """
     entries = canonicalize(avec).entries
     if n == 0:
-        candidates = (g.adj for g in bounded_classes(0, q, t))
+        candidates = (g.adj for g in bounded_classes(0, q, t) if K.impl.is_plus_k(g.adj, q))
     else:
-        candidates = _children(bounded_classes(n - 1, q, t), q, t)
-    impl = K.impl
+        candidates = _children(bounded_classes(n - 1, q, t), q, t, maximal=True)
     out = GraphSet()
     for adj in candidates:
-        if impl.is_plus_k(adj, q) and arrows_adj(adj, entries):
+        if arrows_adj(adj, entries):
             out.insert_canonical(canonical_line(adj))
     return out

@@ -64,6 +64,7 @@ from .canon import GraphSet, canonical_line
 from .cliques import (
     complement_adj,
     cone_vertex_count,
+    deficient_cover,
     maximal_kt_free_subsets,
     strip_cone_vertices,
     twin_pairs,
@@ -413,24 +414,19 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     can serve as neighbourhoods of r new independent vertices and make the
     extended graph plus-K_q: every pair (repeats included) intersects in a
     set carrying a K_{q-2}, deleting the union of any k of them leaves
-    independence number at most t - k, and their fixes cover D(h) (below).
-    Returned as tuples of masks in nondecreasing set order.
+    independence number at most t - k, and their fixes cover D(h), the
+    deficient non-edges of h.  Returned as tuples of masks in nondecreasing
+    set order.
 
-    Lemma.  Let G be h plus new vertices with neighbourhoods M_1..M_r.  A
-    new-old non-edge of G completes a K_q, because M_j is maximal
-    K_{q-1}-free; a new-new one does by the pair condition.  Call a
-    non-edge xy of h deficient when N(x) & N(y) holds no K_{q-2}, and say
-    M_j fixes it when x, y are in M_j and N(x) & N(y) & M_j holds a
-    K_{q-3}: the new vertices are independent, so a K_{q-2} in the common
-    neighbourhood of xy in G has at most one of them.  So G is plus-K_q
-    exactly when the fixes of M_1..M_r cover D(h), the set of deficient
-    non-edges.  D(h) is found once per host and each candidate's fixes
-    once, as a bitmask over D(h); every slot stops at the first candidate
-    from which the fixes still available (repeats allowed, so its own
-    included) cannot cover what is left, and the last slot takes only a
-    candidate that finishes the cover itself, before its pair and residue
-    tests, so a full multiset covers D(h) and is emitted untested.  At
-    r = 0 that leaves h itself, valid exactly when D(h) is empty."""
+    By the lemma of ``cliques.deficient_cover`` such a multiset makes the
+    extended graph plus-K_q exactly when its fixes cover D(h).  D(h) is
+    found once per host and each candidate's fixes once, as a bitmask over
+    D(h); every slot stops at the first candidate from which the fixes
+    still available (repeats allowed, so its own included) cannot cover
+    what is left, and the last slot takes only a candidate that finishes
+    the cover itself, before its pair and residue tests, so a full
+    multiset covers D(h) and is emitted untested.  At r = 0 that leaves h
+    itself, valid exactly when D(h) is empty."""
     subsets = maximal_kt_free_subsets(h, q - 1)
     impl = K.impl
     adj = h.adj
@@ -450,29 +446,13 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
         for i, M in enumerate(subsets)
         if impl.has_clique_within(adj, M, q - 2) and rest_ok(M, 1)
     ]
-    deficient = []
-    for x in range(h.n):
-        rest = ~adj[x] & full >> (x + 1) << (x + 1)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            common = adj[x] & adj[b.bit_length() - 1]
-            if not impl.has_clique_within(adj, common, q - 2):
-                deficient.append((1 << x | b, common))
-    need = (1 << len(deficient)) - 1
+    need, fixes = deficient_cover(adj, q)
     if r == 0:
         # h alone: no slot can fix anything, so D(h) must be empty
         return [] if need else [()]
     # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
     # fixed by cand[pos:], all that the slots from pos on may still add
-    fix = []
-    for i in cand:
-        M = subsets[i]
-        f = 0
-        for bit, (pair, common) in enumerate(deficient):
-            if pair & M == pair and impl.has_clique_within(adj, common & M, q - 3):
-                f |= 1 << bit
-        fix.append(f)
+    fix = [fixes(subsets[i]) for i in cand]
     ahead = [0] * (len(cand) + 1)
     for pos in range(len(cand) - 1, -1, -1):
         ahead[pos] = ahead[pos + 1] | fix[pos]

@@ -6,7 +6,11 @@ test, except these, which call the engine's kernels or canonical labeling:
 
 * ``maximal_ktfree_recursive`` calls the clique kernel;
 * ``maximal_family_reference`` is the exhaustive family construction as it
-  stood before its final level was filtered ahead of canonical labeling;
+  stood before its final level was filtered ahead of canonical labeling
+  and then built from maximal K_{q-1}-free neighbourhoods by the cover
+  lemma: every class of ``bounded_classes`` is tested with ``is_plus_k``.
+  It shares no cover code with ``maximal_family_exhaustive`` or
+  ``valid_multisets``, so the tests compare both extensions with it;
 * ``bounded_classes_reference`` is the level loop of ``bounded_classes`` as
   it stood before it kept only children whose new vertex has the largest
   degree and whose neighbourhood is the first of its twin-swap orbit:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from folkman.cliques import (
     clique_number,
     cone_vertex_count,
+    deficient_cover,
     has_clique,
     independence_number,
     is_plus_kt,
@@ -13,6 +14,7 @@ from folkman.cliques import (
     twin_pairs,
 )
 from folkman.graphs import Graph, GraphError, join
+from folkman.search import attach_vertices
 from tests.conftest import (
     add_edge,
     complete_less_matching,
@@ -21,6 +23,7 @@ from tests.conftest import (
     has_edge,
     non_edges,
     random_graph,
+    remove_edge,
 )
 from tests.oracles import (
     clique_number_brute,
@@ -156,6 +159,10 @@ def test_maximal_ktfree_examples():
     assert mis == maximal_ktfree_brute(c5, 2)
     assert len(mis) == 5 and all(bin(s).count("1") == 2 for s in mis)
 
+    # every vertex is a K_1, so the empty set is the one K_1-free set
+    for g in (Graph.empty(0), Graph.empty(1), c5, k4):
+        assert maximal_kt_free_subsets(g, 1) == [0] == maximal_ktfree_brute(g, 1)
+
 
 def test_maximal_ktfree_matches_brute(rng):
     for _ in range(80):
@@ -200,9 +207,27 @@ def test_maximal_ktfree_matches_recursive_at_larger_orders(rng):
 
 
 def test_maximal_ktfree_rejects_small_threshold():
-    for t in (-1, 0, 1):
+    for t in (-1, 0):
         with pytest.raises(GraphError):
             maximal_kt_free_subsets(Graph.cycle(5), t)
+
+
+def test_deficient_cover_decides_plus_clique_at_r0_and_r1(rng):
+    # r = 0: h is plus-K_q exactly when no non-edge is deficient; r = 1: h
+    # plus one vertex on a maximal K_{q-1}-free set M is plus-K_q exactly
+    # when M fixes every deficient non-edge.  Hosts are edge-maximal
+    # K_q-free graphs less up to two edges, so both verdicts occur.
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        q = rng.randint(2, 5)
+        h = edge_maximal_kq_free(rng, n, q)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if has_edge(h, u, v)]
+        for u, v in rng.sample(edges, min(len(edges), rng.randint(0, 2))):
+            h = remove_edge(h, u, v)
+        need, fixes = deficient_cover(h.adj, q)
+        assert (need == 0) == is_plus_kt(h, q)
+        for M in maximal_kt_free_subsets(h, q - 1):
+            assert (fixes(M) == need) == is_plus_kt(attach_vertices(h, [M]), q)
 
 
 def test_edge_monotonicity(rng):

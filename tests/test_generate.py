@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from folkman import _kernels
+from folkman import _kernels, generate
 from folkman.canon import canonical_form
 from folkman.cliques import (
     clique_number,
@@ -63,7 +63,7 @@ def test_bounded_classes_match_reference_on_twin_rich_levels(backend, monkeypatc
 
 class _CountingKernels:
     """The current kernels, counting has_clique_within calls by the clique
-    size they look for."""
+    size they look for, and is_plus_k calls under "is_plus_k"."""
 
     def __init__(self, impl):
         self.impl = impl
@@ -72,6 +72,10 @@ class _CountingKernels:
     def has_clique_within(self, adj, mask, t):
         self.calls[t] += 1
         return self.impl.has_clique_within(adj, mask, t)
+
+    def is_plus_k(self, adj, q):
+        self.calls["is_plus_k"] += 1
+        return self.impl.is_plus_k(adj, q)
 
     def __getattr__(self, name):
         return getattr(self.impl, name)
@@ -94,6 +98,19 @@ def test_twin_swaps_leave_one_neighbourhood_per_orbit(monkeypatch):
     kernels.calls.clear()
     assert len(list(_children([Graph.cycle(5)], 7, 5))) == 16
     assert kernels.calls[6] == 16
+
+
+def test_maximal_children_pass_the_degree_and_twin_tests_first(monkeypatch):
+    # at q = 3 the maximal K_2-free sets are the maximal independent sets.
+    # C_5 has five, all pairs, whose vertices would get degree 3 against
+    # the new vertex's 2; K_1 + K_2 has {0, 1} and {0, 2}, swapped by the
+    # twins 1 and 2, so only {0, 1} reaches the independence test (t = 3)
+    kernels = _CountingKernels(_kernels.impl)
+    monkeypatch.setattr(_kernels, "impl", kernels)
+    for g, tested in ((Graph.cycle(5), 0), (Graph(3, [0, 0b100, 0b10]), 1)):
+        kernels.calls.clear()
+        list(_children([g], 3, 3, maximal=True))
+        assert kernels.calls[3] == tested
 
 
 def test_bounded_classes_match_filtered_full_enumeration():
@@ -155,10 +172,17 @@ def test_complete_base_matches_exhaustive():
     assert fam.lines() == [canonical_form(Graph.complete(6))]
 
 
-# q = 4..6, t = 1..4 and every order up to 7 for (2, 2, 2).  Candidates for
+# q = 2..6, t = 1..4 and every order up to 7 for (2, 2, 2).  Candidates for
 # (2, 2, 2) and (2, 3) at q = 4 and for (2, 2, 2, 2) at q = 5 have clique
 # number at least p and below m, so their arrowing runs free_partition.
+# At q = 2 the new vertex's one neighbourhood is the empty set, the only
+# K_1-free set, and at q = 3 the fix test asks for a K_0, always present.
 EXHAUSTIVE_GRID = [((2, 2, 2), 4, n, 3) for n in range(8)] + [
+    (avec, q, n, t)
+    for avec, q in (((1,), 2), ((2,), 3), ((2, 2), 3))
+    for n in range(5)
+    for t in range(1, 4)
+] + [
     ((2, 2), 4, 7, 3),
     ((2, 3), 4, 8, 3),
     ((3,), 4, 8, 3),
@@ -169,14 +193,36 @@ EXHAUSTIVE_GRID = [((2, 2, 2), 4, n, 3) for n in range(8)] + [
     ((3,), 6, 8, 2),
     ((2, 3), 6, 7, 3),
     ((2, 2), 6, 7, 4),
+    ((3,), 5, 8, 4),
 ]
 
 
 @pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
 def test_exhaustive_final_level_filter_matches_reference(backend, monkeypatch):
-    # filtering the last level before canonical labeling keeps exactly the
-    # classes that filtering the labeled level keeps
+    # attaching the last vertex by the maximal K_{q-1}-free sets that fix
+    # every deficient non-edge keeps exactly the classes that filtering
+    # every labeled class by the plus-clique test keeps
     monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
     for avec, q, n, t in EXHAUSTIVE_GRID:
         want = maximal_family_reference(avec, q, n, t).lines()
         assert maximal_family_exhaustive(avec, q, n, t).lines() == want, (avec, q, n, t)
+
+
+@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+def test_exhaustive_final_level_runs_no_plus_clique_test(backend, monkeypatch):
+    # the last vertex's neighbourhoods make every child edge-maximal, so no
+    # child is tested for it; the degree and twin tests still run on them
+    # and here leave one child per class for the arrowing test
+    kernels = _CountingKernels(_kernels.available_backends()[backend])
+    arrowed = []
+
+    def arrows_adj(adj, entries):
+        arrowed.append(adj)
+        return real_arrows_adj(adj, entries)
+
+    real_arrows_adj = generate.arrows_adj
+    monkeypatch.setattr(_kernels, "impl", kernels)
+    monkeypatch.setattr(generate, "arrows_adj", arrows_adj)
+    assert len(maximal_family_exhaustive((3,), 5, 8, 4)) == 7
+    assert kernels.calls["is_plus_k"] == 0
+    assert len(arrowed) == 7

@@ -59,6 +59,7 @@ from tests.conftest import (
 )
 from tests.oracles import (
     has_independent_set,
+    maximal_family_reference,
     plus_clique_descent_reference,
     twin_swap_edge_orbits,
     valid_multisets_reference,
@@ -493,7 +494,7 @@ def test_generate_family_matches_brute_force_small():
     # q = 4 instance from the degenerate complete base
     base = complete_base((2,), 4, 3, 3)
     out = generate_family(spec((3,), 4, 5, 2, 3), base)
-    brute = maximal_family_exhaustive((3,), 4, 5, 3)
+    brute = maximal_family_reference((3,), 4, 5, 3)
     assert out.output.lines() == brute.lines()
     assert len(out.output) == 2
 
@@ -502,7 +503,7 @@ def test_generate_family_chain_matches_brute_force_n7():
     base = complete_base((2,), 4, 3, 3)
     mid = generate_family(spec((3,), 4, 5, 2, 3), base)
     out = generate_family(spec((3,), 4, 7, 2, 3), mid.output)
-    brute = maximal_family_exhaustive((3,), 4, 7, 3)
+    brute = maximal_family_reference((3,), 4, 7, 3)
     assert out.output.lines() == brute.lines()
 
 
@@ -540,7 +541,7 @@ def test_cone_split_equals_plain_on_q4(monkeypatch):
         plain = generate_family(sp, seeds)
         assert len(plain.plus_clique) == hosts == len(extended)
         assert sum(cone_vertex_count(h) == 0 for h in plain.plus_clique) == cone_free
-        want = maximal_family_exhaustive((3,), 4, sp.n, 3).lines()
+        want = maximal_family_reference((3,), 4, sp.n, 3).lines()
         assert plain.output.lines() == want
         for workers in (1, 2):
             extended.clear()
@@ -616,7 +617,7 @@ def test_remark_full_family_at_r2():
     # complete graphs are excluded by the clique bound anyway
     base = maximal_family_exhaustive((2,), 4, 4, 4)
     out = generate_family(spec((3,), 4, 6, 2, 4), base)
-    brute = maximal_family_exhaustive((3,), 4, 6, 4)
+    brute = maximal_family_reference((3,), 4, 6, 4)
     assert out.output.lines() == brute.lines()
 
 
