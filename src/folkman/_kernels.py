@@ -21,13 +21,3 @@ else:
 def backend_name():
     return impl.BACKEND
 
-
-def available_backends():
-    out = {"python": _kernels_py}
-    try:
-        from . import _kernels_cy
-
-        out["compiled"] = _kernels_cy
-    except ImportError:
-        pass
-    return out

@@ -190,7 +190,3 @@ def cone_vertex_mask(g: Graph) -> int:
         if g.adj[v] | (1 << v) == full:
             m |= 1 << v
     return m
-
-
-def strip_cone_vertices(g: Graph) -> Graph:
-    return g.delete_vertices(cone_vertex_mask(g))

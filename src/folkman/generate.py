@@ -36,17 +36,17 @@ from .cliques import (
     maximal_kt_free_subsets,
     twin_pairs,
 )
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, attach
 
 
 def _children(level, q: int, t: int, maximal=False):
-    """Adjacency lists of every graph of ``level`` with one vertex attached
-    by every neighbourhood that keeps clique number below q and independence
-    number at most t and gives the new vertex the largest degree of the
-    child (ties kept), one neighbourhood per orbit of the graph's twin
-    swaps.  The bound tests are local to the attached vertex: a
-    new K_q needs a K_{q-1} in its neighbourhood, a new independent
-    (t+1)-set needs t independent non-neighbours.  The degree test is the
+    """Adjacency tuples (``graphs.attach``) of every graph of ``level`` with
+    one vertex attached by every neighbourhood that keeps clique number
+    below q and independence number at most t and gives the new vertex the
+    largest degree of the child (ties kept), one neighbourhood per orbit of
+    the graph's twin swaps.  The bound tests are local to the attached
+    vertex: a new K_q needs a K_{q-1} in its neighbourhood, a new
+    independent (t+1)-set needs t independent non-neighbours.  The degree test is the
     invariant half of McKay's canonical parent: the child less a vertex of
     largest degree lies in ``level``, so the class is still reached.
 
@@ -88,14 +88,7 @@ def _children(level, q: int, t: int, maximal=False):
                 continue
             if maximal and fixes(nb) != need:
                 continue
-            adj = list(g.adj)
-            adj.append(nb)
-            rest = nb
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                adj[b.bit_length() - 1] |= bit
-            yield adj
+            yield attach(g.adj, (nb,))
 
 
 def bounded_classes(n: int, q: int, t: int) -> list[Graph]:

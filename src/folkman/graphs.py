@@ -112,35 +112,11 @@ class Graph:
     def complement(self) -> "Graph":
         return Graph._trusted(self.n, complement_adj(self.adj))
 
-    def induced(self, mask: int) -> "Graph":
-        """Subgraph induced on a vertex mask, relabeled to 0..k-1 in
-        ascending original-index order."""
-        if mask < 0 or mask >> self.n:
-            raise GraphError(f"vertex set {bin(mask)} outside universe 0..{self.n - 1}")
-        keep = list(bits_of(mask))
-        pos = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for i, v in enumerate(keep):
-            for u in bits_of(self.adj[v] & mask):
-                adj[i] |= 1 << pos[u]
-        return Graph._trusted(len(keep), tuple(adj))
-
-    def delete_vertices(self, mask: int) -> "Graph":
-        # a mask outside the universe stays outside it, so induced() rejects it
-        return self.induced(self.full_mask() ^ mask)
-
     def relabel(self, perm) -> "Graph":
         """New graph with position i taking the role of old vertex perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise GraphError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
-        pos = [0] * self.n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        adj = [0] * self.n
-        for i, v in enumerate(perm):
-            for u in bits_of(self.adj[v]):
-                adj[i] |= 1 << pos[u]
-        return Graph._trusted(self.n, tuple(adj))
+        return from_graph6(adj_to_graph6(self.n, self.adj, perm))
 
 
 def complement_adj(adj) -> tuple:
@@ -159,6 +135,23 @@ def join(g1: Graph, g2: Graph) -> Graph:
     adj = [row | m2 for row in g1.adj]
     adj += [(row << g1.n) | m1 for row in g2.adj]
     return Graph._trusted(n, tuple(adj))
+
+
+def attach(adj, masks) -> tuple:
+    """Adjacency of adj plus len(masks) new pairwise non-adjacent vertices,
+    the j-th one adjacent exactly to masks[j]."""
+    n = len(adj) + len(masks)
+    if n > MAX_VERTICES:
+        raise CapacityError(f"extension would need {n} vertices")
+    out = list(adj)
+    for mask in masks:
+        bj = 1 << len(out)
+        out.append(mask)
+        while mask:
+            b = mask & -mask
+            mask ^= b
+            out[b.bit_length() - 1] |= bj
+    return tuple(out)
 
 
 # -- graph6 ----------------------------------------------------------------

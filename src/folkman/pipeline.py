@@ -404,7 +404,7 @@ class Runner:
         if item.kind == "file" and not self.fresh and meta_path.exists():
             src, meta = self._base_file(item), read_manifest(meta_path)
             if (
-                src.exists() and src.samefile(path)
+                src.exists() and path.exists() and src.samefile(path)
                 and meta.get("family") == _family_line(item.family)
                 and _holds_count(meta, path)
             ):

@@ -36,7 +36,8 @@ Two cooperating constructions:
   no extended graph is tested for it afterwards.  The cone-split variant
   restricts the expensive extension to cone-vertex-free hosts and recovers
   the coned part of the family directly from the one-smaller and
-  one-sparser families.
+  one-sparser families.  Both add their new vertices with
+  ``graphs.attach``.
 
 Both constructions run their work units through ``_dispatch``: one class
 of the descent, or one extension host, per task.  Under workers > 1 the
@@ -64,19 +65,12 @@ from .canon import GraphSet, canonical_line
 from .cliques import (
     complement_adj,
     cone_vertex_count,
+    cone_vertex_mask,
     deficient_cover,
     maximal_kt_free_subsets,
-    strip_cone_vertices,
     twin_pairs,
 )
-from .graphs import (
-    CapacityError,
-    Graph,
-    GraphError,
-    MAX_VERTICES,
-    from_graph6,
-    join,
-)
+from .graphs import Graph, GraphError, MAX_VERTICES, attach, from_graph6
 
 
 @dataclass(frozen=True)
@@ -511,27 +505,10 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     return out
 
 
-def _attach_adj(adj, masks) -> tuple:
-    """Adjacency of adj plus len(masks) new pairwise non-adjacent vertices,
-    the j-th one adjacent exactly to masks[j]."""
-    n = len(adj) + len(masks)
-    if n > MAX_VERTICES:
-        raise CapacityError(f"extension would need {n} vertices")
-    out = list(adj)
-    for mask in masks:
-        bj = 1 << len(out)
-        out.append(mask)
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            out[b.bit_length() - 1] |= bj
-    return tuple(out)
-
-
 def attach_vertices(h: Graph, masks) -> Graph:
     """h plus len(masks) new pairwise non-adjacent vertices, the j-th one
     adjacent exactly to masks[j]."""
-    return Graph(h.n + len(masks), _attach_adj(h.adj, masks))
+    return Graph(h.n + len(masks), attach(h.adj, masks))
 
 
 def _extension_worker(entries, q, r, t, cone_free, line):
@@ -544,7 +521,7 @@ def _extension_worker(entries, q, r, t, cone_free, line):
     # every multiset gives a plus-K_q graph (see valid_multisets)
     for masks in valid_multisets(h, q, r, t):
         # built from a validated host, so the adjacency skips Graph's checks
-        adj = _attach_adj(h.adj, masks)
+        adj = attach(h.adj, masks)
         if arrows_adj(adj, entries):
             results.add(canonical_line(adj))
     return results
@@ -589,7 +566,10 @@ def generate_family_cone_split(
     """Same output as generate_family, computed by extending only the
     cone-vertex-free part of the descended set.  ``cone_seeds`` is the
     complete maximal family of the decremented vector with clique bound
-    q - 1 on n - 1 vertices; it contributes the coned outputs directly."""
+    q - 1 on n - 1 vertices; it contributes the coned outputs directly.
+    They are attached: a seed w with one cone vertex c gets r new vertices
+    on w - c (with c, r + 1 independent vertices on w - c), a cone seed h
+    one new vertex on all of h."""
     seeds = list(seeds)
     cone_seeds = list(cone_seeds)
     _check_input_order(cone_seeds, spec.n - 1, "cone input family")
@@ -597,14 +577,16 @@ def generate_family_cone_split(
     entries = spec.avec.entries
     if spec.t > spec.r:
         for w in seeds:
-            if cone_vertex_count(w) == 1 and arrows_adj(w.adj, entries):
-                output.insert(join(Graph.empty(spec.r + 1), strip_cone_vertices(w)))
+            cone = cone_vertex_mask(w)
+            if cone.bit_count() == 1 and arrows_adj(w.adj, entries):
+                adj = attach(w.adj, [w.full_mask() ^ cone] * spec.r)
+                output.insert_canonical(canonical_line(adj))
     impl = K.impl
     for h in cone_seeds:
         if impl.has_clique_at_least(complement_adj(h.adj), spec.r):
-            g = join(Graph.complete(1), h)
-            if arrows_adj(g.adj, entries):
-                output.insert(g)
+            adj = attach(h.adj, [h.full_mask()])
+            if arrows_adj(adj, entries):
+                output.insert_canonical(canonical_line(adj))
     return AlgorithmResult(output=output, plus_clique=aprime)
 
 

@@ -10,10 +10,24 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from folkman import _kernels
-from folkman.graphs import Graph
+from folkman import _kernels, _kernels_py
+from folkman.cliques import cone_vertex_mask
+from folkman.graphs import Graph, GraphError, bits_of
 
 KERNELS_C = Path(_kernels.__file__).with_name("_kernels_cy.c")
+
+
+def available_backends():
+    """The kernel modules that import, by name: the pure twin always, the
+    compiled one when it is installed or built for the test session."""
+    out = {"python": _kernels_py}
+    try:
+        from folkman import _kernels_cy
+
+        out["compiled"] = _kernels_cy
+    except ImportError:
+        pass
+    return out
 
 
 class _BuiltKernelsFinder:
@@ -34,7 +48,7 @@ def pytest_configure(config):
     # source so the parity tests run.  ``_kernels`` was imported above and
     # has already chosen its backend, so the default stays the same; the
     # build is reachable through ``available_backends()`` only.
-    if "compiled" in _kernels.available_backends():
+    if "compiled" in available_backends():
         return
     cc = shutil.which("cc")
     if cc is None or not KERNELS_C.is_file():
@@ -117,6 +131,29 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     """g with its edge uv removed."""
     assert has_edge(g, u, v)
     return from_edges(g.n, [e for e in g.edges() if set(e) != {u, v}])
+
+
+def induced(g: Graph, mask: int) -> Graph:
+    """Subgraph induced on a vertex mask, relabeled to 0..k-1 in ascending
+    original-index order."""
+    if mask < 0 or mask >> g.n:
+        raise GraphError(f"vertex set {bin(mask)} outside universe 0..{g.n - 1}")
+    keep = list(bits_of(mask))
+    pos = {v: i for i, v in enumerate(keep)}
+    adj = [0] * len(keep)
+    for i, v in enumerate(keep):
+        for u in bits_of(g.adj[v] & mask):
+            adj[i] |= 1 << pos[u]
+    return Graph(len(keep), adj)
+
+
+def delete_vertices(g: Graph, mask: int) -> Graph:
+    # a mask outside the universe stays outside it, so induced() rejects it
+    return induced(g, g.full_mask() ^ mask)
+
+
+def strip_cone_vertices(g: Graph) -> Graph:
+    return delete_vertices(g, cone_vertex_mask(g))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -27,6 +27,10 @@ test, except these, which call the engine's kernels or canonical labeling:
 * ``canonical_perm_reference`` is the canonical labeling search as it stood
   before its refinement and orbit bookkeeping were made incremental: the
   kernels must return its permutation exactly;
+* ``coned_outputs_reference`` is the cone split's recovery of its coned
+  outputs as it stood before they were attached: a seed is stripped of its
+  cone vertex and joined to r + 1 independent vertices, a cone seed joined
+  to K_1;
 * ``graph_classes``, ``ramsey_graphs``, ``has_independent_set``,
   ``edge_completes_new_clique``, ``is_maximal_kq_free`` and
   ``arrows_after_deletion`` are small helpers the engine does not use;
@@ -41,14 +45,21 @@ from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_line
 from folkman.cliques import (
     complement_adj,
+    cone_vertex_count,
     has_clique,
     is_plus_kt,
     maximal_kt_free_subsets,
 )
 from folkman.generate import bounded_classes
-from folkman.graphs import Graph, GraphError, bits_of
+from folkman.graphs import Graph, GraphError, bits_of, join
 from folkman.search import attach_vertices
-from tests.conftest import has_edge, mask_of, remove_edge
+from tests.conftest import (
+    delete_vertices,
+    has_edge,
+    mask_of,
+    remove_edge,
+    strip_cone_vertices,
+)
 
 
 def clique_number_brute(g: Graph) -> int:
@@ -133,7 +144,7 @@ def arrows_after_deletion(g: Graph, v, i: int, vertices) -> bool:
     if entries[i] < 2:
         raise GraphError(f"entry {entries[i]} cannot be decremented")
     mask = mask_of(vertices)
-    rest = g.delete_vertices(mask)
+    rest = delete_vertices(g, mask)
     for u in bits_of(mask):
         if g.adj[u] & mask:
             raise GraphError("deleted set is not independent")
@@ -511,3 +522,36 @@ def canonical_perm_reference(adj):
 
     search(_reference_refine(adj, [full]), 0)
     return best["perm"]
+
+
+def relabel_reference(g: Graph, perm) -> Graph:
+    """g with position i taking the role of old vertex perm[i], by the loop
+    ``Graph.relabel`` ran before it read through the graph6 encoder."""
+    pos = [0] * g.n
+    for i, v in enumerate(perm):
+        pos[v] = i
+    adj = [0] * g.n
+    for i, v in enumerate(perm):
+        for u in bits_of(g.adj[v]):
+            adj[i] |= 1 << pos[u]
+    return Graph(g.n, adj)
+
+
+def coned_outputs_reference(spec, seeds, cone_seeds) -> GraphSet:
+    """The coned outputs of ``generate_family_cone_split``: under t > r,
+    every seed with exactly one cone vertex that arrows the target, that
+    vertex stripped and the rest joined to r + 1 independent vertices; and
+    K_1 joined to every cone seed with independence number at least r,
+    when the join arrows."""
+    entries = spec.avec.entries
+    out = GraphSet()
+    if spec.t > spec.r:
+        for w in seeds:
+            if cone_vertex_count(w) == 1 and arrows(w, entries):
+                out.insert(join(Graph.empty(spec.r + 1), strip_cone_vertices(w)))
+    for h in cone_seeds:
+        if has_independent_set(h, spec.r):
+            g = join(Graph.complete(1), h)
+            if arrows(g, entries):
+                out.insert(g)
+    return out

@@ -10,7 +10,6 @@ from folkman.cliques import (
     independence_number,
     is_plus_kt,
     maximal_kt_free_subsets,
-    strip_cone_vertices,
     twin_pairs,
 )
 from folkman.graphs import Graph, GraphError, join
@@ -24,6 +23,7 @@ from tests.conftest import (
     non_edges,
     random_graph,
     remove_edge,
+    strip_cone_vertices,
 )
 from tests.oracles import (
     clique_number_brute,

@@ -17,7 +17,7 @@ from folkman.generate import (
 )
 from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
-from tests.conftest import complete_less_matching
+from tests.conftest import available_backends, complete_less_matching
 from tests.oracles import (
     bounded_classes_reference,
     graph_classes,
@@ -37,11 +37,11 @@ def test_class_counts_order_8():
     assert len(ramsey_graphs(3, 4, 8)) == 3
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_bounded_classes_match_unfiltered_reference(backend, monkeypatch):
     # attaching only vertices of largest degree keeps every class that
     # attaching every vertex keeps
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     for n in range(8):
         for q, t in ((3, 2), (3, 3), (4, 2), (4, 3), (5, 4), (9, 8)):
             want = [to_graph6(g) for g in bounded_classes_reference(n, q, t)]
@@ -49,12 +49,12 @@ def test_bounded_classes_match_unfiltered_reference(backend, monkeypatch):
             assert got == want, (n, q, t)
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_bounded_classes_match_reference_on_twin_rich_levels(backend, monkeypatch):
     # attaching by one neighbourhood per twin-swap orbit keeps every class on
     # levels full of twins: K_8 less a perfect matching and coned graphs
     # have clique number below 5 and independence number at most 2
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     want = [to_graph6(g) for g in bounded_classes_reference(8, 5, 2)]
     got = [to_graph6(g) for g in bounded_classes(8, 5, 2)]
     assert got == want
@@ -197,23 +197,23 @@ EXHAUSTIVE_GRID = [((2, 2, 2), 4, n, 3) for n in range(8)] + [
 ]
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_exhaustive_final_level_filter_matches_reference(backend, monkeypatch):
     # attaching the last vertex by the maximal K_{q-1}-free sets that fix
     # every deficient non-edge keeps exactly the classes that filtering
     # every labeled class by the plus-clique test keeps
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     for avec, q, n, t in EXHAUSTIVE_GRID:
         want = maximal_family_reference(avec, q, n, t).lines()
         assert maximal_family_exhaustive(avec, q, n, t).lines() == want, (avec, q, n, t)
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_exhaustive_final_level_runs_no_plus_clique_test(backend, monkeypatch):
     # the last vertex's neighbourhoods make every child edge-maximal, so no
     # child is tested for it; the degree and twin tests still run on them
     # and here leave one child per class for the arrowing test
-    kernels = _CountingKernels(_kernels.available_backends()[backend])
+    kernels = _CountingKernels(available_backends()[backend])
     arrowed = []
 
     def arrows_adj(adj, entries):

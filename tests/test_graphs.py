@@ -10,6 +10,7 @@ from folkman.graphs import (
     Graph,
     Graph6ParseError,
     GraphError,
+    attach,
     from_graph6,
     join,
     to_graph6,
@@ -17,13 +18,16 @@ from folkman.graphs import (
 from tests.conftest import (
     add_edge,
     degree,
+    delete_vertices,
     edge_count,
     from_edges,
+    induced,
     mask_of,
     non_edges,
     random_graph,
     remove_edge,
 )
+from tests.oracles import relabel_reference
 
 
 def test_constructors():
@@ -45,8 +49,8 @@ def test_join_keeps_operands_induced():
     g1 = Graph.cycle(4)
     g2 = Graph.complete(3)
     g = join(g1, g2)
-    assert g.induced(0b1111) == g1
-    assert g.induced(0b1110000) == g2
+    assert induced(g, 0b1111) == g1
+    assert induced(g, 0b1110000) == g2
 
 
 def test_join_of_k1s():
@@ -89,36 +93,36 @@ def test_c5_self_complementary():
 
 def test_induced_path():
     c5 = Graph.cycle(5)
-    p3 = c5.induced(0b111)
+    p3 = induced(c5, 0b111)
     assert p3.n == 3
     assert sorted(p3.edges()) == [(0, 1), (1, 2)]
 
 
 def test_induced_identity_and_relabeling():
     g = from_edges(5, [(0, 4), (1, 3)])
-    assert g.induced(g.full_mask()) == g
-    sub = g.induced(mask_of({1, 3, 4}))
+    assert induced(g, g.full_mask()) == g
+    sub = induced(g, mask_of({1, 3, 4}))
     assert sorted(sub.edges()) == [(0, 1)]
 
 
 def test_induced_matches_delete():
     g = Graph.cycle(6)
     keep = mask_of([0, 2, 3, 5])
-    assert g.induced(keep) == g.delete_vertices(g.full_mask() & ~keep)
+    assert induced(g, keep) == delete_vertices(g, g.full_mask() & ~keep)
 
 
 def test_delete_vertices():
-    assert edge_count(Graph.cycle(5).delete_vertices(0b1)) == 3
-    assert Graph.complete(6).delete_vertices(0b100) == Graph.complete(5)
-    assert Graph.cycle(5).delete_vertices(0) == Graph.cycle(5)
+    assert edge_count(delete_vertices(Graph.cycle(5), 0b1)) == 3
+    assert delete_vertices(Graph.complete(6), 0b100) == Graph.complete(5)
+    assert delete_vertices(Graph.cycle(5), 0) == Graph.cycle(5)
 
 
 def test_vertex_set_outside_universe():
     with pytest.raises(GraphError):
-        Graph.cycle(4).induced(mask_of({0, 5}))
+        induced(Graph.cycle(4), mask_of({0, 5}))
     for mask in (1 << 5, -1):
         with pytest.raises(GraphError):
-            Graph.cycle(4).delete_vertices(mask)
+            delete_vertices(Graph.cycle(4), mask)
 
 
 def test_edge_edits():
@@ -194,7 +198,7 @@ def test_operations_equal_their_checked_construction(rng):
         mask = rng.getrandbits(n) if n else 0
         keep = [v for v in range(n) if mask >> v & 1]
         pos = {v: i for i, v in enumerate(keep)}
-        assert g.induced(mask) == from_edges(
+        assert induced(g, mask) == from_edges(
             len(keep), [(pos[u], pos[v]) for u, v in edges if u in pos and v in pos]
         )
         perm = list(range(n))
@@ -204,8 +208,23 @@ def test_operations_equal_their_checked_construction(rng):
         cross = [(u, n + v) for u in range(n) for v in range(h.n)]
         shifted = [(n + u, n + v) for u, v in h.edges()]
         assert join(g, h) == from_edges(n + h.n, edges + shifted + cross)
-        for out in (g.complement(), g.induced(mask), g.relabel(perm), join(g, h)):
+        for out in (g.complement(), induced(g, mask), g.relabel(perm), join(g, h)):
             assert Graph(out.n, out.adj) == out
+
+
+def test_relabel_matches_the_reference_loop(rng):
+    # n = 63 and 64 take graph6's long header
+    for n in (0, 1, 2, 62, 63, 64):
+        g = random_graph(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert g.relabel(perm) == relabel_reference(g, perm), n
+
+
+def test_attach_capacity():
+    assert len(attach((0,) * 62, [0, 0])) == 64
+    with pytest.raises(CapacityError):
+        attach((0,) * 63, [0, 0])
 
 
 def test_relabel_rejects_a_non_permutation():

@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 from folkman import _kernels_py as py
-from folkman._kernels import available_backends
 from folkman.graphs import Graph, join
-from tests.conftest import complete_less_matching, from_edges, graphs, random_graph
+from tests.conftest import (
+    available_backends,
+    complete_less_matching,
+    from_edges,
+    graphs,
+    induced,
+    random_graph,
+)
 from tests.oracles import (
     canonical_perm_reference,
     clique_number_brute,
@@ -40,7 +46,7 @@ def test_pure_kernels_against_brute_force(rng):
             assert py.has_clique_at_least(g.adj, t) == (t <= w)
         mask = rng.getrandbits(g.n) if g.n else 0
         assert py.max_clique_size_within(g.adj, mask) == clique_number_brute(
-            g.induced(mask)
+            induced(g, mask)
         )
         for t in range(0, 5):
             assert py.has_clique_within(g.adj, mask, t) == has_mono_clique(

@@ -336,6 +336,27 @@ input = q4-s5
     assert "item = s5\n" in blocks[1] and "resumed = True\n" in blocks[1]
 
 
+def test_file_base_rebuilds_when_its_artifact_is_gone(tmp_path):
+    # the run directory's .g6 is gone but its manifest is not: the rerun
+    # rebuilds it from the source file beside the config
+    (tmp_path / "k4.g6").write_text(to_graph6(Graph.complete(4)) + "\n")
+    cfg = """
+[base:k4]
+family = 4; 5; 4; 3
+kind = file
+path = k4.g6
+"""
+    cfg_path = write_config(tmp_path, cfg)
+    run_dir = tmp_path / "run"
+    run_pipeline(cfg_path, run_dir)
+    out = run_dir / "maximal_a4_q5_n4_t3.g6"
+    built = out.read_text()
+    out.unlink()
+    (report,), _ = run_pipeline(cfg_path, run_dir)
+    assert not report.resumed and report.count == 1
+    assert out.read_text() == built
+
+
 def test_file_base_rejects_non_members(tmp_path):
     # members of H(2; 4; 3) with independence <= 3 are K_4-free, arrow (2),
     # have 3 vertices and, being edge-maximal, gain a K_4 from every added

@@ -48,16 +48,20 @@ from folkman.search import (
     worker_pool,
 )
 from tests.conftest import (
+    available_backends,
     complete_less_matching,
     degree,
+    delete_vertices,
     edge_count,
     from_edges,
     graphs,
     has_edge,
+    induced,
     random_permuted,
     remove_edge,
 )
 from tests.oracles import (
+    coned_outputs_reference,
     has_independent_set,
     maximal_family_reference,
     plus_clique_descent_reference,
@@ -96,7 +100,7 @@ def test_attach_vertices():
     # two new vertices joined to everything, not to each other
     assert g.n == 5
     assert sorted(degree(g, v) for v in range(5)) == [2, 2, 2, 3, 3]
-    assert g.induced(0b111) == h
+    assert induced(g, 0b111) == h
     assert not has_edge(g, 3, 4)
 
 
@@ -134,7 +138,7 @@ HOSTS_H6_8_12 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pl
 
 def _multisets_match_reference(h, q, r, t):
     # under every available backend; the autouse fixture restores the default
-    for kernels in _kernels.available_backends().values():
+    for kernels in available_backends().values():
         _kernels.impl = kernels
         assert valid_multisets(h, q, r, t) == valid_multisets_reference(h, q, r, t), (
             kernels.BACKEND, to_graph6(h), q, r, t,
@@ -290,13 +294,13 @@ def test_descent_members_are_plus_clique_family_members():
         assert set(got.lines()) == expected, (avec, q, n, t)
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
     # labeling only children whose removed edge has the largest key among
     # the re-addable non-edges keeps every class that labeling every child
     # keeps; K_7 has the largest automorphism group, (2, 2, 2) at q = 4 is
     # settled by free_partition
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     cases = [
         (maximal_family_exhaustive(avec, q, n, t), avec, q, t)
         for avec, q, n, t in DESCENT_CONFIGS + (((2, 2, 2), 4, 7, 3),)
@@ -310,12 +314,12 @@ def test_descent_canonical_parent_rule_matches_reference(backend, monkeypatch):
             assert got.lines() == want, (avec, q, t, workers)
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_descent_matches_reference_on_twin_rich_seeds(backend, monkeypatch):
     # removing one edge per twin-swap orbit keeps every class: complete
     # families holding K_n less a perfect matching (n/2 open twin pairs) and
     # coned graphs (on 8 vertices some with two cones, a closed class)
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     for avec, q, n, t in (((3,), 4, 6, 2), ((4,), 5, 8, 2), ((3,), 5, 8, 4)):
         seeds = maximal_family_exhaustive(avec, q, n, t)
         assert canonical_form(complete_less_matching(n)) in seeds.lines()
@@ -349,12 +353,12 @@ def test_descent_expands_each_class_once(monkeypatch):
         assert set(expanded.values()) == {1}, (avec, q, t)
 
 
-@pytest.mark.parametrize("backend", sorted(_kernels.available_backends()))
+@pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_descent_worker_children_do_not_depend_on_labeling(backend, monkeypatch, rng):
     # the work list holds a class as the labeling its parent's worker built,
     # so a class must give the same child lines from any of its labelings;
     # each child comes with a labeling of its own line's class
-    monkeypatch.setattr(_kernels, "impl", _kernels.available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
     cases = []
     for avec, q, n, t in DESCENT_CONFIGS:
         members = plus_clique_descent(maximal_family_exhaustive(avec, q, n, t), avec, q, t)
@@ -551,6 +555,29 @@ def test_cone_split_equals_plain_on_q4(monkeypatch):
                 assert len(extended) == cone_free, sp.n
 
 
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_cone_split_coned_outputs_match_the_join_recovery(backend, monkeypatch):
+    # H(3; 4; 8) from two seeds with one cone vertex and one cone seed, so
+    # both coned branches fire
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
+    sp = spec((3,), 4, 8, 2, 3)
+    seeds = maximal_family_exhaustive((2,), 4, 6, 3)
+    cone_seeds = maximal_family_exhaustive((2,), 3, 7, 3)
+    assert sum(cone_vertex_count(w) == 1 and arrows(w, (3,)) for w in seeds) == 2
+    assert sum(has_independent_set(h, sp.r) for h in cone_seeds) == 1
+    real_extend = search._extend
+
+    def coned_only(*args, **kwargs):
+        # keep the descent, drop the extended outputs
+        return GraphSet(), real_extend(*args, **kwargs)[1]
+
+    monkeypatch.setattr(search, "_extend", coned_only)
+    coned = generate_family_cone_split(sp, seeds, cone_seeds).output
+    want = coned_outputs_reference(sp, seeds, cone_seeds)
+    assert len(want) == 3
+    assert coned.lines() == want.lines()
+
+
 def test_outputs_satisfy_family_contracts():
     base = complete_base((3,), 8, 6, 3)
     out = generate_family(spec((4,), 8, 8, 2, 3), base).output
@@ -571,7 +598,7 @@ def test_deleting_independent_sets_lands_in_decremented_plus_clique_family():
             members = list(bits_of(mask))
             if any(g.adj[u] & mask for u in members):
                 continue  # not independent
-            rest = g.delete_vertices(mask)
+            rest = delete_vertices(g, mask)
             assert is_plus_kt(rest, 7)
             assert arrows(rest, (5 - len(members),))
 
@@ -588,7 +615,7 @@ def test_cone_law_on_outputs():
             members = list(bits_of(mask))
             if len(members) != 2 or any(g.adj[u] & mask for u in members):
                 continue
-            rest = g.delete_vertices(mask)
+            rest = delete_vertices(g, mask)
             if cone_vertex_count(rest) == 0:
                 continue
             # find the apex set: deleted pair plus the cone of the remainder
