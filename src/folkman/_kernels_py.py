@@ -3,16 +3,27 @@
 Pure-Python reference implementation.  ``_kernels_cy`` is a compiled twin of
 this module and has to stay behaviourally identical, including tie-breaking
 and witness choices; tests/test_kernels.py compares the two on random inputs.
-The twins agree in behaviour, not line for line.  Here ``_refine`` scans
-only splitters not yet verified and resumes after a split, the canonical
-search keeps its automorphism orbits per node, and a leaf that repeats the
-best code sends the search back to the deepest common ancestor of the two
-leaves.  The compiled ``_refine`` still rescans from the start after every
-split, its search rebuilds the orbits for every branch and visits every
-leaf that orbit pruning leaves.  Both refine to the same partitions at the
-nodes they visit and return the same permutations; the compiled side gets
-the bookkeeping once ``_kernels_cy.c`` can be regenerated from the ``.pyx``
-with Cython.
+The twins agree in behaviour, not line for line.  Here, unlike the compiled
+twin:
+
+* ``_refine`` scans only splitters not yet verified and resumes after a
+  split; the compiled one rescans from the start after every split.
+* the canonical search keeps its automorphism orbits per node; the
+  compiled one rebuilds them for every branch.
+* a leaf that repeats the best code sends the search back to the deepest
+  common ancestor of the two leaves; the compiled search visits every leaf
+  that orbit pruning leaves.
+* the canonical search starts with the graph's twin swaps (``twin_pairs``)
+  as known automorphisms, so it skips a twin's sibling branch without
+  visiting its leaves; the compiled one finds them at leaves.
+* ``has_clique_within`` answers t = 2 by a scan of the mask's rows, and a
+  query with at most ``COVER_MAX`` vertices of the mask to drop by a
+  bounded vertex-cover branch; the compiled one runs its colouring
+  branch-and-bound on both.
+
+Both refine to the same partitions at the nodes they visit and return the
+same results; the compiled side gets the bookkeeping once
+``_kernels_cy.c`` can be regenerated from the ``.pyx`` with Cython.
 
 A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
 vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are
@@ -26,6 +37,44 @@ BACKEND = "python"
 # Automorphisms recorded during canonical labeling are used only for search
 # pruning, so capping the store is safe.  The compiled twin uses the same cap.
 MAX_AUT_GENERATORS = 4096
+
+# has_clique_within(adj, mask, t) with |mask| - t at most this many takes the
+# cover branch.  Timed against the colouring branch-and-bound, the branch
+# was faster at every |mask| - t from 0 to 4 on the plus-clique tests of the
+# pipeline and exhaustive workloads (2-8x) and at every value up to 5 on
+# random masks of 8-40 vertices at densities 0.3-0.97; at 7 it lost on
+# masks of 24-40 vertices at density 0.9.
+COVER_MAX = 5
+
+
+def twin_pairs(adj) -> list[int]:
+    """For each vertex, the bit of the vertex just before it in its twin
+    class, or 0 for the first member of a class.
+
+    Twins have equal open neighbourhoods N(x) = N(y) (then they are not
+    adjacent) or equal closed ones N[x] = N[y] (then they are), so swapping
+    two twins is an automorphism.  Both relations are equivalences, and no
+    vertex x lies in a nontrivial class of both: N(x) = N(y) and
+    N[x] = N[z] give z ~ x, so z ~ y, so y lies in N[z] = N[x] and in
+    N(x) = N(y), a loop.  Nor does an open key N(w) equal a closed key
+    N[v]: w ~ v would put w in N[v] = N(w).  So one dict over both keys
+    finds every class in one pass.
+
+    The swaps generate the product of the symmetric groups on the classes,
+    a subgroup of the automorphism group.  A vertex set is the first of its
+    orbit under it exactly when it meets every class in a prefix; an edge
+    is the first of its orbit exactly when each endpoint is the first of
+    its class or has the other endpoint as its preceding twin.  So a test
+    that commutes with automorphisms gives every dropped child of a graph
+    the verdict and the canonical line of a kept sibling.
+    """
+    last = {}
+    out = []
+    for v, row in enumerate(adj):
+        closed = row | 1 << v
+        out.append(last.get(row) or last.get(closed) or 0)
+        last[row] = last[closed] = 1 << v
+    return out
 
 
 def _color_bounds(adj, P):
@@ -78,14 +127,47 @@ def max_clique_size(adj):
     return max_clique_size_within(adj, (1 << len(adj)) - 1)
 
 
+def _clique_after_drops(adj, mask, k):
+    # Whether dropping at most k vertices of mask leaves a clique: a vertex
+    # cover of at most k in the complement on mask.  A vertex with a
+    # non-neighbour in mask goes, or all its non-neighbours do; when it has
+    # just one, dropping that one instead of it loses nothing.
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        miss = mask & ~adj[b.bit_length() - 1] ^ b
+        if miss:
+            if not k:
+                return False
+            if not miss & (miss - 1):
+                return _clique_after_drops(adj, mask ^ miss, k - 1)
+            if _clique_after_drops(adj, mask ^ b, k - 1):
+                return True
+            c = miss.bit_count()
+            return c <= k and _clique_after_drops(adj, mask ^ miss, k - c)
+    return True
+
+
 def has_clique_within(adj, mask, t):
     """True iff the subgraph induced on mask contains a t-clique."""
     if t <= 0:
         return True
     if t == 1:
         return mask != 0
-    if mask.bit_count() < t:
+    if t == 2:
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            if adj[b.bit_length() - 1] & mask:
+                return True
         return False
+    k = mask.bit_count() - t
+    if k < 0:
+        return False
+    if k <= COVER_MAX:
+        return _clique_after_drops(adj, mask, k)
 
     def expand(P, size):
         order, bounds = _color_bounds(adj, P)
@@ -259,9 +341,16 @@ def canonical_perm(adj):
     best_perm = None
     best_path = ()
     path = []  # the vertex bits individualized on the way to the current node
-    # Each recorded automorphism as (mask of the vertices it moves, pairs
-    # (u, g(u)) over those vertices).
+    # Each known automorphism as (mask of the vertices it moves, pairs
+    # (u, g(u)) over those vertices): the twin swaps from the start, then
+    # those found at leaves.  A branch skipped by either kind is the image
+    # of an earlier one, so the first leaf with the least code, and the
+    # permutation returned, do not depend on which are known.
     generators = []
+    for v, p in enumerate(twin_pairs(adj)):
+        if p:
+            u = p.bit_length() - 1
+            generators.append((p | 1 << v, ((u, v), (v, u))))
 
     def leaf(cells):
         # Returns the depth to go back to.  A leaf whose code equals the

@@ -3,37 +3,9 @@
 from __future__ import annotations
 
 from . import _kernels as K
+# the pure canonical search seeds its automorphisms with the same scan
+from ._kernels_py import twin_pairs
 from .graphs import Graph, GraphError, complement_adj
-
-
-def twin_pairs(adj) -> list[int]:
-    """For each vertex, the bit of the vertex just before it in its twin
-    class, or 0 for the first member of a class.
-
-    Twins have equal open neighbourhoods N(x) = N(y) (then they are not
-    adjacent) or equal closed ones N[x] = N[y] (then they are), so swapping
-    two twins is an automorphism.  Both relations are equivalences, and no
-    vertex x lies in a nontrivial class of both: N(x) = N(y) and
-    N[x] = N[z] give z ~ x, so z ~ y, so y lies in N[z] = N[x] and in
-    N(x) = N(y), a loop.  Nor does an open key N(w) equal a closed key
-    N[v]: w ~ v would put w in N[v] = N(w).  So one dict over both keys
-    finds every class in one pass.
-
-    The swaps generate the product of the symmetric groups on the classes,
-    a subgroup of the automorphism group.  A vertex set is the first of its
-    orbit under it exactly when it meets every class in a prefix; an edge
-    is the first of its orbit exactly when each endpoint is the first of
-    its class or has the other endpoint as its preceding twin.  So a test
-    that commutes with automorphisms gives every dropped child of a graph
-    the verdict and the canonical line of a kept sibling.
-    """
-    last = {}
-    out = []
-    for v, row in enumerate(adj):
-        closed = row | 1 << v
-        out.append(last.get(row) or last.get(closed) or 0)
-        last[row] = last[closed] = 1 << v
-    return out
 
 
 def clique_number(g: Graph) -> int:

@@ -22,6 +22,15 @@ Two cooperating constructions:
   the exact isomorph rejection, and a line is expanded only when it first
   enters it.
 
+  A class travels with dead masks: the edges whose removal failed a family
+  test in the class or in any ancestor.  The three family tests carry down
+  under edge removal (if P - e fails one, so does P - uv - e), so a dead
+  edge heads a subtree with no member and is never tried again below.  An
+  edge is checked against the masks after the twin-orbit choice: the
+  orbit's other edges give isomorphic, equally failing children.  Only
+  family-test failures are marked; the key rule's rejections depend on the
+  whole graph and are retried in every child.
+
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
   complete family on n vertices with independence number in [r, t]: attach r
@@ -45,8 +54,9 @@ tasks run on one fork pool, shared by every call made inside a
 ``worker_pool`` block (a pipeline run opens one for the whole run), and
 an idle worker is sent up to ``_BATCH`` tasks per message.
 The descent's work list is a stack of the classes not yet expanded, each
-held as the adjacency its worker built, so no class is decoded from graph6
-again; a class is pushed when its canonical line first enters the result.
+held as the adjacency its worker built with its dead masks, so no class is
+decoded from graph6 again; a class is pushed when its canonical line first
+enters the result.
 Every child test commutes with relabeling, so the children's lines do not
 depend on which labeling of a class is expanded.  Results merge into sets
 of canonical lines, so the output is identical for any worker count.
@@ -261,9 +271,14 @@ def _orbit_rows(adj):
     ]
 
 
-def _descent_worker(entries, q, t, adj):
-    """The children of ``adj`` in (entries; q; t): sorted (canonical line,
-    adjacency) pairs, one per child class, each adjacency as built here."""
+def _descent_worker(entries, q, t, task):
+    """The children of the class ``task = (adj, dead)`` in (entries; q; t):
+    sorted (canonical line, child task) pairs, one per child class, each
+    adjacency as built here.  dead[x] has bit y when removing the edge xy
+    failed a family test in this class or an ancestor; such an edge is not
+    tried, and every child carries the class's final dead masks."""
+    adj, dead = task
+    dead = list(dead)
     n = len(adj)
     impl = K.impl
     cadj = complement_adj(adj)
@@ -295,6 +310,7 @@ def _descent_worker(entries, q, t, adj):
     ]
     children = {}
     for u, row in enumerate(_orbit_rows(adj)):
+        row &= ~dead[u]
         bu = 1 << u
         while row:
             bv = row & -row
@@ -316,20 +332,24 @@ def _descent_worker(entries, q, t, adj):
             child = list(adj)
             child[u] &= ~bv
             child[v] &= ~bu
-            # Losing an edge can only shrink common neighbourhoods and add
-            # non-edges, so a child whose plus-clique test fails heads a
-            # subtree where it fails everywhere: it is dropped before it is
-            # canonically labeled.
-            if not impl.is_plus_k(child, q - 1):
-                continue
-            # independence cap: a new independent (t+1)-set must contain both
-            # endpoints, i.e. a (t-1)-clique in their common complement
+            # The family tests, plus-clique (the most selective) first.
+            # Independence cap: a new independent (t+1)-set must contain
+            # both endpoints, i.e. a (t-1)-clique in their common complement
             # neighbourhood.  That mask avoids u and v, and a clique search
             # inside a mask reads only the rows of its vertices, which the
-            # child's complement shares with the parent's.
-            if impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1):
-                continue
-            if not arrows_adj(child, entries):
+            # child's complement shares with the parent's.  Losing an edge
+            # only shrinks common neighbourhoods, keeps independent sets and
+            # cannot make a graph arrow, so a failure carries down to every
+            # subgraph: the child is dropped before it is labeled and uv is
+            # dead in the whole subtree.  The key rule's rejections do not
+            # carry down and mark nothing.
+            if (
+                not impl.is_plus_k(child, q - 1)
+                or impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
+                or not arrows_adj(child, entries)
+            ):
+                dead[u] |= bv
+                dead[v] |= bu
                 continue
             # The rest of the rule: non-edges at u or v lose v or u from
             # the common neighbourhood and one from the degree sum, and
@@ -350,7 +370,8 @@ def _descent_worker(entries, q, t, adj):
                     break
             if not outranked:
                 children.setdefault(canonical_line(child), tuple(child))
-    return sorted(children.items())
+    dead = tuple(dead)
+    return [(line, (child, dead)) for line, child in sorted(children.items())]
 
 
 def family_defect(adj, entries, q, t):
@@ -380,15 +401,16 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     order = seeds[0].n
     # Workers pass on plus-clique members only, so every line they return
     # belongs in the result, and a class goes on the work list, as the
-    # adjacency that came with its line, only when the line first enters
-    # the result: each class is expanded once.  The list is popped last in,
-    # first out, so it stays small.
+    # task (adjacency, dead masks) that came with its line, only when the
+    # line first enters the result: each class is expanded once.  The list
+    # is popped last in, first out, so it stays small.  A seed has no dead
+    # edge yet.
     tasks = []
 
     def enter(children):
-        for line, adj in children:
+        for line, task in children:
             if result.insert_canonical(line):
-                tasks.append(adj)
+                tasks.append(task)
 
     for g in seeds:
         if g.n != order:
@@ -398,7 +420,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
             raise GraphError(f"seed {defect}")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
-            enter([(canonical_line(g.adj), g.adj)])
+            enter([(canonical_line(g.adj), (g.adj, (0,) * order))])
     _dispatch(partial(_descent_worker, entries, q, t), tasks, enter, workers)
     return result
 

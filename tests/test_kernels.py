@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 
 from folkman import _kernels_py as py
-from folkman.graphs import Graph, join
+from folkman.graphs import Graph, bits_of, join
 from tests.conftest import (
     available_backends,
     complete_less_matching,
     from_edges,
     graphs,
+    has_edge,
     induced,
     random_graph,
+    random_permuted,
 )
 from tests.oracles import (
     canonical_perm_reference,
@@ -68,6 +70,42 @@ def test_free_partition_classes_are_valid(rng):
             union |= mask
             assert py.max_clique_size_within(g.adj, mask) <= limit
         assert union == g.full_mask()
+
+
+def _near_complete_cases(rng, trials):
+    # dense graphs and masks with |mask| - t from 0 to one past the cover
+    # cutoff, plus t = 2, t > |mask| and the empty mask
+    for _ in range(trials):
+        n = rng.randint(0, 12)
+        g = random_graph(rng, n, rng.choice((0.6, 0.8, 0.9, 0.97, 1)))
+        mask = rng.getrandbits(n) if n else 0
+        size = mask.bit_count()
+        drops = range(py.COVER_MAX + 2)
+        ts = {2, size + 1, size + 2} | {size - k for k in drops if size - k >= 0}
+        yield g, mask, sorted(ts)
+        yield g, 0, [0, 1, 2, 3]
+
+
+def test_has_clique_within_near_complete_masks_against_brute_force(rng):
+    checked = 0
+    for g, mask, ts in _near_complete_cases(rng, 300):
+        for t in ts:
+            want = has_mono_clique(g, mask, t)
+            for name, kernels in available_backends().items():
+                assert kernels.has_clique_within(g.adj, mask, t) == want, (name, g.adj, mask, t)
+            checked += want
+    assert checked
+
+
+def test_has_clique_within_against_networkx_clique_number(rng):
+    nx = pytest.importorskip("networkx")
+    for g, mask, ts in _near_complete_cases(rng, 200):
+        h = nx.Graph()
+        h.add_nodes_from(bits_of(mask))
+        h.add_edges_from((u, v) for u in bits_of(mask) for v in bits_of(g.adj[u] & mask) if u < v)
+        omega = max((len(c) for c in nx.find_cliques(h)), default=0)
+        for t in ts:
+            assert py.has_clique_within(g.adj, mask, t) == (t <= omega), (g.adj, mask, t)
 
 
 @needs_compiled
@@ -170,11 +208,56 @@ def test_canonical_perm_matches_reference_on_structured_graphs():
         _assert_matches_reference(g.adj)
 
 
+def _blown_up(rng, base, closed):
+    # base with some vertices replaced by twin classes of 2-5 vertices,
+    # cliques (closed twins) or independent sets (open twins), relabeled
+    sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(base.n)]
+    where = []
+    for v, k in enumerate(sizes):
+        where += [v] * k
+    edges = [
+        (i, j)
+        for i in range(len(where))
+        for j in range(i + 1, len(where))
+        if (closed[where[i]] if where[i] == where[j] else has_edge(base, where[i], where[j]))
+    ]
+    return random_permuted(rng, from_edges(len(where), edges))
+
+
+def test_twin_seeded_canonical_perm_matches_reference_on_planted_twins(rng):
+    planted = 0
+    for _ in range(40):
+        base = random_graph(rng, rng.randint(1, 5), rng.random())
+        g = _blown_up(rng, base, [rng.random() < 0.5 for _ in range(base.n)])
+        planted += any(py.twin_pairs(g.adj))
+        _assert_matches_reference(g.adj)
+    assert planted
+
+
+def test_twin_seeded_canonical_perm_on_large_automorphism_groups(rng):
+    # the seeded G(n, p) graphs on which the search once took seconds to
+    # minutes; the reference search is too slow on the last two
+    for n, p in ((25, 0.985), (20, 0.02), (30, 0.99), (35, 0.003)):
+        g = random_graph(rng, n, p)
+        perm = py.canonical_perm(g.adj)
+        if n < 30:
+            assert perm == canonical_perm_reference(g.adj), (n, p)
+        if cy is not None:
+            assert perm == cy.canonical_perm(g.adj), (n, p)
+        code = py._leaf_code(g.adj, perm)
+        for _ in range(3):
+            h = random_permuted(rng, g)
+            assert py._leaf_code(h.adj, py.canonical_perm(h.adj)) == code, (n, p)
+
+
 def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
     # A leaf with the best code so far maps the best leaf by an automorphism
     # fixing their common path prefix, so the search resumes at their
     # deepest common ancestor.  Without that rule these graphs take 11 and
-    # 32 leaves.
+    # 16 leaves.  The Petersen graph has no twins, so its count pins the
+    # rule alone; K_12 less a perfect matching has six open twin pairs,
+    # whose swaps the search knows from the start (7 leaves without them,
+    # 32 without them and the rule).
     calls = []
     leaf_code = py._leaf_code
 
@@ -183,7 +266,8 @@ def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
         return leaf_code(adj, perm)
 
     monkeypatch.setattr(py, "_leaf_code", counted)
-    for g, leaves in ((_petersen(), 5), (complete_less_matching(12), 7)):
+    assert not any(py.twin_pairs(_petersen().adj))
+    for g, leaves in ((_petersen(), 5), (complete_less_matching(12), 6)):
         calls.clear()
         assert py.canonical_perm(g.adj) == canonical_perm_reference(g.adj)
         assert len(calls) == leaves

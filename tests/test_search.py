@@ -40,6 +40,7 @@ from folkman.search import (
     _dispatch,
     _orbit_rows,
     attach_vertices,
+    family_defect,
     complete_base,
     generate_family,
     generate_family_cone_split,
@@ -336,9 +337,9 @@ def test_descent_expands_each_class_once(monkeypatch):
     # expand its class (and its whole subtree) once per parent
     expanded = Counter()
 
-    def counting(entries, q, t, adj):
-        expanded[canonical_line(adj)] += 1
-        return _descent_worker(entries, q, t, adj)
+    def counting(entries, q, t, task):
+        expanded[canonical_line(task[0])] += 1
+        return _descent_worker(entries, q, t, task)
 
     monkeypatch.setattr(search, "_descent_worker", counting)
     cases = [
@@ -368,13 +369,81 @@ def test_descent_worker_children_do_not_depend_on_labeling(backend, monkeypatch,
     children = 0
     for g, avec, q, t in cases:
         entries = ArrowVector(avec).canonical().entries
-        want = [line for line, _ in _descent_worker(entries, q, t, g.adj)]
+        none_dead = (0,) * g.n
+        want = [line for line, _ in _descent_worker(entries, q, t, (g.adj, none_dead))]
         for _ in range(4):
-            got = _descent_worker(entries, q, t, random_permuted(rng, g).adj)
+            task = (random_permuted(rng, g).adj, none_dead)
+            got = _descent_worker(entries, q, t, task)
             assert [line for line, _ in got] == want, (avec, q, t, canonical_form(g))
-            assert all(canonical_line(adj) == line for line, adj in got)
+            assert all(canonical_line(adj) == line for line, (adj, _) in got)
         children += len(want)
     assert children
+
+
+class _CountingPlusK:
+    """A kernel module that counts its ``is_plus_k`` calls."""
+
+    def __init__(self, real):
+        self.real = real
+        self.plus_k = 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def is_plus_k(self, adj, t):
+        self.plus_k += 1
+        return self.real.is_plus_k(adj, t)
+
+
+def _forgetting_dead(entries, q, t, task):
+    adj, _ = task
+    return _descent_worker(entries, q, t, (adj, (0,) * len(adj)))
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_dead_edges_cut_plus_clique_tests_and_keep_every_line(backend, monkeypatch):
+    # a dead edge heads a subtree without members: a descent whose classes
+    # forget their dead masks makes strictly more is_plus_k calls and finds
+    # the same lines
+    counting = _CountingPlusK(available_backends()[backend])
+    monkeypatch.setattr(_kernels, "impl", counting)
+    for avec, q, n, t in DESCENT_CONFIGS:
+        seeds = maximal_family_exhaustive(avec, q, n, t)
+        counting.plus_k = 0
+        want = plus_clique_descent(seeds, avec, q, t).lines()
+        inherited = counting.plus_k
+        with monkeypatch.context() as m:
+            m.setattr(search, "_descent_worker", _forgetting_dead)
+            counting.plus_k = 0
+            assert plus_clique_descent(seeds, avec, q, t).lines() == want, (avec, q, t)
+        assert inherited < counting.plus_k, (avec, q, t)
+
+
+def test_dead_edges_fail_a_family_test(monkeypatch):
+    # every dead edge of a class's task is one whose removal leaves a graph
+    # outside the plus-clique family; a key-rule rejection is not dead
+    tasks = []
+
+    def recording(entries, q, t, task):
+        tasks.append(task)
+        return _descent_worker(entries, q, t, task)
+
+    monkeypatch.setattr(search, "_descent_worker", recording)
+    marked = 0
+    for avec, q, n, t in DESCENT_CONFIGS:
+        entries = ArrowVector(avec).canonical().entries
+        tasks.clear()
+        plus_clique_descent(maximal_family_exhaustive(avec, q, n, t), avec, q, t)
+        for adj, dead in tasks:
+            g = Graph(len(adj), adj)
+            for u, row in enumerate(dead):
+                for v in bits_of(row & adj[u]):
+                    child = remove_edge(g, u, v)
+                    assert family_defect(child.adj, entries, q, t) or not is_plus_kt(
+                        child, q - 1
+                    ), (avec, q, t, u, v)
+                    marked += 1
+    assert marked
 
 
 class _RecordingPool(search._Pool):
@@ -409,7 +478,7 @@ def test_descent_ships_classes_in_batches(monkeypatch):
         got = plus_clique_descent(seeds, (3,), 4, 3, workers=workers)
         assert got.lines() == want, workers
         sent = _RecordingPool.sent
-        assert sorted(canonical_line(adj) for batch in sent for adj in batch) == want
+        assert sorted(canonical_line(adj) for batch in sent for adj, _ in batch) == want
         assert len(sent) < len(want), workers
 
 
@@ -686,18 +755,18 @@ def _edge_count(adj):
     return sum(row.bit_count() for row in adj) // 2
 
 
-def _descent_worker_failing_low(entries, q, t, adj):
+def _descent_worker_failing_low(entries, q, t, task):
     # K_7 passes; its child, one edge down, fails
-    if _edge_count(adj) < 21:
+    if _edge_count(task[0]) < 21:
         raise ValueError("worker failed")
-    return _descent_worker(entries, q, t, adj)
+    return _descent_worker(entries, q, t, task)
 
 
-def _descent_worker_failing_deep(entries, q, t, adj):
+def _descent_worker_failing_deep(entries, q, t, task):
     # on 8 vertices, past the depth where the work list holds many classes
-    if _edge_count(adj) < 16:
+    if _edge_count(task[0]) < 16:
         raise ValueError("worker failed deep")
-    return _descent_worker(entries, q, t, adj)
+    return _descent_worker(entries, q, t, task)
 
 
 def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
@@ -725,7 +794,7 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
         plus_clique_descent(seeds, (3,), 4, 3, workers=2)
     assert not multiprocessing.active_children()
     assert any(
-        len(batch) > 1 and any(_edge_count(adj) < 16 for adj in batch)
+        len(batch) > 1 and any(_edge_count(adj) < 16 for adj, _ in batch)
         for batch in _RecordingPool.sent
     )
 
