@@ -20,6 +20,9 @@ twin:
   query with at most ``COVER_MAX`` vertices of the mask to drop by a
   bounded vertex-cover branch; the compiled one runs its colouring
   branch-and-bound on both.
+* a leaf's code is ``graphs.edge_code``, the graph6 edge bits that the
+  encoder packs, so the edge order is defined once; the compiled twin
+  keeps its own encoder (``_encode``).
 
 Both refine to the same partitions at the nodes they visit and return the
 same results; the compiled side gets the bookkeeping once
@@ -31,6 +34,8 @@ plain int masks.
 """
 
 from __future__ import annotations
+
+from .graphs import edge_code
 
 BACKEND = "python"
 
@@ -245,21 +250,6 @@ def free_partition(adj, limits):
     return None
 
 
-def _leaf_code(adj, perm):
-    # Upper-triangle bits of the relabeled graph, column-major, read as one
-    # integer whose most significant bit is the first; codes of one graph
-    # have the same length, so integer order is the order of the bit
-    # sequence, which is the graph6 edge stream.
-    code = 0
-    for j in range(1, len(perm)):
-        aj = adj[perm[j]]
-        col = 0
-        for i in range(j):
-            col = (col << 1) | ((aj >> perm[i]) & 1)
-        code = (code << j) | col
-    return code
-
-
 def _refine(adj, cells, fresh):
     # Equitable refinement of an ordered partition (list of cell masks).
     # The scan takes splitters W and cells C in position order, W outer; the
@@ -361,7 +351,7 @@ def canonical_perm(adj):
         # vertex, so the search resumes at the deepest common ancestor.
         nonlocal best_code, best_perm, best_path
         perm = tuple([c.bit_length() - 1 for c in cells])
-        code = _leaf_code(adj, perm)
+        code = edge_code(adj, perm)
         if best_perm is None or code < best_code:
             best_code = code
             best_perm = perm

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from . import _kernels as K
-from .graphs import Graph, adj_to_graph6, from_graph6, graph6_lines
+from .graphs import Graph, adj_to_graph6, from_graph6, graph6_lines, unpack_graph6
 
 
 def canonical_line(adj) -> str:
@@ -27,6 +27,20 @@ def canonical_line(adj) -> str:
 
 def canonical_form(g: Graph) -> str:
     return canonical_line(g.adj)
+
+
+def has_cone_vertex(line: str) -> bool:
+    """Whether the graph of a canonical line has a vertex adjacent to all
+    others.  Both kernel twins first split the vertices into cells of equal
+    degree, in ascending order, and split only in place after that, so a
+    canonical labeling lists the vertices in nondecreasing degree and a
+    cone vertex comes last: its column, the last n - 1 edge bits, is all
+    ones."""
+    n, code = unpack_graph6(line)
+    if not n:
+        return False
+    last = (1 << n - 1) - 1
+    return code & last == last
 
 
 class GraphSet:
@@ -69,11 +83,14 @@ class GraphSet:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path) -> list[str]:
+        """Write the sorted lines to ``path`` and return them."""
+        lines = self.lines()
         with atomic_write(path, "ascii") as fh:
-            for line in self.lines():
+            for line in lines:
                 fh.write(line)
                 fh.write("\n")
+        return lines
 
     @classmethod
     def load(cls, path) -> "GraphSet":

@@ -150,12 +150,8 @@ def deficient_cover(adj, q: int):
     return (1 << len(deficient)) - 1, fixes
 
 
-def cone_vertex_count(g: Graph) -> int:
-    """Vertices adjacent to all other vertices."""
-    return cone_vertex_mask(g).bit_count()
-
-
 def cone_vertex_mask(g: Graph) -> int:
+    """The vertices adjacent to all other vertices, as a mask."""
     full = g.full_mask()
     m = 0
     for v in range(g.n):

@@ -7,6 +7,7 @@ sharing across worker processes safe.
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -156,6 +157,34 @@ def attach(adj, masks) -> tuple:
 
 # -- graph6 ----------------------------------------------------------------
 
+# graph6 writes a bit stream in 6-bit groups as chr(63 + group) where base64
+# writes alphabet[group], so binascii packs and unpacks it through these
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+
+
+def edge_code(adj, order) -> int:
+    """graph6 edge bits of ``adj`` relabeled so that position i takes the
+    role of vertex order[i] (the upper triangle, column by column), as one
+    integer whose first bit is the most significant: codes of one graph
+    compare as their bit streams do."""
+    code = 0
+    for j in range(1, len(order)):
+        aj = adj[order[j]]
+        col = 0
+        for p in order[:j]:
+            col = col << 1 | aj >> p & 1
+        code = code << j | col
+    return code
+
+
+def _unpack(text: str) -> int:
+    # the 6 * len(text) bits of graph6 characters already checked for range
+    pad = -len(text) % 4
+    data = binascii.a2b_base64(text.encode().translate(_FROM_G6) + b"A" * pad)
+    return int.from_bytes(data, "big") >> 6 * pad
+
 
 def to_graph6(g: Graph) -> str:
     """Standard graph6 line (without trailing newline)."""
@@ -166,51 +195,42 @@ def adj_to_graph6(n: int, adj, perm=None) -> str:
     """graph6 line of the graph with neighbour masks ``adj``; with ``perm``,
     of its relabeling in which position i takes the role of old vertex
     perm[i] (as in Graph.relabel), read straight from ``adj``."""
-    order = range(n) if perm is None else perm
-    if n <= 62:
-        head = [chr(63 + n)]
-    else:
-        head = ["~", chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    out = head
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        aj = adj[order[j]]
-        for p in order[:j]:
-            acc = (acc << 1) | ((aj >> p) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    code = edge_code(adj, range(n) if perm is None else perm)
+    # n in 6 bits (18 after "~"), the edge bits, zeros to whole 24-bit
+    # quanta; the cut to one character per group drops b2a_base64's newline
+    ebits = n * (n - 1) // 2
+    nbits = ebits + (6 if n <= 62 else 18)
+    pad = -nbits % 24
+    data = ((n << ebits | code) << pad).to_bytes((nbits + pad) >> 3, "big")
+    text = binascii.b2a_base64(data)[: (nbits + 5) // 6].translate(_TO_G6).decode()
+    return text if n <= 62 else "~" + text
 
 
-def from_graph6(line: str) -> Graph:
+def unpack_graph6(line: str) -> tuple[int, int]:
+    """The vertex count n of a graph6 line and its edge bits, as
+    ``edge_code`` gives them for the graph in the line's own labeling.
+    Raises Graph6ParseError, with the byte offset, on a malformed line."""
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6ParseError("empty graph6 line", 0)
-
-    def val(i):
-        c = ord(s[i])
-        if not 63 <= c <= 126:
-            raise Graph6ParseError(f"byte {c!r} outside graph6 range", i)
-        return c - 63
-
+    # a2b_base64 skips bytes outside its alphabet, so the range is checked
+    # here; a bad byte is reported in the header's turn or the body's
+    bad = None
+    if min(s) < "?" or max(s) > "~":
+        bad = next(i for i, c in enumerate(s) if not "?" <= c <= "~")
     if s[0] == "~":
         if len(s) < 4:
             raise Graph6ParseError("truncated long-form vertex count", len(s))
-        if len(s) >= 2 and s[1] == "~":
+        if s[1] == "~":
             raise Graph6ParseError("vertex count beyond 64 unsupported", 1)
-        n = (val(1) << 12) | (val(2) << 6) | val(3)
         body = 4
     else:
-        n = val(0)
         body = 1
+    if bad is not None and bad < body:
+        raise Graph6ParseError(f"byte {ord(s[bad])!r} outside graph6 range", bad)
+    n = _unpack(s[1:4]) if body == 4 else ord(s[0]) - 63
     if n > MAX_VERTICES:
         raise Graph6ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", 0)
 
@@ -221,16 +241,22 @@ def from_graph6(line: str) -> Graph:
             f"expected {need} edge bytes for n = {n}, got {len(s) - body}",
             min(len(s), body + need),
         )
-    bits = 0
-    for idx in range(body, len(s)):
-        bits = (bits << 6) | val(idx)
+    if bad is not None:
+        raise Graph6ParseError(f"byte {ord(s[bad])!r} outside graph6 range", bad)
+    bits = _unpack(s[body:])
     # the padding fills the low end of the last byte
-    if bits & ((1 << (6 * need - nedgebits)) - 1):
+    pad = 6 * need - nedgebits
+    if bits & ((1 << pad) - 1):
         raise Graph6ParseError("nonzero padding bits", len(s) - 1)
+    return n, bits >> pad
+
+
+def from_graph6(line: str) -> Graph:
+    n, code = unpack_graph6(line)
     # edge bits run from the top in column-major upper-triangle order, so
     # in the reversed stream column j is the j bits from j(j-1)/2 up, bit i
     # standing for the edge ij
-    stream = int(format(bits, f"0{6 * need}b")[::-1], 2)
+    stream = int(format(code, f"0{n * (n - 1) // 2}b")[::-1], 2)
     adj = [0] * n
     for j in range(1, n):
         col = (stream >> (j * (j - 1) // 2)) & ((1 << j) - 1)

@@ -61,10 +61,11 @@ from .canon import (
     file_digest,
     format_kv,
     graph_set_of,
+    has_cone_vertex,
     read_manifest,
     write_manifest,
 )
-from .cliques import cone_vertex_count, is_plus_kt
+from .cliques import is_plus_kt
 from .generate import maximal_family_exhaustive
 from .graphs import GraphError, from_graph6
 from .search import (
@@ -173,6 +174,15 @@ class StepReport:
     input_digests: dict = field(default_factory=dict)
 
 
+# the keys each section kind may hold: nothing would read any other
+_KEYS = {
+    "pipeline": {"name", "workers"},
+    "base": {"family", "kind", "path"},
+    "step": {"family", "r", "algorithm", "input", "input2"},
+    "descend": {"input"},
+}
+
+
 def parse_config(path) -> PipelineConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -184,6 +194,10 @@ def parse_config(path) -> PipelineConfig:
     for section in cp.sections():
         body = cp[section]
         kind, _, item_name = section.partition(":")
+        for key in body:
+            # (a section of unknown kind is rejected below)
+            if key not in _KEYS.get(kind, body):
+                raise ConfigError(f"section [{section}] has unknown key {key!r}")
         try:
             if section == "pipeline":
                 name = body.get("name", name)
@@ -384,10 +398,9 @@ class Runner:
             if _reusable(meta, fields, path):
                 return int(meta["count"]), int(meta["cone_free_count"]), True
         started = time.perf_counter()
-        graphs = build()
-        graphs.save(path)
-        fields["count"] = len(graphs)
-        fields["cone_free_count"] = sum(1 for g in graphs if cone_vertex_count(g) == 0)
+        lines = build().save(path)
+        fields["count"] = len(lines)
+        fields["cone_free_count"] = sum(not has_cone_vertex(line) for line in lines)
         if "seconds" in fields:
             fields["seconds"] = f"{time.perf_counter() - started:.3f}"
         write_manifest(meta_path, fields)

@@ -71,10 +71,9 @@ from functools import partial
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize
-from .canon import GraphSet, canonical_line
+from .canon import GraphSet, canonical_line, has_cone_vertex
 from .cliques import (
     complement_adj,
-    cone_vertex_count,
     cone_vertex_mask,
     deficient_cover,
     maximal_kt_free_subsets,
@@ -485,7 +484,9 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     out = []
     chosen = []
 
-    def rec(start, covered):
+    # unions[b]: the union and the count of the chosen slots at the bits of
+    # b; each chosen slot doubles the list
+    def rec(start, covered, unions):
         d = len(chosen)
         if d == r:
             # the last slot took only a candidate that finished the cover
@@ -503,27 +504,20 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
             i = cand[pos]
             if any(not compatible(j, i) for j in chosen):
                 continue
-            # residue condition for every position subset ending at the new slot
-            ok = True
-            for sub in range(1 << d):
-                union = subsets[i]
-                k = 1
-                rest = sub
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    union |= subsets[chosen[b.bit_length() - 1]]
-                    k += 1
-                if not rest_ok(union, k):
-                    ok = False
+            # residue condition for every subset of the chosen slots joined by
+            # the new one; they make the next slot's unions
+            grown = list(unions)
+            for union, k in unions:
+                union |= subsets[i]
+                if not rest_ok(union, k + 1):
                     break
-            if not ok:
-                continue
-            chosen.append(i)
-            rec(pos, covered | fix[pos])
-            chosen.pop()
+                grown.append((union, k + 1))
+            else:
+                chosen.append(i)
+                rec(pos, covered | fix[pos], grown)
+                chosen.pop()
 
-    rec(0, 0)
+    rec(0, 0, [(0, 0)])
     return out
 
 
@@ -534,12 +528,12 @@ def attach_vertices(h: Graph, masks) -> Graph:
 
 
 def _extension_worker(entries, q, r, t, cone_free, line):
-    """The set of output lines of one host line (none for a coned host
-    under ``cone_free``)."""
+    """The set of output lines of one canonical host line (none for a
+    coned host under ``cone_free``)."""
     results = set()
-    h = from_graph6(line)
-    if cone_free and cone_vertex_count(h):
+    if cone_free and has_cone_vertex(line):
         return results
+    h = from_graph6(line)
     # every multiset gives a plus-K_q graph (see valid_multisets)
     for masks in valid_multisets(h, q, r, t):
         # built from a validated host, so the adjacency skips Graph's checks

@@ -152,6 +152,11 @@ def delete_vertices(g: Graph, mask: int) -> Graph:
     return induced(g, g.full_mask() ^ mask)
 
 
+def cone_vertex_count(g: Graph) -> int:
+    """Vertices adjacent to all other vertices."""
+    return cone_vertex_mask(g).bit_count()
+
+
 def strip_cone_vertices(g: Graph) -> Graph:
     return delete_vertices(g, cone_vertex_mask(g))
 

@@ -45,7 +45,6 @@ from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_line
 from folkman.cliques import (
     complement_adj,
-    cone_vertex_count,
     has_clique,
     is_plus_kt,
     maximal_kt_free_subsets,
@@ -54,6 +53,7 @@ from folkman.generate import bounded_classes
 from folkman.graphs import Graph, GraphError, bits_of, join
 from folkman.search import attach_vertices
 from tests.conftest import (
+    cone_vertex_count,
     delete_vertices,
     has_edge,
     mask_of,

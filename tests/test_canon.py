@@ -9,11 +9,18 @@ from folkman.canon import (
     canonical_form,
     canonical_line,
     graph_set_of,
+    has_cone_vertex,
     read_manifest,
     write_manifest,
 )
-from folkman.graphs import Graph, from_graph6, to_graph6
-from tests.conftest import available_backends, from_edges, random_graph, random_permuted
+from folkman.graphs import Graph, from_graph6, join, to_graph6
+from tests.conftest import (
+    available_backends,
+    cone_vertex_count,
+    from_edges,
+    random_graph,
+    random_permuted,
+)
 from tests.oracles import relabel_reference
 
 
@@ -246,3 +253,35 @@ def test_failed_writes_keep_the_old_file(tmp_path):
         write_manifest(meta, {"count": 2, "seconds": Unwritable()})
     assert read_manifest(meta) == {"count": "1"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["family.g6", "family.meta"]
+
+
+def _with_cones(rng, n, cones, p):
+    """A G(n - cones, p) graph joined to K_cones, relabeled at random."""
+    g = join(Graph.complete(cones), random_graph(rng, n - cones, p))
+    return random_permuted(rng, g)
+
+
+def test_canonical_labelings_list_vertices_in_nondecreasing_degree(rng):
+    # has_cone_vertex rests on this: a cone vertex comes last
+    for name, backend in available_backends().items():
+        for n in range(65):
+            for cones in {0, min(n, 1), min(n, 2)}:
+                g = _with_cones(rng, n, cones, rng.choice((0.3, 0.5, 0.7)))
+                degrees = [g.adj[v].bit_count() for v in backend.canonical_perm(g.adj)]
+                assert degrees == sorted(degrees), (name, n, cones)
+
+
+def test_has_cone_vertex_agrees_with_decoding(rng, monkeypatch):
+    from folkman import _kernels
+
+    seen = set()
+    for backend in available_backends().values():
+        monkeypatch.setattr(_kernels, "impl", backend)
+        for n in (0, 1, 2, 3, 5, 62, 63, 64):
+            for cones in {0, min(n, 1), min(n, 2)}:
+                for p in (0.3, 0.9):
+                    line = canonical_line(_with_cones(rng, n, cones, p).adj)
+                    want = cone_vertex_count(from_graph6(line)) > 0
+                    assert has_cone_vertex(line) == want, (n, cones, p)
+                    seen.add(want)
+    assert seen == {False, True}

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from folkman.cliques import (
     clique_number,
-    cone_vertex_count,
     deficient_cover,
     has_clique,
     independence_number,
@@ -17,6 +16,7 @@ from folkman.search import attach_vertices
 from tests.conftest import (
     add_edge,
     complete_less_matching,
+    cone_vertex_count,
     from_edges,
     graphs,
     has_edge,

@@ -169,17 +169,54 @@ def test_graph6_long_form():
     assert from_graph6(to_graph6(g64)) == g64
 
 
+# Malformed lines with the message and byte offset they are rejected with.
+# The checks run in a fixed order: the long form's length and its "~~", the
+# header's bytes, the vertex cap, the body's length, its bytes, its padding;
+# a line with two defects reports the first check it fails.
+MALFORMED_GRAPH6 = [
+    ("", "empty graph6 line", 0),
+    ("  ", "empty graph6 line", 0),
+    (">>graph6<<", "empty graph6 line", 0),
+    ("!??", "byte 33 outside graph6 range", 0),
+    ("D?!", "byte 33 outside graph6 range", 2),  # '!' is below the range
+    ("D?\x7f", "byte 127 outside graph6 range", 2),
+    ("D\u00e9?", "byte 233 outside graph6 range", 1),
+    ("C\x01", "byte 1 outside graph6 range", 1),
+    ("D?", "expected 2 edge bytes for n = 5, got 1", 2),
+    ("D???", "expected 2 edge bytes for n = 5, got 3", 3),
+    ("F????@", "expected 4 edge bytes for n = 7, got 5", 5),
+    ("~", "truncated long-form vertex count", 1),
+    ("~?", "truncated long-form vertex count", 2),
+    ("~??", "truncated long-form vertex count", 3),
+    ("~~AAAA", "vertex count beyond 64 unsupported", 1),
+    ("~?!?", "byte 33 outside graph6 range", 2),
+    ("~?@\x01", "byte 1 outside graph6 range", 3),
+    ("~?A?", "vertex count 128 exceeds 64", 0),
+    ("~?@@", "vertex count 65 exceeds 64", 0),
+    ("~??~", "expected 326 edge bytes for n = 63, got 0", 4),
+    ("A@", "nonzero padding bits", 1),
+    ("B~", "nonzero padding bits", 1),
+    # two defects each
+    ("Cx\x01", "expected 1 edge bytes for n = 4, got 2", 2),
+    ("D!", "expected 2 edge bytes for n = 5, got 1", 2),
+    ("@\x01", "expected 0 edge bytes for n = 1, got 1", 1),
+    ("A@?", "expected 1 edge bytes for n = 2, got 2", 2),
+    ("~\x01?", "truncated long-form vertex count", 3),
+    ("~~\x01", "truncated long-form vertex count", 3),
+    ("~~AA\x01", "vertex count beyond 64 unsupported", 1),
+    ("!?\x01", "byte 33 outside graph6 range", 0),
+    ("~?A?!", "vertex count 128 exceeds 64", 0),
+    ("~?@@!", "vertex count 65 exceeds 64", 0),
+    ("D\x01~", "byte 1 outside graph6 range", 1),
+]
+
+
 def test_graph6_errors():
-    with pytest.raises(Graph6ParseError):
-        from_graph6("")
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("D?")
-    assert err.value.offset == 2
-    with pytest.raises(Graph6ParseError) as err:
-        from_graph6("D?!")  # '!' is below the graph6 byte range
-    assert err.value.offset == 2
-    with pytest.raises(Graph6ParseError):
-        from_graph6("~~AAAA")
+    for line, message, offset in MALFORMED_GRAPH6:
+        with pytest.raises(Graph6ParseError) as err:
+            from_graph6(line)
+        assert str(err.value) == f"{message} (byte offset {offset})", repr(line)
+        assert err.value.offset == offset, repr(line)
 
 
 def test_capacity():

@@ -208,10 +208,12 @@ def test_canonical_perm_matches_reference_on_structured_graphs():
         _assert_matches_reference(g.adj)
 
 
-def _blown_up(rng, base, closed):
-    # base with some vertices replaced by twin classes of 2-5 vertices,
-    # cliques (closed twins) or independent sets (open twins), relabeled
-    sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(base.n)]
+def _blown_up(rng, base, closed, sizes=None):
+    # base with vertex v replaced by a twin class of sizes[v] vertices (by
+    # default some of 2-5, the rest single), a clique (closed twins) or an
+    # independent set (open twins) by closed[v], relabeled
+    if sizes is None:
+        sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(base.n)]
     where = []
     for v, k in enumerate(sizes):
         where += [v] * k
@@ -234,6 +236,23 @@ def test_twin_seeded_canonical_perm_matches_reference_on_planted_twins(rng):
     assert planted
 
 
+def test_twin_seeded_canonical_perm_on_vertex_transitive_bases(rng):
+    # Two vertex-transitive bases of one degree side by side, each vertex a
+    # twin class of one size and kind: the graph is regular, so refinement
+    # splits nothing at the root, and not vertex-transitive, so a swap seeded
+    # against the wrong vertex prunes branches whose codes differ.  (On
+    # random bases refinement keeps each class a cell of its own, whose
+    # branches a wrong swap cannot tell apart.)
+    cycles = [Graph.cycle(k) for k in range(5, 10)]
+    pairs = list(zip(cycles, cycles[1:])) + [(_petersen(), _prism(5))]
+    for x, y in pairs:
+        base = _disjoint_union(x, y)
+        for closed in (False, True):
+            g = _blown_up(rng, base, [closed] * base.n, [2] * base.n)
+            assert sum(map(bool, py.twin_pairs(g.adj))) == base.n
+            _assert_matches_reference(g.adj)
+
+
 def test_twin_seeded_canonical_perm_on_large_automorphism_groups(rng):
     # the seeded G(n, p) graphs on which the search once took seconds to
     # minutes; the reference search is too slow on the last two
@@ -244,10 +263,10 @@ def test_twin_seeded_canonical_perm_on_large_automorphism_groups(rng):
             assert perm == canonical_perm_reference(g.adj), (n, p)
         if cy is not None:
             assert perm == cy.canonical_perm(g.adj), (n, p)
-        code = py._leaf_code(g.adj, perm)
+        code = py.edge_code(g.adj, perm)
         for _ in range(3):
             h = random_permuted(rng, g)
-            assert py._leaf_code(h.adj, py.canonical_perm(h.adj)) == code, (n, p)
+            assert py.edge_code(h.adj, py.canonical_perm(h.adj)) == code, (n, p)
 
 
 def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
@@ -259,13 +278,13 @@ def test_canonical_perm_jumps_back_on_a_repeated_leaf_code(monkeypatch):
     # whose swaps the search knows from the start (7 leaves without them,
     # 32 without them and the rule).
     calls = []
-    leaf_code = py._leaf_code
+    leaf_code = py.edge_code
 
     def counted(adj, perm):
         calls.append(perm)
         return leaf_code(adj, perm)
 
-    monkeypatch.setattr(py, "_leaf_code", counted)
+    monkeypatch.setattr(py, "edge_code", counted)
     assert not any(py.twin_pairs(_petersen().adj))
     for g, leaves in ((_petersen(), 5), (complete_less_matching(12), 6)):
         calls.clear()

@@ -107,6 +107,23 @@ def test_validation_rejects_stray_input2(tmp_path):
     assert "only used by algorithm 2" in str(err.value)
 
 
+def test_config_rejects_keys_no_section_reads(tmp_path, capsys):
+    # misspelled keys once fell back to defaults: a complete base, 1 worker
+    for old, new, section, key in [
+        ("kind = complete", "knd = exhaustive", "base:k3", "knd"),
+        ("workers = 1", "worker = 4", "pipeline", "worker"),
+        ("algorithm = 1\ninput = k3", "algorithm = 1\ninput = k3\npath = x.g6", "step:s5", "path"),
+        ("input = s7\n", "input = s7\nr = 2\n", "descend:d7", "r"),
+    ]:
+        cfg_path = write_config(tmp_path, TINY_CONFIG.replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_path)
+        assert f"section [{section}] has unknown key {key!r}" in str(err.value)
+        assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_empty_pipeline(tmp_path):
     cfg_path = write_config(tmp_path, "[pipeline]\nname = nothing\n")
     reports, rows = run_pipeline(cfg_path, tmp_path / "run")

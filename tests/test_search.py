@@ -17,7 +17,6 @@ from folkman.arrowing import ArrowVector, arrows
 from folkman.canon import GraphSet, canonical_form, canonical_line, graph_set_of
 from folkman.cliques import (
     clique_number,
-    cone_vertex_count,
     has_clique,
     independence_number,
     is_plus_kt,
@@ -51,6 +50,7 @@ from folkman.search import (
 from tests.conftest import (
     available_backends,
     complete_less_matching,
+    cone_vertex_count,
     degree,
     delete_vertices,
     edge_count,
