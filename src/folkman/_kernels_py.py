@@ -19,7 +19,8 @@ twin:
 * ``has_clique_within`` answers t = 2 by a scan of the mask's rows, and a
   query with at most ``COVER_MAX`` vertices of the mask to drop by a
   bounded vertex-cover branch; the compiled one runs its colouring
-  branch-and-bound on both.
+  branch-and-bound on both.  Any other query runs the search of
+  ``max_clique_size_within`` (``_clique_search``) from t - 1, up to t.
 * a leaf's code is ``graphs.edge_code``, the graph6 edge bits that the
   encoder packs, so the edge order is defined once; the compiled twin
   keeps its own encoder (``_encode``).
@@ -104,28 +105,34 @@ def _color_bounds(adj, P):
     return order, bounds
 
 
-def max_clique_size_within(adj, mask):
-    """Clique number of the subgraph induced on the vertex mask."""
-    if not mask:
-        return 0
-    best = 0
-
+def _clique_search(adj, mask, best, stop):
+    # Colouring branch-and-bound: the clique number of the subgraph induced
+    # on mask if above best, else best.  It ends once best reaches stop, and
+    # expand returns True when it has.
     def expand(P, size):
         nonlocal best
         order, bounds = _color_bounds(adj, P)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= best:
-                return
+                return False
             v = order[i]
             if size + 1 > best:
                 best = size + 1
+                if best >= stop:
+                    return True
             sub = P & adj[v]
-            if sub:
-                expand(sub, size + 1)
+            if sub and expand(sub, size + 1):
+                return True
             P ^= 1 << v
+        return False
 
     expand(mask, 0)
     return best
+
+
+def max_clique_size_within(adj, mask):
+    """Clique number of the subgraph induced on the vertex mask."""
+    return _clique_search(adj, mask, 0, mask.bit_count())
 
 
 def max_clique_size(adj):
@@ -173,22 +180,7 @@ def has_clique_within(adj, mask, t):
         return False
     if k <= COVER_MAX:
         return _clique_after_drops(adj, mask, k)
-
-    def expand(P, size):
-        order, bounds = _color_bounds(adj, P)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] < t:
-                return False
-            v = order[i]
-            if size + 1 >= t:
-                return True
-            sub = P & adj[v]
-            if sub and expand(sub, size + 1):
-                return True
-            P ^= 1 << v
-        return False
-
-    return expand(mask, 0)
+    return _clique_search(adj, mask, t - 1, t) >= t
 
 
 def has_clique_at_least(adj, t):

@@ -29,18 +29,19 @@ def canonical_form(g: Graph) -> str:
     return canonical_line(g.adj)
 
 
-def has_cone_vertex(line: str) -> bool:
-    """Whether the graph of a canonical line has a vertex adjacent to all
-    others.  Both kernel twins first split the vertices into cells of equal
-    degree, in ascending order, and split only in place after that, so a
-    canonical labeling lists the vertices in nondecreasing degree and a
-    cone vertex comes last: its column, the last n - 1 edge bits, is all
-    ones."""
+def cone_count(line: str) -> int:
+    """How many vertices of the graph of a canonical line are adjacent to
+    all others.  Both kernel twins split by degree first, in ascending
+    order, and only in place after that, so a canonical labeling lists the
+    cone vertices last.  Column j of the edge bits holds the edges from
+    vertex j to the vertices before it, so the cone vertices are the
+    trailing columns that are all ones."""
     n, code = unpack_graph6(line)
-    if not n:
-        return False
-    last = (1 << n - 1) - 1
-    return code & last == last
+    for j in range(n - 1, -1, -1):
+        if ~code & ((1 << j) - 1):
+            return n - 1 - j
+        code >>= j
+    return n
 
 
 class GraphSet:
@@ -91,14 +92,6 @@ class GraphSet:
                 fh.write(line)
                 fh.write("\n")
         return lines
-
-    @classmethod
-    def load(cls, path) -> "GraphSet":
-        """Load any graph6 file, re-canonicalizing every line."""
-        out = cls()
-        for line in graph6_lines(path):
-            out.insert(from_graph6(line))
-        return out
 
     @classmethod
     def load_trusted(cls, path) -> "GraphSet":

@@ -17,7 +17,8 @@ from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
 from .pipeline import format_rows, run_pipeline, split_family
 from .search import (
-    FamilySpec, family_defect, generate_family, generate_family_cone_split, worker_pool
+    FamilySpec, family_defect, generate_family, generate_family_cone_split, load_family,
+    worker_pool,
 )
 
 
@@ -27,6 +28,14 @@ def _graph_arg(text: str) -> Graph:
             return from_graph6(line)
         raise GraphError(f"no graph6 line in {text}")
     return from_graph6(text)
+
+
+def _family_file(path, family=None) -> GraphSet:
+    """``search.load_family`` on ``path``; its errors name the file."""
+    try:
+        return load_family(path, family)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def _vector_arg(text: str) -> ArrowVector:
@@ -71,7 +80,7 @@ def cmd_plus_k(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    graphs = GraphSet.load(args.file)
+    graphs = _family_file(args.file)
     if args.output is None:
         for line in graphs.lines():
             print(line)
@@ -86,13 +95,14 @@ def cmd_extend(args) -> int:
     if args.algorithm == 2 and not args.input2:
         print("--algorithm 2 needs --input2", file=sys.stderr)
         return 2
+    dec = spec.decremented().entries
     # forked before the inputs are loaded, so the workers stay small
     with worker_pool(args.workers):
-        seeds = GraphSet.load(args.input)
+        seeds = _family_file(args.input, (dec, q, n - r, t))
         if args.algorithm == 1:
             result = generate_family(spec, seeds, workers=args.workers)
         else:
-            cone_seeds = GraphSet.load(args.input2)
+            cone_seeds = _family_file(args.input2, (dec, q - 1, n - 1, t))
             result = generate_family_cone_split(spec, seeds, cone_seeds, workers=args.workers)
     result.output.save(args.output)
     print(f"maximal graphs: {len(result.output)}")

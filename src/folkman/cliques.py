@@ -149,12 +149,3 @@ def deficient_cover(adj, q: int):
 
     return (1 << len(deficient)) - 1, fixes
 
-
-def cone_vertex_mask(g: Graph) -> int:
-    """The vertices adjacent to all other vertices, as a mask."""
-    full = g.full_mask()
-    m = 0
-    for v in range(g.n):
-        if g.adj[v] | (1 << v) == full:
-            m |= 1 << v
-    return m

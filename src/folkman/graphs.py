@@ -162,6 +162,7 @@ def attach(adj, masks) -> tuple:
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 _FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_BLANKS = " \t\n\r\v\f"  # stripped from lines; a non-ASCII byte is reported
 
 
 def edge_code(adj, order) -> int:
@@ -210,7 +211,7 @@ def unpack_graph6(line: str) -> tuple[int, int]:
     """The vertex count n of a graph6 line and its edge bits, as
     ``edge_code`` gives them for the graph in the line's own labeling.
     Raises Graph6ParseError, with the byte offset, on a malformed line."""
-    s = line.strip()
+    s = line.strip(_BLANKS)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
@@ -271,9 +272,10 @@ def from_graph6(line: str) -> Graph:
 
 
 def graph6_lines(path) -> Iterator[str]:
-    """The graph6 lines of a file, stripped, skipping blank and ``#`` lines."""
-    with open(path, "r", encoding="ascii") as fh:
+    """The graph6 lines of a file, stripped, skipping blank and ``#`` lines.
+    Bytes read as Latin-1, so ``unpack_graph6`` reports any non-ASCII one."""
+    with open(path, "r", encoding="latin-1") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(_BLANKS)
             if line and not line.startswith("#"):
                 yield line

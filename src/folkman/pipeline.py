@@ -58,22 +58,21 @@ from .bounds import folkman_value_at_m
 from .canon import (
     GraphSet,
     atomic_write,
+    cone_count,
     file_digest,
     format_kv,
     graph_set_of,
-    has_cone_vertex,
     read_manifest,
     write_manifest,
 )
-from .cliques import is_plus_kt
 from .generate import maximal_family_exhaustive
-from .graphs import GraphError, from_graph6
+from .graphs import GraphError
 from .search import (
     FamilySpec,
     complete_base,
-    family_defect,
     generate_family,
     generate_family_cone_split,
+    load_family,
     plus_clique_descent,
     worker_pool,
 )
@@ -185,14 +184,17 @@ _KEYS = {
 
 def parse_config(path) -> PipelineConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+        # every value is interpolated here, so a malformed one fails here
+        sections = {section: dict(cp[section]) for section in cp.sections()}
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     name = "pipeline"
     workers = 1
     items = []
-    for section in cp.sections():
-        body = cp[section]
+    for section, body in sections.items():
         kind, _, item_name = section.partition(":")
         for key in body:
             # (a section of unknown kind is rejected below)
@@ -201,7 +203,7 @@ def parse_config(path) -> PipelineConfig:
         try:
             if section == "pipeline":
                 name = body.get("name", name)
-                workers = body.getint("workers", workers)
+                workers = int(body.get("workers", workers))
             elif not item_name:
                 raise ConfigError(f"section [{section}] needs a name after ':'")
             elif kind == "base":
@@ -219,7 +221,7 @@ def parse_config(path) -> PipelineConfig:
                         name=item_name,
                         family=parse_family(body["family"]),
                         r=int(body["r"]),
-                        algorithm=body.getint("algorithm", 1),
+                        algorithm=int(body.get("algorithm", 1)),
                         input=body["input"],
                         input2=body.get("input2"),
                     )
@@ -400,7 +402,7 @@ class Runner:
         started = time.perf_counter()
         lines = build().save(path)
         fields["count"] = len(lines)
-        fields["cone_free_count"] = sum(not has_cone_vertex(line) for line in lines)
+        fields["cone_free_count"] = sum(not cone_count(line) for line in lines)
         if "seconds" in fields:
             fields["seconds"] = f"{time.perf_counter() - started:.3f}"
         write_manifest(meta_path, fields)
@@ -457,17 +459,10 @@ class Runner:
         path = self._base_file(item)
         if not path.exists():
             raise ConfigError(f"base {item.name}: file {item.path} not found")
-        graphs = GraphSet.load(path)
-        for line in graphs.lines():
-            g = from_graph6(line)
-            defect = family_defect(g.adj, fam.avec, fam.q, fam.t)
-            if defect is None and g.n != fam.n:
-                defect = f"has {g.n} vertices, family has {fam.n}"
-            if defect is None and not is_plus_kt(g, fam.q):
-                defect = "is not edge-maximal"
-            if defect:
-                raise ConfigError(f"base {item.name}: file member {line}: {defect}")
-        return graphs
+        try:
+            return load_family(path, (fam.avec, fam.q, fam.n, fam.t))
+        except GraphError as exc:
+            raise ConfigError(f"base {item.name}: {exc}") from None
 
     def _ensure_plusk(self, fam: Family, report: StepReport, vector) -> bool:
         """Build or reuse the descended plus-clique artifact of a family under

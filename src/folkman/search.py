@@ -71,15 +71,11 @@ from functools import partial
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize
-from .canon import GraphSet, canonical_line, has_cone_vertex
-from .cliques import (
-    complement_adj,
-    cone_vertex_mask,
-    deficient_cover,
-    maximal_kt_free_subsets,
-    twin_pairs,
+from .canon import GraphSet, canonical_line, cone_count
+from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets, twin_pairs
+from .graphs import (
+    Graph, GraphError, MAX_VERTICES, attach, from_graph6, graph6_lines, unpack_graph6
 )
-from .graphs import Graph, GraphError, MAX_VERTICES, attach, from_graph6
 
 
 @dataclass(frozen=True)
@@ -385,6 +381,29 @@ def family_defect(adj, entries, q, t):
     return None
 
 
+def load_family(path, family=None) -> GraphSet:
+    """The graph6 file at ``path`` as a GraphSet, each line decoded once:
+    the one reader of untrusted family files.  Under ``family = (entries,
+    q, n, t)`` a graph that fails ``family_defect``, has another vertex
+    count or is not plus-K_q, tested in that order, raises GraphError
+    naming its canonical line."""
+    out = GraphSet()
+    for line in graph6_lines(path):
+        adj = from_graph6(line).adj
+        canon = canonical_line(adj)
+        if family is not None:
+            entries, q, n, t = family
+            defect = family_defect(adj, entries, q, t)
+            if defect is None and len(adj) != n:
+                defect = f"has {len(adj)} vertices, family has {n}"
+            if defect is None and not K.impl.is_plus_k(adj, q):
+                defect = "is not edge-maximal"
+            if defect:
+                raise GraphError(f"file member {canon}: {defect}")
+        out.insert_canonical(canon)
+    return out
+
+
 def plus_clique_descent(maximals, avec, q, t, workers=1):
     """All graphs of the family (avec; q; same order; independence <= t)
     whose every missing edge completes a new (q-1)-clique, one per
@@ -531,7 +550,7 @@ def _extension_worker(entries, q, r, t, cone_free, line):
     """The set of output lines of one canonical host line (none for a
     coned host under ``cone_free``)."""
     results = set()
-    if cone_free and has_cone_vertex(line):
+    if cone_free and cone_count(line):
         return results
     h = from_graph6(line)
     # every multiset gives a plus-K_q graph (see valid_multisets)
@@ -562,17 +581,17 @@ def _extend(spec, seeds, workers, descended, cone_free=False):
 
 
 def _check_input_order(seeds, expected, what):
-    for g in seeds:
-        if g.n != expected:
-            raise GraphError(f"{what} must have {expected} vertices, found {g.n}")
+    for n, _ in map(unpack_graph6, seeds.lines()):
+        if n != expected:
+            raise GraphError(f"{what} must have {expected} vertices, found {n}")
 
 
 def generate_family(spec: FamilySpec, seeds, workers=1, descended=None) -> AlgorithmResult:
     """Complete edge-maximal family for ``spec`` (independence in [r, t])
-    from the complete maximal family of the decremented vector on n - r
-    vertices.  ``descended`` may carry a precomputed plus-clique set for the
-    input family (e.g. reloaded from a checkpoint)."""
-    output, aprime = _extend(spec, list(seeds), workers, descended)
+    from the GraphSet ``seeds`` of the complete maximal family of the
+    decremented vector on n - r vertices.  ``descended`` may carry a
+    precomputed plus-clique set for the input family (e.g. from a checkpoint)."""
+    output, aprime = _extend(spec, seeds, workers, descended)
     return AlgorithmResult(output=output, plus_clique=aprime)
 
 
@@ -580,22 +599,20 @@ def generate_family_cone_split(
     spec: FamilySpec, seeds, cone_seeds, workers=1, descended=None
 ) -> AlgorithmResult:
     """Same output as generate_family, computed by extending only the
-    cone-vertex-free part of the descended set.  ``cone_seeds`` is the
-    complete maximal family of the decremented vector with clique bound
-    q - 1 on n - 1 vertices; it contributes the coned outputs directly.
-    They are attached: a seed w with one cone vertex c gets r new vertices
-    on w - c (with c, r + 1 independent vertices on w - c), a cone seed h
-    one new vertex on all of h."""
-    seeds = list(seeds)
-    cone_seeds = list(cone_seeds)
+    cone-vertex-free part of the descended set.  The GraphSet ``cone_seeds``
+    is the complete maximal family of the decremented vector with clique
+    bound q - 1 on n - 1 vertices; it contributes the coned outputs
+    directly.  They are attached: a seed w with one cone vertex c, its
+    last (see ``cone_count``), gets r new vertices on w - c (with c, r + 1
+    independent vertices on w - c), a cone seed h one new vertex on all of h."""
     _check_input_order(cone_seeds, spec.n - 1, "cone input family")
     output, aprime = _extend(spec, seeds, workers, descended, cone_free=True)
     entries = spec.avec.entries
     if spec.t > spec.r:
-        for w in seeds:
-            cone = cone_vertex_mask(w)
-            if cone.bit_count() == 1 and arrows_adj(w.adj, entries):
-                adj = attach(w.adj, [w.full_mask() ^ cone] * spec.r)
+        coned = [line for line in seeds.lines() if cone_count(line) == 1]
+        for w in map(from_graph6, coned):
+            if arrows_adj(w.adj, entries):
+                adj = attach(w.adj, [w.full_mask() >> 1] * spec.r)
                 output.insert_canonical(canonical_line(adj))
     impl = K.impl
     for h in cone_seeds:

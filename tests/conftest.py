@@ -11,7 +11,6 @@ import pytest
 from hypothesis import strategies as st
 
 from folkman import _kernels, _kernels_py
-from folkman.cliques import cone_vertex_mask
 from folkman.graphs import Graph, GraphError, bits_of
 
 KERNELS_C = Path(_kernels.__file__).with_name("_kernels_cy.c")
@@ -150,6 +149,16 @@ def induced(g: Graph, mask: int) -> Graph:
 def delete_vertices(g: Graph, mask: int) -> Graph:
     # a mask outside the universe stays outside it, so induced() rejects it
     return induced(g, g.full_mask() ^ mask)
+
+
+def cone_vertex_mask(g: Graph) -> int:
+    """The vertices adjacent to all other vertices, as a mask."""
+    full = g.full_mask()
+    m = 0
+    for v in range(g.n):
+        if g.adj[v] | (1 << v) == full:
+            m |= 1 << v
+    return m
 
 
 def cone_vertex_count(g: Graph) -> int:

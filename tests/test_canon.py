@@ -8,12 +8,13 @@ from folkman.canon import (
     GraphSet,
     canonical_form,
     canonical_line,
+    cone_count,
     graph_set_of,
-    has_cone_vertex,
     read_manifest,
     write_manifest,
 )
 from folkman.graphs import Graph, from_graph6, join, to_graph6
+from folkman.search import load_family
 from tests.conftest import (
     available_backends,
     cone_vertex_count,
@@ -119,7 +120,7 @@ def test_persistence_roundtrip(tmp_path, rng):
     s.save(path)
     content = path.read_bytes()
     assert content == ("\n".join(s.lines()) + "\n").encode()
-    assert GraphSet.load(path).lines() == s.lines()
+    assert load_family(path).lines() == s.lines()
     assert GraphSet.load_trusted(path).lines() == s.lines()
 
 
@@ -129,7 +130,7 @@ def test_load_recanonicalizes_foreign_labelings(tmp_path, rng):
     with open(path, "w") as fh:
         for _ in range(5):
             fh.write(to_graph6(random_permuted(rng, g)) + "\n")
-    loaded = GraphSet.load(path)
+    loaded = load_family(path)
     assert len(loaded) == 1
     assert loaded.lines() == [canonical_form(g)]
 
@@ -262,7 +263,7 @@ def _with_cones(rng, n, cones, p):
 
 
 def test_canonical_labelings_list_vertices_in_nondecreasing_degree(rng):
-    # has_cone_vertex rests on this: a cone vertex comes last
+    # cone_count rests on this: the cone vertices come last
     for name, backend in available_backends().items():
         for n in range(65):
             for cones in {0, min(n, 1), min(n, 2)}:
@@ -271,17 +272,17 @@ def test_canonical_labelings_list_vertices_in_nondecreasing_degree(rng):
                 assert degrees == sorted(degrees), (name, n, cones)
 
 
-def test_has_cone_vertex_agrees_with_decoding(rng, monkeypatch):
+def test_cone_count_agrees_with_decoding(rng, monkeypatch):
     from folkman import _kernels
 
     seen = set()
     for backend in available_backends().values():
         monkeypatch.setattr(_kernels, "impl", backend)
         for n in (0, 1, 2, 3, 5, 62, 63, 64):
-            for cones in {0, min(n, 1), min(n, 2)}:
+            for cones in {min(n, c) for c in range(4)}:
                 for p in (0.3, 0.9):
                     line = canonical_line(_with_cones(rng, n, cones, p).adj)
-                    want = cone_vertex_count(from_graph6(line)) > 0
-                    assert has_cone_vertex(line) == want, (n, cones, p)
+                    want = cone_vertex_count(from_graph6(line))
+                    assert cone_count(line) == want, (n, cones, p)
                     seen.add(want)
-    assert seen == {False, True}
+    assert {0, 1, 2, 3} <= seen

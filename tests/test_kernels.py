@@ -40,16 +40,19 @@ def _random_adj(rng, n, p=None):
 
 
 def test_pure_kernels_against_brute_force(rng):
+    # up to 12 vertices, so that masks of 9 or more reach the colouring
+    # search of has_clique_within at t >= 3, with t - 1 or fewer found
     for _ in range(150):
-        g = random_graph(rng, rng.randint(0, 8), rng.random())
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
         w = clique_number_brute(g)
         assert py.max_clique_size(g.adj) == w
-        for t in range(0, 9):
+        for t in range(0, g.n + 2):
             assert py.has_clique_at_least(g.adj, t) == (t <= w)
         mask = rng.getrandbits(g.n) if g.n else 0
-        assert py.max_clique_size_within(g.adj, mask) == clique_number_brute(
-            induced(g, mask)
-        )
+        w = clique_number_brute(induced(g, mask))
+        assert py.max_clique_size_within(g.adj, mask) == w
+        for t in range(0, g.n + 2):
+            assert py.has_clique_within(g.adj, mask, t) == (t <= w)
         for t in range(0, 5):
             assert py.has_clique_within(g.adj, mask, t) == has_mono_clique(
                 g, mask, t

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from folkman import pipeline, search
-from folkman.canon import GraphSet, canonical_line
+from folkman.canon import canonical_line
 from folkman.cli import main
 from folkman.graphs import Graph, from_graph6, to_graph6
 from folkman.pipeline import (
@@ -121,6 +121,27 @@ def test_config_rejects_keys_no_section_reads(tmp_path, capsys):
         assert f"section [{section}] has unknown key {key!r}" in str(err.value)
         assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_malformed_configs_are_input_errors(tmp_path, capsys):
+    # each once crashed the CLI with a traceback and exit 1, read as "false"
+    cases = [
+        ("duplicate section", TINY_CONFIG + "\n[base:k3]\nfamily = 2; 4; 3; 3\n"),
+        ("duplicate key", TINY_CONFIG.replace("kind = complete", "kind = complete\nkind = file")),
+        ("no section header", "name = headless\n" + TINY_CONFIG),
+        ("line without =", TINY_CONFIG.replace("r = 2", "r 2", 1)),
+        ("bare %", TINY_CONFIG.replace("name = tiny-q4", "name = 100%")),
+        ("non-UTF-8 byte", "# caf\xe9\n" + TINY_CONFIG),
+    ]
+    cfg_path = tmp_path / "bad.cfg"
+    for what, text in cases:
+        cfg_path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg_path)
+        assert str(err.value).startswith(f"cannot read config {cfg_path}: "), what
+        assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2, what
+        assert capsys.readouterr().err.startswith("error: cannot read config"), what
     assert not (tmp_path / "run").exists()
 
 
@@ -491,7 +512,67 @@ def test_cli_extend(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert len(GraphSet.load(out_file)) == 2
+    assert len(search.load_family(out_file)) == 2
+
+
+def test_cli_extend_checks_both_inputs(tmp_path, capsys):
+    # (3; 4; 5) with r = 2: --input is H(2; 4; 3), --input2 H(2; 3; 4)
+    def family_file(name, *lines):
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    k3 = family_file("k3.g6", "Bw")
+    out = str(tmp_path / "out.g6")
+    extend = ["extend", "--spec", "3; 4; 5; 2; 3", "--output", out]
+    assert main(extend + ["--input", k3]) == 0
+    want = Path(out).read_text()
+    assert want.split() == ["DF{", "D]{"]
+    # K_3 and C_4 are the maximal triangle-free graphs on four vertices
+    good2 = family_file("good2.g6", "C]", "CF")
+    algorithm2 = extend + ["--input", k3, "--algorithm", "2", "--input2", good2]
+    for workers in ("1", "2"):
+        Path(out).unlink()
+        assert main(algorithm2 + ["--workers", workers]) == 0
+        assert Path(out).read_text() == want, workers
+    capsys.readouterr()
+    Path(out).unlink()
+    # K_3 plus an isolated vertex once gave DJ{, which holds a K_4; the path
+    # on three vertices is not edge-maximal and once gave one graph of two
+    k3_plus = family_file("k3_plus.g6", "CF", "CJ")
+    path3 = family_file("path3.g6", "BW")
+    for inputs, path, member, defect in [
+        (["--input", k3, "--algorithm", "2", "--input2", k3_plus], k3_plus, "CJ", "has a K_3"),
+        (["--input", path3], path3, "BW", "is not edge-maximal"),
+    ]:
+        assert main(extend + inputs) == 2
+        line = canonical_line(from_graph6(member).adj)
+        assert capsys.readouterr().err == f"error: {path}: file member {line}: {defect}\n"
+    assert not Path(out).exists()
+
+
+def test_graph6_files_with_non_ascii_bytes_are_input_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"Bw\nB\xff\n")
+    first = tmp_path / "first.g6"
+    first.write_bytes(b"B\xa0\n")
+    message = "byte 255 outside graph6 range (byte offset 1)"
+    out = str(tmp_path / "out.g6")
+    for argv in (
+        ["canon", str(bad)],
+        ["extend", "--spec", "3; 4; 5; 2; 3", "--input", str(bad), "--output", out],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n", argv[0]
+    for argv in (["omega", str(first)], ["alpha", str(first)], ["arrows", str(first), "2"]):
+        assert main(argv) == 2, argv[0]
+        want = "error: byte 160 outside graph6 range (byte offset 1)\n"
+        assert capsys.readouterr().err == want, argv[0]
+    cfg = TINY_CONFIG.replace("kind = complete", f"kind = file\npath = {bad}")
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(write_config(tmp_path, cfg), tmp_path / "run")
+    assert str(err.value) == f"base k3: {message}"
+    assert not Path(out).exists()
 
 
 def test_cli_bound_commands(capsys):
