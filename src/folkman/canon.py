@@ -157,5 +157,10 @@ def write_manifest(path, fields: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kv(fh.read())
+    """A manifest's fields; one that is not UTF-8 reads as empty, which no
+    reuse rule accepts, so its artifact is rebuilt."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kv(fh.read())
+    except UnicodeDecodeError:
+        return {}

@@ -187,8 +187,11 @@ def cmd_bound_certify(args) -> int:
 
 def _load_kv_reports(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        blocks = fh.read().split("\n\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blocks = fh.read().split("\n\n")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read reports {path}: {exc}") from None
     for block in blocks:
         fields = parse_kv(block)
         if "avec" not in fields or "maximal" not in fields:

@@ -32,21 +32,32 @@ def is_plus_kt(g: Graph, t: int) -> bool:
 
 
 def _clique_masks(adj, t):
-    """Every t-clique of the graph as a vertex mask, t >= 1."""
+    """Every t-clique of the graph as a vertex mask, t >= 1, and inc[v],
+    the bitmask over their list indices of the cliques holding v."""
     out = []
+    inc = [0] * len(adj)
 
-    def extend(clique, cand, size):
-        if size == t:
-            out.append(clique)
+    def extend(clique, cand, need):
+        if need == 1:
+            # each candidate completes a clique
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                c = clique | b
+                i = 1 << len(out)
+                out.append(c)
+                while c:
+                    v = c & -c
+                    c ^= v
+                    inc[v.bit_length() - 1] |= i
             return
-        need = t - size
         while cand.bit_count() >= need:
             b = cand & -cand
             cand ^= b
-            extend(clique | b, cand & adj[b.bit_length() - 1], size + 1)
+            extend(clique | b, cand & adj[b.bit_length() - 1], need - 1)
 
-    extend(0, (1 << len(adj)) - 1, 0)
-    return out
+    extend(0, (1 << len(adj)) - 1, t)
+    return out, inc
 
 
 def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
@@ -58,38 +69,43 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     so the t-cliques are listed as masks and their minimal transversals
     are enumerated depth-first by MMCS: K. Murakami and T. Uno, *Efficient
     algorithms for dualizing large-scale hypergraphs*, Discrete Appl. Math.
-    170 (2014) 83-94.  A graph without t-cliques yields the full mask; at
-    t = 1 every vertex is a K_1, so only the empty mask is left.
-    Time and memory grow with the number of t-cliques, which is small on
-    the K_{t+1}-free hosts the family extension passes.
+    170 (2014) 83-94.  Sets of cliques are bitmasks over the clique list:
+    the uncovered ones, each vertex's incidences (built while the cliques
+    are listed) and each transversal vertex's critical cliques, so a
+    branch updates them with mask operations and copies no clique list.
+    A branch that covers the last clique emits its set at once.  A graph
+    without t-cliques yields the full mask; at t = 1 every vertex is a
+    K_1, so only the empty mask is left.  Time and memory grow with the
+    number of t-cliques, which is small on the K_{t+1}-free hosts the
+    family extension passes.
     """
     if t < 1:
         raise GraphError(f"subset clique threshold {t} below 1")
-    n = g.n
-    full = (1 << n) - 1
-    cliques = _clique_masks(g.adj, t)
-    # inc[v]: bitmask over clique indices of the cliques containing v
-    inc = [0] * n
-    for i, c in enumerate(cliques):
-        ci = 1 << i
-        while c:
-            b = c & -c
-            c ^= b
-            inc[b.bit_length() - 1] |= ci
+    full = (1 << g.n) - 1
+    cliques, inc = _clique_masks(g.adj, t)
+    if not cliques:
+        return [full]
     out = []
 
     # S: transversal mask so far; crit: for each vertex of S, the cliques
     # whose only S-vertex it is, each nonempty, so S is a minimal
-    # transversal of the cliques it covers; uncov: cliques S misses, as
-    # index bits, and unc: the same cliques as vertex masks; cand: vertices
-    # the branch may still add.
-    def rec(S, crit, uncov, unc, cand):
-        if not unc:
-            out.append(full ^ S)
-            return
+    # transversal of the cliques it covers; uncov: the cliques S misses,
+    # never empty here; cand: vertices the branch may still add.
+    def rec(S, crit, uncov, cand):
         # branch on the uncovered clique with the fewest candidates: every
-        # transversal extending S takes one of them
-        best = min(map(cand.__and__, unc), key=int.bit_count)
+        # transversal extending S takes one of them; the scan stops at a
+        # clique with at most one, which leaves at most one branch
+        best, most = 0, t + 1
+        rest = uncov
+        while rest:
+            i = rest & -rest
+            rest ^= i
+            c = cliques[i.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < most:
+                best, most = c, k
+                if k <= 1:
+                    break
         cand &= ~best
         while best:
             b = best & -best
@@ -97,13 +113,17 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
             hit = inc[b.bit_length() - 1]
             crit2 = [cu & ~hit for cu in crit]
             if all(crit2):
-                crit2.append(hit & uncov)
-                rec(S | b, crit2, uncov & ~hit, [c for c in unc if not c & b], cand)
+                left = uncov & ~hit
+                if left:
+                    crit2.append(hit & uncov)
+                    rec(S | b, crit2, left, cand)
+                else:
+                    out.append(full ^ S ^ b)
             # later siblings may add b: their subtrees exclude the
             # vertices branched on after them, so no set repeats
             cand |= b
 
-    rec(0, [], (1 << len(cliques)) - 1, cliques, full)
+    rec(0, [], (1 << len(cliques)) - 1, full)
     out.sort()
     return out
 

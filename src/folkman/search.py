@@ -460,7 +460,12 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     what is left, and the last slot takes only a candidate that finishes
     the cover itself, before its pair and residue tests, so a full
     multiset covers D(h) and is emitted untested.  At r = 0 that leaves h
-    itself, valid exactly when D(h) is empty."""
+    itself, valid exactly when D(h) is empty.
+
+    Lemma.  A maximal K_{q-1}-free set M other than V holds a K_{q-2}, so
+    only M = V needs the kernel's test: T = V - M is a minimal transversal
+    of the (q-1)-cliques, so each x in T lies in a (q-1)-clique C that
+    meets T only in x, and C - x is a K_{q-2} inside M."""
     subsets = maximal_kt_free_subsets(h, q - 1)
     impl = K.impl
     adj = h.adj
@@ -475,10 +480,11 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
             alpha_rest[union] = got
         return got <= t - k
 
+    # a maximal K_{q-1}-free M other than V holds a K_{q-2}: see above
     cand = [
         i
         for i, M in enumerate(subsets)
-        if impl.has_clique_within(adj, M, q - 2) and rest_ok(M, 1)
+        if (M != full or impl.has_clique_within(adj, M, q - 2)) and rest_ok(M, 1)
     ]
     need, fixes = deficient_cover(adj, q)
     if r == 0:
@@ -490,7 +496,8 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
     ahead = [0] * (len(cand) + 1)
     for pos in range(len(cand) - 1, -1, -1):
         ahead[pos] = ahead[pos + 1] | fix[pos]
-    pair_ok = {}
+    # a candidate meets itself in a K_{q-2}, as its filter found
+    pair_ok = {(i, i): True for i in cand}
 
     def compatible(i, j):
         key = (i, j) if i <= j else (j, i)

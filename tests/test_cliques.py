@@ -28,6 +28,7 @@ from tests.conftest import (
 from tests.oracles import (
     clique_number_brute,
     edge_completes_new_clique,
+    has_mono_clique,
     is_maximal_kq_free,
     maximal_ktfree_brute,
     maximal_ktfree_recursive,
@@ -185,7 +186,12 @@ def test_maximal_ktfree_matches_brute(rng):
 @example((Graph.cycle(9).complement(), 9))
 def test_maximal_ktfree_property(case):
     g, t = case
-    assert maximal_kt_free_subsets(g, t) == maximal_ktfree_brute(g, t)
+    subsets = maximal_kt_free_subsets(g, t)
+    assert subsets == maximal_ktfree_brute(g, t)
+    # valid_multisets asks only the full mask for its K_{t-1}: the
+    # complement of any other is a nonempty minimal transversal
+    full = g.full_mask()
+    assert all(has_mono_clique(g, M, t - 1) for M in subsets if M != full)
 
 
 def test_maximal_ktfree_edge_maximal_hosts(rng):

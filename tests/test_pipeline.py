@@ -167,6 +167,19 @@ def test_tiny_pipeline_counts(tmp_path):
     assert all(from_graph6(line).n == 5 for line in lines)
 
 
+def _artifact_bytes(run_dir):
+    """The bytes of every artifact of a run, less the run times."""
+    return {
+        path.name: b"".join(
+            line
+            for line in path.read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"seconds =")
+        )
+        for path in sorted(run_dir.iterdir())
+        if path.suffix in (".g6", ".meta")
+    }
+
+
 def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
     tmp_path, monkeypatch
 ):
@@ -186,16 +199,7 @@ def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
         run_pipeline(cfg_path, run_dir, workers=workers)
         # every descent and extension of the run shares one pool
         assert made == pools, workers
-        # the bytes of every artifact, less the run times
-        artifacts[workers] = {
-            path.name: b"".join(
-                line
-                for line in path.read_bytes().splitlines(keepends=True)
-                if not line.startswith(b"seconds =")
-            )
-            for path in sorted(run_dir.iterdir())
-            if path.suffix in (".g6", ".meta")
-        }
+        artifacts[workers] = _artifact_bytes(run_dir)
     assert len(artifacts[1]) == 12
     assert artifacts[1] == artifacts[2]
 
@@ -393,6 +397,21 @@ path = k4.g6
     (report,), _ = run_pipeline(cfg_path, run_dir)
     assert not report.resumed and report.count == 1
     assert out.read_text() == built
+
+
+def test_unreadable_manifest_is_rebuilt(tmp_path):
+    # a manifest holding a byte that is not UTF-8 is stale, on a built base
+    # and on a file base: the rerun rebuilds what a fresh run writes
+    (tmp_path / "k4.g6").write_text(to_graph6(Graph.complete(4)) + "\n")
+    for i, base in enumerate(("kind = complete", "kind = file\npath = k4.g6")):
+        cfg_path = write_config(tmp_path, f"[base:k4]\nfamily = 4; 5; 4; 3\n{base}\n")
+        fresh, rerun = tmp_path / f"fresh{i}", tmp_path / f"rerun{i}"
+        for run_dir in (fresh, rerun):
+            assert main(["pipeline", str(cfg_path), "--dir", str(run_dir)]) == 0
+        with open(rerun / "maximal_a4_q5_n4_t3.meta", "ab") as fh:
+            fh.write(b"\xff")
+        assert main(["pipeline", str(cfg_path), "--dir", str(rerun)]) == 0
+        assert _artifact_bytes(rerun) == _artifact_bytes(fresh)
 
 
 def test_file_base_rejects_non_members(tmp_path):
@@ -662,10 +681,15 @@ def test_cli_errors(tmp_path, capsys):
         assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
     assert not (tmp_path / "run").exists()
     assert main(["bound", "composite", "7,7", "--alpha", "6=x"]) == 2
+    capsys.readouterr()
+    # a value that is no integer, or a byte that is not UTF-8
     for field in ("q", "n", "r", "t", "maximal"):
-        reports = tmp_path / f"bad_{field}.kv"
-        block = {"avec": "3", "q": "4", "n": "5", "r": "2", "t": "3", "maximal": "2"}
-        block[field] = "x"
-        reports.write_text("".join(f"{k} = {v}\n" for k, v in block.items()))
-        certify = ["bound", "certify", "3", "4", "5", "--reports", str(reports)]
-        assert main(certify) == 2, field
+        for bad in (b"x", b"\xff"):
+            reports = tmp_path / f"bad_{field}.kv"
+            block = {"avec": b"3", "q": b"4", "n": b"5", "r": b"2", "t": b"3", "maximal": b"2"}
+            block[field] = bad
+            text = b"".join(k.encode() + b" = " + v + b"\n" for k, v in block.items())
+            reports.write_bytes(text)
+            certify = ["bound", "certify", "3", "4", "5", "--reports", str(reports)]
+            assert main(certify) == 2, (field, bad)
+            assert capsys.readouterr().err.startswith("error: "), (field, bad)
