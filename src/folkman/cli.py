@@ -254,13 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input2", help="graph6 file of the q-1 family (algorithm 2)")
     p.add_argument("--algorithm", type=int, choices=(1, 2), default=1)
     p.add_argument("--output", required=True)
-    p.add_argument("--workers", type=_workers_arg, default=1)
+    p.add_argument(
+        "--workers",
+        type=_workers_arg,
+        default=1,
+        help="processes that do the work, this one included (default 1)",
+    )
     p.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("pipeline", help="run a chain config")
     p.add_argument("config")
     p.add_argument("--dir", required=True, help="run/checkpoint directory")
-    p.add_argument("--workers", type=_workers_arg, default=None)
+    p.add_argument(
+        "--workers",
+        type=_workers_arg,
+        default=None,
+        help="processes that do the work, this one included (default: the config's)",
+    )
     p.add_argument("--fresh", action="store_true", help="ignore existing artifacts")
     p.set_defaults(fn=cmd_pipeline)
 

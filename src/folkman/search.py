@@ -50,9 +50,11 @@ Two cooperating constructions:
 
 Both constructions run their work units through ``_dispatch``: one class
 of the descent, or one extension host, per task.  Under workers > 1 the
-tasks run on one fork pool, shared by every call made inside a
-``worker_pool`` block (a pipeline run opens one for the whole run), and
-an idle worker is sent up to ``_BATCH`` tasks per message.
+calling process is one of the workers: the others are a fork pool of
+workers - 1 processes, shared by every call made inside a ``worker_pool``
+block (a pipeline run opens one for the whole run).  While more than one
+task is pending an idle forked worker is sent up to ``_BATCH`` of them per
+message; otherwise the caller runs the next task itself.
 The descent's work list is a stack of the classes not yet expanded, each
 held as the adjacency its worker built with its dead masks, so no class is
 decoded from graph6 again; a class is pushed when its canonical line first
@@ -116,20 +118,20 @@ class AlgorithmResult:
 
 
 class _Pool:
-    """``workers`` forked processes, each running the tasks sent down its own
+    """``forks`` forked processes, each running the tasks sent down its own
     pipe in order.  Unlike ``multiprocessing.Pool``, no thread relays the
     tasks and results, so a round trip costs two process wake-ups.  Each
     message carries a batch of tasks and its reply the list of their
     results.  A worker closes the parent's ends of the pool's pipes, so it
     sees EOF and exits when the parent dies without closing the pool."""
 
-    def __init__(self, workers):
+    def __init__(self, forks):
         ctx = multiprocessing.get_context("fork")
         self.conns = []
         self.procs = []
         self.closed = False
         try:
-            for _ in range(workers):
+            for _ in range(forks):
                 ours, theirs = ctx.Pipe()
                 proc = ctx.Process(target=_serve, args=(theirs, self.conns + [ours]), daemon=True)
                 proc.start()
@@ -173,12 +175,13 @@ _open_pool = None
 
 @contextmanager
 def worker_pool(workers):
-    """Fork ``workers`` processes once; every plus_clique_descent and
-    family extension made with the same worker count inside the block runs
-    on them.  Yields the pool, or None when workers <= 1 (everything stays
-    in-process).  Inside a block that already holds a pool of that size,
-    yields that pool; otherwise the pool forked here is terminated when the
-    block exits, however it exits."""
+    """Fork ``workers`` - 1 processes once; with the calling process they
+    are the workers of every plus_clique_descent and family extension made
+    with the same worker count inside the block.  Yields the pool of forked
+    processes, or None when workers <= 1 (everything stays in-process).
+    Inside a block that already holds a pool of that size, yields that
+    pool; otherwise the pool forked here is terminated when the block
+    exits, however it exits."""
     global _open_pool
     if workers <= 1:
         yield None
@@ -187,7 +190,7 @@ def worker_pool(workers):
         yield _open_pool[1]
         return
     outer = _open_pool
-    pool = _Pool(workers)
+    pool = _Pool(workers - 1)
     _open_pool = (workers, pool)
     try:
         yield pool
@@ -202,14 +205,18 @@ _BATCH = 64  # most tasks sent to a worker in one message
 def _dispatch(fn, tasks, give, workers):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
     first, until the list is empty with no task in flight.  give() may push
-    new tasks onto the list.  Under workers > 1 each worker of the
-    worker_pool holds one batch at a time: the moment it is free it is sent
-    up to min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks popped in
-    one message, so a long list costs few round trips while a short one
-    still spreads over the workers.  A task is one item; the constants of
+    new tasks onto the list.  Under workers > 1 the caller is one of the
+    workers and each forked worker of the worker_pool holds one batch at a
+    time: while more than one task is pending, a free one is sent up to
+    min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks popped in one
+    message, so a long list costs few round trips while a short one still
+    spreads over the workers.  Otherwise the caller pops one task, runs it
+    and collects the replies already in, blocking only when the list is
+    empty and batches are in flight.  A task is one item; the constants of
     the call go on ``fn`` (a ``partial``).  Results are given in completion
     order, a batch's in the order its tasks were popped; a task that raises
-    raises here.  Under workers <= 1 each task runs in-process as it is popped."""
+    raises here and closes the pool.  Under workers <= 1 each task runs
+    in-process as it is popped."""
     if workers <= 1:
         while tasks:
             give(fn(tasks.pop()))
@@ -222,14 +229,19 @@ def _dispatch(fn, tasks, give, workers):
         running = set()
         try:
             while True:
-                while idle and tasks:
+                while idle and len(tasks) > 1:
                     k = min(_BATCH, max(1, len(tasks) // (2 * workers)))
                     conn = idle.pop()
                     conn.send((fn, [tasks.pop() for _ in range(k)]))
                     running.add(conn)
-                if not running:
+                if tasks:
+                    give(fn(tasks.pop()))
+                    timeout = 0
+                elif running:
+                    timeout = None
+                else:
                     return
-                for conn in wait(list(running)):
+                for conn in wait(list(running), timeout):
                     try:
                         ok, value = conn.recv()
                     except EOFError:

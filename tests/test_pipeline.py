@@ -193,7 +193,8 @@ def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
     monkeypatch.setattr(search, "_Pool", CountedPool)
     cfg_path = write_config(tmp_path, TINY_CONFIG)
     artifacts = {}
-    for workers, pools in ((1, []), (2, [2])):
+    # the caller is one of the workers, so a pool forks one process fewer
+    for workers, pools in ((1, []), (2, [1]), (3, [2])):
         made.clear()
         run_dir = tmp_path / f"run{workers}"
         run_pipeline(cfg_path, run_dir, workers=workers)
@@ -201,7 +202,7 @@ def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
         assert made == pools, workers
         artifacts[workers] = _artifact_bytes(run_dir)
     assert len(artifacts[1]) == 12
-    assert artifacts[1] == artifacts[2]
+    assert artifacts[1] == artifacts[2] == artifacts[3]
 
 
 def test_resume_reuses_artifacts(tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from folkman.search import (
     FamilySpec,
     _descent_worker,
     _dispatch,
+    _extension_worker,
     _orbit_rows,
     attach_vertices,
     family_defect,
@@ -465,27 +467,48 @@ class _RecordingPool(search._Pool):
         return record
 
 
+# The tasks run by the calling process.  The recording workers below append
+# to it wherever they run, but a forked worker appends to its own copy.
+_ran_in_caller = []
+
+
+def _recording_descent_worker(entries, q, t, task):
+    _ran_in_caller.append(task)
+    return _descent_worker(entries, q, t, task)
+
+
+def _recording_extension_worker(*args):
+    _ran_in_caller.append(args[-1])
+    return _extension_worker(*args)
+
+
 def test_descent_ships_classes_in_batches(monkeypatch):
     # the work list of this descent peaks at about two dozen classes, so an
-    # idle worker is sent several per message; each class is still expanded
-    # once, and the result is the one-worker result
-    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    # idle worker is sent several per message and the caller runs the rest;
+    # each class is still expanded once, and the result is the one-worker
+    # result
     seeds = maximal_family_exhaustive((3,), 4, 8, 3)
     want = plus_clique_descent(seeds, (3,), 4, 3).lines()
     assert len(want) == 707
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    monkeypatch.setattr(search, "_descent_worker", _recording_descent_worker)
     for workers in (2, 3):
         _RecordingPool.sent.clear()
+        _ran_in_caller.clear()
         got = plus_clique_descent(seeds, (3,), 4, 3, workers=workers)
         assert got.lines() == want, workers
         sent = _RecordingPool.sent
-        assert sorted(canonical_line(adj) for batch in sent for adj, _ in batch) == want
-        assert len(sent) < len(want), workers
+        shipped = [canonical_line(adj) for batch in sent for adj, _ in batch]
+        ran = [canonical_line(adj) for adj, _ in _ran_in_caller]
+        # want holds each class once, so no class ran twice
+        assert sorted(shipped + ran) == want, workers
+        assert len(sent) < len(shipped), workers
 
 
 def test_extension_ships_hosts_in_batches(monkeypatch):
     # a task is one host line, and an idle worker is sent several per
-    # message while many remain; each host is still extended once, and the
-    # output is the one-worker output
+    # message while many remain, the caller running the rest; each host is
+    # still extended once, and the output is the one-worker output
     sp = spec((3,), 4, 8, 2, 3)
     seeds = maximal_family_exhaustive((2,), 4, 6, 3)
     descended = plus_clique_descent(seeds, (2,), 4, 3)
@@ -493,13 +516,17 @@ def test_extension_ships_hosts_in_batches(monkeypatch):
     assert len(hosts) == 30
     want = generate_family(sp, seeds).output.lines()
     monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    monkeypatch.setattr(search, "_extension_worker", _recording_extension_worker)
     for workers in (2, 3):
         _RecordingPool.sent.clear()
+        _ran_in_caller.clear()
         got = generate_family(sp, seeds, workers=workers, descended=descended)
         assert got.output.lines() == want, workers
         sent = _RecordingPool.sent
-        assert sorted(line for batch in sent for line in batch) == hosts, workers
-        assert len(sent) < len(hosts), workers
+        shipped = [line for batch in sent for line in batch]
+        # hosts holds each host once, so no host ran twice
+        assert sorted(shipped + _ran_in_caller) == hosts, workers
+        assert len(sent) < len(shipped), workers
 
 
 def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
@@ -762,9 +789,10 @@ def _descent_worker_failing_low(entries, q, t, task):
     return _descent_worker(entries, q, t, task)
 
 
-def _descent_worker_failing_deep(entries, q, t, task):
-    # on 8 vertices, past the depth where the work list holds many classes
-    if _edge_count(task[0]) < 16:
+def _descent_worker_failing_deep(caller, entries, q, t, task):
+    # on 8 vertices, past the depth where the work list holds many classes,
+    # and only in a forked worker, so the failure comes inside a batch
+    if os.getpid() != caller and _edge_count(task[0]) < 16:
         raise ValueError("worker failed deep")
     return _descent_worker(entries, q, t, task)
 
@@ -787,7 +815,9 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
     assert not multiprocessing.active_children()
     # a task that fails inside a batch of several raises the same way
     monkeypatch.setattr(search, "_Pool", _RecordingPool)
-    monkeypatch.setattr(search, "_descent_worker", _descent_worker_failing_deep)
+    monkeypatch.setattr(
+        search, "_descent_worker", partial(_descent_worker_failing_deep, os.getpid())
+    )
     _RecordingPool.sent.clear()
     seeds = maximal_family_exhaustive((3,), 4, 8, 3)
     with pytest.raises(ValueError, match="worker failed deep"):
@@ -799,10 +829,60 @@ def test_streamed_descent_raises_worker_errors_and_ends_its_pool(monkeypatch):
     )
 
 
+def _exit_unless_in(caller, code):
+    if os.getpid() != caller:
+        os._exit(code)
+    return code
+
+
 def test_worker_exit_raises_instead_of_hanging():
+    # of two tasks one is shipped, and the forked worker that runs it exits
+    out = []
     with pytest.raises(RuntimeError, match="exited"):
-        _dispatch(os._exit, [3], None, 2)
+        _dispatch(partial(_exit_unless_in, os.getpid()), [3, 3], out.append, 2)
+    assert out == [3]
     assert not multiprocessing.active_children()
+
+
+def test_worker_pool_forks_one_process_fewer_than_its_workers():
+    # the calling process is the remaining worker
+    for workers in (2, 3):
+        with worker_pool(workers) as pool:
+            assert len(pool.procs) == workers - 1
+            assert len(multiprocessing.active_children()) == workers - 1
+        assert not multiprocessing.active_children()
+
+
+def test_dispatch_runs_a_lone_pending_task_in_the_caller(monkeypatch):
+    # each result pushes at most one task, so the list never holds two and
+    # nothing is shipped
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    _RecordingPool.sent.clear()
+    tasks = [5]
+    out = []
+
+    def give(n):
+        out.append(n)
+        if n:
+            tasks.append(n - 1)
+
+    _dispatch(abs, tasks, give, 2)
+    assert out == [5, 4, 3, 2, 1, 0]
+    assert _RecordingPool.sent == []
+
+
+def _fail_in_caller(task):
+    raise ValueError(f"task {task} failed")
+
+
+def test_a_task_run_by_the_caller_raises_unchanged_and_ends_the_pool():
+    with worker_pool(2) as pool:
+        with pytest.raises(ValueError, match="task 7 failed") as info:
+            _dispatch(_fail_in_caller, [7], None, 2)
+        # raised where it ran, not relayed from a worker process
+        assert info.value.__cause__ is None
+        assert pool.closed
+        assert not multiprocessing.active_children()
 
 
 def _start_time(pid):
