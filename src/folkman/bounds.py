@@ -207,26 +207,17 @@ class Verdict:
         return f"withheld: {self.reason}"
 
 
-def _slice_of(report: dict):
-    return (
-        tuple(report["avec"]),
-        report["q"],
-        report["n"],
-        report["r"],
-        report["t"],
-        report["count"],
-    )
+def verify_emptiness_certificate(avec, q: int, n: int, slices, registry=None) -> Verdict:
+    """Check that empty slices cover every feasible independence number of
+    the n-vertex family, which proves the Folkman number exceeds n.
 
-
-def verify_emptiness_certificate(avec, q: int, n: int, reports, registry=None) -> Verdict:
-    """Check that emptiness reports cover every feasible independence number
-    of the n-vertex family, which proves the Folkman number exceeds n.
-
-    Each report is a dict of avec, q, n, r, t and count: an exhausted
-    search over the family members with independence number in [r, t].  The
-    feasible range runs from the Ramsey-derived floor up to the cap given by
-    the independence-cap law (when q = m - 1) or by deleting an independent
-    set against a registry value for the once-decremented vector.
+    Each slice is ``(avec, q, n, r, t, count)`` from
+    ``pipeline.read_step_slices``: a search's count of the family members
+    with independence number in [r, t].  It is only as complete as its
+    chain's bases, which are not checked here.  The feasible range runs
+    from the Ramsey-derived floor up to the cap given by the
+    independence-cap law (when q = m - 1) or by deleting an independent set
+    against a registry value for the once-decremented vector.
     """
     registry = registry or default_registry()
     vec = canonicalize(avec)
@@ -249,8 +240,7 @@ def verify_emptiness_certificate(avec, q: int, n: int, reports, registry=None) -
         )
     cap = min(caps)
     covered = []
-    for report in reports:
-        ravec, rq, rn, rr, rt, count = _slice_of(report)
+    for ravec, rq, rn, rr, rt, count in slices:
         if canonicalize(ravec).entries != vec.entries or rq != q or rn != n:
             continue
         if count != 0:

@@ -12,10 +12,10 @@ import sys
 
 from . import bounds
 from .arrowing import ArrowVector, arrows, find_free_partition
-from .canon import GraphSet, canonical_form, parse_kv
+from .canon import GraphSet, canonical_form
 from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
-from .pipeline import format_rows, run_pipeline, split_family
+from .pipeline import format_rows, read_step_slices, run_pipeline, split_family
 from .search import (
     FamilySpec, family_defect, generate_family, generate_family_cone_split, load_family,
     worker_pool,
@@ -93,8 +93,9 @@ def cmd_extend(args) -> int:
     avec, (q, n, r, t) = split_family(args.spec, "avec; q; n; r; t")
     spec = FamilySpec(avec, q, n, r, t)
     if args.algorithm == 2 and not args.input2:
-        print("--algorithm 2 needs --input2", file=sys.stderr)
-        return 2
+        raise GraphError("--algorithm 2 needs --input2")
+    if args.algorithm == 1 and args.input2:
+        raise GraphError("--input2 is only used by --algorithm 2")
     dec = spec.decremented().entries
     # forked before the inputs are loaded, so the workers stay small
     with worker_pool(args.workers):
@@ -177,43 +178,11 @@ def cmd_bound_project(args) -> int:
 
 
 def cmd_bound_certify(args) -> int:
-    reports = _load_kv_reports(args.reports)
     verdict = bounds.verify_emptiness_certificate(
-        _vector_arg(args.vector), args.q, args.n, reports
+        _vector_arg(args.vector), args.q, args.n, read_step_slices(args.reports)
     )
     print(verdict)
     return 0 if verdict.ok else 1
-
-
-def _load_kv_reports(path):
-    out = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            blocks = fh.read().split("\n\n")
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"cannot read reports {path}: {exc}") from None
-    for block in blocks:
-        fields = parse_kv(block)
-        if "avec" not in fields or "maximal" not in fields:
-            continue
-        avec = ArrowVector.parse(fields["avec"]).canonical().entries
-        try:
-            out.append(
-                dict(
-                    avec=avec,
-                    q=int(fields["q"]),
-                    n=int(fields["n"]),
-                    r=int(fields.get("r", 2)),
-                    t=int(fields["t"]),
-                    count=int(fields["maximal"]),
-                )
-            )
-        except (KeyError, ValueError):
-            raise GraphError(
-                f"{path}: report for ({', '.join(map(str, avec))}) needs "
-                "integers q, n, t and maximal (and r, if given)"
-            ) from None
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

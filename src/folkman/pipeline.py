@@ -11,8 +11,9 @@ when both files exist, every manifest field other than ``seconds`` and
 ``produced_by`` equals what this run would write (the input digests
 included) and the graph6 file holds exactly ``count`` lines; otherwise it
 is rebuilt.  A file base whose path is the artifact an earlier item wrote
-here reuses it as it stands, manifest included, when that manifest names
-the same family and the file holds ``count`` lines.
+here only refers to it, fresh run or not: it takes its counts from that
+item's manifest when the manifest names the same family and the file holds
+``count`` lines, stops the run otherwise, and never writes either file.
 
 Row summaries mirror the enumeration-table layout: one row per family with
 its edge-maximal count, the plus-clique count of the family, and both
@@ -62,6 +63,7 @@ from .canon import (
     file_digest,
     format_kv,
     graph_set_of,
+    parse_kv,
     read_manifest,
     write_manifest,
 )
@@ -414,19 +416,20 @@ class Runner:
         report = StepReport(item.name, "base", item.family)
         path = self.maximal_path(item.family)
         meta_path = path.with_suffix(".meta")
-        # A file base naming the artifact an earlier item wrote here keeps it
-        # and its manifest, so that item still resumes on a rerun.
-        if item.kind == "file" and not self.fresh and meta_path.exists():
-            src, meta = self._base_file(item), read_manifest(meta_path)
-            if (
-                src.exists() and path.exists() and src.samefile(path)
-                and meta.get("family") == _family_line(item.family)
-                and _holds_count(meta, path)
-            ):
-                report.count = int(meta["count"])
-                report.cone_free_count = int(meta["cone_free_count"])
-                report.resumed = True
-                return report
+        # A file base on the artifact an earlier item wrote here only refers
+        # to it: that item stays the one writer of both files.
+        src = self._base_file(item) if item.kind == "file" else None
+        if src and src.exists() and meta_path.exists() and path.exists() and src.samefile(path):
+            meta = read_manifest(meta_path)
+            if meta.get("family") != _family_line(item.family) or not _holds_count(meta, path):
+                raise ConfigError(
+                    f"base {item.name}: {src} is not what the manifest of "
+                    f"{meta.get('produced_by', 'its producer')} describes"
+                )
+            report.count = int(meta["count"])
+            report.cone_free_count = int(meta["cone_free_count"])
+            report.resumed = True
+            return report
         fields = dict(
             family=_family_line(item.family), kind=f"base:{item.kind}",
             produced_by=item.name, count=None, cone_free_count=None, seconds=None,
@@ -547,6 +550,37 @@ class Runner:
                 for key, value in sorted(rep.input_digests.items()):
                     fields[f"input_digest:{key}"] = value
                 fh.write(format_kv(fields) + "\n")
+
+
+def read_step_slices(path) -> list[tuple]:
+    """The ``(avec, q, n, r, t, count)`` of each step block of a
+    ``report.kv``: a search's count of the H(avec; q; n) members with
+    independence number in [r, t].  Bases and descents count no slice of
+    their own.  Every block with ``avec`` and ``maximal`` is checked first,
+    so a malformed report is an error whatever its blocks' kinds."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blocks = fh.read().split("\n\n")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read reports {path}: {exc}") from None
+    slices = []
+    for block in blocks:
+        fields = parse_kv(block)
+        if "avec" not in fields or "maximal" not in fields:
+            continue
+        avec = ArrowVector.parse(fields["avec"]).canonical().entries
+        step = fields.get("kind") == "step"
+        try:
+            q, n, t, count = (int(fields[key]) for key in ("q", "n", "t", "maximal"))
+            r = int(fields["r"]) if step or "r" in fields else None
+        except (KeyError, ValueError):
+            raise GraphError(
+                f"{path}: report for ({', '.join(map(str, avec))}) needs "
+                "integers q, n, t and maximal (and r, in a step or if given)"
+            ) from None
+        if step:
+            slices.append((avec, q, n, r, t, count))
+    return slices
 
 
 @dataclass

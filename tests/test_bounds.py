@@ -144,7 +144,7 @@ def test_chain_projection():
 
 
 def _report(avec, q, n, r, t, count):
-    return dict(avec=avec, q=q, n=n, r=r, t=t, count=count)
+    return (avec, q, n, r, t, count)
 
 
 def test_certificate_accepts_full_coverage():

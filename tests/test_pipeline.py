@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from folkman import pipeline, search
-from folkman.canon import canonical_line
+from folkman.canon import canonical_line, format_kv
 from folkman.cli import main
 from folkman.graphs import Graph, from_graph6, to_graph6
 from folkman.pipeline import (
@@ -377,6 +377,21 @@ input = q4-s5
     assert all(r.resumed for r in reports_a)
     blocks = (run_dir / "report.kv").read_text().split("\n\n")
     assert "item = s5\n" in blocks[1] and "resumed = True\n" in blocks[1]
+    # a fresh run of B still only refers to s5's files, so A still resumes
+    s5_files = [run_dir / "maximal_a3_q4_n5_t3.g6", meta]
+    s5_bytes = [path.read_bytes() for path in s5_files]
+    run_pipeline(path_b, run_dir, fresh=True)
+    assert [path.read_bytes() for path in s5_files] == s5_bytes
+    reports_a, _ = run_pipeline(path_a, run_dir)
+    assert all(r.resumed for r in reports_a)
+    # s5's .g6 loses a line: B stops, naming s5, and writes no file
+    s5_files[0].write_text(s5_bytes[0].decode().splitlines()[0] + "\n")
+    damaged = {path: path.read_bytes() for path in sorted(run_dir.iterdir())}
+    assert main(["pipeline", str(path_b), "--dir", str(run_dir)]) == 2
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(path_b, run_dir, fresh=True)
+    assert str(err.value).endswith(" is not what the manifest of s5 describes")
+    assert {path: path.read_bytes() for path in sorted(run_dir.iterdir())} == damaged
 
 
 def test_file_base_rebuilds_when_its_artifact_is_gone(tmp_path):
@@ -569,6 +584,11 @@ def test_cli_extend_checks_both_inputs(tmp_path, capsys):
         line = canonical_line(from_graph6(member).adj)
         assert capsys.readouterr().err == f"error: {path}: file member {line}: {defect}\n"
     assert not Path(out).exists()
+    # an --input2 that algorithm 1 would not read is a usage error
+    missing = str(tmp_path / "missing.g6")
+    assert main(extend + ["--input", k3, "--input2", missing]) == 2
+    assert capsys.readouterr().err == "error: --input2 is only used by --algorithm 2\n"
+    assert not Path(out).exists()
 
 
 def test_graph6_files_with_non_ascii_bytes_are_input_errors(tmp_path, capsys):
@@ -639,6 +659,30 @@ input = k3
         ]
     )
     assert rc == 1
+    capsys.readouterr()
+    # a base reports the family it was given, not a search: an empty base on
+    # the whole (2,2,2,7; 9; 20) family certifies nothing
+    certify = ["bound", "certify", "2,2,2,7", "9", "20", "--reports"]
+    empty = write_config(tmp_path, "[base:e]\nfamily = 2,2,2,7; 9; 20; 4\nkind = empty\n")
+    assert main(["pipeline", str(empty), "--dir", str(tmp_path / "empty")]) == 0
+    capsys.readouterr()
+    assert main(certify + [str(tmp_path / "empty" / "report.kv")]) == 1
+    gap = "withheld: independence numbers [2, 3] not covered by any empty report\n"
+    assert capsys.readouterr().out == gap
+    # step blocks are the slices, so a nonempty base block is no obstacle
+    family = dict(avec="2,2,2,7", q=9, n=20)
+    blocks = [
+        dict(item="given", kind="base", **family, t=4, maximal=1),
+        dict(item="a3", kind="step", **family, r=3, t=3, maximal=0),
+        dict(item="a2", kind="step", **family, r=2, t=2, maximal=0),
+    ]
+    reports = tmp_path / "hand.kv"
+    reports.write_text("\n".join(format_kv(fields) for fields in blocks))
+    assert pipeline.read_step_slices(reports) == [
+        ((2, 2, 2, 7), 9, 20, 3, 3, 0), ((2, 2, 2, 7), 9, 20, 2, 2, 0)
+    ]
+    assert main(certify + [str(reports)]) == 0
+    assert capsys.readouterr().out.startswith("verified: ")
 
 
 def test_cli_errors(tmp_path, capsys):
