@@ -16,6 +16,11 @@ twin:
 * the canonical search starts with the graph's twin swaps (``twin_pairs``)
   as known automorphisms, so it skips a twin's sibling branch without
   visiting its leaves; the compiled one finds them at leaves.
+* a target cell inside one twin class is split into singletons in one
+  step, with no refinement; the compiled search individualizes it one
+  vertex per level and refines at each.
+* ``_refine`` counts a cell's neighbours in a splitter once per twin class
+  inside the cell; the compiled one counts every vertex.
 * ``has_clique_within`` answers t = 2 by a scan of the mask's rows, and a
   query with at most ``COVER_MAX`` vertices of the mask to drop by a
   bounded vertex-cover branch; the compiled one runs its colouring
@@ -25,7 +30,7 @@ twin:
   encoder packs, so the edge order is defined once; the compiled twin
   keeps its own encoder (``_encode``).
 
-Both refine to the same partitions at the nodes they visit and return the
+Both reach the same partitions at the nodes they visit and return the
 same results; the compiled side gets the bookkeeping once
 ``_kernels_cy.c`` can be regenerated from the ``.pyx`` with Cython.
 
@@ -242,12 +247,17 @@ def free_partition(adj, limits):
     return None
 
 
-def _refine(adj, cells, fresh):
+def _refine(adj, cells, fresh, twins):
     # Equitable refinement of an ordered partition (list of cell masks).
     # The scan takes splitters W and cells C in position order, W outer; the
     # first C that W splits is replaced in place by its fragments ordered by
     # neighbour count in W.  All choices depend only on the partition
     # structure, which keeps the outcome isomorphism-invariant.
+    #
+    # twins[v] is the mask of v's twin class.  Twins in one cell see every
+    # cell alike (open twins have one neighbourhood; closed twins differ
+    # only in each other, and lie in one cell together), so the count in W
+    # is taken once per twin class inside C.
     #
     # fresh is the union of the cells not yet verified as splitters.  A
     # splitter scanned against every cell without a split stays stable
@@ -286,10 +296,11 @@ def _refine(adj, cells, fresh):
                 groups = {}
                 m = C
                 while m:
-                    b = m & -m
-                    m ^= b
-                    k = (adj[b.bit_length() - 1] & W).bit_count()
-                    groups[k] = groups.get(k, 0) | b
+                    v = (m & -m).bit_length() - 1
+                    same = C & twins[v]
+                    m ^= same
+                    k = (adj[v] & W).bit_count()
+                    groups[k] = groups.get(k, 0) | same
                 if len(groups) == 1:
                     ci += 1
                     continue
@@ -313,7 +324,23 @@ def _refine(adj, cells, fresh):
 def canonical_perm(adj):
     """Permutation p (position -> original vertex) whose relabeling minimises
     the upper-triangle adjacency encoding.  Complete isomorphism invariant:
-    two graphs get equal canonical encodings iff they are isomorphic."""
+    two graphs get equal canonical encodings iff they are isomorphic.
+
+    A target cell inside one twin class (see ``twin_pairs``) is split into
+    singletons in one step, in ascending order, as the level-by-level search
+    would reach them on its first branch at each level:
+
+    * a vertex outside a twin class sees all of it or none, and its members
+      see each other alike; so individualizing a member splits no other
+      cell, and the rest of the class stays the unique smallest cell;
+    * every sibling on those levels is the image of the first branch under
+      a twin swap that fixes the path, which the search prunes;
+    * a jump back into the collapsed levels returns to the collapsing node,
+      because those levels have no live sibling.
+
+    So the search refines nothing there and stands, with the same path and
+    fixed vertices, where the level-by-level one would.
+    """
     n = len(adj)
     if n <= 1:
         return tuple(range(n))
@@ -329,10 +356,17 @@ def canonical_perm(adj):
     # of an earlier one, so the first leaf with the least code, and the
     # permutation returned, do not depend on which are known.
     generators = []
+    # twins[v] is the mask of v's twin class, first gathered on its first
+    # member
+    twins = [1 << v for v in range(n)]
+    first = list(range(n))
     for v, p in enumerate(twin_pairs(adj)):
         if p:
             u = p.bit_length() - 1
             generators.append((p | 1 << v, ((u, v), (v, u))))
+            first[v] = first[u]
+            twins[first[v]] |= 1 << v
+    twins = [twins[f] for f in first]
 
     def leaf(cells):
         # Returns the depth to go back to.  A leaf whose code equals the
@@ -367,19 +401,34 @@ def canonical_perm(adj):
         return common
 
     def search(cells, fixed):
-        # Returns the depth to go back to: this node's own depth when its
-        # subtree is done, less when a leaf below asks to jump higher.
-        ti = -1
-        size = 65
-        for i, c in enumerate(cells):
-            pc = c.bit_count()
-            if 1 < pc < size:
-                ti = i
-                size = pc
-        if ti < 0:
-            return leaf(cells)
+        # Returns the depth to go back to: at least this node's own depth
+        # when its subtree is done, less when a leaf below asks to jump
+        # higher.  A target cell inside one twin class is split in place and
+        # the path extended by the levels it stands for; the caller cuts the
+        # path back.
+        while True:
+            ti = -1
+            size = 65
+            for i, c in enumerate(cells):
+                pc = c.bit_count()
+                if 1 < pc < size:
+                    ti = i
+                    size = pc
+            if ti < 0:
+                return leaf(cells)
+            T = cells[ti]
+            if T & ~twins[(T & -T).bit_length() - 1]:
+                break
+            ones = []
+            m = T
+            while m:
+                b = m & -m
+                m ^= b
+                ones.append(b)
+            cells[ti : ti + 1] = ones
+            path.extend(ones[:-1])
+            fixed |= T ^ ones[-1]
         depth = len(path)
-        T = cells[ti]
         tried = 0
         # orbit[v] is the orbit of v, as a mask, under the recorded
         # automorphisms that fix the individualized prefix pointwise; seen
@@ -412,12 +461,12 @@ def canonical_perm(adj):
                     continue
             child = cells[:ti] + [b, T ^ b] + cells[ti + 1 :]
             path.append(b)
-            back = search(_refine(adj, child, T), fixed | b)
-            path.pop()
+            back = search(_refine(adj, child, T, twins), fixed | b)
+            del path[depth:]
             if back < depth:
                 return back
             tried |= b
         return depth
 
-    search(_refine(adj, [full], full), 0)
+    search(_refine(adj, [full], full, twins), 0)
     return best_perm

@@ -14,6 +14,9 @@ is rebuilt.  A file base whose path is the artifact an earlier item wrote
 here only refers to it, fresh run or not: it takes its counts from that
 item's manifest when the manifest names the same family and the file holds
 ``count`` lines, stops the run otherwise, and never writes either file.
+A base whose path holds a step's output never writes it either: an empty
+base refers to an empty output of its family the same way, and any other
+case stops the run.
 
 Row summaries mirror the enumeration-table layout: one row per family with
 its edge-maximal count, the plus-clique count of the family, and both
@@ -416,15 +419,25 @@ class Runner:
         report = StepReport(item.name, "base", item.family)
         path = self.maximal_path(item.family)
         meta_path = path.with_suffix(".meta")
-        # A file base on the artifact an earlier item wrote here only refers
-        # to it: that item stays the one writer of both files.
+        # A base on the artifact an earlier item wrote here only refers to
+        # it, so that item stays the one writer of both files: a file base
+        # to the file it names, an empty base to an empty output of a step
+        # of its family.  Any other base on a step's output stops the run.
+        held = path.exists() and meta_path.exists()
+        meta = read_manifest(meta_path) if held else {}
         src = self._base_file(item) if item.kind == "file" else None
-        if src and src.exists() and meta_path.exists() and path.exists() and src.samefile(path):
-            meta = read_manifest(meta_path)
-            if meta.get("family") != _family_line(item.family) or not _holds_count(meta, path):
+        refers = held and src is not None and src.exists() and src.samefile(path)
+        if refers or meta.get("kind") == "step":
+            sound = meta.get("family") == _family_line(item.family) and _holds_count(meta, path)
+            producer = meta.get("produced_by", "its producer")
+            if refers and not sound:
                 raise ConfigError(
-                    f"base {item.name}: {src} is not what the manifest of "
-                    f"{meta.get('produced_by', 'its producer')} describes"
+                    f"base {item.name}: {src} is not what the manifest of {producer} describes"
+                )
+            if not refers and not (sound and item.kind == "empty" and int(meta["count"]) == 0):
+                raise ConfigError(
+                    f"base {item.name}: {path} holds the output of step {producer}, "
+                    "which this base may not replace"
                 )
             report.count = int(meta["count"])
             report.cone_free_count = int(meta["cone_free_count"])

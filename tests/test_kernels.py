@@ -256,6 +256,45 @@ def test_twin_seeded_canonical_perm_on_vertex_transitive_bases(rng):
             _assert_matches_reference(g.adj)
 
 
+def test_twin_cell_collapse_matches_reference(rng):
+    # random and vertex-transitive bases blown up by open or closed twin
+    # classes of sizes 2-6, relabeled.  On the regular ones refinement splits
+    # nothing at the root, so a twin class becomes a target cell of its own
+    # only once one of its members is individualized.
+    for _ in range(30):
+        base = random_graph(rng, rng.randint(2, 5), rng.random())
+        sizes = [rng.randint(1, 6) for _ in range(base.n)]
+        g = _blown_up(rng, base, [rng.random() < 0.5 for _ in range(base.n)], sizes)
+        _assert_matches_reference(g.adj)
+    # K_{s,s,s} and three disjoint K_s, then cycles and prisms of twin
+    # classes, kept small: the reference search is slow on larger ones
+    cases = [(Graph.complete(3), (False,), range(2, 7)), (Graph.empty(3), (True,), range(2, 7))]
+    cases += [(Graph.cycle(5), (False, True), range(2, 5)), (_prism(3), (False, True), (2, 3))]
+    for base, kinds, sizes in cases:
+        for closed in kinds:
+            for size in sizes:
+                g = _blown_up(rng, base, [closed] * base.n, [size] * base.n)
+                _assert_matches_reference(g.adj)
+
+
+def test_twin_cell_collapse_refines_only_at_the_root(monkeypatch):
+    # the root cell of K_n or the empty graph is one twin class, split into
+    # singletons with no further refinement
+    calls = []
+    refine = py._refine
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(py, "_refine", counted)
+    for n in range(2, 20):
+        for g in (Graph.complete(n), Graph.empty(n)):
+            calls.clear()
+            assert py.canonical_perm(g.adj) == tuple(range(n))
+            assert len(calls) == 1, (g.adj, len(calls))
+
+
 def test_twin_seeded_canonical_perm_on_large_automorphism_groups(rng):
     # the seeded G(n, p) graphs on which the search once took seconds to
     # minutes; the reference search is too slow on the last two

@@ -394,6 +394,51 @@ input = q4-s5
     assert {path: path.read_bytes() for path in sorted(run_dir.iterdir())} == damaged
 
 
+def test_base_on_a_step_output_keeps_it(tmp_path):
+    # a base of step s5's family, run into s5's directory, shares s5's path:
+    # it stops the run and writes no file, so the chain still resumes s5
+    path_a = write_config(tmp_path, TINY_CONFIG.split("[step:s7]")[0], "a.cfg")
+    run_dir = tmp_path / "run"
+    run_pipeline(path_a, run_dir)
+    s5_files = [run_dir / "maximal_a3_q4_n5_t3.g6", run_dir / "maximal_a3_q4_n5_t3.meta"]
+    s5_bytes = [path.read_bytes() for path in s5_files]
+    for kind in ("empty", "exhaustive"):
+        base = write_config(tmp_path, f"[base:e]\nfamily = 3; 4; 5; 3\nkind = {kind}\n", "e.cfg")
+        assert main(["pipeline", str(base), "--dir", str(run_dir)]) == 2
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(base, run_dir, fresh=True)
+        assert str(err.value) == (
+            f"base e: {s5_files[0]} holds the output of step s5, "
+            "which this base may not replace"
+        )
+        assert [path.read_bytes() for path in s5_files] == s5_bytes
+    reports_a, _ = run_pipeline(path_a, run_dir)
+    assert {r.name: r for r in reports_a}["s5"].resumed
+    # an empty base refers to an empty step output of its family
+    chain = """
+[base:nothing]
+family = 3; 4; 5; 3
+kind = empty
+
+[step:s7]
+family = 3; 4; 7; 3
+r = 2
+algorithm = 1
+input = nothing
+"""
+    path_c = write_config(tmp_path, chain, "c.cfg")
+    run_dir = tmp_path / "empty"
+    run_pipeline(path_c, run_dir)
+    s7_files = [run_dir / "maximal_a3_q4_n7_t3.g6", run_dir / "maximal_a3_q4_n7_t3.meta"]
+    s7_bytes = [path.read_bytes() for path in s7_files]
+    base = write_config(tmp_path, "[base:e]\nfamily = 3; 4; 7; 3\nkind = empty\n", "e.cfg")
+    (report,), _ = run_pipeline(base, run_dir, fresh=True)
+    assert report.resumed and (report.count, report.cone_free_count) == (0, 0)
+    assert [path.read_bytes() for path in s7_files] == s7_bytes
+    reports_c, _ = run_pipeline(path_c, run_dir)
+    assert all(r.resumed for r in reports_c)
+
+
 def test_file_base_rebuilds_when_its_artifact_is_gone(tmp_path):
     # the run directory's .g6 is gone but its manifest is not: the rerun
     # rebuilds it from the source file beside the config
