@@ -94,6 +94,18 @@ def arrows_adj(adj, entries) -> bool:
     return impl.free_partition(adj, limits) is None
 
 
+def clique_arrows(entries, k) -> bool:
+    """True when every graph holding a K_k arrows the canonical
+    ``entries``, that is, when sum(a_i - 1) + 1 <= k (always for the empty
+    vector).  At one entry this is the definition: G -> (a) exactly when
+    omega(G) >= a.  In general K_m with m = sum(a_i - 1) + 1 arrows the
+    vector, since classes with fewer than a_i vertices cover at most
+    m - 1, and a graph arrows whatever a subgraph of it arrows; a smaller
+    K_k does not arrow it (give colour class i at most a_i - 1 of its
+    vertices)."""
+    return not entries or sum(a - 1 for a in entries) + 1 <= k
+
+
 def arrows(g: Graph, v) -> bool:
     return arrows_adj(g.adj, canonicalize(v).entries)
 

@@ -339,7 +339,8 @@ _UNCOMPARED = ("count", "cone_free_count", "seconds", "produced_by")
 def _reusable(meta: dict, fields: dict, path: Path) -> bool:
     """The reuse rule: the manifest has this run's fields, in order, with
     equal values apart from the counts, ``seconds`` and ``produced_by``,
-    and the graph6 file holds exactly ``count`` lines."""
+    and the graph6 file holds exactly ``count`` strictly increasing
+    lines."""
     if list(meta) != list(fields):
         return False
     if any(meta[k] != str(v) for k, v in fields.items() if k not in _UNCOMPARED):
@@ -349,11 +350,19 @@ def _reusable(meta: dict, fields: dict, path: Path) -> bool:
 
 def _holds_count(meta: dict, path: Path) -> bool:
     """The manifest's counts are numbers and the graph6 file holds exactly
-    ``count`` lines."""
+    ``count`` lines, each ended by a newline, none blank, in strictly
+    increasing order, as ``GraphSet.save`` writes every artifact: sorted,
+    without repeats."""
     if not (meta.get("count", "").isdigit() and meta.get("cone_free_count", "").isdigit()):
         return False
+    lines = 0
+    last = b"\n"
     with open(path, "rb") as fh:
-        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        for line in fh:
+            if not line.endswith(b"\n") or line <= last:
+                return False
+            last = line
+            lines += 1
     return lines == int(meta["count"])
 
 

@@ -17,10 +17,14 @@ Two cooperating constructions:
   labeled: P - uv is kept only if no re-addable non-edge of the child has a
   larger (common neighbours, degree sum) key than uv.  The non-edges that
   keep their key and re-addability from P are checked before the family
-  tests, the others after.  So only members of the collected set are
-  labeled, most of them once; the collected set of canonical lines stays
-  the exact isomorph rejection, and a line is expanded only when it first
-  enters it.
+  tests, the others after.  P's non-edges are sorted by key once per
+  class, and one is tested for re-addability (at most once) only when the
+  rule of some edge reaches it, its key being above that edge's.  So only
+  members of the collected set are labeled, most of them once; the
+  collected set of canonical lines stays the exact isomorph rejection, and
+  a line is expanded only when it first enters it.  Every child that
+  passes the plus-clique test holds a K_{q-2}, so when that alone arrows
+  the vector (``arrowing.clique_arrows``) no child is tested for arrowing.
 
   A class travels with dead masks: the edges whose removal failed a family
   test in the class or in any ancestor.  The three family tests carry down
@@ -36,7 +40,9 @@ Two cooperating constructions:
   complete family on n vertices with independence number in [r, t]: attach r
   new independent vertices whose neighbourhoods are maximal K_{q-1}-free
   sets chosen under the pair-intersection and independence-residue
-  conditions, then keep the results that arrow the full target vector.
+  conditions, then keep the results that arrow the full target vector
+  (each holds a K_{q-1}, so only a vector that K_{q-1} does not arrow is
+  tested).
   Such a result is edge-maximal (plus-K_q) exactly when the chosen sets
   together fix every non-edge of the host whose common neighbourhood
   holds no K_{q-2}; ``valid_multisets`` searches only multisets that can
@@ -72,7 +78,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import _kernels as K
-from .arrowing import ArrowVector, arrows_adj, canonicalize
+from .arrowing import ArrowVector, arrows_adj, canonicalize, clique_arrows
 from .canon import GraphSet, canonical_line, cone_count
 from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets, twin_pairs
 from .graphs import (
@@ -260,73 +266,79 @@ def _dispatch(fn, tasks, give, workers):
             raise
 
 
-def _orbit_rows(adj):
-    """For each vertex u, the mask of the v > u such that uv is the first
-    edge of its orbit under the twin swaps of ``adj`` (see twin_pairs):
-    u is the first of its twin class and v is the first of its own or the
-    next twin of u."""
-    twin = twin_pairs(adj)
-    later = 0
-    after = [0] * len(adj)
-    for v, p in enumerate(twin):
-        if p:
-            later |= 1 << v
-            after[p.bit_length() - 1] = 1 << v
-    return [
-        0 if p else (row >> (u + 1) << (u + 1) & ~later) | (after[u] & row)
-        for u, (row, p) in enumerate(zip(adj, twin))
-    ]
-
-
 def _descent_worker(entries, q, t, task):
     """The children of the class ``task = (adj, dead)`` in (entries; q; t):
     sorted (canonical line, child task) pairs, one per child class, each
     adjacency as built here.  dead[x] has bit y when removing the edge xy
     failed a family test in this class or an ancestor; such an edge is not
-    tried, and every child carries the class's final dead masks."""
+    tried, and every child carries the class's final dead masks.  The
+    kernel tests a non-edge of P for re-addability only when the key rule
+    of some edge reaches it, and a child is tested for arrowing only when
+    holding a K_{q-2} does not already decide it."""
     adj, dead = task
     dead = list(dead)
     n = len(adj)
     impl = K.impl
-    cadj = complement_adj(adj)
-    deg = [row.bit_count() for row in adj]
+    # A kept child passed is_plus_k(child, q - 1) and its non-edge uv
+    # completes a K_{q-1}, so it holds a K_{q-2}: the arrowing test is
+    # needed only when such a graph may fail it.
+    arrowing = not clique_arrows(entries, q - 2)
     # Canonical parent (McKay, invariant half): C = P - uv is kept only if
     # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
     # is re-addable when its common neighbourhood holds no K_{q-2}, so that
     # C + xy is a family member one layer up; key(x, y) is (common
     # neighbours, degree sum) in C, packed into one int (degree sums stay
     # below 1 << 7 on 64 vertices).  Each class is still reached: from the
-    # class of C + xy for its largest-key xy.  P's non-edges are listed
-    # once, largest key first.  (Bits are iterated inline here and in the
-    # edge loop below: a generator costs more than the work per bit.)
-    gaps = []
+    # class of C + xy for its largest-key xy.
+    #
+    # One pass over P's rows, last first so that every later vertex's
+    # degree is known, gives the degrees, the complement rows, P's
+    # non-edges with their keys and the twin-swap orbits (see twin_pairs):
+    # an edge uv, u < v, is the first of its orbit when u is the first of
+    # its twin class and v is the first of its own or the next twin of u.
+    # (Bits are iterated inline here and in the edge loop below: a
+    # generator costs more than the work per bit.)
+    twin = twin_pairs(adj)
     full = (1 << n) - 1
-    for x in range(n):
-        ax, dx = adj[x], deg[x]
-        rest = ~ax & full >> (x + 1) << (x + 1)
+    deg = [0] * n
+    cadj = [0] * n
+    later = 0
+    after = [0] * n
+    gaps = []
+    for x in range(n - 1, -1, -1):
+        ax = adj[x]
+        dx = deg[x] = ax.bit_count()
+        cx = cadj[x] = full ^ ax ^ 1 << x
+        p = twin[x]
+        if p:
+            later |= 1 << x
+            after[p.bit_length() - 1] = 1 << x
+        rest = cx >> (x + 1) << (x + 1)
         while rest:
             b = rest & -rest
             rest ^= b
             y = b.bit_length() - 1
             gaps.append(((ax & adj[y]).bit_count() << 7 | (dx + deg[y]), x, y))
+    # largest key first; readd holds the re-addable ones among gaps[:done]
     gaps.sort(reverse=True)
-    readd = [
-        (k, 1 << x | 1 << y)
-        for k, x, y in gaps
-        if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2)
-    ]
+    done = 0
+    readd = []
     children = {}
-    for u, row in enumerate(_orbit_rows(adj)):
-        row &= ~dead[u]
+    for u, au in enumerate(adj):
+        if twin[u]:
+            continue
+        row = (au >> (u + 1) << (u + 1) & ~later | after[u] & au) & ~dead[u]
         bu = 1 << u
         while row:
             bv = row & -row
             row ^= bv
             v = bv.bit_length() - 1
             uv = bu | bv
-            key = (adj[u] & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
+            key = (au & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
             # A re-addable non-edge of P away from u and v stays one in C
-            # with the same key.
+            # with the same key.  The gaps past done are tested only while
+            # their key is above this one, so none above it is left untested
+            # when the edge passes.
             outranked = False
             for k, pair in readd:
                 if k <= key:
@@ -334,6 +346,16 @@ def _descent_worker(entries, q, t, task):
                 if not pair & uv:
                     outranked = True
                     break
+            else:
+                while done < len(gaps) and gaps[done][0] > key:
+                    k, x, y = gaps[done]
+                    done += 1
+                    if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2):
+                        pair = 1 << x | 1 << y
+                        readd.append((k, pair))
+                        if not pair & uv:
+                            outranked = True
+                            break
             if outranked:
                 continue
             child = list(adj)
@@ -353,16 +375,18 @@ def _descent_worker(entries, q, t, task):
             if (
                 not impl.is_plus_k(child, q - 1)
                 or impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
-                or not arrows_adj(child, entries)
+                or arrowing and not arrows_adj(child, entries)
             ):
                 dead[u] |= bv
                 dead[v] |= bu
                 continue
-            # The rest of the rule: non-edges at u or v lose v or u from
-            # the common neighbourhood and one from the degree sum, and
-            # those with u and v both in the common neighbourhood lose the
-            # edge uv inside it.  Keys only fall, so P's order bounds the
-            # scan.
+            # The rest of the rule, over the gaps above the key, all tested
+            # in P by now: non-edges at u or v lose v or u from the common
+            # neighbourhood and one from the degree sum, and those with u
+            # and v both in the common neighbourhood lose the edge uv inside
+            # it.  Keys only fall, so P's order bounds the scan; the other
+            # non-edges keep their key and their verdict in P, which did not
+            # outrank uv.
             for k, x, y in gaps:
                 if k <= key:
                     break
@@ -572,11 +596,15 @@ def _extension_worker(entries, q, r, t, cone_free, line):
     if cone_free and cone_count(line):
         return results
     h = from_graph6(line)
-    # every multiset gives a plus-K_q graph (see valid_multisets)
+    # Every multiset gives a plus-K_q graph (see valid_multisets).  Its
+    # r >= 2 new vertices are independent, and a non-edge between two of
+    # them completes a K_q, so the graph holds a K_{q-1}: the arrowing test
+    # is needed only when such a graph may fail it.
+    arrowing = not clique_arrows(entries, q - 1)
     for masks in valid_multisets(h, q, r, t):
         # built from a validated host, so the adjacency skips Graph's checks
         adj = attach(h.adj, masks)
-        if arrows_adj(adj, entries):
+        if not arrowing or arrows_adj(adj, entries):
             results.add(canonical_line(adj))
     return results
 

@@ -20,6 +20,12 @@ test, except these, which call the engine's kernels or canonical labeling:
   before the canonical-parent rule on the removed edge and the one edge
   per twin-swap orbit: every child that passes the family tests is
   labeled and deduplicated;
+* ``descent_worker_reference`` is the descent worker as it stood before
+  it tested re-addability only where the key rule reads it and skipped the
+  arrowing test that holding a K_{q-2} decides: every non-edge of the
+  class is tested for re-addability up front and every child that passes
+  the plus-clique and independence tests for arrowing.  The worker must
+  return its children, child adjacencies and dead masks exactly;
 * ``valid_multisets_reference`` is the extension's multiset search as it
   stood before plus-K_q was decided as a cover inside it: every multiset
   that passes the pair and residue conditions is extended and tested with
@@ -41,13 +47,14 @@ from itertools import combinations, product
 
 from folkman import _kernels as K
 from folkman._kernels_py import MAX_AUT_GENERATORS
-from folkman.arrowing import ArrowVector, arrows
+from folkman.arrowing import ArrowVector, arrows, arrows_adj
 from folkman.canon import GraphSet, canonical_line
 from folkman.cliques import (
     complement_adj,
     has_clique,
     is_plus_kt,
     maximal_kt_free_subsets,
+    twin_pairs,
 )
 from folkman.generate import bounded_classes
 from folkman.graphs import Graph, GraphError, bits_of, join
@@ -212,6 +219,127 @@ def plus_clique_descent_reference(maximals, avec, q: int, t: int) -> GraphSet:
             ):
                 todo.append(child)
     return out
+
+
+def _orbit_rows(adj):
+    """For each vertex u, the mask of the v > u such that uv is the first
+    edge of its orbit under the twin swaps of ``adj`` (see twin_pairs):
+    u is the first of its twin class and v is the first of its own or the
+    next twin of u."""
+    twin = twin_pairs(adj)
+    later = 0
+    after = [0] * len(adj)
+    for v, p in enumerate(twin):
+        if p:
+            later |= 1 << v
+            after[p.bit_length() - 1] = 1 << v
+    return [
+        0 if p else (row >> (u + 1) << (u + 1) & ~later) | (after[u] & row)
+        for u, (row, p) in enumerate(zip(adj, twin))
+    ]
+
+
+def descent_worker_reference(entries, q, t, task):
+    """The children of the class ``task = (adj, dead)`` in (entries; q; t):
+    sorted (canonical line, child task) pairs, one per child class, each
+    adjacency as built here.  dead[x] has bit y when removing the edge xy
+    failed a family test in this class or an ancestor; such an edge is not
+    tried, and every child carries the class's final dead masks."""
+    adj, dead = task
+    dead = list(dead)
+    n = len(adj)
+    impl = K.impl
+    cadj = complement_adj(adj)
+    deg = [row.bit_count() for row in adj]
+    # Canonical parent (McKay, invariant half): C = P - uv is kept only if
+    # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
+    # is re-addable when its common neighbourhood holds no K_{q-2}, so that
+    # C + xy is a family member one layer up; key(x, y) is (common
+    # neighbours, degree sum) in C, packed into one int (degree sums stay
+    # below 1 << 7 on 64 vertices).  Each class is still reached: from the
+    # class of C + xy for its largest-key xy.  P's non-edges are listed
+    # once, largest key first.  (Bits are iterated inline here and in the
+    # edge loop below: a generator costs more than the work per bit.)
+    gaps = []
+    full = (1 << n) - 1
+    for x in range(n):
+        ax, dx = adj[x], deg[x]
+        rest = ~ax & full >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            y = b.bit_length() - 1
+            gaps.append(((ax & adj[y]).bit_count() << 7 | (dx + deg[y]), x, y))
+    gaps.sort(reverse=True)
+    readd = [
+        (k, 1 << x | 1 << y)
+        for k, x, y in gaps
+        if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2)
+    ]
+    children = {}
+    for u, row in enumerate(_orbit_rows(adj)):
+        row &= ~dead[u]
+        bu = 1 << u
+        while row:
+            bv = row & -row
+            row ^= bv
+            v = bv.bit_length() - 1
+            uv = bu | bv
+            key = (adj[u] & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
+            # A re-addable non-edge of P away from u and v stays one in C
+            # with the same key.
+            outranked = False
+            for k, pair in readd:
+                if k <= key:
+                    break
+                if not pair & uv:
+                    outranked = True
+                    break
+            if outranked:
+                continue
+            child = list(adj)
+            child[u] &= ~bv
+            child[v] &= ~bu
+            # The family tests, plus-clique (the most selective) first.
+            # Independence cap: a new independent (t+1)-set must contain
+            # both endpoints, i.e. a (t-1)-clique in their common complement
+            # neighbourhood.  That mask avoids u and v, and a clique search
+            # inside a mask reads only the rows of its vertices, which the
+            # child's complement shares with the parent's.  Losing an edge
+            # only shrinks common neighbourhoods, keeps independent sets and
+            # cannot make a graph arrow, so a failure carries down to every
+            # subgraph: the child is dropped before it is labeled and uv is
+            # dead in the whole subtree.  The key rule's rejections do not
+            # carry down and mark nothing.
+            if (
+                not impl.is_plus_k(child, q - 1)
+                or impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
+                or not arrows_adj(child, entries)
+            ):
+                dead[u] |= bv
+                dead[v] |= bu
+                continue
+            # The rest of the rule: non-edges at u or v lose v or u from
+            # the common neighbourhood and one from the degree sum, and
+            # those with u and v both in the common neighbourhood lose the
+            # edge uv inside it.  Keys only fall, so P's order bounds the
+            # scan.
+            for k, x, y in gaps:
+                if k <= key:
+                    break
+                common = child[x] & child[y]
+                if x == u or x == v or y == u or y == v:
+                    if (common.bit_count() << 7 | (k & 127) - 1) <= key:
+                        continue
+                elif common & uv != uv:
+                    continue
+                if not impl.has_clique_within(child, common, q - 2):
+                    outranked = True
+                    break
+            if not outranked:
+                children.setdefault(canonical_line(child), tuple(child))
+    dead = tuple(dead)
+    return [(line, (child, dead)) for line, child in sorted(children.items())]
 
 
 def valid_multisets_reference(h: Graph, q: int, r: int, t: int):

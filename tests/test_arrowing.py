@@ -4,6 +4,7 @@ from folkman.arrowing import (
     ArrowVector,
     arrows,
     canonicalize,
+    clique_arrows,
     find_free_partition,
 )
 from folkman.cliques import clique_number
@@ -39,6 +40,31 @@ def test_complete_graph_threshold():
     m = 4
     assert arrows(Graph.complete(m), v)
     assert not arrows(Graph.complete(m - 1), v)
+
+
+def test_clique_arrows_is_the_clique_threshold(rng):
+    # true exactly when K_k arrows the vector, and then every graph with a
+    # planted K_k arrows it too; at one entry, omega(G) >= a
+    vectors = [(), (2,), (3,), (6,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]
+    implied = 0
+    for entries in vectors:
+        for k in range(8):
+            assert clique_arrows(entries, k) == arrows(Graph.complete(k), entries), (entries, k)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        k = rng.randint(1, n)
+        adj = list(random_graph(rng, n, rng.choice((0.2, 0.5))).adj)
+        planted = rng.sample(range(n), k)
+        for u in planted:
+            for v in planted:
+                if u != v:
+                    adj[u] |= 1 << v
+        g = Graph(n, adj)
+        for entries in vectors:
+            if clique_arrows(entries, k):
+                implied += 1
+                assert arrows(g, entries), (entries, k, g.adj)
+    assert implied
 
 
 def test_c5_arrows_22():

@@ -394,6 +394,44 @@ input = q4-s5
     assert {path: path.read_bytes() for path in sorted(run_dir.iterdir())} == damaged
 
 
+def test_artifact_with_a_repeated_line_is_not_trusted(tmp_path):
+    # s5's two classes DF{, D]{ become D]{ twice: the count still matches
+    # its manifest, but no saved artifact repeats or misorders a line, so
+    # config B's file base stops on it and writes no file, and config A
+    # rebuilds s5
+    config_a = TINY_CONFIG.split("[step:s7]")[0]
+    config_b = """
+[base:q4-s5]
+family = 3; 4; 5; 3
+kind = file
+path = maximal_a3_q4_n5_t3.g6
+
+[step:s7]
+family = 3; 4; 7; 3
+r = 2
+algorithm = 1
+input = q4-s5
+"""
+    path_a = write_config(tmp_path, config_a, "a.cfg")
+    path_b = write_config(tmp_path, config_b, "b.cfg")
+    run_dir = tmp_path / "run"
+    run_pipeline(path_a, run_dir)
+    s5 = run_dir / "maximal_a3_q4_n5_t3.g6"
+    built = s5.read_text()
+    assert built.split() == ["DF{", "D]{"]
+    s5.write_text("D]{\nD]{\n")
+    damaged = {path: path.read_bytes() for path in sorted(run_dir.iterdir())}
+    assert main(["pipeline", str(path_b), "--dir", str(run_dir)]) == 2
+    assert {path: path.read_bytes() for path in sorted(run_dir.iterdir())} == damaged
+    reports_a, _ = run_pipeline(path_a, run_dir)
+    by_name = {r.name: r for r in reports_a}
+    assert by_name["k3"].resumed and not by_name["s5"].resumed
+    assert s5.read_text() == built
+    reports_b, rows = run_pipeline(path_b, run_dir)
+    assert {r.name: r for r in reports_b}["q4-s5"].resumed
+    assert {row.family.display(): row.maximal for row in rows}["H(3; 4; 7)"] == 5
+
+
 def test_base_on_a_step_output_keeps_it(tmp_path):
     # a base of step s5's family, run into s5's directory, shares s5's path:
     # it stops the run and writes no file, so the chain still resumes s5

@@ -39,7 +39,6 @@ from folkman.search import (
     _descent_worker,
     _dispatch,
     _extension_worker,
-    _orbit_rows,
     attach_vertices,
     family_defect,
     complete_base,
@@ -60,11 +59,13 @@ from tests.conftest import (
     graphs,
     has_edge,
     induced,
+    non_edges,
     random_permuted,
     remove_edge,
 )
 from tests.oracles import (
     coned_outputs_reference,
+    descent_worker_reference,
     has_independent_set,
     maximal_family_reference,
     plus_clique_descent_reference,
@@ -382,18 +383,64 @@ def test_descent_worker_children_do_not_depend_on_labeling(backend, monkeypatch,
     assert children
 
 
+MAXIMAL_H6_8_12 = HOSTS_H6_8_12.with_name("maximal_h6_8_12_t3.g6")
+
+
+def _descent_against_reference(seeds, avec, q, t):
+    # expand every class of the descent, last in first out as
+    # plus_clique_descent does; at each the worker must return exactly the
+    # reference's children, child adjacencies and dead masks
+    entries = ArrowVector(avec).canonical().entries
+    seen = set()
+    tasks = []
+
+    def enter(children):
+        for line, task in children:
+            if line not in seen:
+                seen.add(line)
+                tasks.append(task)
+
+    enter((canonical_line(g.adj), (g.adj, (0,) * g.n)) for g in seeds if is_plus_kt(g, q - 1))
+    while tasks:
+        task = tasks.pop()
+        want = descent_worker_reference(entries, q, t, task)
+        assert _descent_worker(entries, q, t, task) == want, (avec, q, t, task)
+        enter(want)
+    return len(seen)
+
+
+@pytest.mark.parametrize("backend", sorted(available_backends()))
+def test_descent_worker_matches_eager_reference(backend, monkeypatch):
+    # testing re-addability lazily and skipping the arrowing test that a
+    # K_{q-2} decides change no child, no adjacency and no dead mask: on
+    # every class of the H(6; 8; 12) descent (arrowing implied), of a sparse
+    # q = 5 family, and of families where arrowing is not implied, a = q - 1
+    # and a multi-entry vector with sum(a_i - 1) + 1 > q - 2
+    monkeypatch.setattr(_kernels, "impl", available_backends()[backend])
+    h6 = [from_graph6(line) for line in graph6_lines(MAXIMAL_H6_8_12)]
+    assert len(h6) == 12
+    assert _descent_against_reference(h6, (6,), 8, 3) == 3104
+    for avec, q, n, t in (((3,), 5, 8, 4), ((3,), 4, 7, 3), ((2, 2, 2), 4, 7, 3)):
+        seeds = maximal_family_exhaustive(avec, q, n, t)
+        expanded = _descent_against_reference(seeds, avec, q, t)
+        assert expanded == len(plus_clique_descent(seeds, avec, q, t)) > 1, avec
+
+
 class _CountingPlusK:
-    """A kernel module that counts its ``is_plus_k`` calls."""
+    """A kernel module that counts its ``is_plus_k`` calls and records
+    their graphs."""
 
     def __init__(self, real):
         self.real = real
         self.plus_k = 0
+        self.tested = []
 
     def __getattr__(self, name):
         return getattr(self.real, name)
 
     def is_plus_k(self, adj, t):
         self.plus_k += 1
+        self.tested.append(tuple(adj))
         return self.real.is_plus_k(adj, t)
 
 
@@ -529,37 +576,57 @@ def test_extension_ships_hosts_in_batches(monkeypatch):
         assert len(sent) < len(shipped), workers
 
 
+def _outranked(g, u, v, q):
+    # the key rule before the family tests, from the definitions: a
+    # non-edge of g away from u and v whose common neighbourhood holds no
+    # K_{q-2} and whose (common neighbours, degree sum) is above uv's in
+    # g - uv
+    def key(x, y, drop):
+        common = g.adj[x] & g.adj[y]
+        return common.bit_count(), degree(g, x) + degree(g, y) - drop
+
+    return any(
+        key(x, y, 0) > key(u, v, 2)
+        and not has_clique(induced(g, g.adj[x] & g.adj[y]), q - 2)
+        for x, y in non_edges(g)
+        if not {x, y} & {u, v}
+    )
+
+
 def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
-    # the worker removes the first edge of each orbit of the parent's twin
-    # swaps and no other; the parents include K_7 (one closed class), the
-    # q = 5 bases on 8 vertices with K_8 less a perfect matching (four open
-    # pairs) and coned graphs
-    tried = []
-
-    def recording(adj):
-        rows = _orbit_rows(adj)
-        tried.append((tuple(adj), rows))
-        return rows
-
-    monkeypatch.setattr(search, "_orbit_rows", recording)
+    # with no dead edge, the worker tests the child of exactly one edge of
+    # each orbit of the parent's twin swaps that the key rule lets through,
+    # and no edge of the others (the rule commutes with automorphisms); the
+    # parents, every class of each descent, include K_7 (one closed class),
+    # the q = 5 bases on 8 vertices with K_8 less a perfect matching (four
+    # open pairs) and coned graphs
     cases = [
         (maximal_family_exhaustive(avec, q, n, t), avec, q, t)
         for avec, q, n, t in DESCENT_CONFIGS + (((3,), 5, 8, 4),)
     ]
     cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
-    merged = 0
+    recording = _CountingPlusK(_kernels.impl)
+    monkeypatch.setattr(_kernels, "impl", recording)
+    merged = tried = 0
     for seeds, avec, q, t in cases:
-        tried.clear()
-        got = plus_clique_descent(seeds, avec, q, t)
-        assert len(tried) == len(got), (avec, q, t)
-        for adj, rows in tried:
-            g = Graph(len(adj), adj)
-            edges = {(u, v) for u, row in enumerate(rows) for v in bits_of(row)}
+        entries = ArrowVector(avec).canonical().entries
+        for g in plus_clique_descent(seeds, avec, q, t):
+            recording.tested.clear()
+            _descent_worker(entries, q, t, (g.adj, (0,) * g.n))
+            edges = set()
+            for child in recording.tested:
+                (edge,) = [(u, v) for u, v in g.edges() if not child[u] >> v & 1]
+                edges.add(edge)
+            assert len(edges) == len(recording.tested)
             orbits = twin_swap_edge_orbits(g)
-            assert sorted(len(edges & orbit) for orbit in orbits) == [1] * len(orbits)
+            for orbit in orbits:
+                u, v = next(iter(orbit))
+                want = 0 if _outranked(g, u, v, q) else 1
+                assert len(edges & orbit) == want, (avec, q, t, to_graph6(g), orbit)
             assert edges <= set(g.edges())
             merged += edge_count(g) - len(orbits)
-    assert merged > 0
+            tried += len(edges)
+    assert merged > 0 and tried > 0
 
 
 def test_descent_drops_seeds_outside_the_plus_clique_family():
@@ -605,6 +672,40 @@ def test_generate_family_chain_matches_brute_force_n7():
     out = generate_family(spec((3,), 4, 7, 2, 3), mid.output)
     brute = maximal_family_reference((3,), 4, 7, 3)
     assert out.output.lines() == brute.lines()
+
+
+def test_arrowing_is_tested_only_where_a_clique_does_not_decide_it(monkeypatch):
+    # a descent child holds a K_{q-2} and an extension output a K_{q-1}:
+    # the workers test arrowing exactly when that clique does not arrow the
+    # vector, sum(a_i - 1) + 1 > q - 2 or > q - 1, and find the same graphs
+    calls = []
+
+    def counting(adj, entries):
+        calls.append(entries)
+        return real(adj, entries)
+
+    real = search.arrows_adj
+    for avec, q, n, tested in (((3,), 5, 7, False), ((3,), 4, 7, True)):
+        entries = ArrowVector(avec).canonical().entries
+        members = list(plus_clique_descent(maximal_family_exhaustive(avec, q, n, 3), avec, q, 3))
+        want = [descent_worker_reference(entries, q, 3, (g.adj, (0,) * n)) for g in members]
+        with monkeypatch.context() as m:
+            m.setattr(search, "arrows_adj", counting)
+            calls.clear()
+            got = [_descent_worker(entries, q, 3, (g.adj, (0,) * n)) for g in members]
+        assert got == want and bool(calls) == tested, (avec, q)
+    # (2, 3) at q = 4 has sum(a_i - 1) + 1 = q; (3,) at q = 4 has q - 1
+    for avec, tested in (((2, 3), True), ((3,), False)):
+        fam = spec(avec, 4, 7, 2, 3)
+        seeds = maximal_family_exhaustive(fam.decremented(), 4, 5, 3)
+        descended = plus_clique_descent(seeds, fam.decremented(), 4, 3)
+        with monkeypatch.context() as m:
+            m.setattr(search, "arrows_adj", counting)
+            calls.clear()
+            out = generate_family(fam, seeds, descended=descended).output
+        assert bool(calls) == tested, avec
+        assert out.lines() == maximal_family_reference(avec, 4, 7, 3).lines(), avec
+        assert len(out) > 0
 
 
 def test_cone_split_equals_plain_on_q4(monkeypatch):
