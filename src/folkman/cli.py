@@ -96,14 +96,13 @@ def cmd_extend(args) -> int:
         raise GraphError("--algorithm 2 needs --input2")
     if args.algorithm == 1 and args.input2:
         raise GraphError("--input2 is only used by --algorithm 2")
-    dec = spec.decremented().entries
     # forked before the inputs are loaded, so the workers stay small
     with worker_pool(args.workers):
-        seeds = _family_file(args.input, (dec, q, n - r, t))
+        seeds = _family_file(args.input, spec.input_family())
         if args.algorithm == 1:
             result = generate_family(spec, seeds, workers=args.workers)
         else:
-            cone_seeds = _family_file(args.input2, (dec, q - 1, n - 1, t))
+            cone_seeds = _family_file(args.input2, spec.cone_family())
             result = generate_family_cone_split(spec, seeds, cone_seeds, workers=args.workers)
     result.output.save(args.output)
     print(f"maximal graphs: {len(result.output)}")

@@ -288,8 +288,7 @@ def validate_config(cfg: PipelineConfig) -> None:
                 problems.append(f"{item.name}: {exc}")
                 families[item.name] = fam
                 continue
-            dec = spec.decremented().entries
-            want = Family(dec, fam.q, fam.n - item.r, fam.t).normalized()
+            want = Family(*spec.input_family()).normalized()
             got = families.get(item.input)
             if got is None:
                 problems.append(f"{item.name}: input {item.input!r} not defined earlier")
@@ -302,7 +301,7 @@ def validate_config(cfg: PipelineConfig) -> None:
             if item.algorithm == 1 and item.input2 is not None:
                 problems.append(f"{item.name}: input2 is only used by algorithm 2")
             if item.algorithm == 2:
-                want2 = Family(dec, fam.q - 1, fam.n - 1, fam.t).normalized()
+                want2 = Family(*spec.cone_family()).normalized()
                 got2 = families.get(item.input2) if item.input2 else None
                 if item.input2 is None:
                     problems.append(f"{item.name}: algorithm 2 needs input2")
@@ -489,7 +488,7 @@ class Runner:
         except GraphError as exc:
             raise ConfigError(f"base {item.name}: {exc}") from None
 
-    def _ensure_plusk(self, fam: Family, report: StepReport, vector) -> bool:
+    def _ensure_plusk(self, fam: Family, report: StepReport, vector, source_digest) -> bool:
         """Build or reuse the descended plus-clique artifact of a family under
         ``vector`` and record its counts on the report, and under the family
         for its row when ``vector`` is the family's own.  A consuming step
@@ -499,7 +498,7 @@ class Runner:
         src, path = self.maximal_path(fam), self.plusk_path(fam, vector)
         fields = dict(
             family=_family_line(fam), kind="plus-clique", vector=",".join(map(str, vector)),
-            count=None, cone_free_count=None, source_digest=file_digest(src),
+            count=None, cone_free_count=None, source_digest=source_digest,
         )
 
         def descend() -> GraphSet:
@@ -523,7 +522,7 @@ class Runner:
         )
         spec = FamilySpec(ArrowVector(fam.avec), fam.q, fam.n, item.r, fam.t)
         vector = spec.decremented().entries
-        self._ensure_plusk(in_fam, report, vector)
+        self._ensure_plusk(in_fam, report, vector, digests[item.input])
 
         def build() -> GraphSet:
             seeds = GraphSet.load_trusted(self.maximal_path(in_fam))
@@ -550,7 +549,8 @@ class Runner:
     def _run_descend(self, item: DescendItem) -> StepReport:
         fam = self.cfg.families[item.input]
         report = StepReport(item.name, "descend", fam)
-        report.resumed = self._ensure_plusk(fam, report, fam.avec)
+        digest = file_digest(self.maximal_path(fam))
+        report.resumed = self._ensure_plusk(fam, report, fam.avec, digest)
         return report
 
     # -- reporting ---------------------------------------------------------------

@@ -55,9 +55,9 @@ Two cooperating constructions:
   ``graphs.attach``.
 
 Both constructions run their work units through ``_dispatch``: one class
-of the descent, or one extension host, per task.  Under workers > 1 the
-calling process is one of the workers: the others are a fork pool of
-workers - 1 processes, shared by every call made inside a ``worker_pool``
+of the descent, or one extension host, per task.  The calling process is
+one of the workers: the others are a fork pool of workers - 1 processes
+(none for one worker), shared by every call made inside a ``worker_pool``
 block (a pipeline run opens one for the whole run).  While more than one
 task is pending an idle forked worker is sent up to ``_BATCH`` of them per
 message; otherwise the caller runs the next task itself.
@@ -112,9 +112,19 @@ class FamilySpec:
             raise GraphError(f"order {self.n} outside 1..{MAX_VERTICES}")
         if self.n - self.r < 1:
             raise GraphError(f"order {self.n} too small for r={self.r}")
+        # found once: every extension call reads the chain rule
+        object.__setattr__(self, "_decremented", self.avec.decremented_first())
 
     def decremented(self) -> ArrowVector:
-        return self.avec.decremented_first()
+        return self._decremented
+
+    def input_family(self) -> tuple:
+        """(entries, q, n, t) of a step's input: the decremented vector on n - r vertices."""
+        return self.decremented().entries, self.q, self.n - self.r, self.t
+
+    def cone_family(self) -> tuple:
+        """(entries, q, n, t) of a cone split's second input: the same vector, q - 1, n - 1."""
+        return self.decremented().entries, self.q - 1, self.n - 1, self.t
 
 
 @dataclass
@@ -181,17 +191,13 @@ _open_pool = None
 
 @contextmanager
 def worker_pool(workers):
-    """Fork ``workers`` - 1 processes once; with the calling process they
-    are the workers of every plus_clique_descent and family extension made
-    with the same worker count inside the block.  Yields the pool of forked
-    processes, or None when workers <= 1 (everything stays in-process).
-    Inside a block that already holds a pool of that size, yields that
-    pool; otherwise the pool forked here is terminated when the block
-    exits, however it exits."""
+    """Fork ``workers`` - 1 processes once (none for one worker); with the
+    calling process they are the workers of every plus_clique_descent and
+    family extension made with the same worker count inside the block.
+    Yields the pool.  Inside a block that already holds an open pool of that
+    size, yields that pool; otherwise the pool made here is closed when the
+    block exits, however it exits."""
     global _open_pool
-    if workers <= 1:
-        yield None
-        return
     if _open_pool is not None and _open_pool[0] == workers and not _open_pool[1].closed:
         yield _open_pool[1]
         return
@@ -211,30 +217,23 @@ _BATCH = 64  # most tasks sent to a worker in one message
 def _dispatch(fn, tasks, give, workers):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
     first, until the list is empty with no task in flight.  give() may push
-    new tasks onto the list.  Under workers > 1 the caller is one of the
-    workers and each forked worker of the worker_pool holds one batch at a
-    time: while more than one task is pending, a free one is sent up to
+    new tasks onto the list.  The caller is one of the workers, and each
+    forked worker of the worker_pool holds one batch at a time: while more
+    than one task is pending, a free one is sent up to
     min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks popped in one
     message, so a long list costs few round trips while a short one still
     spreads over the workers.  Otherwise the caller pops one task, runs it
     and collects the replies already in, blocking only when the list is
-    empty and batches are in flight.  A task is one item; the constants of
-    the call go on ``fn`` (a ``partial``).  Results are given in completion
-    order, a batch's in the order its tasks were popped; a task that raises
-    raises here and closes the pool.  Under workers <= 1 each task runs
-    in-process as it is popped."""
-    if workers <= 1:
-        while tasks:
-            give(fn(tasks.pop()))
-        return
+    empty and batches are in flight.  With one worker the pool forks
+    nothing, so every task runs in the caller as it is popped.  A task is
+    one item; the constants of the call go on ``fn`` (a ``partial``).
+    Results are given in completion order, a batch's in the order its tasks
+    were popped; a task that raises raises here and closes the pool."""
     with worker_pool(workers) as pool:
-        # loaded with the pool's pipes; kept off the module import path
-        from multiprocessing.connection import wait
-
         idle = pool.conns[::-1]
         running = set()
         try:
-            while True:
+            while tasks or running:
                 while idle and len(tasks) > 1:
                     k = min(_BATCH, max(1, len(tasks) // (2 * workers)))
                     conn = idle.pop()
@@ -242,23 +241,23 @@ def _dispatch(fn, tasks, give, workers):
                     running.add(conn)
                 if tasks:
                     give(fn(tasks.pop()))
-                    timeout = 0
-                elif running:
-                    timeout = None
-                else:
-                    return
-                for conn in wait(list(running), timeout):
-                    try:
-                        ok, value = conn.recv()
-                    except EOFError:
-                        raise RuntimeError("a worker process exited during its task") from None
-                    running.remove(conn)
-                    idle.append(conn)
-                    if not ok:
-                        exc, where = value
-                        raise exc from RuntimeError(f"in a worker process:\n{where}")
-                    for result in value:
-                        give(result)
+                if running:
+                    # loaded only with a batch in flight, so never at one worker
+                    from multiprocessing.connection import wait
+
+                    # poll while tasks are pending, block once none is
+                    for conn in wait(list(running), 0 if tasks else None):
+                        try:
+                            ok, value = conn.recv()
+                        except EOFError:
+                            raise RuntimeError("a worker process exited during its task") from None
+                        running.remove(conn)
+                        idle.append(conn)
+                        if not ok:
+                            exc, where = value
+                            raise exc from RuntimeError(f"in a worker process:\n{where}")
+                        for result in value:
+                            give(result)
         except BaseException:
             # Tasks left running would answer the next call: end them now.
             # A later call inside the same worker_pool block forks anew.
@@ -613,7 +612,7 @@ def _extend(spec, seeds, workers, descended, cone_free=False):
     """Order-check ``seeds``, extend ``descended`` or their descent (cone-free
     hosts only under ``cone_free``), one host line per task; the output and
     the plus-clique set."""
-    _check_input_order(seeds, spec.n - spec.r, "input family")
+    _check_input_order(seeds, spec.input_family()[2], "input family")
     if descended is None:
         descended = plus_clique_descent(seeds, spec.decremented(), spec.q, spec.t, workers=workers)
     out = GraphSet()
@@ -652,7 +651,7 @@ def generate_family_cone_split(
     directly.  They are attached: a seed w with one cone vertex c, its
     last (see ``cone_count``), gets r new vertices on w - c (with c, r + 1
     independent vertices on w - c), a cone seed h one new vertex on all of h."""
-    _check_input_order(cone_seeds, spec.n - 1, "cone input family")
+    _check_input_order(cone_seeds, spec.cone_family()[2], "cone input family")
     output, aprime = _extend(spec, seeds, workers, descended, cone_free=True)
     entries = spec.avec.entries
     if spec.t > spec.r:

@@ -194,7 +194,7 @@ def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
     cfg_path = write_config(tmp_path, TINY_CONFIG)
     artifacts = {}
     # the caller is one of the workers, so a pool forks one process fewer
-    for workers, pools in ((1, []), (2, [1]), (3, [2])):
+    for workers, pools in ((1, [0]), (2, [1]), (3, [2])):
         made.clear()
         run_dir = tmp_path / f"run{workers}"
         run_pipeline(cfg_path, run_dir, workers=workers)

@@ -90,6 +90,34 @@ def test_family_spec_validation():
     assert spec((2, 7), 8, 16, 2, 3).decremented().entries == (7,)
 
 
+def test_input_and_cone_families_follow_the_chain_rule():
+    # the step's input: decremented vector on n - r vertices; the cone
+    # split's second input: the same vector, clique bound q - 1, n - 1
+    s = spec((2, 2, 7), 9, 17, 3, 3)
+    assert s.input_family() == ((2, 7), 9, 14, 3)
+    assert s.cone_family() == ((2, 7), 8, 16, 3)
+
+
+def test_generate_family_rejects_seeds_of_the_wrong_order():
+    sp = spec((3,), 4, 8, 2, 3)
+    seeds = maximal_family_exhaustive((2,), 4, 5, 3)
+    assert len(seeds)
+    with pytest.raises(GraphError, match="^input family must have 6 vertices, found 5$"):
+        generate_family(sp, seeds)
+
+
+def test_cone_split_rejects_seeds_or_cone_seeds_of_the_wrong_order():
+    sp = spec((3,), 4, 8, 2, 3)
+    seeds = maximal_family_exhaustive((2,), 4, 6, 3)
+    cone_seeds = maximal_family_exhaustive((2,), 3, 7, 3)
+    short_cone_seeds = maximal_family_exhaustive((2,), 3, 6, 3)
+    assert len(short_cone_seeds)
+    with pytest.raises(GraphError, match="^cone input family must have 7 vertices, found 6$"):
+        generate_family_cone_split(sp, seeds, short_cone_seeds)
+    with pytest.raises(GraphError, match="^input family must have 6 vertices, found 7$"):
+        generate_family_cone_split(sp, cone_seeds, cone_seeds)
+
+
 def test_complete_base():
     assert complete_base((3,), 8, 6, 3).lines() == [canonical_form(Graph.complete(6))]
     with pytest.raises(GraphError):
@@ -874,7 +902,7 @@ def test_worker_pool_ends_when_the_block_raises():
             raise RuntimeError
     assert not any(p.is_alive() for p in pool_workers)
     with worker_pool(1) as pool:
-        assert pool is None
+        assert not pool.procs
         assert _abs_all([-5, 6], 1) == [5, 6]
         assert not multiprocessing.active_children()
 
@@ -970,6 +998,49 @@ def test_dispatch_runs_a_lone_pending_task_in_the_caller(monkeypatch):
     _dispatch(abs, tasks, give, 2)
     assert out == [5, 4, 3, 2, 1, 0]
     assert _RecordingPool.sent == []
+
+
+def test_one_worker_dispatch_runs_every_task_in_the_caller(monkeypatch):
+    # a one-worker pool forks nothing, so the one loop runs each task in
+    # the caller as it is popped, last in first out, and never waits on a
+    # pipe
+    import multiprocessing.connection
+
+    def no_wait(*args):
+        raise AssertionError("wait called with no batch in flight")
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", no_wait)
+    caller = os.getpid()
+    tasks = [1, 2, 3]
+    out = []
+
+    def give(result):
+        pid, task = result
+        assert pid == caller
+        out.append(task)
+        if task < 10:
+            tasks.append(10 * task)
+
+    _dispatch(lambda task: (os.getpid(), task), tasks, give, 1)
+    assert out == [3, 30, 2, 20, 1, 10]
+    assert not multiprocessing.active_children()
+
+
+def test_one_worker_run_leaves_the_pipe_module_unimported():
+    # multiprocessing.connection is loaded only with a batch in flight
+    script = (
+        "import sys\n"
+        "from folkman.search import _dispatch\n"
+        "out = []\n"
+        "_dispatch(abs, [-1, 2], out.append, 1)\n"
+        "assert out == [2, 1], out\n"
+        "assert 'multiprocessing.connection' not in sys.modules\n"
+    )
+    src = str(Path(search.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path), check=True, timeout=60
+    )
 
 
 def _fail_in_caller(task):
