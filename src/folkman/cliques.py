@@ -60,9 +60,9 @@ def _clique_masks(adj, t):
     return out, inc
 
 
-def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
+def maximal_kt_free_subsets(g: Graph, t: int, keep: int = 0) -> list[int]:
     """All inclusion-maximal vertex masks whose induced subgraph has no
-    K_t, in ascending mask order.
+    K_t and that contain the mask ``keep``, in ascending mask order.
 
     S is maximal K_t-free exactly when its complement is a minimal
     transversal of the t-cliques (a minimal vertex set meeting every one),
@@ -78,6 +78,13 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
     K_1, so only the empty mask is left.  Time and memory grow with the
     number of t-cliques, which is small on the K_{t+1}-free hosts the
     family extension passes.
+
+    A set contains ``keep`` exactly when its complement avoids it, and a
+    transversal T that avoids ``keep`` is minimal among all transversals
+    exactly when it is minimal among those that avoid ``keep`` (T - x is
+    one of them too), so the search starts with the vertices of ``keep``
+    out of its candidates and finds exactly those sets.  A ``keep`` that
+    holds a K_t leaves a clique with no candidate, so none.
     """
     if t < 1:
         raise GraphError(f"subset clique threshold {t} below 1")
@@ -123,7 +130,7 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
             # vertices branched on after them, so no set repeats
             cand |= b
 
-    rec(0, [], (1 << len(cliques)) - 1, full)
+    rec(0, [], (1 << len(cliques)) - 1, full & ~keep)
     out.sort()
     return out
 
@@ -131,8 +138,10 @@ def maximal_kt_free_subsets(g: Graph, t: int) -> list[int]:
 def deficient_cover(adj, q: int):
     """Plus-K_q of a K_q-free graph h, given as ``adj``, grown by new
     vertices on maximal K_{q-1}-free sets of h, decided as a set cover.
-    Returns ``(need, fixes)``: one bit of ``need`` per deficient non-edge
-    of h, and ``fixes(M)`` the bits of those that M fixes.
+    Returns ``(need, fixes, ends)``: one bit of ``need`` per deficient
+    non-edge of h, ``fixes(M)`` the bits of those that M fixes, and
+    ``ends`` the union of the deficient non-edges' ends, which every M
+    that fixes them all contains.
 
     Lemma.  Let G be h plus r new pairwise non-adjacent vertices whose
     neighbourhoods M_1..M_r are maximal K_{q-1}-free sets of h, every two of
@@ -151,6 +160,7 @@ def deficient_cover(adj, q: int):
     impl = K.impl
     full = (1 << len(adj)) - 1
     deficient = []
+    ends = 0
     for x, row in enumerate(adj):
         rest = ~row & full >> (x + 1) << (x + 1)
         while rest:
@@ -159,6 +169,7 @@ def deficient_cover(adj, q: int):
             common = row & adj[b.bit_length() - 1]
             if not impl.has_clique_within(adj, common, q - 2):
                 deficient.append((1 << x | b, common))
+                ends |= 1 << x | b
 
     def fixes(M):
         f = 0
@@ -167,5 +178,5 @@ def deficient_cover(adj, q: int):
                 f |= 1 << bit
         return f
 
-    return (1 << len(deficient)) - 1, fixes
+    return (1 << len(deficient)) - 1, fixes, ends
 

@@ -2,23 +2,46 @@
 
 Level-by-level vertex extension with canonical-form rejection: every class
 on k+1 vertices arises from a class on k vertices by attaching one vertex
-of largest degree with some neighbourhood, so extending every class by every
-neighbourhood that makes the new vertex a largest-degree one (McKay's
-canonical-parent test, invariant half) and deduplicating is complete.  The
-degree test is two mask tests per neighbourhood, made before any kernel call.
-A neighbourhood is then tried only when it meets every twin class of the
-parent (``cliques.twin_pairs``) in a prefix, one per orbit of the parent's
-twin swaps: a swap maps the child onto an isomorphic sibling, and the degree,
-bound and maximality tests commute with it.  The per-level set of canonical
-lines stays the exact isomorph rejection.
-``bounded_classes`` prunes each level to clique number below q and
-independence number at most t, both hereditary, so neither the pruning nor
-the degree test loses a class.  ``maximal_family_exhaustive`` builds
-its final level from the same child loop, but gives the new vertex only
-maximal K_{q-1}-free sets that fix every deficient non-edge of the parent
-(``cliques.deficient_cover``): exactly the neighbourhoods that leave the
-child edge-maximal, so no child is tested for it.  Only the children that
-also arrow are labeled.
+with some neighbourhood, and the per-level set of canonical lines is the
+exact isomorph rejection.  A child is made only where the new vertex could
+be its canonical parent's deleted vertex (McKay's test, invariant half):
+it must have the largest degree of the child and, among the child's
+vertices of that degree, the largest neighbour-degree sum, ties kept.  Both
+tests read tables of the parent and a few mask operations per
+neighbourhood, before any kernel call.  A neighbourhood is then tried only
+when it meets every twin class of the parent (``cliques.twin_pairs``) in a
+prefix, one per orbit of the parent's twin swaps: a swap maps the child
+onto an isomorphic sibling, and the invariant, bound and maximality tests
+commute with it.  Levels travel as adjacencies keyed by canonical line, so
+no level is decoded again.
+
+Lemma (completeness).  Let C be a class on k+1 vertices with clique number
+below q and independence number at most t, and w a vertex of C with the
+largest (degree, neighbour-degree sum), compared in that order.  Both
+bounds are hereditary, so C - w is a class of level k, and attaching w back
+to its canonical copy passes both invariant tests: no vertex of C beats w.
+So ``bounded_classes`` loses no class.
+
+``maximal_family_exhaustive`` builds its last level from the same child
+loop, but gives the new vertex only maximal K_{q-1}-free sets M that fix
+every deficient non-edge of the parent (``cliques.deficient_cover``):
+exactly the neighbourhoods that leave the child edge-maximal, so no child
+is tested for it.  Only the children that also arrow are labeled.
+
+Lemma (ends).  M fixes a deficient non-edge xy only if x and y are in M,
+so M contains the union ``ends`` of the deficient non-edges' ends.  A
+parent whose ``ends`` holds a K_{q-1} has no such M and no child.  Only
+the maximal K_{q-1}-free sets that contain ``ends`` are listed
+(``maximal_kt_free_subsets`` with ``keep = ends``, none for such a
+parent).
+
+Lemma (repeats).  The last level's parents, level n - 1, are not labeled
+or deduplicated: they stream from the child loop of level n - 2, which
+yields every class of level n - 1 at least once (the completeness lemma)
+and some more than once.  Each test of the last level commutes with
+relabeling the parent, so a repeated parent yields children of the same
+classes again, and the output set, keyed by canonical line, keeps each
+class once.  A repeat costs its work, never a class.
 
 This is desk-scale machinery: it seeds the small base families that the
 extension chains start from, and the tests check it against the
@@ -36,44 +59,60 @@ from .cliques import (
     maximal_kt_free_subsets,
     twin_pairs,
 )
-from .graphs import Graph, GraphError, attach
+from .graphs import Graph, GraphError, attach, bits_of, from_graph6
 
 
 def _children(level, q: int, t: int, maximal=False):
-    """Adjacency tuples (``graphs.attach``) of every graph of ``level`` with
-    one vertex attached by every neighbourhood that keeps clique number
-    below q and independence number at most t and gives the new vertex the
-    largest degree of the child (ties kept), one neighbourhood per orbit of
-    the graph's twin swaps.  The bound tests are local to the attached
-    vertex: a new K_q needs a K_{q-1} in its neighbourhood, a new
-    independent (t+1)-set needs t independent non-neighbours.  The degree test is the
-    invariant half of McKay's canonical parent: the child less a vertex of
-    largest degree lies in ``level``, so the class is still reached.
+    """Adjacency tuples (``graphs.attach``) of every adjacency of ``level``
+    with one vertex attached by every neighbourhood that keeps clique number
+    below q and independence number at most t, and gives the new vertex the
+    largest degree of the child and, among the child's vertices of that
+    degree, the largest neighbour-degree sum (ties kept), one neighbourhood
+    per orbit of the parent's twin swaps.  The bound tests are local to the
+    attached vertex: a new K_q needs a K_{q-1} in its neighbourhood, a new
+    independent (t+1)-set needs t independent non-neighbours.  The two
+    invariant tests are McKay's canonical parent, invariant half: see the
+    completeness lemma above.  In the child a neighbour x of the new vertex
+    gains one degree, so x's neighbour-degree sum there is the parent's,
+    plus its neighbours in the neighbourhood, plus the new vertex's degree.
 
     Under ``maximal`` only the edge-maximal K_q-free children are made: the
-    neighbourhoods are the maximal K_{q-1}-free sets of the graph that fix
+    neighbourhoods are the maximal K_{q-1}-free sets of the parent that fix
     every deficient non-edge (``cliques.deficient_cover`` at r = 1).  In an
     edge-maximal K_q-free graph every vertex's neighbourhood is a maximal
-    K_{q-1}-free set of the graph less that vertex, so no class is lost."""
+    K_{q-1}-free set of the graph less that vertex, so no class is lost.
+    The cover comes first: by the ends lemma above, only the sets that
+    contain the deficient non-edges' ends are listed, none when the ends
+    hold a K_{q-1}.  The parent's tables are built only when a set is
+    left."""
     impl = K.impl
-    for g in level:
-        k = g.n
-        bit = 1 << k
-        full = bit - 1
-        cadj = complement_adj(g.adj)
-        # at_least[d]: vertices of degree >= d in g
+    for adj in level:
+        k = len(adj)
+        full = (1 << k) - 1
+        if maximal:
+            need, fixes, ends = deficient_cover(adj, q)
+            masks = maximal_kt_free_subsets(Graph._trusted(k, adj), q - 1, ends)
+            if not masks:
+                continue
+        else:
+            masks = range(full + 1)
+        cadj = complement_adj(adj)
+        # at_least[d]: vertices of degree >= d, as suffix unions of the
+        # degree classes; nds[x]: the degree sum of x's neighbours
         at_least = [0] * (k + 2)
-        for v, row in enumerate(g.adj):
-            for d in range(row.bit_count() + 1):
-                at_least[d] |= 1 << v
+        nds = [0] * k
+        for v, row in enumerate(adj):
+            d = row.bit_count()
+            at_least[d] |= 1 << v
+            while row:
+                b = row & -row
+                row ^= b
+                nds[b.bit_length() - 1] += d
+        for d in range(k - 1, -1, -1):
+            at_least[d] |= at_least[d + 1]
         # (v, its preceding twin) as bits: nb is tried only when it meets
         # every twin class in a prefix
-        pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(g.adj)) if p]
-        if maximal:
-            masks = maximal_kt_free_subsets(g, q - 1)
-            need, fixes = deficient_cover(g.adj, q)
-        else:
-            masks = range(bit)
+        pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(adj)) if p]
         for nb in masks:
             # in the child a neighbour gains one, the new vertex has degree s
             s = nb.bit_count()
@@ -81,47 +120,72 @@ def _children(level, q: int, t: int, maximal=False):
                 continue
             if any(nb & b and not nb & p for b, p in pairs):
                 continue
+            # the child's other vertices of degree s: neighbours of degree
+            # s - 1 and non-neighbours of degree s (at s = 0 there is no
+            # neighbour, and at_least[-1] is the empty at_least[k + 1])
+            peers = at_least[s - 1] & nb | at_least[s] & ~nb
+            if peers:
+                # the new vertex's neighbour-degree sum: its neighbours'
+                # degrees, below s, counted once per d, plus one each
+                mine = s + sum((nb & at_least[d]).bit_count() for d in range(1, s))
+                if any(
+                    nds[x] + (adj[x] & nb).bit_count() + (s if nb >> x & 1 else 0) > mine
+                    for x in bits_of(peers)
+                ):
+                    continue
             # a maximal K_{q-1}-free set holds no K_{q-1}
-            if not maximal and impl.has_clique_within(g.adj, nb, q - 1):
+            if not maximal and impl.has_clique_within(adj, nb, q - 1):
                 continue
             if impl.has_clique_within(cadj, full ^ nb, t):
                 continue
             if maximal and fixes(nb) != need:
                 continue
-            yield attach(g.adj, (nb,))
+            yield attach(adj, (nb,))
+
+
+def _level(n: int, q: int, t: int) -> dict:
+    """One adjacency per class on n vertices with clique number below q and
+    independence number at most t, as the child loop built it, keyed by
+    its canonical line."""
+    if n < 0:
+        raise GraphError("negative vertex count")
+    if q < 2 or t < 1:
+        return {}
+    level = {canonical_line(()): ()}
+    for _ in range(n):
+        out = {}
+        for adj in _children(level.values(), q, t):
+            out.setdefault(canonical_line(adj), adj)
+        level = out
+    return level
 
 
 def bounded_classes(n: int, q: int, t: int) -> list[Graph]:
     """All classes on n vertices with clique number below q and independence
-    number at most t, canonically labeled."""
-    if n < 0:
-        raise GraphError("negative vertex count")
-    if q < 2 or t < 1:
-        return []
-    if n == 0:
-        return [Graph.empty(0)]
-    level = [Graph.empty(1)]
-    for _ in range(n - 1):
-        out = GraphSet()
-        for adj in _children(level, q, t):
-            out.insert_canonical(canonical_line(adj))
-        level = list(out)
-    return level
+    number at most t, canonically labeled, in canonical line order."""
+    return [from_graph6(line) for line in sorted(_level(n, q, t))]
 
 
 def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
     """Exhaustive construction of the edge-maximal members of
     H(avec; q; n) with independence number at most t.
 
-    The levels below n are ``bounded_classes``.  The final level is
-    ``_children`` of level n - 1 under ``maximal``: every child is
-    edge-maximal by construction, and it is labeled only if it arrows.
+    The levels below n - 1 are those of ``bounded_classes``.  Level n - 1
+    is not labeled: the children of level n - 2 go straight to the last
+    level (the repeats lemma above), at n = 1 the 0-vertex graph.  The last
+    level is ``_children`` under ``maximal``: every child is edge-maximal by
+    construction, and it is labeled only if it arrows.
     """
+    if n < 0:
+        raise GraphError("negative vertex count")
     entries = canonicalize(avec).entries
+    level = _level(max(n - 2, 0), q, t).values()
     if n == 0:
-        candidates = (g.adj for g in bounded_classes(0, q, t) if K.impl.is_plus_k(g.adj, q))
+        candidates = (adj for adj in level if K.impl.is_plus_k(adj, q))
     else:
-        candidates = _children(bounded_classes(n - 1, q, t), q, t, maximal=True)
+        if n > 1:
+            level = _children(level, q, t)
+        candidates = _children(level, q, t, maximal=True)
     out = GraphSet()
     for adj in candidates:
         if arrows_adj(adj, entries):

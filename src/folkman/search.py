@@ -142,12 +142,13 @@ class _Pool:
     sees EOF and exits when the parent dies without closing the pool."""
 
     def __init__(self, forks):
-        ctx = multiprocessing.get_context("fork")
         self.conns = []
         self.procs = []
         self.closed = False
         try:
             for _ in range(forks):
+                # looked up only to fork: a one-worker pool pays nothing
+                ctx = multiprocessing.get_context("fork")
                 ours, theirs = ctx.Pipe()
                 proc = ctx.Process(target=_serve, args=(theirs, self.conns + [ours]), daemon=True)
                 proc.start()
@@ -521,7 +522,7 @@ def valid_multisets(h: Graph, q: int, r: int, t: int):
         for i, M in enumerate(subsets)
         if (M != full or impl.has_clique_within(adj, M, q - 2)) and rest_ok(M, 1)
     ]
-    need, fixes = deficient_cover(adj, q)
+    need, fixes, _ = deficient_cover(adj, q)
     if r == 0:
         # h alone: no slot can fix anything, so D(h) must be empty
         return [] if need else [()]

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -172,6 +174,33 @@ def test_maximal_ktfree_matches_brute(rng):
             assert maximal_kt_free_subsets(g, t) == maximal_ktfree_brute(g, t)
 
 
+def test_maximal_ktfree_keep_matches_filtered_brute(rng):
+    # with keep, exactly the maximal K_t-free sets that contain it; keep = 0
+    # is the default, and a keep that holds a K_t is in none
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 8), rng.random())
+        for t in (2, 3, 4):
+            brute = maximal_ktfree_brute(g, t)
+            assert maximal_kt_free_subsets(g, t, 0) == brute
+            for _ in range(3):
+                keep = rng.getrandbits(g.n) & rng.getrandbits(g.n)
+                want = [M for M in brute if M & keep == keep]
+                assert maximal_kt_free_subsets(g, t, keep) == want, (g, t, keep)
+            cliques = [
+                sum(1 << v for v in c)
+                for c in combinations(range(g.n), t)
+                if all(has_edge(g, u, v) for u, v in combinations(c, 2))
+            ]
+            for clique in cliques[:3]:
+                keep = clique | rng.getrandbits(g.n)
+                assert maximal_kt_free_subsets(g, t, keep) == [], (g, t, keep)
+    # keep = full: [full] on a K_t-free graph, [] when it holds a K_t
+    for g, t in ((Graph.cycle(5), 3), (Graph.empty(4), 2), (Graph.empty(0), 2)):
+        assert maximal_kt_free_subsets(g, t, g.full_mask()) == [g.full_mask()]
+    for g, t in ((Graph.complete(4), 3), (Graph.cycle(5), 2)):
+        assert maximal_kt_free_subsets(g, t, g.full_mask()) == []
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs_and_thresholds())
 @example((Graph.empty(0), 2))
@@ -230,10 +259,12 @@ def test_deficient_cover_decides_plus_clique_at_r0_and_r1(rng):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if has_edge(h, u, v)]
         for u, v in rng.sample(edges, min(len(edges), rng.randint(0, 2))):
             h = remove_edge(h, u, v)
-        need, fixes = deficient_cover(h.adj, q)
-        assert (need == 0) == is_plus_kt(h, q)
+        need, fixes, ends = deficient_cover(h.adj, q)
+        assert (need == 0) == is_plus_kt(h, q) == (ends == 0)
         for M in maximal_kt_free_subsets(h, q - 1):
             assert (fixes(M) == need) == is_plus_kt(attach_vertices(h, [M]), q)
+            # a set that fixes every deficient non-edge holds all their ends
+            assert fixes(M) != need or M & ends == ends
 
 
 def test_edge_monotonicity(rng):

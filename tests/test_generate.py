@@ -90,27 +90,53 @@ def test_twin_swaps_leave_one_neighbourhood_per_orbit(monkeypatch):
     monkeypatch.setattr(_kernels, "impl", kernels)
     for k in range(1, 8):
         kernels.calls.clear()
-        children = list(_children([Graph.empty(k)], k + 3, k + 1))
+        children = list(_children([Graph.empty(k).adj], k + 3, k + 1))
         assert kernels.calls[k + 2] == k + 1
         assert sorted(adj[k] for adj in children) == [(1 << s) - 1 for s in range(k + 1)]
     # C_5 has no twins: each of the 16 neighbourhoods of three or more
     # vertices passes the degree tests and reaches the clique test
     kernels.calls.clear()
-    assert len(list(_children([Graph.cycle(5)], 7, 5))) == 16
+    assert len(list(_children([Graph.cycle(5).adj], 7, 5))) == 16
     assert kernels.calls[6] == 16
 
 
 def test_maximal_children_pass_the_degree_and_twin_tests_first(monkeypatch):
-    # at q = 3 the maximal K_2-free sets are the maximal independent sets.
-    # C_5 has five, all pairs, whose vertices would get degree 3 against
-    # the new vertex's 2; K_1 + K_2 has {0, 1} and {0, 2}, swapped by the
-    # twins 1 and 2, so only {0, 1} reaches the independence test (t = 3)
+    # At q = 3 the maximal K_2-free sets are the maximal independent sets.
+    # C_5 has no deficient non-edge and five such sets, all pairs, whose
+    # vertices would get degree 3 against the new vertex's 2, so none
+    # reaches the independence test (t = 3).  K_1 + K_2 has the deficient
+    # non-edges 01 and 02, whose ends hold the edge 12: no independent set
+    # contains them, so none is listed and none tested.
+    # At q = 4 the parent below, with the neighbourhoods 567, 567, 467, 456,
+    # 2357, 01347, 01237 and 012456, has the deficient ends {0, 1, 2, 3},
+    # which hold no triangle, and three maximal triangle-free
+    # sets contain them.  {0, 1, 2, 3, 7} gives 7 degree 6 against the new
+    # vertex's 5; with {0, 1, 2, 3, 4, 6} the new vertex and 7 both get
+    # degree 6, and 7's neighbours' degrees sum to 23 + 5 = 28 against the
+    # new vertex's 27; {0, 1, 2, 3, 5, 6} ties 7, 5 and 6 at degree 6 and
+    # sum 28 and reaches the independence test (t = 4).  Each set holds
+    # both of the twins 0 and 1.
     kernels = _CountingKernels(_kernels.impl)
+    listed = []
+
+    def counting_subsets(g, t, keep=0):
+        listed.append(keep)
+        return real_subsets(g, t, keep)
+
+    real_subsets = generate.maximal_kt_free_subsets
     monkeypatch.setattr(_kernels, "impl", kernels)
-    for g, tested in ((Graph.cycle(5), 0), (Graph(3, [0, 0b100, 0b10]), 1)):
+    monkeypatch.setattr(generate, "maximal_kt_free_subsets", counting_subsets)
+    cases = (
+        (Graph.cycle(5), 3, 3, [0], 0),
+        (Graph(3, [0, 0b100, 0b10]), 3, 3, [0b111], 0),
+        (Graph(8, [0xE0, 0xE0, 0xD0, 0x70, 0xAC, 0x9B, 0x8F, 0x77]), 4, 4, [0b1111], 1),
+    )
+    for g, q, t, keeps, tested in cases:
         kernels.calls.clear()
-        list(_children([g], 3, 3, maximal=True))
-        assert kernels.calls[3] == tested
+        listed.clear()
+        list(_children([g.adj], q, t, maximal=True))
+        assert listed == keeps
+        assert kernels.calls[t] == tested
 
 
 def test_bounded_classes_match_filtered_full_enumeration():

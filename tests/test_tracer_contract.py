@@ -3,6 +3,7 @@ benchmark patches them by name, so a rename in the package breaks it."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,12 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # no bytecode cache is written next to the benchmark's files
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
     return module
 
 
