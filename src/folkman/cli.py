@@ -42,16 +42,6 @@ def _vector_arg(text: str) -> ArrowVector:
     return ArrowVector.parse(text)
 
 
-def _workers_arg(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {workers}")
-    return workers
-
-
 def cmd_arrows(args) -> int:
     g = _graph_arg(args.graph)
     ok = arrows(g, _vector_arg(args.vector))
@@ -224,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=int,
         default=1,
         help="processes that do the work, this one included (default 1)",
     )
@@ -235,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="run/checkpoint directory")
     p.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=int,
         default=None,
         help="processes that do the work, this one included (default: the config's)",
     )

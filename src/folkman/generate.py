@@ -8,12 +8,12 @@ be its canonical parent's deleted vertex (McKay's test, invariant half):
 it must have the largest degree of the child and, among the child's
 vertices of that degree, the largest neighbour-degree sum, ties kept.  Both
 tests read tables of the parent and a few mask operations per
-neighbourhood, before any kernel call.  A neighbourhood is then tried only
-when it meets every twin class of the parent (``cliques.twin_pairs``) in a
-prefix, one per orbit of the parent's twin swaps: a swap maps the child
-onto an isomorphic sibling, and the invariant, bound and maximality tests
-commute with it.  Levels travel as adjacencies keyed by canonical line, so
-no level is decoded again.
+neighbourhood, before any kernel call.  On the levels a neighbourhood is
+then tried only when it meets every twin class of the parent
+(``cliques.twin_pairs``) in a prefix, one per orbit of the parent's twin
+swaps: a swap maps the child onto an isomorphic sibling, and the invariant
+and bound tests commute with it.  Levels travel as adjacencies keyed by
+canonical line, so no level is decoded again.
 
 Lemma (completeness).  Let C be a class on k+1 vertices with clique number
 below q and independence number at most t, and w a vertex of C with the
@@ -34,6 +34,15 @@ parent whose ``ends`` holds a K_{q-1} has no such M and no child.  Only
 the maximal K_{q-1}-free sets that contain ``ends`` are listed
 (``maximal_kt_free_subsets`` with ``keep = ends``, none for such a
 parent).
+
+Lemma (twins).  Let M, a maximal K_{q-1}-free set of the K_q-free parent
+holding ``ends``, pass the degree test: every vertex of M has degree below
+|M|.  Let y be in M and x a twin of y outside M.  If N(x) = N(y), M + x
+holds x plus a K_{q-2} K of M & N(y), so y plus K is a K_{q-1} in M.  If
+N[x] = N[y], x is in N(y) - M and deg(y) < |M|, so some z in M lies
+outside N[y] = N[x]; x is not in ``ends``, so N(x) & N(z) holds a K_{q-2},
+which misses y, a non-neighbour of z, and makes a K_q with x and y.  So M
+is a union of twin classes, and the last level runs no twin test.
 
 Lemma (repeats).  The last level's parents, level n - 1, are not labeled
 or deduplicated: they stream from the child loop of level n - 2, which
@@ -84,7 +93,7 @@ def _children(level, q: int, t: int, maximal=False):
     The cover comes first: by the ends lemma above, only the sets that
     contain the deficient non-edges' ends are listed, none when the ends
     hold a K_{q-1}.  The parent's tables are built only when a set is
-    left."""
+    left.  No twin test is run there (the twins lemma above)."""
     impl = K.impl
     for adj in level:
         k = len(adj)
@@ -94,8 +103,12 @@ def _children(level, q: int, t: int, maximal=False):
             masks = maximal_kt_free_subsets(Graph._trusted(k, adj), q - 1, ends)
             if not masks:
                 continue
+            pairs = ()
         else:
             masks = range(full + 1)
+            # (v, its preceding twin) as bits: nb is tried only when it
+            # meets every twin class in a prefix
+            pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(adj)) if p]
         cadj = complement_adj(adj)
         # at_least[d]: vertices of degree >= d, as suffix unions of the
         # degree classes; nds[x]: the degree sum of x's neighbours
@@ -110,15 +123,12 @@ def _children(level, q: int, t: int, maximal=False):
                 nds[b.bit_length() - 1] += d
         for d in range(k - 1, -1, -1):
             at_least[d] |= at_least[d + 1]
-        # (v, its preceding twin) as bits: nb is tried only when it meets
-        # every twin class in a prefix
-        pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(adj)) if p]
         for nb in masks:
             # in the child a neighbour gains one, the new vertex has degree s
             s = nb.bit_count()
             if at_least[s] & nb or at_least[s + 1] & ~nb:
                 continue
-            if any(nb & b and not nb & p for b, p in pairs):
+            if pairs and any(nb & b and not nb & p for b, p in pairs):
                 continue
             # the child's other vertices of degree s: neighbours of degree
             # s - 1 and non-neighbours of degree s (at s = 0 there is no
@@ -173,21 +183,20 @@ def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
     The levels below n - 1 are those of ``bounded_classes``.  Level n - 1
     is not labeled: the children of level n - 2 go straight to the last
     level (the repeats lemma above), at n = 1 the 0-vertex graph.  The last
-    level is ``_children`` under ``maximal``: every child is edge-maximal by
-    construction, and it is labeled only if it arrows.
+    level is ``_children`` under ``maximal`` (at n = 0 the 0-vertex graph,
+    with no non-edge): every child is edge-maximal by construction, and it
+    is labeled only if it arrows.
     """
     if n < 0:
         raise GraphError("negative vertex count")
     entries = canonicalize(avec).entries
     level = _level(max(n - 2, 0), q, t).values()
-    if n == 0:
-        candidates = (adj for adj in level if K.impl.is_plus_k(adj, q))
-    else:
-        if n > 1:
-            level = _children(level, q, t)
-        candidates = _children(level, q, t, maximal=True)
+    if n > 1:
+        level = _children(level, q, t)
+    if n > 0:
+        level = _children(level, q, t, maximal=True)
     out = GraphSet()
-    for adj in candidates:
+    for adj in level:
         if arrows_adj(adj, entries):
             out.insert_canonical(canonical_line(adj))
     return out

@@ -249,8 +249,6 @@ def parse_config(path) -> PipelineConfig:
 def validate_config(cfg: PipelineConfig) -> None:
     """Reject inconsistent chains before any computation starts; fill ``cfg.families``."""
     problems = []
-    if cfg.workers < 1:
-        problems.append(f"workers must be at least 1, got {cfg.workers}")
     families = cfg.families = {}
     for item in cfg.items:
         if item.name in families:
@@ -369,7 +367,6 @@ class Runner:
     def __init__(self, cfg: PipelineConfig, out_dir, workers=None, fresh=False):
         self.cfg = cfg
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers if workers is not None else cfg.workers
         self.fresh = fresh
         self.reports: list[StepReport] = []
@@ -390,8 +387,9 @@ class Runner:
         handlers = {
             BaseItem: self._run_base, StepItem: self._run_step, DescendItem: self._run_descend
         }
-        # one pool for the whole run, forked before any artifact is loaded
+        # one pool for the whole run, forked before anything is loaded or written
         with worker_pool(self.workers):
+            self.dir.mkdir(parents=True, exist_ok=True)
             for item in self.cfg.items:
                 started = time.perf_counter()
                 report = handlers[type(item)](item)

@@ -197,8 +197,10 @@ def worker_pool(workers):
     family extension made with the same worker count inside the block.
     Yields the pool.  Inside a block that already holds an open pool of that
     size, yields that pool; otherwise the pool made here is closed when the
-    block exits, however it exits."""
+    block exits, however it exits.  A count below 1 is an input error."""
     global _open_pool
+    if workers < 1:
+        raise GraphError(f"needs at least 1 worker, got {workers}")
     if _open_pool is not None and _open_pool[0] == workers and not _open_pool[1].closed:
         yield _open_pool[1]
         return

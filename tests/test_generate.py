@@ -6,18 +6,21 @@ from folkman import _kernels, generate
 from folkman.canon import canonical_form
 from folkman.cliques import (
     clique_number,
+    deficient_cover,
     has_clique,
     independence_number,
     is_plus_kt,
+    maximal_kt_free_subsets,
+    twin_pairs,
 )
 from folkman.generate import (
     _children,
     bounded_classes,
     maximal_family_exhaustive,
 )
-from folkman.graphs import Graph, to_graph6
+from folkman.graphs import Graph, bits_of, to_graph6
 from folkman.arrowing import arrows
-from tests.conftest import available_backends, complete_less_matching
+from tests.conftest import available_backends, complete_less_matching, random_graph
 from tests.oracles import (
     bounded_classes_reference,
     graph_classes,
@@ -100,7 +103,7 @@ def test_twin_swaps_leave_one_neighbourhood_per_orbit(monkeypatch):
     assert kernels.calls[6] == 16
 
 
-def test_maximal_children_pass_the_degree_and_twin_tests_first(monkeypatch):
+def test_maximal_children_pass_the_degree_test_first_and_scan_no_twins(monkeypatch):
     # At q = 3 the maximal K_2-free sets are the maximal independent sets.
     # C_5 has no deficient non-edge and five such sets, all pairs, whose
     # vertices would get degree 3 against the new vertex's 2, so none
@@ -115,17 +118,25 @@ def test_maximal_children_pass_the_degree_and_twin_tests_first(monkeypatch):
     # degree 6, and 7's neighbours' degrees sum to 23 + 5 = 28 against the
     # new vertex's 27; {0, 1, 2, 3, 5, 6} ties 7, 5 and 6 at degree 6 and
     # sum 28 and reaches the independence test (t = 4).  Each set holds
-    # both of the twins 0 and 1.
+    # both of the twins 0 and 1.  The last level builds no twin classes
+    # (the twins lemma of folkman.generate); a level builds them once per
+    # parent.
     kernels = _CountingKernels(_kernels.impl)
     listed = []
+    scanned = []
 
     def counting_subsets(g, t, keep=0):
         listed.append(keep)
         return real_subsets(g, t, keep)
 
+    def counting_twin_pairs(adj):
+        scanned.append(adj)
+        return twin_pairs(adj)
+
     real_subsets = generate.maximal_kt_free_subsets
     monkeypatch.setattr(_kernels, "impl", kernels)
     monkeypatch.setattr(generate, "maximal_kt_free_subsets", counting_subsets)
+    monkeypatch.setattr(generate, "twin_pairs", counting_twin_pairs)
     cases = (
         (Graph.cycle(5), 3, 3, [0], 0),
         (Graph(3, [0, 0b100, 0b10]), 3, 3, [0b111], 0),
@@ -137,6 +148,45 @@ def test_maximal_children_pass_the_degree_and_twin_tests_first(monkeypatch):
         list(_children([g.adj], q, t, maximal=True))
         assert listed == keeps
         assert kernels.calls[t] == tested
+        assert scanned == []
+        list(_children([g.adj], q, t))
+        assert scanned == [g.adj]
+        scanned.clear()
+
+
+def _with_twins(rng, g):
+    """g with a few random vertices made open or closed twins of others."""
+    adj = list(g.adj)
+    for _ in range(rng.randrange(g.n)):
+        u, v = rng.sample(range(g.n), 2)
+        # N(u) = N(v), or with v added N[u] = N[v]
+        row = adj[v] & ~(1 << u) | (1 << v if rng.random() < 0.5 else 0)
+        adj = [r & ~(1 << u) | (1 << u if row >> w & 1 else 0) for w, r in enumerate(adj)]
+        adj[u] = row
+    return Graph(g.n, adj)
+
+
+def test_last_level_sets_that_pass_the_degree_test_are_unions_of_twin_classes(rng):
+    # the twins lemma of folkman.generate, on random twin-rich K_q-free
+    # parents: a maximal K_{q-1}-free set that holds the deficient ends and
+    # whose vertices all have degree below its size meets every twin class
+    # in all or none of it; without the degree test some sets split one
+    whole_classes = split = 0
+    for q in range(3, 7):
+        for _ in range(300):
+            g = _with_twins(rng, random_graph(rng, rng.randrange(1, 10), rng.random()))
+            if has_clique(g, q):
+                continue
+            _, _, ends = deficient_cover(g.adj, q)
+            pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(g.adj)) if p]
+            for m in maximal_kt_free_subsets(g, q - 1, ends):
+                union = all(bool(m & b) == bool(m & p) for b, p in pairs)
+                if all(g.adj[v].bit_count() < m.bit_count() for v in bits_of(m)):
+                    assert union, (q, g.adj, m)
+                    whole_classes += any(m & b for b, _ in pairs)
+                else:
+                    split += not union
+    assert whole_classes and split
 
 
 def test_bounded_classes_match_filtered_full_enumeration():

@@ -50,3 +50,9 @@ def test_extension_of_the_first_seed_0_hosts_matches_the_pinned_table():
     outcome = wl.run(hosts, 1)
     assert outcome.lines
     assert wl.check(hosts, outcome, reference) == []
+
+
+def test_descent_of_the_seed_0_input_matches_the_pinned_reference():
+    wl = workloads.WORKLOADS["descent"]
+    maximals = wl.setup(0)
+    assert wl.check(maximals, wl.run(maximals, 1), reference) == []

@@ -7,7 +7,7 @@ import pytest
 from folkman import pipeline, search
 from folkman.canon import canonical_line, format_kv
 from folkman.cli import main
-from folkman.graphs import Graph, from_graph6, to_graph6
+from folkman.graphs import Graph, GraphError, from_graph6, to_graph6
 from folkman.pipeline import (
     ConfigError,
     Family,
@@ -203,6 +203,15 @@ def test_one_pool_per_run_and_identical_artifacts_for_any_worker_count(
         artifacts[workers] = _artifact_bytes(run_dir)
     assert len(artifacts[1]) == 12
     assert artifacts[1] == artifacts[2] == artifacts[3]
+    # a count below 1, given or from the config, forks nothing and writes
+    # nothing: worker_pool rejects it before the run makes its directory
+    made.clear()
+    zero = write_config(tmp_path, TINY_CONFIG.replace("workers = 1", "workers = 0"), "zero.cfg")
+    for path, workers in ((cfg_path, 0), (cfg_path, -1), (zero, None)):
+        with pytest.raises(GraphError, match="at least 1 worker"):
+            run_pipeline(path, tmp_path / "run0", workers=workers)
+    assert made == []
+    assert not (tmp_path / "run0").exists()
 
 
 def test_resume_reuses_artifacts(tmp_path):
@@ -559,6 +568,19 @@ def test_all_shipped_configs_validate():
         parse_config(configs / name)
 
 
+def test_reach_config_is_a_prefix_of_the_full_q8_chain():
+    # its artifacts resume under chain_q8_full.cfg only if every item is
+    # that config's item of the same name; the config itself is not run
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    reach = parse_config(configs / "chain_q8_reach.cfg")
+    full = {item.name: item for item in parse_config(configs / "chain_q8_full.cfg").items}
+    names = [item.name for item in reach.items]
+    assert names == ["k6-a3", "a3-4", "a3-5", "a3-6", "a3-7", "a3-27"]
+    for item in reach.items:
+        assert item == full[item.name], item.name
+    assert reach.workers == 2
+
+
 def test_extremal_base(tmp_path):
     cfg = """
 [base:ext]
@@ -786,17 +808,15 @@ def test_cli_errors(tmp_path, capsys):
     seeds.write_text(to_graph6(Graph.complete(3)) + "\n")
     extend = ["extend", "--spec", "5; x; 10; 2; 3", "--input", str(seeds)]
     assert main(extend + ["--output", str(tmp_path / "out.g6")]) == 2
-    # a worker count below 1 is a usage error, not an in-process run
+    # a worker count below 1 is an input error, not an in-process run
     extend = ["extend", "--spec", "3; 4; 5; 2; 3", "--input", str(seeds)]
     extend += ["--output", str(tmp_path / "out.g6")]
     cfg_path = write_config(tmp_path, TINY_CONFIG)
     pipeline = ["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]
     for argv in (extend, pipeline):
         for workers in ("0", "-1"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--workers", workers])
-            assert exc.value.code == 2, (argv[0], workers)
-    assert "at least 1 worker" in capsys.readouterr().err
+            assert main(argv + ["--workers", workers]) == 2, (argv[0], workers)
+    assert capsys.readouterr().err.count("at least 1 worker") == 4
     assert not (tmp_path / "out.g6").exists()
     for old, new in [
         ("family = 3; 4; 5; 3", "family = 3; x; 5; 3"),

@@ -881,6 +881,18 @@ def test_worker_count_does_not_change_results():
     assert a.plus_clique.lines() == b.plus_clique.lines()
 
 
+def test_worker_count_below_one_is_an_input_error():
+    # worker_pool is the one check of the count, wherever it comes from
+    base = complete_base((3,), 8, 6, 3)
+    with pytest.raises(GraphError, match="at least 1 worker"):
+        generate_family(spec((4,), 8, 8, 2, 3), base, workers=-1)
+    with pytest.raises(GraphError, match="at least 1 worker"):
+        plus_clique_descent(base, (3,), 8, 3, workers=-3)
+    with pytest.raises(GraphError, match="at least 1 worker"):
+        with worker_pool(0):
+            pass
+
+
 def _abs_all(tasks, workers):
     tasks = list(tasks)
     out = []
