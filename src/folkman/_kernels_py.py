@@ -6,8 +6,8 @@ and witness choices; tests/test_kernels.py compares the two on random inputs.
 The twins agree in behaviour, not line for line.  Here, unlike the compiled
 twin:
 
-* ``_refine`` scans only splitters not yet verified and resumes after a
-  split; the compiled one rescans from the start after every split.
+* ``_refine`` restarts its scan after every split past the splitters
+  already verified; the compiled one rescans every splitter.
 * the canonical search keeps its automorphism orbits per node; the
   compiled one rebuilds them for every branch.
 * a leaf that repeats the best code sends the search back to the deepest
@@ -262,34 +262,27 @@ def _refine(adj, cells, fresh, twins):
     # fresh is the union of the cells not yet verified as splitters.  A
     # splitter scanned against every cell without a split stays stable
     # against every later cell, each being a subset of a current one, so
-    # only fresh cells are scanned.  After a split at (wi, ci) every pair
-    # before (wi, ci + fragments) if wi < ci, else before (ci, 0), is
-    # stable, and the scan resumes there: it splits the same pairs, in the
-    # same order, as a rescan from the start after each split would.  A
-    # discrete partition (n cells) has nothing left to split.
+    # only fresh cells are scanned, and the scan restarts after every
+    # split.  A discrete partition (n cells) has nothing left to split.
     cells = list(cells)
     n = len(adj)
     nc = len(cells)
     wi = 0
-    ci = 0
     while wi < nc < n:
         W = cells[wi]
+        wi += 1
         if not W & fresh:
-            wi += 1
             continue
         single = not W & (W - 1)
         if single:
             aw = adj[W.bit_length() - 1]
-        while ci < nc:
-            C = cells[ci]
+        for ci, C in enumerate(cells):
             if not C & (C - 1):
-                ci += 1
                 continue
             if single:
                 # counts are 0 or 1: non-neighbours first, then neighbours
                 hit = C & aw
                 if not hit or hit == C:
-                    ci += 1
                     continue
                 frags = [C ^ hit, hit]
             else:
@@ -302,22 +295,15 @@ def _refine(adj, cells, fresh, twins):
                     k = (adj[v] & W).bit_count()
                     groups[k] = groups.get(k, 0) | same
                 if len(groups) == 1:
-                    ci += 1
                     continue
                 frags = [groups[k] for k in sorted(groups)]
             cells[ci : ci + 1] = frags
             nc += len(frags) - 1
             fresh |= C
-            if wi < ci:
-                ci += len(frags)
-            else:
-                wi = ci
-                ci = 0
-                break
+            wi = 0
+            break
         else:
             fresh &= ~W
-            wi += 1
-            ci = 0
     return cells
 
 

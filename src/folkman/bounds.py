@@ -13,7 +13,7 @@ from importlib import resources
 
 from .arrowing import canonicalize
 from .graphs import Graph, GraphError, join
-from .search import family_defect
+from .search import Family
 
 
 class RegistryError(GraphError):
@@ -112,7 +112,7 @@ def folkman_value_at_m(avec) -> tuple[int, Graph]:
     if m < p + 1:
         raise GraphError(f"no K_{m}-free arrowing graphs for ({vec})")
     extremal = join(Graph.complete(m - p - 1), Graph.cycle(2 * p + 1).complement())
-    defect = family_defect(extremal.adj, vec.entries, m, extremal.n)
+    defect = Family(vec.entries, m, extremal.n, extremal.n).defect(extremal.adj)
     if defect:
         raise GraphError(f"extremal graph for ({vec}) {defect}")
     return m + p, extremal

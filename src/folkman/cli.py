@@ -17,8 +17,7 @@ from .cliques import clique_number, independence_number, is_plus_kt
 from .graphs import Graph, GraphError, bits_of, from_graph6, graph6_lines
 from .pipeline import format_rows, read_step_slices, run_pipeline, split_family
 from .search import (
-    FamilySpec, family_defect, generate_family, generate_family_cone_split, load_family,
-    worker_pool,
+    Family, FamilySpec, generate_family, generate_family_cone_split, load_family, worker_pool,
 )
 
 
@@ -112,7 +111,7 @@ def cmd_pipeline(args) -> int:
 def cmd_verify_witness(args) -> int:
     g = _graph_arg(args.graph)
     vec = _vector_arg(args.vector)
-    defect = family_defect(g.adj, vec.canonical().entries, args.q, g.n)  # t = n: no cap
+    defect = Family(vec.canonical().entries, args.q, g.n, g.n).defect(g.adj)  # t = n: no cap
     if defect:
         print(f"false: graph {defect}")
         return 1

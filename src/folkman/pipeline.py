@@ -8,12 +8,13 @@ counts.  Both files are written through a temporary file and renamed into
 place.  One rule decides reuse for every artifact (base, step output and
 descended plus-clique set): unless the run is fresh, an artifact is reused
 when both files exist, every manifest field other than ``seconds`` and
-``produced_by`` equals what this run would write (the input digests
-included) and the graph6 file holds exactly ``count`` lines; otherwise it
-is rebuilt.  A file base whose path is the artifact an earlier item wrote
-here only refers to it, fresh run or not: it takes its counts from that
-item's manifest when the manifest names the same family and the file holds
-``count`` lines, stops the run otherwise, and never writes either file.
+``produced_by`` equals what this run would write (the input digests, and
+a file base's ``source_digest`` of its file, included) and the graph6 file
+holds exactly ``count`` lines; otherwise it is rebuilt.  A file base whose
+path is the artifact an earlier item wrote here only refers to it, fresh
+run or not: it takes its counts from that item's manifest when the
+manifest names the same family and the file holds ``count`` lines, stops
+the run otherwise, and never writes either file.
 A base whose path holds a step's output never writes it either: an empty
 base refers to an empty output of its family the same way, and any other
 case stops the run.
@@ -73,6 +74,7 @@ from .canon import (
 from .generate import maximal_family_exhaustive
 from .graphs import GraphError
 from .search import (
+    Family,
     FamilySpec,
     complete_base,
     generate_family,
@@ -87,25 +89,6 @@ EXHAUSTIVE_BASE_LIMIT = 10
 
 class ConfigError(GraphError):
     pass
-
-
-@dataclass(frozen=True)
-class Family:
-    avec: tuple[int, ...]
-    q: int
-    n: int
-    t: int
-
-    def key(self) -> str:
-        return f"a{'-'.join(map(str, self.avec))}_q{self.q}_n{self.n}_t{self.t}"
-
-    def display(self) -> str:
-        return f"H({', '.join(map(str, self.avec))}; {self.q}; {self.n})"
-
-    def normalized(self) -> "Family":
-        if len(self.avec) == 1 and self.avec[0] <= self.q - 1 <= self.n:
-            return Family((self.q - 1,), self.q, self.n, self.t)
-        return self
 
 
 def split_family(text: str, layout: str) -> tuple[tuple[int, ...], list[int]]:
@@ -145,6 +128,10 @@ class StepItem:
     algorithm: int
     input: str
     input2: str | None = None
+
+    def spec(self) -> FamilySpec:
+        fam = self.family
+        return FamilySpec(fam.avec, fam.q, fam.n, self.r, fam.t)
 
 
 @dataclass
@@ -192,6 +179,10 @@ def parse_config(path) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
+        if cp.defaults():
+            raise ConfigError(
+                f"config {path}: a [DEFAULT] section would put its keys in every section"
+            )
         # every value is interpolated here, so a malformed one fails here
         sections = {section: dict(cp[section]) for section in cp.sections()}
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
@@ -259,7 +250,7 @@ def validate_config(cfg: PipelineConfig) -> None:
                 problems.append(f"{item.name}: unknown base kind {item.kind!r}")
             if item.kind == "complete":
                 try:
-                    complete_base(fam.avec, fam.q, fam.n, fam.t)
+                    complete_base(*fam)
                 except GraphError as exc:
                     problems.append(f"{item.name}: {exc}")
             if item.kind == "exhaustive" and fam.n > EXHAUSTIVE_BASE_LIMIT:
@@ -281,37 +272,28 @@ def validate_config(cfg: PipelineConfig) -> None:
             if item.algorithm not in (1, 2):
                 problems.append(f"{item.name}: algorithm must be 1 or 2")
             try:
-                spec = FamilySpec(ArrowVector(fam.avec), fam.q, fam.n, item.r, fam.t)
+                spec = item.spec()
             except GraphError as exc:
                 problems.append(f"{item.name}: {exc}")
                 families[item.name] = fam
                 continue
-            want = Family(*spec.input_family()).normalized()
-            got = families.get(item.input)
-            if got is None:
-                problems.append(f"{item.name}: input {item.input!r} not defined earlier")
-            elif got.normalized() != want:
-                problems.append(
-                    f"{item.name}: input family {got.display()} (t={got.t}) does not "
-                    f"chain to {fam.display()} with r={item.r}; expected "
-                    f"{want.display()} (t={want.t})"
-                )
+            inputs = [("input", item.input, spec.input_family())]
+            if item.algorithm == 2 and item.input2 is not None:
+                inputs.append(("input2", item.input2, spec.cone_family()))
+            for role, name, want in inputs:
+                got, want = families.get(name), want.normalized()
+                if got is None:
+                    problems.append(f"{item.name}: {role} {name!r} not defined earlier")
+                elif got.normalized() != want:
+                    problems.append(
+                        f"{item.name}: {role} family {got.display()} (t={got.t}) does "
+                        f"not chain to {fam.display()} with r={item.r}; expected "
+                        f"{want.display()} (t={want.t})"
+                    )
             if item.algorithm == 1 and item.input2 is not None:
                 problems.append(f"{item.name}: input2 is only used by algorithm 2")
-            if item.algorithm == 2:
-                want2 = Family(*spec.cone_family()).normalized()
-                got2 = families.get(item.input2) if item.input2 else None
-                if item.input2 is None:
-                    problems.append(f"{item.name}: algorithm 2 needs input2")
-                elif got2 is None:
-                    problems.append(
-                        f"{item.name}: input2 {item.input2!r} not defined earlier"
-                    )
-                elif got2.normalized() != want2:
-                    problems.append(
-                        f"{item.name}: input2 family {got2.display()} (t={got2.t}) "
-                        f"does not match the q-1 family {want2.display()}"
-                    )
+            if item.algorithm == 2 and item.input2 is None:
+                problems.append(f"{item.name}: algorithm 2 needs input2")
             families[item.name] = fam
         elif isinstance(item, DescendItem):
             if item.input not in families:
@@ -323,10 +305,6 @@ def validate_config(cfg: PipelineConfig) -> None:
 
 
 # -- artifacts ----------------------------------------------------------------
-
-
-def _family_line(fam: Family) -> str:
-    return f"{','.join(map(str, fam.avec))}; {fam.q}; {fam.n}; {fam.t}"
 
 
 # manifest fields a reuse does not compare with this run's values
@@ -434,7 +412,7 @@ class Runner:
         src = self._base_file(item) if item.kind == "file" else None
         refers = held and src is not None and src.exists() and src.samefile(path)
         if refers or meta.get("kind") == "step":
-            sound = meta.get("family") == _family_line(item.family) and _holds_count(meta, path)
+            sound = meta.get("family") == str(item.family) and _holds_count(meta, path)
             producer = meta.get("produced_by", "its producer")
             if refers and not sound:
                 raise ConfigError(
@@ -450,11 +428,16 @@ class Runner:
             report.resumed = True
             return report
         fields = dict(
-            family=_family_line(item.family), kind=f"base:{item.kind}",
+            family=item.family, kind=f"base:{item.kind}",
             produced_by=item.name, count=None, cone_free_count=None, seconds=None,
         )
+        if src is not None:
+            # a changed source file rebuilds the base and what reads it
+            if not src.exists():
+                raise ConfigError(f"base {item.name}: file {item.path} not found")
+            fields["source_digest"] = file_digest(src)
         report.count, report.cone_free_count, report.resumed = self._artifact(
-            path, fields, lambda: self._build_base(item)
+            path, fields, lambda: self._build_base(item, src)
         )
         return report
 
@@ -468,21 +451,19 @@ class Runner:
                     return root / item.path
         return path
 
-    def _build_base(self, item: BaseItem) -> GraphSet:
+    def _build_base(self, item: BaseItem, src: Path | None) -> GraphSet:
+        """The base's members; ``src`` is a file base's resolved path."""
         fam = item.family
         if item.kind == "complete":
-            return complete_base(fam.avec, fam.q, fam.n, fam.t)
+            return complete_base(*fam)
         if item.kind == "empty":
             return GraphSet()
         if item.kind == "exhaustive":
-            return maximal_family_exhaustive(fam.avec, fam.q, fam.n, fam.t)
+            return maximal_family_exhaustive(*fam)
         if item.kind == "extremal":
             return graph_set_of([folkman_value_at_m(fam.avec)[1]])
-        path = self._base_file(item)
-        if not path.exists():
-            raise ConfigError(f"base {item.name}: file {item.path} not found")
         try:
-            return load_family(path, (fam.avec, fam.q, fam.n, fam.t))
+            return load_family(src, fam)
         except GraphError as exc:
             raise ConfigError(f"base {item.name}: {exc}") from None
 
@@ -495,7 +476,7 @@ class Runner:
         Returns whether the artifact was reused."""
         src, path = self.maximal_path(fam), self.plusk_path(fam, vector)
         fields = dict(
-            family=_family_line(fam), kind="plus-clique", vector=",".join(map(str, vector)),
+            family=fam, kind="plus-clique", vector=",".join(map(str, vector)),
             count=None, cone_free_count=None, source_digest=source_digest,
         )
 
@@ -518,7 +499,7 @@ class Runner:
         report = StepReport(
             item.name, "step", fam, r=item.r, algorithm=item.algorithm, input_digests=digests
         )
-        spec = FamilySpec(ArrowVector(fam.avec), fam.q, fam.n, item.r, fam.t)
+        spec = item.spec()
         vector = spec.decremented().entries
         self._ensure_plusk(in_fam, report, vector, digests[item.input])
 
@@ -535,7 +516,7 @@ class Runner:
             ).output
 
         fields = dict(
-            family=_family_line(fam), kind="step", produced_by=item.name,
+            family=fam, kind="step", produced_by=item.name,
             algorithm=item.algorithm, r=item.r, count=None, cone_free_count=None,
             inputs=",".join(f"{k}:{v}" for k, v in sorted(digests.items())), seconds=None,
         )

@@ -76,6 +76,7 @@ import multiprocessing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize, clique_arrows
@@ -84,6 +85,49 @@ from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets, t
 from .graphs import (
     Graph, GraphError, MAX_VERTICES, attach, from_graph6, graph6_lines, unpack_graph6
 )
+
+
+class Family(NamedTuple):
+    """The family H(avec; q; n) with independence cap t: the K_q-free graphs
+    on n vertices with independence number at most t that arrow the
+    canonical vector ``avec``.  Its ``str`` is the manifest's
+    ``avec; q; n; t`` line."""
+
+    avec: tuple
+    q: int
+    n: int
+    t: int
+
+    def __str__(self) -> str:
+        return f"{','.join(map(str, self.avec))}; {self.q}; {self.n}; {self.t}"
+
+    def key(self) -> str:
+        return f"a{'-'.join(map(str, self.avec))}_q{self.q}_n{self.n}_t{self.t}"
+
+    def display(self) -> str:
+        return f"H({', '.join(map(str, self.avec))}; {self.q}; {self.n})"
+
+    def normalized(self) -> "Family":
+        """The family with a one-entry vector a1 <= q - 1 <= n raised to
+        q - 1: both have the same edge-maximal members, each holding a
+        K_{q-1}."""
+        if len(self.avec) == 1 and self.avec[0] <= self.q - 1 <= self.n:
+            return self._replace(avec=(self.q - 1,))
+        return self
+
+    def defect(self, adj):
+        """Why the graph with masks ``adj`` is not a member, or None: it
+        has a K_q, independence number above t, does not arrow ``avec`` or
+        has another vertex count, tested in that order."""
+        if K.impl.has_clique_at_least(adj, self.q):
+            return f"has a K_{self.q}"
+        if K.impl.has_clique_at_least(complement_adj(adj), self.t + 1):
+            return f"has independence number above {self.t}"
+        if not arrows_adj(adj, self.avec):
+            return f"does not arrow ({', '.join(map(str, self.avec))})"
+        if len(adj) != self.n:
+            return f"has {len(adj)} vertices, family has {self.n}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -118,13 +162,13 @@ class FamilySpec:
     def decremented(self) -> ArrowVector:
         return self._decremented
 
-    def input_family(self) -> tuple:
-        """(entries, q, n, t) of a step's input: the decremented vector on n - r vertices."""
-        return self.decremented().entries, self.q, self.n - self.r, self.t
+    def input_family(self) -> Family:
+        """A step's input: the decremented vector on n - r vertices."""
+        return Family(self.decremented().entries, self.q, self.n - self.r, self.t)
 
-    def cone_family(self) -> tuple:
-        """(entries, q, n, t) of a cone split's second input: the same vector, q - 1, n - 1."""
-        return self.decremented().entries, self.q - 1, self.n - 1, self.t
+    def cone_family(self) -> Family:
+        """A cone split's second input: the decremented vector, q - 1, n - 1."""
+        return Family(self.decremented().entries, self.q - 1, self.n - 1, self.t)
 
 
 @dataclass
@@ -407,34 +451,18 @@ def _descent_worker(entries, q, t, task):
     return [(line, (child, dead)) for line, child in sorted(children.items())]
 
 
-def family_defect(adj, entries, q, t):
-    """Why the graph with masks ``adj`` is not K_q-free with independence
-    number at most t and arrowing the canonical ``entries``, or None."""
-    if K.impl.has_clique_at_least(adj, q):
-        return f"has a K_{q}"
-    if K.impl.has_clique_at_least(complement_adj(adj), t + 1):
-        return f"has independence number above {t}"
-    if not arrows_adj(adj, entries):
-        return f"does not arrow ({', '.join(map(str, entries))})"
-    return None
-
-
 def load_family(path, family=None) -> GraphSet:
     """The graph6 file at ``path`` as a GraphSet, each line decoded once:
-    the one reader of untrusted family files.  Under ``family = (entries,
-    q, n, t)`` a graph that fails ``family_defect``, has another vertex
-    count or is not plus-K_q, tested in that order, raises GraphError
-    naming its canonical line."""
+    the one reader of untrusted family files.  Under a ``Family`` a graph
+    that is not a member (``Family.defect``) or, after that, not plus-K_q
+    raises GraphError naming its canonical line."""
     out = GraphSet()
     for line in graph6_lines(path):
         adj = from_graph6(line).adj
         canon = canonical_line(adj)
         if family is not None:
-            entries, q, n, t = family
-            defect = family_defect(adj, entries, q, t)
-            if defect is None and len(adj) != n:
-                defect = f"has {len(adj)} vertices, family has {n}"
-            if defect is None and not K.impl.is_plus_k(adj, q):
+            defect = family.defect(adj)
+            if defect is None and not K.impl.is_plus_k(adj, family.q):
                 defect = "is not edge-maximal"
             if defect:
                 raise GraphError(f"file member {canon}: {defect}")
@@ -454,7 +482,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     result = GraphSet()
     if not seeds:
         return result
-    order = seeds[0].n
+    family = Family(entries, q, seeds[0].n, t)
     # Workers pass on plus-clique members only, so every line they return
     # belongs in the result, and a class goes on the work list, as the
     # task (adjacency, dead masks) that came with its line, only when the
@@ -469,14 +497,12 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
                 tasks.append(task)
 
     for g in seeds:
-        if g.n != order:
-            raise GraphError("descent seeds must share a vertex count")
-        defect = family_defect(g.adj, entries, q, t)
+        defect = family.defect(g.adj)
         if defect:
             raise GraphError(f"seed {defect}")
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
-            enter([(canonical_line(g.adj), (g.adj, (0,) * order))])
+            enter([(canonical_line(g.adj), (g.adj, (0,) * g.n))])
     _dispatch(partial(_descent_worker, entries, q, t), tasks, enter, workers)
     return result
 
@@ -615,7 +641,7 @@ def _extend(spec, seeds, workers, descended, cone_free=False):
     """Order-check ``seeds``, extend ``descended`` or their descent (cone-free
     hosts only under ``cone_free``), one host line per task; the output and
     the plus-clique set."""
-    _check_input_order(seeds, spec.input_family()[2], "input family")
+    _check_input_order(seeds, spec.input_family().n, "input family")
     if descended is None:
         descended = plus_clique_descent(seeds, spec.decremented(), spec.q, spec.t, workers=workers)
     out = GraphSet()
@@ -654,7 +680,7 @@ def generate_family_cone_split(
     directly.  They are attached: a seed w with one cone vertex c, its
     last (see ``cone_count``), gets r new vertices on w - c (with c, r + 1
     independent vertices on w - c), a cone seed h one new vertex on all of h."""
-    _check_input_order(cone_seeds, spec.cone_family()[2], "cone input family")
+    _check_input_order(cone_seeds, spec.cone_family().n, "cone input family")
     output, aprime = _extend(spec, seeds, workers, descended, cone_free=True)
     entries = spec.avec.entries
     if spec.t > spec.r:

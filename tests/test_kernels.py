@@ -19,6 +19,7 @@ from tests.conftest import (
     random_permuted,
 )
 from tests.oracles import (
+    _reference_refine,
     canonical_perm_reference,
     clique_number_brute,
     has_mono_clique,
@@ -275,6 +276,42 @@ def test_twin_cell_collapse_matches_reference(rng):
             for size in sizes:
                 g = _blown_up(rng, base, [closed] * base.n, [size] * base.n)
                 _assert_matches_reference(g.adj)
+
+
+def _twin_masks(adj):
+    # each vertex's twin class as a mask, gathered as canonical_perm does
+    twins = [1 << v for v in range(len(adj))]
+    first = list(range(len(adj)))
+    for v, p in enumerate(py.twin_pairs(adj)):
+        if p:
+            first[v] = first[p.bit_length() - 1]
+            twins[first[v]] |= 1 << v
+    return [twins[f] for f in first]
+
+
+def test_refine_matches_the_reference_refinement(rng):
+    # the ordered partition itself, not only canonical_perm's final
+    # permutation: at the root, every cell fresh, then down a random path
+    # of the search tree, individualizing one vertex of the equitable
+    # partition at a time with only the split cell fresh
+    nodes = 0
+    for i in range(1000):
+        base = random_graph(rng, rng.randint(1, 16 if i % 2 else 5), rng.random())
+        g = base if i % 2 else _blown_up(rng, base, [rng.random() < 0.5 for _ in range(base.n)])
+        adj = g.adj
+        twins = _twin_masks(adj)
+        full = (1 << g.n) - 1
+        cells = _reference_refine(adj, [full])
+        assert py._refine(adj, [full], full, twins) == cells, adj
+        while len(cells) < g.n:
+            ti = rng.choice([k for k, c in enumerate(cells) if c & (c - 1)])
+            T = cells[ti]
+            b = 1 << rng.choice(list(bits_of(T)))
+            child = cells[:ti] + [b, T ^ b] + cells[ti + 1 :]
+            cells = _reference_refine(adj, child)
+            assert py._refine(adj, child, T, twins) == cells, (adj, child)
+            nodes += 1
+    assert nodes > 3000
 
 
 def test_twin_cell_collapse_refines_only_at_the_root(monkeypatch):

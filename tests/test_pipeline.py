@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from folkman import pipeline, search
-from folkman.canon import canonical_line, format_kv
+from folkman.canon import canonical_line, file_digest, format_kv
 from folkman.cli import main
 from folkman.graphs import Graph, GraphError, from_graph6, to_graph6
 from folkman.pipeline import (
@@ -543,6 +543,46 @@ def test_file_base_rejects_non_members(tmp_path):
         assert str(err.value) == f"base k3: file member {line}: {reason}"
 
 
+def test_file_base_rebuilds_when_its_source_changes(tmp_path, capsys):
+    # a file base's manifest records its source's digest: a changed file
+    # rebuilds the base and the step that reads it, as a fresh run would
+    source = tmp_path / "k3.g6"
+    source.write_text(to_graph6(Graph.complete(3)) + "\n")
+    cfg = TINY_CONFIG.split("[step:s7]")[0].replace("kind = complete", "kind = file\npath = k3.g6")
+    cfg_path = write_config(tmp_path, cfg)
+    run_dir = tmp_path / "run"
+    first, _ = run_pipeline(cfg_path, run_dir)
+    assert [(r.name, r.count, r.resumed) for r in first] == [("k3", 1, False), ("s5", 2, False)]
+    meta = (run_dir / "maximal_a2_q4_n3_t3.meta").read_text()
+    assert meta.endswith(f"source_digest = {file_digest(source)}\n")
+    again, _ = run_pipeline(cfg_path, run_dir)
+    assert all(r.resumed for r in again)
+    source.write_text("")
+    changed, _ = run_pipeline(cfg_path, run_dir)
+    assert [(r.name, r.count, r.resumed) for r in changed] == [("k3", 0, False), ("s5", 0, False)]
+    run_pipeline(cfg_path, tmp_path / "fresh")
+    assert _artifact_bytes(run_dir) == _artifact_bytes(tmp_path / "fresh")
+    # a missing source stops the run, resumable artifacts or not
+    source.unlink()
+    assert main(["pipeline", str(cfg_path), "--dir", str(run_dir)]) == 2
+    assert capsys.readouterr().err == "error: base k3: file k3.g6 not found\n"
+
+
+def test_manifest_with_a_count_that_is_no_number_is_rebuilt(tmp_path):
+    cfg_path = write_config(tmp_path, TINY_CONFIG)
+    run_dir = tmp_path / "run"
+    run_pipeline(cfg_path, run_dir)
+    meta = run_dir / "maximal_a3_q4_n5_t3.meta"
+    text = meta.read_text()
+    assert "count = 2\n" in text
+    meta.write_text(text.replace("count = 2\n", "count = x\n"))
+    reports, _ = run_pipeline(cfg_path, run_dir)
+    assert [r.name for r in reports if not r.resumed] == ["s5"]
+    assert {r.name: r for r in reports}["s5"].count == 2
+    run_pipeline(cfg_path, tmp_path / "fresh")
+    assert _artifact_bytes(run_dir) == _artifact_bytes(tmp_path / "fresh")
+
+
 def test_empty_base_flows_through(tmp_path):
     cfg = """
 [base:nothing]
@@ -841,3 +881,133 @@ def test_cli_errors(tmp_path, capsys):
             certify = ["bound", "certify", "3", "4", "5", "--reports", str(reports)]
             assert main(certify) == 2, (field, bad)
             assert capsys.readouterr().err.startswith("error: "), (field, bad)
+
+
+def _edited(old, new, text=TINY_CONFIG):
+    assert old in text, old
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            _edited("family = 2; 4; 3; 3", "family = 1; 4; 3; 3"),
+            "empty target vector in '1; 4; 3; 3'",
+            id="vector-empty-after-canonicalization",
+        ),
+        pytest.param(
+            _edited("[base:k3]", "[base]"), "section [base] needs a name after ':'", id="no-name"
+        ),
+        pytest.param(
+            _edited("[descend:d7]", "[stage:d7]"), "unknown section kind [stage:d7]", id="kind"
+        ),
+        pytest.param(_edited("r = 2\n", ""), "section [step:s5] needs r", id="missing-key"),
+        pytest.param(
+            "[DEFAULT]\nworkers = 1\n" + TINY_CONFIG,
+            "a [DEFAULT] section would put its keys in every section",
+            id="default-section",
+        ),
+        pytest.param(
+            # once turned the base with no kind line from complete into exhaustive
+            "[DEFAULT]\nkind = exhaustive\n\n[base:k3]\nfamily = 2; 4; 3; 3\n",
+            "a [DEFAULT] section would put its keys in every section",
+            id="default-kind",
+        ),
+        pytest.param(
+            _edited("[descend:d7]\ninput = s7", "[descend:s7]\ninput = s5"),
+            "duplicate item name 's7'",
+            id="duplicate-name",
+        ),
+        pytest.param(
+            _edited("kind = complete", "kind = magic"),
+            "k3: unknown base kind 'magic'",
+            id="base-kind",
+        ),
+        pytest.param(
+            "[base:b]\nfamily = 3; 5; 11; 4\nkind = exhaustive\n",
+            "b: exhaustive base capped at 10 vertices, got n=11",
+            id="exhaustive-limit",
+        ),
+        pytest.param(
+            "[base:b]\nfamily = 2,2; 3; 6; 3\nkind = extremal\n",
+            "b: extremal base needs q = m and n = m + p",
+            id="extremal-order",
+        ),
+        pytest.param(
+            _edited("kind = complete", "kind = file"), "k3: file base needs a path", id="no-path"
+        ),
+        pytest.param(
+            _edited("algorithm = 1\ninput = k3", "algorithm = 3\ninput = k3"),
+            "s5: algorithm must be 1 or 2",
+            id="algorithm",
+        ),
+        pytest.param(
+            _edited("r = 2", "r = 1"), "s5: need 2 <= r <= t, got r=1, t=3", id="step-r"
+        ),
+        pytest.param(
+            _edited("family = 3; 4; 5; 3", "family = 3; 4; 70; 3"),
+            "s5: order 70 outside 1..64",
+            id="step-order",
+        ),
+        pytest.param(
+            _edited("algorithm = 1\ninput = k3", "algorithm = 2\ninput = k3\ninput2 = nope"),
+            "s5: input2 'nope' not defined earlier",
+            id="input2-undefined",
+        ),
+        pytest.param(
+            _edited("algorithm = 1\ninput = k3", "algorithm = 2\ninput = k3\ninput2 = k3"),
+            "s5: input2 family H(2; 4; 3) (t=3) does not chain to H(3; 4; 5) with r=2; "
+            "expected H(2; 3; 4) (t=3)",
+            id="input2-mismatch",
+        ),
+        pytest.param(
+            _edited("[descend:d7]\ninput = s7", "[descend:d7]\ninput = nope"),
+            "d7: input 'nope' not defined earlier",
+            id="descend-undefined",
+        ),
+    ],
+)
+def test_config_input_errors(tmp_path, capsys, text, message):
+    cfg_path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg_path)
+    assert message in str(err.value)
+    assert main(["pipeline", str(cfg_path), "--dir", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["extend", "--spec", "3; 4; 5; 2; 3", "--input", "{k3}", "--algorithm", "2",
+             "--output", "{out}"],
+            "--algorithm 2 needs --input2",
+            id="extend-without-input2",
+        ),
+        pytest.param(["omega", "{blank}"], "no graph6 line in {blank}", id="graph-file-no-line"),
+        pytest.param(
+            ["pipeline", "{missing_base}", "--dir", "{run}"],
+            "base k3: file missing.g6 not found",
+            id="file-base-missing",
+        ),
+    ],
+)
+def test_cli_input_errors(tmp_path, capsys, argv, message):
+    paths = {
+        "k3": tmp_path / "k3.g6",
+        "blank": tmp_path / "blank.g6",
+        "missing_base": tmp_path / "missing.cfg",
+        "out": tmp_path / "out.g6",
+        "run": tmp_path / "run",
+    }
+    paths["k3"].write_text(to_graph6(Graph.complete(3)) + "\n")
+    paths["blank"].write_text("\n# no graph here\n")
+    paths["missing_base"].write_text(
+        _edited("kind = complete", "kind = file\npath = missing.g6")
+    )
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not paths["out"].exists()

@@ -40,7 +40,6 @@ from folkman.search import (
     _dispatch,
     _extension_worker,
     attach_vertices,
-    family_defect,
     complete_base,
     generate_family,
     generate_family_cone_split,
@@ -297,6 +296,14 @@ def test_descent_seed_validation():
         plus_clique_descent(seeds, (3,), 5, 3)
 
 
+def test_descent_seeds_of_another_order_fail_the_family_check():
+    # the first seed, K_3 (lines sort by vertex count first), fixes the
+    # family's order; C_4 is a member of H(2; 4; 4) but not of H(2; 4; 3)
+    seeds = graph_set_of([Graph.cycle(4), Graph.complete(3)])
+    with pytest.raises(GraphError, match="^seed has 4 vertices, family has 3$"):
+        plus_clique_descent(seeds, (2,), 4, 3)
+
+
 # q = 4..6 and multi-entry vectors
 DESCENT_CONFIGS = (
     ((3,), 5, 7, 3),
@@ -516,7 +523,7 @@ def test_dead_edges_fail_a_family_test(monkeypatch):
             for u, row in enumerate(dead):
                 for v in bits_of(row & adj[u]):
                     child = remove_edge(g, u, v)
-                    assert family_defect(child.adj, entries, q, t) or not is_plus_kt(
+                    assert search.Family(entries, q, n, t).defect(child.adj) or not is_plus_kt(
                         child, q - 1
                     ), (avec, q, t, u, v)
                     marked += 1
