@@ -1,38 +1,14 @@
 """Bitset kernels: clique search, free-partition search, canonical labeling.
 
-Pure-Python reference implementation.  ``_kernels_cy`` is a compiled twin of
-this module and has to stay behaviourally identical, including tie-breaking
-and witness choices; tests/test_kernels.py compares the two on random inputs.
-The twins agree in behaviour, not line for line.  Here, unlike the compiled
-twin:
-
-* ``_refine`` restarts its scan after every split past the splitters
-  already verified; the compiled one rescans every splitter.
-* the canonical search keeps its automorphism orbits per node; the
-  compiled one rebuilds them for every branch.
-* a leaf that repeats the best code sends the search back to the deepest
-  common ancestor of the two leaves; the compiled search visits every leaf
-  that orbit pruning leaves.
-* the canonical search starts with the graph's twin swaps (``twin_pairs``)
-  as known automorphisms, so it skips a twin's sibling branch without
-  visiting its leaves; the compiled one finds them at leaves.
-* a target cell inside one twin class is split into singletons in one
-  step, with no refinement; the compiled search individualizes it one
-  vertex per level and refines at each.
-* ``_refine`` counts a cell's neighbours in a splitter once per twin class
-  inside the cell; the compiled one counts every vertex.
-* ``has_clique_within`` answers t = 2 by a scan of the mask's rows, and a
-  query with at most ``COVER_MAX`` vertices of the mask to drop by a
-  bounded vertex-cover branch; the compiled one runs its colouring
-  branch-and-bound on both.  Any other query runs the search of
-  ``max_clique_size_within`` (``_clique_search``) from t - 1, up to t.
-* a leaf's code is ``graphs.edge_code``, the graph6 edge bits that the
-  encoder packs, so the edge order is defined once; the compiled twin
-  keeps its own encoder (``_encode``).
-
-Both reach the same partitions at the nodes they visit and return the
-same results; the compiled side gets the bookkeeping once
-``_kernels_cy.c`` can be regenerated from the ``.pyx`` with Cython.
+Pure-Python reference implementation.  ``_kernels_cy`` is its compiled
+twin, a hand-written C port with one function per function here, and has to
+return exactly what this module returns, including tie-breaking and witness
+choices; tests/test_kernels.py compares the two on random inputs.  The one
+real difference in how they work: the compiled twin writes a leaf's code as
+bytes in ``graphs.edge_code``'s bit order (first bit in the top bit of the
+first byte), where this module compares the integers ``edge_code`` returns.
+(Its ``free_partition`` also reads the tried empty limits off the classes,
+as the same set, instead of keeping a list.)
 
 A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
 vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are

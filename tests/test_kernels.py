@@ -2,13 +2,18 @@
 correctness of both against definition-level brute force."""
 
 import random
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkman import _kernels_py as py
 from folkman.graphs import Graph, bits_of, join
 from tests.conftest import (
+    KERNELS_C,
     available_backends,
     complete_less_matching,
     from_edges,
@@ -20,6 +25,7 @@ from tests.conftest import (
 )
 from tests.oracles import (
     _reference_refine,
+    arrows_brute,
     canonical_perm_reference,
     clique_number_brute,
     has_mono_clique,
@@ -155,6 +161,90 @@ def test_backend_parity_structured_graphs():
         assert py.canonical_perm(g.adj) == cy.canonical_perm(g.adj)
         assert py.max_clique_size(g.adj) == cy.max_clique_size(g.adj)
         assert py.free_partition(g.adj, (1, 2)) == cy.free_partition(g.adj, (1, 2))
+
+
+@needs_compiled
+def test_compiled_twin_caps_the_automorphism_store_alike():
+    assert cy.MAX_AUT_GENERATORS == py.MAX_AUT_GENERATORS
+
+
+@needs_compiled
+def test_compiled_twin_reads_lists_and_tuples_alike(rng):
+    # the descent worker passes a child adjacency as a list
+    for _ in range(100):
+        n = rng.randint(0, 20)
+        adj = _random_adj(rng, n)
+        rows = list(adj)
+        mask = rng.getrandbits(n) if n else 0
+        t = rng.randint(0, 5)
+        limits = (1, 2)
+        for f, args in (
+            (cy.max_clique_size, ()),
+            (cy.max_clique_size_within, (mask,)),
+            (cy.has_clique_within, (mask, t)),
+            (cy.has_clique_at_least, (t,)),
+            (cy.is_plus_k, (t,)),
+            (cy.free_partition, (limits,)),
+            (cy.canonical_perm, ()),
+        ):
+            assert f(rows, *args) == f(adj, *args), (f.__name__, adj)
+
+
+@needs_compiled
+def test_compiled_twin_rejects_more_than_64_vertices():
+    adj = (0,) * 65
+    for f, args in (
+        (cy.max_clique_size, ()),
+        (cy.max_clique_size_within, (1,)),
+        (cy.has_clique_within, (1, 2)),
+        (cy.has_clique_at_least, (2,)),
+        (cy.is_plus_k, (3,)),
+        (cy.free_partition, ((1,),)),
+        (cy.canonical_perm, ()),
+    ):
+        with pytest.raises(ValueError):
+            f(adj, *args)
+
+
+@needs_compiled
+def test_compiled_canonical_perm_on_large_automorphism_groups():
+    # the seeded G(n, p) graphs on which the earlier compiled search took
+    # 0.8-6.4 s each
+    rng = random.Random(0x5EED)
+    for n, p in ((35, 0.003), (38, 0.995), (64, 0.007), (64, 0.993)):
+        adj = _random_adj(rng, n, p)
+        assert cy.canonical_perm(adj) == py.canonical_perm(adj), (n, p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs(6), st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple))
+def test_free_partition_witness_property(g, limits):
+    # the same witness on every backend; a valid one, or None exactly when
+    # every colouring puts a (limit + 1)-clique in some class
+    got = {name: k.free_partition(g.adj, limits) for name, k in available_backends().items()}
+    witness = got.pop("python")
+    assert all(other == witness for other in got.values()), (g.adj, limits, got)
+    assert (witness is None) == arrows_brute(g, [lim + 1 for lim in limits])
+    if witness is not None:
+        union = 0
+        for mask, lim in zip(witness, limits):
+            assert union & mask == 0
+            union |= mask
+            assert py.max_clique_size_within(g.adj, mask) <= lim
+        assert union == g.full_mask()
+
+
+def test_compiled_source_builds_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    cmd = [
+        cc, "-O2", "-Wall", "-Wextra", "-Werror", "-fPIC",
+        "-I" + sysconfig.get_paths()["include"],
+        "-c", str(KERNELS_C), "-o", str(tmp_path / "kernels.o"),
+    ]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
 
 
 def test_canonical_perm_matches_reference_on_random_graphs(rng):

@@ -1,7 +1,8 @@
 """The outputs the benchmark pins must keep matching its reference: each
 workload is run through ``perfbench/workloads.py`` itself, loaded read-only,
-on a cut-down input, and checked by its own ``check``.  Everything it writes
-goes under ``tmp_path``."""
+on a cut-down input, and checked by its own ``check``.  The workloads that
+pin the compiled backend run on every backend that imports.  Everything it
+writes goes under ``tmp_path``."""
 
 import importlib.util
 import shutil
@@ -9,6 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from folkman import _kernels
+from tests.conftest import available_backends
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -27,10 +31,18 @@ def _load_workloads():
 
 workloads = _load_workloads()
 reference = workloads.load_reference()
+backends = pytest.mark.parametrize("backend", sorted(available_backends()))
 
 
+def _use(backend):
+    # the autouse fixture restores the default backend
+    _kernels.impl = available_backends()[backend]
+
+
+@backends
 @pytest.mark.parametrize("workers", [1, 2])
-def test_pipeline_artifacts_match_the_pinned_reference(tmp_path, workers):
+def test_pipeline_artifacts_match_the_pinned_reference(tmp_path, workers, backend):
+    _use(backend)
     wl = workloads.WORKLOADS["pipeline"]
     shutil.copyfile(workloads.PIPELINE_CONFIG, tmp_path / workloads.PIPELINE_CONFIG.name)
     outcome = wl.run(tmp_path, workers)
@@ -44,7 +56,9 @@ def test_exhaustive_output_matches_the_pinned_reference():
     assert wl.check(None, wl.run(None, 1), reference) == []
 
 
-def test_extension_of_the_first_seed_0_hosts_matches_the_pinned_table():
+@backends
+def test_extension_of_the_first_seed_0_hosts_matches_the_pinned_table(backend):
+    _use(backend)
     wl = workloads.WORKLOADS["extension"]
     hosts = wl.setup(0)[:40]
     outcome = wl.run(hosts, 1)
@@ -52,7 +66,9 @@ def test_extension_of_the_first_seed_0_hosts_matches_the_pinned_table():
     assert wl.check(hosts, outcome, reference) == []
 
 
-def test_descent_of_the_seed_0_input_matches_the_pinned_reference():
+@backends
+def test_descent_of_the_seed_0_input_matches_the_pinned_reference(backend):
+    _use(backend)
     wl = workloads.WORKLOADS["descent"]
     maximals = wl.setup(0)
     assert wl.check(maximals, wl.run(maximals, 1), reference) == []
