@@ -1,5 +1,6 @@
-/* Compiled twin of _kernels_py: clique search, free-partition search,
- * canonical labeling.
+/* Compiled twin of _kernels_py: clique search, free-partition search and
+ * arrowing, canonical labeling and canonical graph6 lines, and the
+ * plus-clique descent's child loop.
  *
  * Hand-written against the CPython C API.  Each function ports the one of
  * the same name in _kernels_py (less a leading underscore; a nested Python
@@ -10,7 +11,8 @@
  * comments here cover only what the C adds.  A graph is at most 64 rows of
  * uint64_t neighbour masks; a leaf's code is graphs.edge_code's bit stream
  * written into bytes, first bit in the top bit of byte 0, so that memcmp
- * orders codes as the integers compare.
+ * orders codes as the integers compare, and a canonical line is written
+ * from those bytes.  Kernels call each other as C functions.
  *
  * Build: cc -O2 -shared -fPIC -I<python include> _kernels_cy.c -o <so>
  */
@@ -25,12 +27,17 @@ typedef uint64_t u64;
 #define MAXN 64
 #define MAX_AUT_GENERATORS 4096
 #define COVER_MAX 5
-#define CODEBYTES (MAXN * (MAXN - 1) / 2 / 8 + 1)
+#define MAXGAPS (MAXN * (MAXN - 1) / 2)
+#define CODEBYTES (MAXGAPS / 8 + 1)
+/* a graph6 line: the long-form header and one character per 6 edge bits */
+#define G6MAX (4 + (MAXGAPS + 5) / 6)
 
 static inline int popc(u64 x) { return __builtin_popcountll(x); }
 static inline int ctz(u64 x) { return __builtin_ctzll(x); }
 static inline u64 low(u64 x) { return x & (0 - x); }
 static inline u64 full_mask(int n) { return n ? ~(u64)0 >> (MAXN - n) : 0; }
+/* the bits above x: the pure twin's m >> (x + 1) << (x + 1) */
+static inline u64 above(int x) { return x < MAXN - 1 ? ~(u64)0 << (x + 1) : 0; }
 
 /* -- argument conversion -------------------------------------------------- */
 
@@ -266,6 +273,67 @@ static int free_partition(const u64 *adj, int n, const long *limits, Py_ssize_t 
     }
     struct partition_state p = {adj, n, s, order, limits, classes};
     return place(&p, 0);
+}
+
+/* -- arrowing ------------------------------------------------------------- */
+
+/* A sequence of ints: an arrowing vector, with its limits (entries less
+ * one), or free_partition's limits; classes has room for a partition. */
+struct vector {
+    Py_ssize_t s;
+    long *entries, *limits;
+    u64 *classes;
+};
+
+static void free_vector(struct vector *vec)
+{
+    PyMem_Free(vec->entries);
+    PyMem_Free(vec->classes);
+}
+
+static int load_vector(PyObject *obj, struct vector *vec)
+{
+    vec->entries = NULL;
+    vec->classes = NULL;
+    PyObject *seq = PySequence_Fast(obj, "expected a sequence of ints");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t s = vec->s = PySequence_Fast_GET_SIZE(seq);
+    int err = 0;
+    vec->entries = PyMem_Malloc(sizeof(long) * (size_t)(2 * s + 1));
+    vec->classes = PyMem_Malloc(sizeof(u64) * (size_t)(s + 1));
+    if (vec->entries == NULL || vec->classes == NULL) {
+        PyErr_NoMemory();
+        err = -1;
+    } else {
+        vec->limits = vec->entries + s;
+        for (Py_ssize_t i = 0; i < s && !err; i++) {
+            err = load_long(PySequence_Fast_GET_ITEM(seq, i), &vec->entries[i]);
+            vec->limits[i] = vec->entries[i] - 1;
+        }
+    }
+    Py_DECREF(seq);
+    if (err)
+        free_vector(vec);
+    return err;
+}
+
+static int arrows(const u64 *adj, int n, const struct vector *vec)
+{
+    Py_ssize_t s = vec->s;
+    u64 full = full_mask(n);
+    if (s == 0)
+        return 1;
+    if (s == 1)
+        return has_clique_within(adj, full, vec->entries[0]);
+    long m = 1;
+    for (Py_ssize_t i = 0; i < s; i++)
+        m += vec->limits[i];
+    if (!has_clique_within(adj, full, vec->entries[s - 1]))
+        return 0;
+    if (has_clique_within(adj, full, m))
+        return 1;
+    return !free_partition(adj, n, vec->limits, s, vec->classes);
 }
 
 /* -- canonical labeling --------------------------------------------------- */
@@ -515,7 +583,255 @@ static void canonical_perm(struct canon *cs)
     search(cs, cells, refine(cs->adj, n, cs->twins, cells, 1, cells[0]), 0);
 }
 
+/* Labels the n rows adj: cs->best_perm gets canonical_perm's permutation
+ * and cs->best_code its code.  cs keeps its generator store from an
+ * earlier call; the caller frees cs->gens.  Returns -1 with MemoryError
+ * set when the store could not grow. */
+static int label(struct canon *cs, const u64 *adj, int n)
+{
+    memcpy(cs->adj, adj, sizeof(u64) * (size_t)n);
+    cs->n = n;
+    cs->codelen = cs->has_best = cs->path_len = cs->ngens = cs->nomem = 0;
+    for (int i = 0; i < n; i++)
+        cs->best_perm[i] = i;
+    if (n > 1)
+        canonical_perm(cs);
+    if (cs->nomem) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* The graph6 line of the graph labeled in cs, written from its best code
+ * (graphs.adj_to_graph6 of the relabeled graph); returns its length, at
+ * most G6MAX. */
+static int graph6_line(const struct canon *cs, char *out)
+{
+    int n = cs->n, len = 0, chars = (n * (n - 1) / 2 + 5) / 6;
+    if (n <= 62)
+        out[len++] = (char)(63 + n);
+    else {
+        out[len++] = '~';
+        for (int shift = 12; shift >= 0; shift -= 6)
+            out[len++] = (char)(63 + (n >> shift & 63));
+    }
+    /* 24 code bits at a time as four 6-bit groups; the code's last byte is
+     * zero past its bits, and zeros follow it */
+    for (int i = 0, c = 0; c < chars; i += 3) {
+        uint32_t w = 0;
+        for (int j = i; j < i + 3; j++)
+            w = w << 8 | (j < cs->codelen ? cs->best_code[j] : 0);
+        for (int shift = 18; shift >= 0 && c < chars; shift -= 6, c++)
+            out[len++] = (char)(63 + (w >> shift & 63));
+    }
+    return len;
+}
+
+/* -- descent child loop --------------------------------------------------- */
+
+/* A non-edge xy of the parent as one integer: its key above x and y, so
+ * that integers order as the pure twin's (key, x, y) tuples. */
+#define GAP_KEY(g) ((long)((g) >> 12))
+#define GAP_X(g) ((int)((g) >> 6 & 63))
+#define GAP_Y(g) ((int)((g) & 63))
+
+static int descending(const void *a, const void *b)
+{
+    u64 x = *(const u64 *)a, y = *(const u64 *)b;
+    return (x < y) - (x > y);
+}
+
+/* A kept child: its canonical line and adjacency.  The list grows as
+ * children come, in the order the pure twin meets them. */
+struct kept {
+    int len;
+    char line[G6MAX];
+    u64 adj[MAXN];
+};
+
+struct kept_list {
+    struct kept *items;
+    int count, cap;
+};
+
+static struct kept *new_kept(struct kept_list *kl)
+{
+    if (kl->count == kl->cap) {
+        int cap = kl->cap ? 2 * kl->cap : 16;
+        struct kept *items = PyMem_Realloc(kl->items, sizeof *items * (size_t)cap);
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        kl->items = items;
+        kl->cap = cap;
+    }
+    return &kl->items[kl->count++];
+}
+
+/* The pure twin's descent_children loop; dead is updated in place.
+ * Returns -1 with an exception set when memory runs out. */
+static int descent_children(const u64 *adj, int n, u64 *dead, const struct vector *vec,
+                            long q, long t, struct canon *cs, struct kept_list *out)
+{
+    u64 twin[MAXN], cadj[MAXN], after[MAXN] = {0}, later = 0, full = full_mask(n);
+    u64 gaps[MAXGAPS], rpair[MAXGAPS];
+    long rkey[MAXGAPS];
+    int deg[MAXN], ngaps = 0, done = 0, nreadd = 0;
+    twin_pairs(adj, n, twin);
+    for (int x = n - 1; x >= 0; x--) {
+        u64 ax = adj[x];
+        int dx = deg[x] = popc(ax);
+        u64 cx = cadj[x] = full ^ ax ^ (u64)1 << x;
+        if (twin[x]) {
+            later |= (u64)1 << x;
+            after[ctz(twin[x])] = (u64)1 << x;
+        }
+        for (u64 rest = cx & above(x); rest; rest &= rest - 1) {
+            int y = ctz(rest);
+            u64 key = (u64)(popc(ax & adj[y]) << 7 | (dx + deg[y]));
+            gaps[ngaps++] = key << 12 | (u64)x << 6 | (u64)y;
+        }
+    }
+    qsort(gaps, (size_t)ngaps, sizeof *gaps, descending);
+    for (int u = 0; u < n; u++) {
+        if (twin[u])
+            continue;
+        u64 au = adj[u], bu = (u64)1 << u;
+        u64 row = ((au & above(u) & ~later) | (after[u] & au)) & ~dead[u];
+        for (; row; row &= row - 1) {
+            int v = ctz(row), i, outranked = 0;
+            u64 bv = (u64)1 << v, uv = bu | bv, child[MAXN];
+            long key = popc(au & adj[v]) << 7 | (deg[u] + deg[v] - 2);
+            for (i = 0; i < nreadd; i++) {
+                if (rkey[i] <= key)
+                    break;
+                if (!(rpair[i] & uv)) {
+                    outranked = 1;
+                    break;
+                }
+            }
+            if (i == nreadd)
+                while (done < ngaps && GAP_KEY(gaps[done]) > key) {
+                    u64 g = gaps[done++];
+                    int x = GAP_X(g), y = GAP_Y(g);
+                    if (!has_clique_within(adj, adj[x] & adj[y], q - 2)) {
+                        rkey[nreadd] = GAP_KEY(g);
+                        rpair[nreadd] = (u64)1 << x | (u64)1 << y;
+                        if (!(rpair[nreadd++] & uv)) {
+                            outranked = 1;
+                            break;
+                        }
+                    }
+                }
+            if (outranked)
+                continue;
+            memcpy(child, adj, sizeof(u64) * (size_t)n);
+            child[u] &= ~bv;
+            child[v] &= ~bu;
+            if (!is_plus_k(child, n, q - 1) || has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
+                || (vec->s && !arrows(child, n, vec))) {
+                dead[u] |= bv;
+                dead[v] |= bu;
+                continue;
+            }
+            for (i = 0; i < ngaps; i++) {
+                long k = GAP_KEY(gaps[i]);
+                if (k <= key)
+                    break;
+                int x = GAP_X(gaps[i]), y = GAP_Y(gaps[i]);
+                u64 common = child[x] & child[y];
+                if (x == u || x == v || y == u || y == v) {
+                    if ((popc(common) << 7 | ((k & 127) - 1)) <= key)
+                        continue;
+                } else if ((common & uv) != uv)
+                    continue;
+                if (!has_clique_within(child, common, q - 2)) {
+                    outranked = 1;
+                    break;
+                }
+            }
+            if (outranked)
+                continue;
+            struct kept *kp = new_kept(out);
+            if (kp == NULL || label(cs, child, n) < 0)
+                return -1;
+            kp->len = graph6_line(cs, kp->line);
+            memcpy(kp->adj, child, sizeof(u64) * (size_t)n);
+        }
+    }
+    return 0;
+}
+
+/* Orders kept children by line, then by the order they were kept in, so
+ * that the first of a line comes first (the pure twin's setdefault). */
+static int by_line(const void *a, const void *b)
+{
+    const struct kept *x = *(const struct kept *const *)a, *y = *(const struct kept *const *)b;
+    int c = memcmp(x->line, y->line, (size_t)(x->len < y->len ? x->len : y->len));
+    if (c == 0)
+        c = (x->len > y->len) - (x->len < y->len);
+    return c ? c : (x > y) - (x < y);
+}
+
 /* -- module functions ----------------------------------------------------- */
+
+static PyObject *masks_tuple(const u64 *rows, Py_ssize_t n)
+{
+    PyObject *out = PyTuple_New(n);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyLong_FromUnsignedLongLong(rows[i]);
+        if (v == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+/* The sorted (line, (child, dead)) list of the kept children, the first
+ * child of each line. */
+static PyObject *children_list(const struct kept_list *kl, const u64 *dead, int n)
+{
+    struct kept **order = PyMem_Malloc(sizeof *order * (size_t)(kl->count + 1));
+    PyObject *final = masks_tuple(dead, n), *out = PyList_New(0);
+    if (order == NULL || final == NULL || out == NULL) {
+        if (order == NULL)
+            PyErr_NoMemory();
+        goto fail;
+    }
+    for (int i = 0; i < kl->count; i++)
+        order[i] = &kl->items[i];
+    qsort(order, (size_t)kl->count, sizeof *order, by_line);
+    for (int i = 0; i < kl->count; i++) {
+        const struct kept *kp = order[i];
+        if (i && kp->len == order[i - 1]->len && !memcmp(kp->line, order[i - 1]->line, (size_t)kp->len))
+            continue;
+        PyObject *line = PyUnicode_DecodeASCII(kp->line, kp->len, NULL);
+        PyObject *child = masks_tuple(kp->adj, n);
+        PyObject *task = child ? PyTuple_Pack(2, child, final) : NULL;
+        PyObject *item = line && task ? PyTuple_Pack(2, line, task) : NULL;
+        int err = item == NULL || PyList_Append(out, item) < 0;
+        Py_XDECREF(line);
+        Py_XDECREF(child);
+        Py_XDECREF(task);
+        Py_XDECREF(item);
+        if (err)
+            goto fail;
+    }
+    PyMem_Free(order);
+    Py_DECREF(final);
+    return out;
+fail:
+    PyMem_Free(order);
+    Py_XDECREF(final);
+    Py_XDECREF(out);
+    return NULL;
+}
 
 static PyObject *
 meth_max_clique_size_within(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -582,41 +898,45 @@ meth_free_partition(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     u64 adj[MAXN];
     int n;
+    struct vector limits;
     (void)self;
-    if (check_nargs("free_partition", nargs, 2) < 0 || (n = load(args[0], adj)) < 0)
+    if (check_nargs("free_partition", nargs, 2) < 0 || (n = load(args[0], adj)) < 0
+        || load_vector(args[1], &limits) < 0)
         return NULL;
-    PyObject *seq = PySequence_Fast(args[1], "limits must be a sequence of ints");
-    if (seq == NULL)
+    PyObject *out = free_partition(adj, n, limits.entries, limits.s, limits.classes)
+                        ? masks_tuple(limits.classes, limits.s)
+                        : Py_NewRef(Py_None);
+    free_vector(&limits);
+    return out;
+}
+
+static PyObject *
+meth_arrows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN];
+    int n;
+    struct vector vec;
+    (void)self;
+    if (check_nargs("arrows", nargs, 2) < 0 || (n = load(args[0], adj)) < 0
+        || load_vector(args[1], &vec) < 0)
         return NULL;
-    Py_ssize_t s = PySequence_Fast_GET_SIZE(seq);
-    PyObject *out = NULL;
-    long *limits = PyMem_Malloc(sizeof(long) * (size_t)s);
-    u64 *classes = PyMem_Malloc(sizeof(u64) * (size_t)s);
-    if (limits == NULL || classes == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t c = 0; c < s; c++)
-        if (load_long(PySequence_Fast_GET_ITEM(seq, c), &limits[c]) < 0)
-            goto done;
-    if (!free_partition(adj, n, limits, s, classes)) {
-        out = Py_NewRef(Py_None);
-        goto done;
-    }
-    if ((out = PyTuple_New(s)) == NULL)
-        goto done;
-    for (Py_ssize_t c = 0; c < s; c++) {
-        PyObject *mask = PyLong_FromUnsignedLongLong(classes[c]);
-        if (mask == NULL) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        PyTuple_SET_ITEM(out, c, mask);
-    }
-done:
-    PyMem_Free(limits);
-    PyMem_Free(classes);
-    Py_DECREF(seq);
+    int got = arrows(adj, n, &vec);
+    free_vector(&vec);
+    return PyBool_FromLong(got);
+}
+
+static PyObject *
+meth_twin_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN], pairs[MAXN];
+    int n;
+    (void)self;
+    if (check_nargs("twin_pairs", nargs, 1) < 0 || (n = load(args[0], adj)) < 0)
+        return NULL;
+    twin_pairs(adj, n, pairs);
+    /* a list, as the pure twin returns */
+    PyObject *got = masks_tuple(pairs, n), *out = got ? PySequence_List(got) : NULL;
+    Py_XDECREF(got);
     return out;
 }
 
@@ -624,20 +944,19 @@ static PyObject *
 meth_canonical_perm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     struct canon cs = {0};
+    u64 adj[MAXN];
+    int n;
     (void)self;
-    if (check_nargs("canonical_perm", nargs, 1) < 0 || (cs.n = load(args[0], cs.adj)) < 0)
+    if (check_nargs("canonical_perm", nargs, 1) < 0 || (n = load(args[0], adj)) < 0)
         return NULL;
-    for (int i = 0; i < cs.n; i++)
-        cs.best_perm[i] = i;
-    if (cs.n > 1)
-        canonical_perm(&cs);
+    int err = label(&cs, adj, n);
     PyMem_Free(cs.gens);
-    if (cs.nomem)
-        return PyErr_NoMemory();
-    PyObject *out = PyTuple_New(cs.n);
+    if (err < 0)
+        return NULL;
+    PyObject *out = PyTuple_New(n);
     if (out == NULL)
         return NULL;
-    for (int i = 0; i < cs.n; i++) {
+    for (int i = 0; i < n; i++) {
         PyObject *v = PyLong_FromLong(cs.best_perm[i]);
         if (v == NULL) {
             Py_DECREF(out);
@@ -645,6 +964,58 @@ meth_canonical_perm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         }
         PyTuple_SET_ITEM(out, i, v);
     }
+    return out;
+}
+
+static PyObject *
+meth_canonical_line(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct canon cs = {0};
+    u64 adj[MAXN];
+    int n;
+    char line[G6MAX];
+    (void)self;
+    if (check_nargs("canonical_line", nargs, 1) < 0 || (n = load(args[0], adj)) < 0)
+        return NULL;
+    int err = label(&cs, adj, n);
+    PyMem_Free(cs.gens);
+    if (err < 0)
+        return NULL;
+    return PyUnicode_DecodeASCII(line, graph6_line(&cs, line), NULL);
+}
+
+static PyObject *
+meth_descent_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN], dead[MAXN];
+    int n, nd;
+    long q, t;
+    struct vector vec;
+    (void)self;
+    if (check_nargs("descent_children", nargs, 5) < 0 || (n = load(args[0], adj)) < 0
+        || (nd = load(args[1], dead)) < 0 || load_long(args[3], &q) < 0
+        || load_long(args[4], &t) < 0)
+        return NULL;
+    if (nd != n) {
+        PyErr_Format(PyExc_ValueError, "%d dead masks for %d vertices", nd, n);
+        return NULL;
+    }
+    /* the loop reads the degree of every vertex a row names */
+    for (int v = 0; v < n; v++)
+        if (adj[v] & ~full_mask(n)) {
+            PyErr_Format(PyExc_ValueError, "row %d names a vertex beyond %d", v, n - 1);
+            return NULL;
+        }
+    if (load_vector(args[2], &vec) < 0)
+        return NULL;
+    struct canon cs = {0};
+    struct kept_list kept = {0};
+    PyObject *out = NULL;
+    if (descent_children(adj, n, dead, &vec, q, t, &cs, &kept) == 0)
+        out = children_list(&kept, dead, n);
+    PyMem_Free(cs.gens);
+    PyMem_Free(kept.items);
+    free_vector(&vec);
     return out;
 }
 
@@ -661,8 +1032,16 @@ static PyMethodDef methods[] = {
      "True iff adding any missing edge creates a new t-clique."},
     {"free_partition", (PyCFunction)(void (*)(void))meth_free_partition, METH_FASTCALL,
      "Classes with clique numbers at most limits, as a tuple of masks, or None."},
+    {"arrows", (PyCFunction)(void (*)(void))meth_arrows, METH_FASTCALL,
+     "True iff the graph arrows the canonical vector entries."},
+    {"twin_pairs", (PyCFunction)(void (*)(void))meth_twin_pairs, METH_FASTCALL,
+     "For each vertex, the bit of the vertex before it in its twin class, or 0."},
     {"canonical_perm", (PyCFunction)(void (*)(void))meth_canonical_perm, METH_FASTCALL,
      "Permutation (position -> vertex) giving the least edge code."},
+    {"canonical_line", (PyCFunction)(void (*)(void))meth_canonical_line, METH_FASTCALL,
+     "graph6 line of the graph relabeled by canonical_perm."},
+    {"descent_children", (PyCFunction)(void (*)(void))meth_descent_children, METH_FASTCALL,
+     "Sorted (canonical line, (child, dead masks)) pairs of one descent class."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -684,7 +1063,8 @@ PyMODINIT_FUNC PyInit__kernels_cy(void)
     if (m == NULL)
         return NULL;
     if (PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0
-        || PyModule_AddIntConstant(m, "MAX_AUT_GENERATORS", MAX_AUT_GENERATORS) < 0) {
+        || PyModule_AddIntConstant(m, "MAX_AUT_GENERATORS", MAX_AUT_GENERATORS) < 0
+        || PyModule_AddIntConstant(m, "COVER_MAX", COVER_MAX) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,14 +1,21 @@
-"""Bitset kernels: clique search, free-partition search, canonical labeling.
+"""Bitset kernels: clique search, free-partition search and arrowing,
+canonical labeling and canonical graph6 lines, and the plus-clique
+descent's child loop (``descent_children``, whose docstring and comments
+are the one statement of the descent's key rule).
 
 Pure-Python reference implementation.  ``_kernels_cy`` is its compiled
-twin, a hand-written C port with one function per function here, and has to
-return exactly what this module returns, including tie-breaking and witness
-choices; tests/test_kernels.py compares the two on random inputs.  The one
-real difference in how they work: the compiled twin writes a leaf's code as
-bytes in ``graphs.edge_code``'s bit order (first bit in the top bit of the
-first byte), where this module compares the integers ``edge_code`` returns.
-(Its ``free_partition`` also reads the tried empty limits off the classes,
-as the same set, instead of keeping a list.)
+twin, a hand-written C port with one function per function here and the
+same public names, and has to return exactly what this module returns,
+including tie-breaking and witness choices; tests/test_kernels.py compares
+the two on random inputs.  The one real difference in how they work: the
+compiled twin writes a leaf's code as bytes in ``graphs.edge_code``'s bit
+order (first bit in the top bit of the first byte), where this module
+compares the integers ``edge_code`` returns, and writes a canonical line
+from those bytes.  (Its ``free_partition`` also reads the tried empty
+limits off the classes, as the same set, instead of keeping a list.)
+
+Kernels call each other directly, not through ``_kernels.impl``, so a
+proxy on ``impl`` sees only the calls made from outside the kernels.
 
 A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
 vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are
@@ -17,7 +24,7 @@ plain int masks.
 
 from __future__ import annotations
 
-from .graphs import edge_code
+from .graphs import adj_to_graph6, edge_code
 
 BACKEND = "python"
 
@@ -221,6 +228,26 @@ def free_partition(adj, limits):
     if place(0):
         return tuple(classes)
     return None
+
+
+def arrows(adj, entries) -> bool:
+    """True iff every colouring of the vertices in len(entries) colours
+    puts a clique of size entries[i] in some colour class i; ``entries`` is
+    canonical (sorted, every entry at least 2).  Decided as: no free
+    partition with the clique number of class i below entries[i]."""
+    if not entries:
+        return True
+    if len(entries) == 1:
+        return has_clique_at_least(adj, entries[0])
+    p = entries[-1]
+    m = sum(a - 1 for a in entries) + 1
+    # A graph without a p-clique never arrows (put everything in the p-class);
+    # a graph with an m-clique always does.
+    if not has_clique_at_least(adj, p):
+        return False
+    if has_clique_at_least(adj, m):
+        return True
+    return free_partition(adj, tuple(a - 1 for a in entries)) is None
 
 
 def _refine(adj, cells, fresh, twins):
@@ -432,3 +459,165 @@ def canonical_perm(adj):
 
     search(_refine(adj, [full], full, twins), 0)
     return best_perm
+
+
+def canonical_line(adj) -> str:
+    """graph6 line of the graph relabeled by ``canonical_perm``: equal lines
+    exactly for isomorphic graphs."""
+    return adj_to_graph6(len(adj), adj, canonical_perm(adj))
+
+
+def descent_children(adj, dead, entries, q, t):
+    """The children of one class P of the plus-clique descent in the family
+    (entries; q; independence <= t): sorted (canonical line, (child
+    adjacency, dead masks)) pairs, one per child class, each adjacency as
+    built here.  A child is P - uv for an edge uv of P, kept when it passes
+    the three family tests (plus-K_{q-1}, independence cap, arrowing) and
+    the invariant half of McKay's canonical-parent test, the key rule
+    below.  ``entries`` is the canonical vector; the caller passes () when
+    holding a K_{q-2}, which every kept child does (it is plus-K_{q-1} and
+    its non-edge uv completes a K_{q-1}), already arrows it.
+
+    Twin orbits.  P loses one edge per orbit of its twin swaps (see
+    ``twin_pairs``): every test here commutes with automorphisms of P, so
+    the other edges of an orbit give isomorphic children with the same
+    verdict.
+
+    Dead masks.  dead[x] has bit y when removing the edge xy failed a
+    family test in this class or an ancestor.  The three family tests carry
+    down under edge removal (if P - e fails one, so does P - uv - e), so a
+    dead edge heads a subtree with no member and is not tried; an edge is
+    checked against the masks after the twin-orbit choice, the orbit's
+    other edges giving isomorphic, equally failing children.  Every child
+    carries the class's final masks.  Only family-test failures are marked:
+    the key rule's rejections depend on the whole graph and are retried in
+    every child.
+
+    Lazy re-addability.  P's non-edges are sorted by key once, and one is
+    tested for re-addability (at most once) only when the rule of some edge
+    reaches it, its key being above that edge's.  The non-edges that keep
+    their key and verdict from P are checked before the family tests, the
+    others after, so only children that enter the result are labeled."""
+    dead = list(dead)
+    n = len(adj)
+    # Canonical parent (McKay, invariant half): C = P - uv is kept only if
+    # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
+    # is re-addable when its common neighbourhood holds no K_{q-2}, so that
+    # C + xy is a family member one layer up; key(x, y) is (common
+    # neighbours, degree sum) in C, packed into one int (degree sums stay
+    # below 1 << 7 on 64 vertices).  Each class is still reached: from the
+    # class of C + xy for its largest-key xy.
+    #
+    # One pass over P's rows, last first so that every later vertex's
+    # degree is known, gives the degrees, the complement rows, P's
+    # non-edges with their keys and the twin-swap orbits (see twin_pairs):
+    # an edge uv, u < v, is the first of its orbit when u is the first of
+    # its twin class and v is the first of its own or the next twin of u.
+    # (Bits are iterated inline here and in the edge loop below: a
+    # generator costs more than the work per bit.)
+    twin = twin_pairs(adj)
+    full = (1 << n) - 1
+    deg = [0] * n
+    cadj = [0] * n
+    later = 0
+    after = [0] * n
+    gaps = []
+    for x in range(n - 1, -1, -1):
+        ax = adj[x]
+        dx = deg[x] = ax.bit_count()
+        cx = cadj[x] = full ^ ax ^ 1 << x
+        p = twin[x]
+        if p:
+            later |= 1 << x
+            after[p.bit_length() - 1] = 1 << x
+        rest = cx >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            y = b.bit_length() - 1
+            gaps.append(((ax & adj[y]).bit_count() << 7 | (dx + deg[y]), x, y))
+    # largest key first; readd holds the re-addable ones among gaps[:done]
+    gaps.sort(reverse=True)
+    done = 0
+    readd = []
+    children = {}
+    for u, au in enumerate(adj):
+        if twin[u]:
+            continue
+        row = (au >> (u + 1) << (u + 1) & ~later | after[u] & au) & ~dead[u]
+        bu = 1 << u
+        while row:
+            bv = row & -row
+            row ^= bv
+            v = bv.bit_length() - 1
+            uv = bu | bv
+            key = (au & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
+            # A re-addable non-edge of P away from u and v stays one in C
+            # with the same key.  The gaps past done are tested only while
+            # their key is above this one, so none above it is left untested
+            # when the edge passes.
+            outranked = False
+            for k, pair in readd:
+                if k <= key:
+                    break
+                if not pair & uv:
+                    outranked = True
+                    break
+            else:
+                while done < len(gaps) and gaps[done][0] > key:
+                    k, x, y = gaps[done]
+                    done += 1
+                    if not has_clique_within(adj, adj[x] & adj[y], q - 2):
+                        pair = 1 << x | 1 << y
+                        readd.append((k, pair))
+                        if not pair & uv:
+                            outranked = True
+                            break
+            if outranked:
+                continue
+            child = list(adj)
+            child[u] &= ~bv
+            child[v] &= ~bu
+            # The family tests, plus-clique (the most selective) first.
+            # Independence cap: a new independent (t+1)-set must contain
+            # both endpoints, i.e. a (t-1)-clique in their common complement
+            # neighbourhood.  That mask avoids u and v, and a clique search
+            # inside a mask reads only the rows of its vertices, which the
+            # child's complement shares with the parent's.  Losing an edge
+            # only shrinks common neighbourhoods, keeps independent sets and
+            # cannot make a graph arrow, so a failure carries down to every
+            # subgraph: the child is dropped before it is labeled and uv is
+            # dead in the whole subtree.  The key rule's rejections do not
+            # carry down and mark nothing.
+            if (
+                not is_plus_k(child, q - 1)
+                or has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
+                or entries and not arrows(child, entries)
+            ):
+                dead[u] |= bv
+                dead[v] |= bu
+                continue
+            # The rest of the rule, over the gaps above the key, all tested
+            # in P by now: non-edges at u or v lose v or u from the common
+            # neighbourhood and one from the degree sum, and those with u
+            # and v both in the common neighbourhood lose the edge uv inside
+            # it.  Keys only fall, so P's order bounds the scan; the other
+            # non-edges keep their key and their verdict in P, which did not
+            # outrank uv.
+            for k, x, y in gaps:
+                if k <= key:
+                    break
+                common = child[x] & child[y]
+                if x == u or x == v or y == u or y == v:
+                    if (common.bit_count() << 7 | (k & 127) - 1) <= key:
+                        continue
+                elif common & uv != uv:
+                    continue
+                if not has_clique_within(child, common, q - 2):
+                    outranked = True
+                    break
+            # the first adjacency built for a line is the one returned
+            if not outranked:
+                children.setdefault(canonical_line(child), tuple(child))
+    dead = tuple(dead)
+    return [(line, (child, dead)) for line, child in sorted(children.items())]

@@ -76,22 +76,9 @@ def _as_vector(v) -> ArrowVector:
 
 
 def arrows_adj(adj, entries) -> bool:
-    """Low-level arrowing check on raw adjacency; entries already canonical."""
-    if not entries:
-        return True
-    impl = K.impl
-    if len(entries) == 1:
-        return impl.has_clique_at_least(adj, entries[0])
-    p = entries[-1]
-    m = sum(a - 1 for a in entries) + 1
-    # A graph without a p-clique never arrows (put everything in the p-class);
-    # a graph with an m-clique always does.
-    if not impl.has_clique_at_least(adj, p):
-        return False
-    if impl.has_clique_at_least(adj, m):
-        return True
-    limits = tuple(a - 1 for a in entries)
-    return impl.free_partition(adj, limits) is None
+    """Low-level arrowing check on raw adjacency; entries already canonical
+    (the kernel ``arrows``)."""
+    return K.impl.arrows(adj, entries)
 
 
 def clique_arrows(entries, k) -> bool:

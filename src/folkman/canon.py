@@ -16,13 +16,13 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from . import _kernels as K
-from .graphs import Graph, adj_to_graph6, from_graph6, graph6_lines, unpack_graph6
+from .graphs import Graph, from_graph6, graph6_lines, unpack_graph6
 
 
 def canonical_line(adj) -> str:
     """graph6 line of the canonically relabeled graph with neighbour masks
-    ``adj``, encoded straight from ``adj`` in canonical order."""
-    return adj_to_graph6(len(adj), adj, K.impl.canonical_perm(adj))
+    ``adj`` (the kernel ``canonical_line``)."""
+    return K.impl.canonical_line(adj)
 
 
 def canonical_form(g: Graph) -> str:

@@ -7,33 +7,18 @@ Two cooperating constructions:
   whose missing edges each complete a new (q-1)-clique.  Arrowing, the
   independence cap and the plus-clique property itself are all inherited
   upward along edge addition, so a graph failing any of them heads a
-  subtree that can be skipped entirely.  A parent loses one edge per orbit
-  of its twin swaps (transpositions of vertices with equal open or closed
-  neighbourhoods, see ``cliques.twin_pairs``): every test below commutes
-  with automorphisms of the parent, so the other edges of an orbit give
-  isomorphic children with the same verdict.  Each child is tested against
-  all three (the plus-clique test, the most selective, first) and against the
-  invariant half of McKay's canonical-parent test before it is canonically
-  labeled: P - uv is kept only if no re-addable non-edge of the child has a
-  larger (common neighbours, degree sum) key than uv.  The non-edges that
-  keep their key and re-addability from P are checked before the family
-  tests, the others after.  P's non-edges are sorted by key once per
-  class, and one is tested for re-addability (at most once) only when the
-  rule of some edge reaches it, its key being above that edge's.  So only
-  members of the collected set are labeled, most of them once; the
-  collected set of canonical lines stays the exact isomorph rejection, and
-  a line is expanded only when it first enters it.  Every child that
-  passes the plus-clique test holds a K_{q-2}, so when that alone arrows
-  the vector (``arrowing.clique_arrows``) no child is tested for arrowing.
-
-  A class travels with dead masks: the edges whose removal failed a family
-  test in the class or in any ancestor.  The three family tests carry down
-  under edge removal (if P - e fails one, so does P - uv - e), so a dead
-  edge heads a subtree with no member and is never tried again below.  An
-  edge is checked against the masks after the twin-orbit choice: the
-  orbit's other edges give isomorphic, equally failing children.  Only
-  family-test failures are marked; the key rule's rejections depend on the
-  whole graph and are retried in every child.
+  subtree that can be skipped entirely.  The children of one class come
+  from the kernel ``descent_children``: one edge removed per orbit of the
+  parent's twin swaps, the three family tests, the invariant half of
+  McKay's canonical-parent test (the key rule) and the dead masks that a
+  class hands down to its children.  The pure twin
+  (``_kernels_py.descent_children``) states that rule and its reasons;
+  the compiled twin runs the same loop in C.  Only members of the
+  collected set are labeled, most of them once; the collected set of
+  canonical lines stays the exact isomorph rejection, and a line is
+  expanded only when it first enters it.  Every kept child holds a
+  K_{q-2}, so when that alone arrows the vector
+  (``arrowing.clique_arrows``) no child is tested for arrowing.
 
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
@@ -81,7 +66,7 @@ from typing import NamedTuple
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize, clique_arrows
 from .canon import GraphSet, canonical_line, cone_count
-from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets, twin_pairs
+from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets
 from .graphs import (
     Graph, GraphError, MAX_VERTICES, attach, from_graph6, graph6_lines, unpack_graph6
 )
@@ -313,142 +298,14 @@ def _dispatch(fn, tasks, give, workers):
 
 
 def _descent_worker(entries, q, t, task):
-    """The children of the class ``task = (adj, dead)`` in (entries; q; t):
-    sorted (canonical line, child task) pairs, one per child class, each
-    adjacency as built here.  dead[x] has bit y when removing the edge xy
-    failed a family test in this class or an ancestor; such an edge is not
-    tried, and every child carries the class's final dead masks.  The
-    kernel tests a non-edge of P for re-addability only when the key rule
-    of some edge reaches it, and a child is tested for arrowing only when
-    holding a K_{q-2} does not already decide it."""
+    """The children of the class ``task = (adj, dead)`` in (entries; q; t),
+    as ``descent_children`` of the kernel backend in use at call time
+    returns them.  A kept child holds a K_{q-2} (see descent_children), so
+    the vector goes to the kernel only when such a graph may fail to arrow
+    it."""
     adj, dead = task
-    dead = list(dead)
-    n = len(adj)
-    impl = K.impl
-    # A kept child passed is_plus_k(child, q - 1) and its non-edge uv
-    # completes a K_{q-1}, so it holds a K_{q-2}: the arrowing test is
-    # needed only when such a graph may fail it.
-    arrowing = not clique_arrows(entries, q - 2)
-    # Canonical parent (McKay, invariant half): C = P - uv is kept only if
-    # no re-addable non-edge of C has a larger key than uv.  A non-edge xy
-    # is re-addable when its common neighbourhood holds no K_{q-2}, so that
-    # C + xy is a family member one layer up; key(x, y) is (common
-    # neighbours, degree sum) in C, packed into one int (degree sums stay
-    # below 1 << 7 on 64 vertices).  Each class is still reached: from the
-    # class of C + xy for its largest-key xy.
-    #
-    # One pass over P's rows, last first so that every later vertex's
-    # degree is known, gives the degrees, the complement rows, P's
-    # non-edges with their keys and the twin-swap orbits (see twin_pairs):
-    # an edge uv, u < v, is the first of its orbit when u is the first of
-    # its twin class and v is the first of its own or the next twin of u.
-    # (Bits are iterated inline here and in the edge loop below: a
-    # generator costs more than the work per bit.)
-    twin = twin_pairs(adj)
-    full = (1 << n) - 1
-    deg = [0] * n
-    cadj = [0] * n
-    later = 0
-    after = [0] * n
-    gaps = []
-    for x in range(n - 1, -1, -1):
-        ax = adj[x]
-        dx = deg[x] = ax.bit_count()
-        cx = cadj[x] = full ^ ax ^ 1 << x
-        p = twin[x]
-        if p:
-            later |= 1 << x
-            after[p.bit_length() - 1] = 1 << x
-        rest = cx >> (x + 1) << (x + 1)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            y = b.bit_length() - 1
-            gaps.append(((ax & adj[y]).bit_count() << 7 | (dx + deg[y]), x, y))
-    # largest key first; readd holds the re-addable ones among gaps[:done]
-    gaps.sort(reverse=True)
-    done = 0
-    readd = []
-    children = {}
-    for u, au in enumerate(adj):
-        if twin[u]:
-            continue
-        row = (au >> (u + 1) << (u + 1) & ~later | after[u] & au) & ~dead[u]
-        bu = 1 << u
-        while row:
-            bv = row & -row
-            row ^= bv
-            v = bv.bit_length() - 1
-            uv = bu | bv
-            key = (au & adj[v]).bit_count() << 7 | (deg[u] + deg[v] - 2)
-            # A re-addable non-edge of P away from u and v stays one in C
-            # with the same key.  The gaps past done are tested only while
-            # their key is above this one, so none above it is left untested
-            # when the edge passes.
-            outranked = False
-            for k, pair in readd:
-                if k <= key:
-                    break
-                if not pair & uv:
-                    outranked = True
-                    break
-            else:
-                while done < len(gaps) and gaps[done][0] > key:
-                    k, x, y = gaps[done]
-                    done += 1
-                    if not impl.has_clique_within(adj, adj[x] & adj[y], q - 2):
-                        pair = 1 << x | 1 << y
-                        readd.append((k, pair))
-                        if not pair & uv:
-                            outranked = True
-                            break
-            if outranked:
-                continue
-            child = list(adj)
-            child[u] &= ~bv
-            child[v] &= ~bu
-            # The family tests, plus-clique (the most selective) first.
-            # Independence cap: a new independent (t+1)-set must contain
-            # both endpoints, i.e. a (t-1)-clique in their common complement
-            # neighbourhood.  That mask avoids u and v, and a clique search
-            # inside a mask reads only the rows of its vertices, which the
-            # child's complement shares with the parent's.  Losing an edge
-            # only shrinks common neighbourhoods, keeps independent sets and
-            # cannot make a graph arrow, so a failure carries down to every
-            # subgraph: the child is dropped before it is labeled and uv is
-            # dead in the whole subtree.  The key rule's rejections do not
-            # carry down and mark nothing.
-            if (
-                not impl.is_plus_k(child, q - 1)
-                or impl.has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
-                or arrowing and not arrows_adj(child, entries)
-            ):
-                dead[u] |= bv
-                dead[v] |= bu
-                continue
-            # The rest of the rule, over the gaps above the key, all tested
-            # in P by now: non-edges at u or v lose v or u from the common
-            # neighbourhood and one from the degree sum, and those with u
-            # and v both in the common neighbourhood lose the edge uv inside
-            # it.  Keys only fall, so P's order bounds the scan; the other
-            # non-edges keep their key and their verdict in P, which did not
-            # outrank uv.
-            for k, x, y in gaps:
-                if k <= key:
-                    break
-                common = child[x] & child[y]
-                if x == u or x == v or y == u or y == v:
-                    if (common.bit_count() << 7 | (k & 127) - 1) <= key:
-                        continue
-                elif common & uv != uv:
-                    continue
-                if not impl.has_clique_within(child, common, q - 2):
-                    outranked = True
-                    break
-            if not outranked:
-                children.setdefault(canonical_line(child), tuple(child))
-    dead = tuple(dead)
-    return [(line, (child, dead)) for line, child in sorted(children.items())]
+    vec = () if clique_arrows(entries, q - 2) else entries
+    return K.impl.descent_children(adj, dead, vec, q, t)
 
 
 def load_family(path, family=None) -> GraphSet:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkman import _kernels_py as py
-from folkman.graphs import Graph, bits_of, join
+from folkman.graphs import Graph, adj_to_graph6, bits_of, join
 from tests.conftest import (
     KERNELS_C,
     available_backends,
@@ -168,6 +168,71 @@ def test_compiled_twin_caps_the_automorphism_store_alike():
     assert cy.MAX_AUT_GENERATORS == py.MAX_AUT_GENERATORS
 
 
+def _public_names(module):
+    # the names a kernel module defines itself, not those it imports
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_") and getattr(value, "__module__", module.__name__) == module.__name__
+    }
+
+
+@needs_compiled
+def test_compiled_twin_exports_the_pure_twins_names():
+    assert _public_names(cy) == _public_names(py)
+    assert {"descent_children", "canonical_line", "arrows"} <= _public_names(py)
+    assert cy.COVER_MAX == py.COVER_MAX
+
+
+def _random_regular(rng, n, d):
+    # a uniform pairing of n * d stubs, drawn again until it has no loop
+    # and no repeated edge
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        adj = [0] * n
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v or adj[u] >> v & 1:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:
+            return tuple(adj)
+
+
+def _paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return tuple(sum(1 << w for w in range(p) if (w - v) % p in squares) for v in range(p))
+
+
+@needs_compiled
+def test_backend_parity_of_canonical_lines(rng):
+    # On regular graphs refinement splits nothing at the root, so many
+    # leaves with different codes compete and the order of the compiled
+    # leaf codes decides the line; the line must also be graph6 of the
+    # compiled permutation, header and padding included (the long header
+    # from 63 vertices).
+    cases = [_petersen().adj, _paley(13)]
+    for d in (3, 4, 5):
+        for n in range(10, 25):
+            if n * d % 2 == 0:
+                cases.append(_random_regular(rng, n, d))
+    cases += [_random_adj(rng, n, p) for n in (0, 1, 2, 3, 61, 62, 63, 64) for p in (0.05, 0.5)]
+    for adj in cases:
+        line = py.canonical_line(adj)
+        assert line == adj_to_graph6(len(adj), adj, py.canonical_perm(adj))
+        assert cy.canonical_line(adj) == line, adj
+        assert cy.canonical_line(adj) == adj_to_graph6(len(adj), adj, cy.canonical_perm(adj)), adj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graphs(6), st.lists(st.integers(2, 4), max_size=3).map(sorted).map(tuple))
+def test_arrows_matches_brute_force(g, entries):
+    want = arrows_brute(g, entries)
+    for name, kernels in available_backends().items():
+        assert kernels.arrows(g.adj, entries) == want, (name, g.adj, entries)
+
+
 @needs_compiled
 def test_compiled_twin_reads_lists_and_tuples_alike(rng):
     # the descent worker passes a child adjacency as a list
@@ -178,6 +243,7 @@ def test_compiled_twin_reads_lists_and_tuples_alike(rng):
         mask = rng.getrandbits(n) if n else 0
         t = rng.randint(0, 5)
         limits = (1, 2)
+        dead = tuple(rng.getrandbits(n) & row for row in adj)
         for f, args in (
             (cy.max_clique_size, ()),
             (cy.max_clique_size_within, (mask,)),
@@ -185,9 +251,17 @@ def test_compiled_twin_reads_lists_and_tuples_alike(rng):
             (cy.has_clique_at_least, (t,)),
             (cy.is_plus_k, (t,)),
             (cy.free_partition, (limits,)),
+            (cy.arrows, ([2, 3],)),
+            (cy.twin_pairs, ()),
             (cy.canonical_perm, ()),
+            (cy.canonical_line, ()),
+            (cy.descent_children, (dead, (2, 3), t + 2, 3)),
         ):
             assert f(rows, *args) == f(adj, *args), (f.__name__, adj)
+        assert cy.arrows(adj, [2, 3]) == cy.arrows(adj, (2, 3))
+        assert cy.descent_children(adj, list(dead), [2, 3], t + 2, 3) == cy.descent_children(
+            adj, dead, (2, 3), t + 2, 3
+        )
 
 
 @needs_compiled
@@ -200,10 +274,23 @@ def test_compiled_twin_rejects_more_than_64_vertices():
         (cy.has_clique_at_least, (2,)),
         (cy.is_plus_k, (3,)),
         (cy.free_partition, ((1,),)),
+        (cy.arrows, ((2, 3),)),
+        (cy.twin_pairs, ()),
         (cy.canonical_perm, ()),
+        (cy.canonical_line, ()),
+        (cy.descent_children, (adj, (), 4, 3)),
     ):
         with pytest.raises(ValueError):
             f(adj, *args)
+
+
+@needs_compiled
+def test_compiled_descent_children_rejects_malformed_tasks():
+    # the child loop reads the degree of every vertex that a row names
+    with pytest.raises(ValueError):
+        cy.descent_children((1 << 5, 0), (0, 0), (), 4, 3)
+    with pytest.raises(ValueError):
+        cy.descent_children((2, 1), (0,), (), 4, 3)
 
 
 @needs_compiled

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folkman import _kernels
-from folkman.arrowing import ArrowVector, arrows
+from folkman import _kernels, _kernels_py
+from folkman.arrowing import ArrowVector, arrows, clique_arrows
 from folkman.canon import GraphSet, canonical_form, canonical_line, graph_set_of
 from folkman.cliques import (
     clique_number,
@@ -461,22 +461,56 @@ def test_descent_worker_matches_eager_reference(backend, monkeypatch):
         assert expanded == len(plus_clique_descent(seeds, avec, q, t)) > 1, avec
 
 
-class _CountingPlusK:
-    """A kernel module that counts its ``is_plus_k`` calls and records
-    their graphs."""
+@pytest.mark.skipif("compiled" not in available_backends(), reason="compiled backend unavailable")
+def test_descent_children_twins_return_the_same_children(rng):
+    # the compiled descent_children returns the pure twin's lines, child
+    # adjacencies and dead masks on every class of the benchmark's descent
+    # input (arrowing implied by a K_{q-2}, so also with the vector passed
+    # anyway) and of families whose children are tested for arrowing, by a
+    # clique ((3,) at q = 4) and by free partitions ((2, 2, 2) at q = 4);
+    # each class also with random dead masks on its edges
+    cy = available_backends()["compiled"]
+    h6 = [from_graph6(line) for line in graph6_lines(MAXIMAL_H6_8_12)]
+    cases = [(h6, (6,), 8, 3, 3104)]
+    cases += [(maximal_family_exhaustive(avec, 4, 7, 3), avec, 4, 3, None) for avec in ((3,), (2, 2, 2))]
+    for seeds, avec, q, t, size in cases:
+        entries = ArrowVector(avec).canonical().entries
+        used = () if clique_arrows(entries, q - 2) else entries
+        seen = {canonical_form(g) for g in seeds}
+        tasks = [(g.adj, (0,) * g.n) for g in seeds]
+        while tasks:
+            adj, dead = tasks.pop()
+            random_dead = [0] * len(adj)
+            for u, row in enumerate(adj):
+                for v in bits_of(row >> u + 1 << u + 1):
+                    if rng.random() < 0.2:
+                        random_dead[u] |= 1 << v
+                        random_dead[v] |= 1 << u
+            for vec in {used, entries}:
+                for d in (dead, tuple(random_dead)):
+                    want = _kernels_py.descent_children(adj, d, vec, q, t)
+                    assert cy.descent_children(adj, d, vec, q, t) == want, (avec, adj, d, vec)
+            for line, task in _kernels_py.descent_children(adj, dead, used, q, t):
+                if line not in seen:
+                    seen.add(line)
+                    tasks.append(task)
+        assert len(seen) == (size or len(plus_clique_descent(seeds, avec, q, t))), avec
 
-    def __init__(self, real):
-        self.real = real
-        self.plus_k = 0
-        self.tested = []
 
-    def __getattr__(self, name):
-        return getattr(self.real, name)
+def _counting_plus_k(monkeypatch):
+    """Run the descent on the pure twin, whose ``is_plus_k`` is replaced by
+    one that records the graph of each call in the returned list: a
+    kernel's own calls are made through its module's globals."""
+    tested = []
+    real = _kernels_py.is_plus_k
 
-    def is_plus_k(self, adj, t):
-        self.plus_k += 1
-        self.tested.append(tuple(adj))
-        return self.real.is_plus_k(adj, t)
+    def is_plus_k(adj, t):
+        tested.append(tuple(adj))
+        return real(adj, t)
+
+    monkeypatch.setattr(_kernels_py, "is_plus_k", is_plus_k)
+    monkeypatch.setattr(_kernels, "impl", _kernels_py)
+    return tested
 
 
 def _forgetting_dead(entries, q, t, task):
@@ -484,23 +518,49 @@ def _forgetting_dead(entries, q, t, task):
     return _descent_worker(entries, q, t, (adj, (0,) * len(adj)))
 
 
+class _ReplayedChildren:
+    """A compiled kernel module whose ``is_plus_k`` calls are recorded in
+    ``tested`` and whose ``descent_children`` is replayed on the pure twin,
+    which must return the same children: the compiled child loop makes its
+    ``is_plus_k`` calls in C, so the replay's calls stand for them."""
+
+    def __init__(self, real, tested):
+        self.real = real
+        self.tested = tested
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def is_plus_k(self, adj, t):
+        self.tested.append(tuple(adj))
+        return self.real.is_plus_k(adj, t)
+
+    def descent_children(self, adj, dead, entries, q, t):
+        got = self.real.descent_children(adj, dead, entries, q, t)
+        assert got == _kernels_py.descent_children(adj, dead, entries, q, t), (adj, dead)
+        return got
+
+
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_dead_edges_cut_plus_clique_tests_and_keep_every_line(backend, monkeypatch):
     # a dead edge heads a subtree without members: a descent whose classes
     # forget their dead masks makes strictly more is_plus_k calls and finds
-    # the same lines
-    counting = _CountingPlusK(available_backends()[backend])
-    monkeypatch.setattr(_kernels, "impl", counting)
+    # the same lines (the compiled twin's calls counted on the pure twin's
+    # replay of each of its classes)
+    tested = _counting_plus_k(monkeypatch)
+    real = available_backends()[backend]
+    if real is not _kernels_py:
+        monkeypatch.setattr(_kernels, "impl", _ReplayedChildren(real, tested))
     for avec, q, n, t in DESCENT_CONFIGS:
         seeds = maximal_family_exhaustive(avec, q, n, t)
-        counting.plus_k = 0
+        tested.clear()
         want = plus_clique_descent(seeds, avec, q, t).lines()
-        inherited = counting.plus_k
+        inherited = len(tested)
         with monkeypatch.context() as m:
             m.setattr(search, "_descent_worker", _forgetting_dead)
-            counting.plus_k = 0
+            tested.clear()
             assert plus_clique_descent(seeds, avec, q, t).lines() == want, (avec, q, t)
-        assert inherited < counting.plus_k, (avec, q, t)
+        assert inherited < len(tested), (avec, q, t)
 
 
 def test_dead_edges_fail_a_family_test(monkeypatch):
@@ -640,19 +700,18 @@ def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
         for avec, q, n, t in DESCENT_CONFIGS + (((3,), 5, 8, 4),)
     ]
     cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
-    recording = _CountingPlusK(_kernels.impl)
-    monkeypatch.setattr(_kernels, "impl", recording)
+    tested = _counting_plus_k(monkeypatch)
     merged = tried = 0
     for seeds, avec, q, t in cases:
         entries = ArrowVector(avec).canonical().entries
         for g in plus_clique_descent(seeds, avec, q, t):
-            recording.tested.clear()
+            tested.clear()
             _descent_worker(entries, q, t, (g.adj, (0,) * g.n))
             edges = set()
-            for child in recording.tested:
+            for child in tested:
                 (edge,) = [(u, v) for u, v in g.edges() if not child[u] >> v & 1]
                 edges.add(edge)
-            assert len(edges) == len(recording.tested)
+            assert len(edges) == len(tested)
             orbits = twin_swap_edge_orbits(g)
             for orbit in orbits:
                 u, v = next(iter(orbit))
@@ -713,22 +772,26 @@ def test_arrowing_is_tested_only_where_a_clique_does_not_decide_it(monkeypatch):
     # a descent child holds a K_{q-2} and an extension output a K_{q-1}:
     # the workers test arrowing exactly when that clique does not arrow the
     # vector, sum(a_i - 1) + 1 > q - 2 or > q - 1, and find the same graphs
+    # (the descent's calls counted on the pure twin, whose kernels call
+    # arrows through its module's globals)
     calls = []
 
     def counting(adj, entries):
         calls.append(entries)
         return real(adj, entries)
 
-    real = search.arrows_adj
+    real = _kernels_py.arrows
     for avec, q, n, tested in (((3,), 5, 7, False), ((3,), 4, 7, True)):
         entries = ArrowVector(avec).canonical().entries
         members = list(plus_clique_descent(maximal_family_exhaustive(avec, q, n, 3), avec, q, 3))
         want = [descent_worker_reference(entries, q, 3, (g.adj, (0,) * n)) for g in members]
         with monkeypatch.context() as m:
-            m.setattr(search, "arrows_adj", counting)
+            m.setattr(_kernels, "impl", _kernels_py)
+            m.setattr(_kernels_py, "arrows", counting)
             calls.clear()
             got = [_descent_worker(entries, q, 3, (g.adj, (0,) * n)) for g in members]
         assert got == want and bool(calls) == tested, (avec, q)
+    real = search.arrows_adj
     # (2, 3) at q = 4 has sum(a_i - 1) + 1 = q; (3,) at q = 4 has q - 1
     for avec, tested in (((2, 3), True), ((3,), False)):
         fam = spec(avec, 4, 7, 2, 3)
