@@ -1,6 +1,6 @@
 /* Compiled twin of _kernels_py: clique search, free-partition search and
- * arrowing, canonical labeling and canonical graph6 lines, and the
- * plus-clique descent's child loop.
+ * arrowing, canonical labeling and canonical graph6 lines, the plus-clique
+ * descent's child loop and the family extension's host loop.
  *
  * Hand-written against the CPython C API.  Each function ports the one of
  * the same name in _kernels_py (less a leading underscore; a nested Python
@@ -12,7 +12,11 @@
  * uint64_t neighbour masks; a leaf's code is graphs.edge_code's bit stream
  * written into bytes, first bit in the top bit of byte 0, so that memcmp
  * orders codes as the integers compare, and a canonical line is written
- * from those bytes.  Kernels call each other as C functions.
+ * from those bytes.  Kernels call each other as C functions.  Sets over a
+ * list whose length is known only at run time (a host's cliques, its
+ * deficient non-edges) are arrays of 64-bit words, and every buffer that
+ * grows with the input is allocated; a failed allocation raises
+ * MemoryError.
  *
  * Build: cc -O2 -shared -fPIC -I<python include> _kernels_cy.c -o <so>
  */
@@ -85,6 +89,49 @@ static int load_long(PyObject *obj, long *out)
 {
     *out = PyLong_AsLong(obj);
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* -1 with ValueError when a row names a vertex beyond n - 1: the loops that
+ * call this read the row of every vertex a row names. */
+static int check_rows(const u64 *adj, int n)
+{
+    for (int v = 0; v < n; v++)
+        if (adj[v] & ~full_mask(n)) {
+            PyErr_Format(PyExc_ValueError, "row %d names a vertex beyond %d", v, n - 1);
+            return -1;
+        }
+    return 0;
+}
+
+/* A list of 64-bit words that grows as items come. */
+struct u64vec {
+    u64 *items;
+    size_t count, cap;
+};
+
+static int push(struct u64vec *v, u64 x)
+{
+    if (v->count == v->cap) {
+        size_t cap = v->cap ? 2 * v->cap : 16;
+        u64 *items = PyMem_Realloc(v->items, sizeof *items * cap);
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        v->items = items;
+        v->cap = cap;
+    }
+    v->items[v->count++] = x;
+    return 0;
+}
+
+/* count zeroed words, at least one; NULL with MemoryError set */
+static u64 *new_words(size_t count)
+{
+    u64 *out = PyMem_Calloc(count ? count : 1, sizeof *out);
+    if (out == NULL)
+        PyErr_NoMemory();
+    return out;
 }
 
 /* -- twin classes --------------------------------------------------------- */
@@ -775,6 +822,473 @@ static int by_line(const void *a, const void *b)
     return c ? c : (x > y) - (x < y);
 }
 
+/* -- extension host loop ------------------------------------------------- */
+
+static int ascending(const void *a, const void *b)
+{
+    u64 x = *(const u64 *)a, y = *(const u64 *)b;
+    return (x > y) - (x < y);
+}
+
+/* The pure twin's _clique_masks (its extend), less inc, which the caller
+ * builds once the count is known. */
+static int clique_masks(const u64 *adj, u64 clique, u64 cand, int need, struct u64vec *out)
+{
+    if (need == 1) {
+        for (; cand; cand &= cand - 1)
+            if (push(out, clique | low(cand)) < 0)
+                return -1;
+        return 0;
+    }
+    while (popc(cand) >= need) {
+        u64 b = low(cand);
+        cand ^= b;
+        if (clique_masks(adj, clique | b, cand & adj[ctz(b)], need - 1, out) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The state of one MMCS run.  A set of cliques is nw words; inc holds nw
+ * words per vertex.  levels[d], for a node whose transversal has d
+ * vertices, holds its d crit sets and then its uncovered set; it is
+ * allocated when first reached and rewritten by each node at that depth. */
+struct mmcs {
+    const u64 *cliques, *inc;
+    size_t nw;
+    int most;
+    u64 full;
+    u64 *levels[MAXN + 2];
+    struct u64vec *out;
+};
+
+static int mmcs_rec(struct mmcs *m, int d, u64 S, u64 cand)
+{
+    size_t nw = m->nw;
+    const u64 *crit = m->levels[d], *uncov = crit + (size_t)d * nw;
+    u64 best = 0, *next;
+    int most = m->most;
+    for (size_t w = 0; w < nw && most > 1; w++)
+        for (u64 rest = uncov[w]; rest; rest &= rest - 1) {
+            u64 c = m->cliques[w * 64 + (size_t)ctz(rest)] & cand;
+            int k = popc(c);
+            if (k < most) {
+                best = c;
+                most = k;
+                if (k <= 1)
+                    break;
+            }
+        }
+    if (best == 0)
+        return 0;
+    cand &= ~best;
+    next = m->levels[d + 1];
+    if (next == NULL) {
+        next = m->levels[d + 1] = PyMem_Malloc(sizeof *next * (size_t)(d + 2) * nw);
+        if (next == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+    }
+    for (; best; best &= best - 1) {
+        u64 b = low(best), any = 1;
+        const u64 *hit = m->inc + (size_t)ctz(b) * nw;
+        for (size_t j = 0; j < (size_t)d && any; j++) {
+            any = 0;
+            for (size_t w = 0; w < nw; w++)
+                any |= next[j * nw + w] = crit[j * nw + w] & ~hit[w];
+        }
+        if (any) {
+            u64 *left = next + (size_t)(d + 1) * nw;
+            any = 0;
+            for (size_t w = 0; w < nw; w++)
+                any |= left[w] = uncov[w] & ~hit[w];
+            if (any) {
+                for (size_t w = 0; w < nw; w++)
+                    next[(size_t)d * nw + w] = hit[w] & uncov[w];
+                if (mmcs_rec(m, d + 1, S | b, cand) < 0)
+                    return -1;
+            } else if (push(m->out, m->full ^ S ^ b) < 0)
+                return -1;
+        }
+        cand |= b;
+    }
+    return 0;
+}
+
+/* The pure twin's maximal_kt_free_subsets for t >= 1: out gets the masks
+ * in ascending order.  Returns -1 with MemoryError set. */
+static int maximal_kt_free_subsets(const u64 *adj, int n, long t, u64 keep, struct u64vec *out)
+{
+    struct u64vec cliques = {0};
+    struct mmcs m = {0};
+    u64 *inc = NULL;
+    int err = clique_masks(adj, 0, full_mask(n), t > n ? n + 1 : (int)t, &cliques);
+    if (err == 0 && cliques.count == 0)
+        err = push(out, full_mask(n));
+    else if (err == 0) {
+        size_t nc = cliques.count, nw = (nc + 63) / 64;
+        inc = new_words((size_t)n * nw);
+        m.levels[0] = new_words(nw);
+        err = inc == NULL || m.levels[0] == NULL ? -1 : 0;
+        if (err == 0) {
+            for (size_t i = 0; i < nc; i++) {
+                for (u64 c = cliques.items[i]; c; c &= c - 1)
+                    inc[(size_t)ctz(c) * nw + i / 64] |= (u64)1 << (i % 64);
+                m.levels[0][i / 64] |= (u64)1 << (i % 64);
+            }
+            m.cliques = cliques.items;
+            m.inc = inc;
+            m.nw = nw;
+            m.most = (int)t + 1;
+            m.full = full_mask(n);
+            m.out = out;
+            err = mmcs_rec(&m, 0, 0, full_mask(n) & ~keep);
+        }
+        if (err == 0 && out->count)
+            qsort(out->items, out->count, sizeof *out->items, ascending);
+    }
+    for (int d = 0; d < MAXN + 2; d++)
+        PyMem_Free(m.levels[d]);
+    PyMem_Free(inc);
+    PyMem_Free(cliques.items);
+    return err;
+}
+
+/* A map from 64-bit keys to values 0..127, open addressing; an empty slot
+ * holds -1. */
+struct memo {
+    u64 *keys;
+    signed char *vals;
+    size_t mask, count;
+};
+
+static size_t memo_slot(const struct memo *m, u64 key)
+{
+    u64 h = key ^ key >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    size_t i = (size_t)(h ^ h >> 33) & m->mask;
+    while (m->vals[i] >= 0 && m->keys[i] != key)
+        i = (i + 1) & m->mask;
+    return i;
+}
+
+static int memo_get(const struct memo *m, u64 key)
+{
+    return m->vals ? m->vals[memo_slot(m, key)] : -1;
+}
+
+static int memo_put(struct memo *m, u64 key, int val)
+{
+    if (m->vals == NULL || 2 * (m->count + 1) > m->mask + 1) {
+        struct memo grown = {0};
+        size_t cap = m->vals ? 2 * (m->mask + 1) : 64;
+        grown.keys = PyMem_Malloc(sizeof *grown.keys * cap);
+        grown.vals = PyMem_Malloc(cap);
+        if (grown.keys == NULL || grown.vals == NULL) {
+            PyMem_Free(grown.keys);
+            PyMem_Free(grown.vals);
+            PyErr_NoMemory();
+            return -1;
+        }
+        memset(grown.vals, -1, cap);
+        grown.mask = cap - 1;
+        grown.count = m->count;
+        for (size_t i = 0; m->vals && i <= m->mask; i++)
+            if (m->vals[i] >= 0) {
+                size_t j = memo_slot(&grown, m->keys[i]);
+                grown.keys[j] = m->keys[i];
+                grown.vals[j] = m->vals[i];
+            }
+        PyMem_Free(m->keys);
+        PyMem_Free(m->vals);
+        *m = grown;
+    }
+    size_t i = memo_slot(m, key);
+    m->count += m->vals[i] < 0;
+    m->keys[i] = key;
+    m->vals[i] = (signed char)val;
+    return 0;
+}
+
+/* One slot depth of the multiset search: the deficient non-edges covered
+ * by the slots before it, the unions of every subset of those slots
+ * (index b: the slots at the bits of b) and the candidate it takes. */
+struct mlevel {
+    u64 *covered, *unions, chosen;
+};
+
+/* The state of one valid_multisets call.  A set of deficient non-edges is
+ * dw words; fix holds dw words per candidate and ahead dw words per
+ * candidate position and one more.  out gets r subset indices per
+ * multiset, found of them. */
+struct multisets {
+    const u64 *adj;
+    u64 cadj[MAXN], full;
+    long q, r, t;
+    struct u64vec subsets, cand;
+    size_t dw, found, nlevels;
+    u64 *fix, *ahead, *need;
+    struct memo alpha, pairs;
+    struct mlevel *levels;
+    struct u64vec out;
+};
+
+static void free_multisets(struct multisets *s)
+{
+    for (size_t d = 0; d < s->nlevels; d++) {
+        PyMem_Free(s->levels[d].covered);
+        PyMem_Free(s->levels[d].unions);
+    }
+    PyMem_Free(s->levels);
+    PyMem_Free(s->subsets.items);
+    PyMem_Free(s->cand.items);
+    PyMem_Free(s->fix);
+    PyMem_Free(s->ahead);
+    PyMem_Free(s->need);
+    PyMem_Free(s->alpha.keys);
+    PyMem_Free(s->alpha.vals);
+    PyMem_Free(s->pairs.keys);
+    PyMem_Free(s->pairs.vals);
+    PyMem_Free(s->out.items);
+}
+
+/* levels[d], allocated when first reached; NULL with MemoryError set */
+static struct mlevel *level_at(struct multisets *s, size_t d)
+{
+    if (d >= s->nlevels) {
+        size_t count = 2 * d + 2;
+        struct mlevel *levels = PyMem_Realloc(s->levels, sizeof *levels * count);
+        if (levels == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        memset(levels + s->nlevels, 0, sizeof *levels * (count - s->nlevels));
+        s->levels = levels;
+        s->nlevels = count;
+    }
+    struct mlevel *lv = &s->levels[d];
+    if (lv->covered == NULL) {
+        if (d >= 48) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        lv->covered = new_words(s->dw);
+        lv->unions = PyMem_Malloc(sizeof *lv->unions << d);
+        if (lv->covered == NULL || lv->unions == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+    }
+    return lv;
+}
+
+/* The pure twin's rest_ok: *ok when deleting uni leaves independence
+ * number at most t - k. */
+static int rest_ok(struct multisets *s, u64 uni, long k, int *ok)
+{
+    int got = memo_get(&s->alpha, uni);
+    if (got < 0) {
+        u64 rest = s->full & ~uni;
+        got = clique_search(s->cadj, rest, 0, popc(rest));
+        if (memo_put(&s->alpha, uni, got) < 0)
+            return -1;
+    }
+    *ok = got <= s->t - k;
+    return 0;
+}
+
+/* The pure twin's compatible, for distinct subsets i and j; a candidate
+ * meets itself in a K_{q-2}, as its filter found. */
+static int compatible(struct multisets *s, u64 i, u64 j, int *ok)
+{
+    if (i == j) {
+        *ok = 1;
+        return 0;
+    }
+    u64 key = i < j ? i * s->subsets.count + j : j * s->subsets.count + i;
+    int got = memo_get(&s->pairs, key);
+    if (got < 0) {
+        got = has_clique_within(s->adj, s->subsets.items[i] & s->subsets.items[j], s->q - 2);
+        if (memo_put(&s->pairs, key, got) < 0)
+            return -1;
+    }
+    *ok = got;
+    return 0;
+}
+
+/* whether a | b covers need, over dw words */
+static int covers(const u64 *a, const u64 *b, const u64 *need, size_t dw)
+{
+    for (size_t w = 0; w < dw; w++)
+        if ((a[w] | b[w]) != need[w])
+            return 0;
+    return 1;
+}
+
+/* The pure twin's rec at slot depth d.  levels may move when a deeper one
+ * is first allocated, so they are looked up again after each call. */
+static int multisets_rec(struct multisets *s, size_t start, size_t d)
+{
+    size_t dw = s->dw, half = (size_t)1 << d;
+    if ((long)d == s->r) {
+        for (size_t j = 0; j < d; j++)
+            if (push(&s->out, s->levels[j].chosen) < 0)
+                return -1;
+        s->found++;
+        return 0;
+    }
+    int last = (long)d == s->r - 1;
+    for (size_t pos = start; pos < s->cand.count; pos++) {
+        const u64 *covered = s->levels[d].covered, *fix = s->fix + pos * dw;
+        if (!covers(covered, s->ahead + pos * dw, s->need, dw))
+            break;
+        if (last && !covers(covered, fix, s->need, dw))
+            continue;
+        u64 i = s->cand.items[pos], M = s->subsets.items[i];
+        int ok = 1;
+        for (size_t j = 0; j < d && ok; j++)
+            if (compatible(s, s->levels[j].chosen, i, &ok) < 0)
+                return -1;
+        if (!ok)
+            continue;
+        if (level_at(s, d + 1) == NULL)
+            return -1;
+        struct mlevel *cur = &s->levels[d], *next = &s->levels[d + 1];
+        memcpy(next->unions, cur->unions, sizeof *cur->unions * half);
+        for (size_t b = 0; b < half && ok; b++) {
+            u64 uni = cur->unions[b] | M;
+            if (rest_ok(s, uni, popc(b) + 1, &ok) < 0)
+                return -1;
+            next->unions[half + b] = uni;
+        }
+        if (!ok)
+            continue;
+        cur->chosen = i;
+        for (size_t w = 0; w < dw; w++)
+            next->covered[w] = covered[w] | fix[w];
+        if (multisets_rec(s, pos, d + 1) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* The pure twin's _deficient_cover: pairs and commons get each deficient
+ * non-edge's ends and common neighbourhood (fixes below, need and ends
+ * from the count).  Returns -1 with MemoryError set. */
+static int deficient_cover(const u64 *adj, int n, long q, struct u64vec *pairs, struct u64vec *commons)
+{
+    for (int x = 0; x < n; x++)
+        for (u64 rest = ~adj[x] & full_mask(n) & above(x); rest; rest &= rest - 1) {
+            u64 common = adj[x] & adj[ctz(rest)];
+            if (!has_clique_within(adj, common, q - 2)
+                && (push(pairs, (u64)1 << x | low(rest)) < 0 || push(commons, common) < 0))
+                return -1;
+        }
+    return 0;
+}
+
+/* The pure twin's fixes(M): the bits, over dw words of out, of the
+ * deficient non-edges that M fixes. */
+static void fixes(const u64 *adj, long q, const struct u64vec *pairs, const struct u64vec *commons,
+                  u64 M, u64 *out)
+{
+    for (size_t i = 0; i < pairs->count; i++)
+        if ((pairs->items[i] & M) == pairs->items[i]
+            && has_clique_within(adj, commons->items[i] & M, q - 3))
+            out[i / 64] |= (u64)1 << (i % 64);
+}
+
+/* The pure twin's valid_multisets on the n rows adj, q >= 2, r >= 0: the
+ * multisets go to s->out as subset indices into s->subsets.  The caller
+ * frees s.  Returns -1 with an exception set. */
+static int valid_multisets(struct multisets *s, const u64 *adj, int n, long q, long r, long t)
+{
+    struct u64vec pairs = {0}, commons = {0};
+    u64 full = full_mask(n);
+    s->adj = adj;
+    s->full = full;
+    s->q = q;
+    s->r = r;
+    s->t = t;
+    for (int v = 0; v < n; v++)
+        s->cadj[v] = full ^ adj[v] ^ (u64)1 << v;
+    if (maximal_kt_free_subsets(adj, n, q - 1, 0, &s->subsets) < 0)
+        return -1;
+    for (size_t i = 0; i < s->subsets.count; i++) {
+        u64 M = s->subsets.items[i];
+        int ok = M != full || has_clique_within(adj, M, q - 2);
+        if ((ok && rest_ok(s, M, 1, &ok) < 0) || (ok && push(&s->cand, i) < 0))
+            return -1;
+    }
+    int err = deficient_cover(adj, n, q, &pairs, &commons) < 0;
+    size_t nd = pairs.count, dw = s->dw = (nd + 63) / 64, nc = s->cand.count;
+    if (!err && r == 0)
+        s->found = nd == 0;
+    else if (!err) {
+        s->need = new_words(dw);
+        s->fix = new_words(nc * dw);
+        s->ahead = new_words((nc + 1) * dw);
+        err = s->need == NULL || s->fix == NULL || s->ahead == NULL;
+    }
+    if (!err && r > 0) {
+        for (size_t i = 0; i < nd; i++)
+            s->need[i / 64] |= (u64)1 << (i % 64);
+        for (size_t pos = 0; pos < nc; pos++)
+            fixes(adj, q, &pairs, &commons, s->subsets.items[s->cand.items[pos]], s->fix + pos * dw);
+        for (size_t pos = nc; pos-- > 0;)
+            for (size_t w = 0; w < dw; w++)
+                s->ahead[pos * dw + w] = s->ahead[(pos + 1) * dw + w] | s->fix[pos * dw + w];
+        struct mlevel *root = level_at(s, 0);
+        err = root == NULL;
+        if (!err) {
+            root->unions[0] = 0;
+            err = multisets_rec(s, 0, 0) < 0;
+        }
+    }
+    PyMem_Free(pairs.items);
+    PyMem_Free(commons.items);
+    return err ? -1 : 0;
+}
+
+/* The pure twin's extension_lines: out gets one kept line per multiset
+ * whose graph arrows vec. */
+static int extension_lines(const u64 *adj, int n, const struct vector *vec, long q, long r,
+                           long t, struct canon *cs, struct kept_list *out)
+{
+    struct multisets s = {0};
+    int err = valid_multisets(&s, adj, n, q, r, t);
+    if (err == 0 && s.found && n + r > MAXN) {
+        /* graphs.attach's error */
+        PyObject *graphs = PyImport_ImportModule("folkman.graphs");
+        PyObject *exc = graphs ? PyObject_GetAttrString(graphs, "CapacityError") : NULL;
+        if (exc != NULL)
+            PyErr_Format(exc, "extension would need %ld vertices", n + r);
+        Py_XDECREF(exc);
+        Py_XDECREF(graphs);
+        err = -1;
+    }
+    for (size_t k = 0; err == 0 && k < s.found; k++) {
+        u64 child[MAXN];
+        int m = n + (int)r;
+        memcpy(child, adj, sizeof(u64) * (size_t)n);
+        for (int j = n; j < m; j++) {
+            u64 M = child[j] = s.subsets.items[s.out.items[k * (size_t)r + (size_t)(j - n)]];
+            for (; M; M &= M - 1)
+                child[ctz(M)] |= (u64)1 << j;
+        }
+        if (!arrows(child, m, vec))
+            continue;
+        struct kept *kp = new_kept(out);
+        if (kp == NULL || label(cs, child, m) < 0)
+            err = -1;
+        else
+            kp->len = graph6_line(cs, kp->line);
+    }
+    free_multisets(&s);
+    return err;
+}
+
 /* -- module functions ----------------------------------------------------- */
 
 static PyObject *masks_tuple(const u64 *rows, Py_ssize_t n)
@@ -793,23 +1307,38 @@ static PyObject *masks_tuple(const u64 *rows, Py_ssize_t n)
     return out;
 }
 
-/* The sorted (line, (child, dead)) list of the kept children, the first
- * child of each line. */
-static PyObject *children_list(const struct kept_list *kl, const u64 *dead, int n)
+/* The kept items ordered by_line; NULL with MemoryError set. */
+static struct kept **sorted_kept(const struct kept_list *kl)
 {
     struct kept **order = PyMem_Malloc(sizeof *order * (size_t)(kl->count + 1));
-    PyObject *final = masks_tuple(dead, n), *out = PyList_New(0);
-    if (order == NULL || final == NULL || out == NULL) {
-        if (order == NULL)
-            PyErr_NoMemory();
-        goto fail;
+    if (order == NULL) {
+        PyErr_NoMemory();
+        return NULL;
     }
     for (int i = 0; i < kl->count; i++)
         order[i] = &kl->items[i];
     qsort(order, (size_t)kl->count, sizeof *order, by_line);
+    return order;
+}
+
+/* whether order[i] repeats the line before it */
+static int repeated(struct kept *const *order, int i)
+{
+    return i && order[i]->len == order[i - 1]->len
+           && !memcmp(order[i]->line, order[i - 1]->line, (size_t)order[i]->len);
+}
+
+/* The sorted (line, (child, dead)) list of the kept children, the first
+ * child of each line. */
+static PyObject *children_list(const struct kept_list *kl, const u64 *dead, int n)
+{
+    struct kept **order = sorted_kept(kl);
+    PyObject *final = masks_tuple(dead, n), *out = PyList_New(0);
+    if (order == NULL || final == NULL || out == NULL)
+        goto fail;
     for (int i = 0; i < kl->count; i++) {
         const struct kept *kp = order[i];
-        if (i && kp->len == order[i - 1]->len && !memcmp(kp->line, order[i - 1]->line, (size_t)kp->len))
+        if (repeated(order, i))
             continue;
         PyObject *line = PyUnicode_DecodeASCII(kp->line, kp->len, NULL);
         PyObject *child = masks_tuple(kp->adj, n);
@@ -831,6 +1360,53 @@ fail:
     Py_XDECREF(final);
     Py_XDECREF(out);
     return NULL;
+}
+
+/* The sorted list of the kept lines, each once. */
+static PyObject *lines_list(const struct kept_list *kl)
+{
+    struct kept **order = sorted_kept(kl);
+    PyObject *out = order ? PyList_New(0) : NULL;
+    for (int i = 0; out && i < kl->count; i++) {
+        if (repeated(order, i))
+            continue;
+        PyObject *line = PyUnicode_DecodeASCII(order[i]->line, order[i]->len, NULL);
+        if (line == NULL || PyList_Append(out, line) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(line);
+    }
+    PyMem_Free(order);
+    return out;
+}
+
+/* The list of the masks items[0..count). */
+static PyObject *masks_list(const u64 *items, size_t count)
+{
+    PyObject *got = masks_tuple(items, (Py_ssize_t)count), *out = got ? PySequence_List(got) : NULL;
+    Py_XDECREF(got);
+    return out;
+}
+
+/* The list of the multisets found, each a tuple of r masks. */
+static PyObject *multisets_list(const struct multisets *s)
+{
+    size_t r = (size_t)s->r;
+    PyObject *out = PyList_New((Py_ssize_t)s->found);
+    for (size_t k = 0; out && k < s->found; k++) {
+        PyObject *item = PyTuple_New((Py_ssize_t)r);
+        for (size_t j = 0; item && j < r; j++) {
+            PyObject *v = PyLong_FromUnsignedLongLong(s->subsets.items[s->out.items[k * r + j]]);
+            if (v == NULL)
+                Py_CLEAR(item);
+            else
+                PyTuple_SET_ITEM(item, (Py_ssize_t)j, v);
+        }
+        if (item == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)k, item);
+    }
+    return out;
 }
 
 static PyObject *
@@ -935,9 +1511,7 @@ meth_twin_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     twin_pairs(adj, n, pairs);
     /* a list, as the pure twin returns */
-    PyObject *got = masks_tuple(pairs, n), *out = got ? PySequence_List(got) : NULL;
-    Py_XDECREF(got);
-    return out;
+    return masks_list(pairs, (size_t)n);
 }
 
 static PyObject *
@@ -1001,18 +1575,91 @@ meth_descent_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     /* the loop reads the degree of every vertex a row names */
-    for (int v = 0; v < n; v++)
-        if (adj[v] & ~full_mask(n)) {
-            PyErr_Format(PyExc_ValueError, "row %d names a vertex beyond %d", v, n - 1);
-            return NULL;
-        }
-    if (load_vector(args[2], &vec) < 0)
+    if (check_rows(adj, n) < 0 || load_vector(args[2], &vec) < 0)
         return NULL;
     struct canon cs = {0};
     struct kept_list kept = {0};
     PyObject *out = NULL;
     if (descent_children(adj, n, dead, &vec, q, t, &cs, &kept) == 0)
         out = children_list(&kept, dead, n);
+    PyMem_Free(cs.gens);
+    PyMem_Free(kept.items);
+    free_vector(&vec);
+    return out;
+}
+
+static PyObject *
+meth_maximal_kt_free_subsets(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN], keep;
+    int n;
+    long t;
+    (void)self;
+    if (check_nargs("maximal_kt_free_subsets", nargs, 3) < 0 || (n = load(args[0], adj)) < 0
+        || load_long(args[1], &t) < 0 || load_mask(args[2], &keep) < 0)
+        return NULL;
+    if (t < 1) {
+        PyErr_Format(PyExc_ValueError, "subset clique threshold %ld below 1", t);
+        return NULL;
+    }
+    struct u64vec got = {0};
+    PyObject *out = maximal_kt_free_subsets(adj, n, t, keep, &got) < 0 ? NULL : masks_list(got.items, got.count);
+    PyMem_Free(got.items);
+    return out;
+}
+
+/* The rows and the q, r, t of valid_multisets and extension_lines, with
+ * the pure twin's errors for r < 0 and q < 2; returns n or -1. */
+static int load_host(PyObject *rows, PyObject *const *qrt, u64 *adj, long *q, long *r, long *t)
+{
+    int n = load(rows, adj);
+    if (n < 0 || check_rows(adj, n) < 0 || load_long(qrt[0], q) < 0 || load_long(qrt[1], r) < 0
+        || load_long(qrt[2], t) < 0)
+        return -1;
+    if (*r < 0) {
+        PyErr_Format(PyExc_ValueError, "negative multiset size %ld", *r);
+        return -1;
+    }
+    if (*q < 2) {
+        PyErr_Format(PyExc_ValueError, "subset clique threshold %ld below 1", *q - 1);
+        return -1;
+    }
+    return n;
+}
+
+static PyObject *
+meth_valid_multisets(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN];
+    int n;
+    long q, r, t;
+    (void)self;
+    if (check_nargs("valid_multisets", nargs, 4) < 0
+        || (n = load_host(args[0], args + 1, adj, &q, &r, &t)) < 0)
+        return NULL;
+    struct multisets s = {0};
+    PyObject *out = valid_multisets(&s, adj, n, q, r, t) < 0 ? NULL : multisets_list(&s);
+    free_multisets(&s);
+    return out;
+}
+
+static PyObject *
+meth_extension_lines(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN];
+    int n;
+    long q, r, t;
+    struct vector vec;
+    (void)self;
+    if (check_nargs("extension_lines", nargs, 5) < 0
+        || (n = load_host(args[0], args + 2, adj, &q, &r, &t)) < 0
+        || load_vector(args[1], &vec) < 0)
+        return NULL;
+    struct canon cs = {0};
+    struct kept_list kept = {0};
+    PyObject *out = NULL;
+    if (extension_lines(adj, n, &vec, q, r, t, &cs, &kept) == 0)
+        out = lines_list(&kept);
     PyMem_Free(cs.gens);
     PyMem_Free(kept.items);
     free_vector(&vec);
@@ -1042,6 +1689,12 @@ static PyMethodDef methods[] = {
      "graph6 line of the graph relabeled by canonical_perm."},
     {"descent_children", (PyCFunction)(void (*)(void))meth_descent_children, METH_FASTCALL,
      "Sorted (canonical line, (child, dead masks)) pairs of one descent class."},
+    {"maximal_kt_free_subsets", (PyCFunction)(void (*)(void))meth_maximal_kt_free_subsets,
+     METH_FASTCALL, "Maximal K_t-free vertex masks that contain keep, ascending."},
+    {"valid_multisets", (PyCFunction)(void (*)(void))meth_valid_multisets, METH_FASTCALL,
+     "Multisets of maximal K_{q-1}-free sets that extend the host to a plus-K_q graph."},
+    {"extension_lines", (PyCFunction)(void (*)(void))meth_extension_lines, METH_FASTCALL,
+     "Sorted canonical lines of one extension host's outputs."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,7 +1,10 @@
 """Bitset kernels: clique search, free-partition search and arrowing,
-canonical labeling and canonical graph6 lines, and the plus-clique
-descent's child loop (``descent_children``, whose docstring and comments
-are the one statement of the descent's key rule).
+canonical labeling and canonical graph6 lines, the plus-clique descent's
+child loop (``descent_children``, whose docstring and comments are the one
+statement of the descent's key rule) and the family extension's host loop
+(``maximal_kt_free_subsets``, the deficient cover, ``valid_multisets`` and
+``extension_lines``, whose docstrings state the cover lemma and the
+multiset search).
 
 Pure-Python reference implementation.  ``_kernels_cy`` is its compiled
 twin, a hand-written C port with one function per function here and the
@@ -24,7 +27,7 @@ plain int masks.
 
 from __future__ import annotations
 
-from .graphs import adj_to_graph6, edge_code
+from .graphs import adj_to_graph6, attach, complement_adj, edge_code
 
 BACKEND = "python"
 
@@ -621,3 +624,274 @@ def descent_children(adj, dead, entries, q, t):
                 children.setdefault(canonical_line(child), tuple(child))
     dead = tuple(dead)
     return [(line, (child, dead)) for line, child in sorted(children.items())]
+
+
+def _clique_masks(adj, t):
+    """Every t-clique of the graph as a vertex mask, t >= 1, and inc[v],
+    the bitmask over their list indices of the cliques holding v."""
+    out = []
+    inc = [0] * len(adj)
+
+    def extend(clique, cand, need):
+        if need == 1:
+            # each candidate completes a clique
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                c = clique | b
+                i = 1 << len(out)
+                out.append(c)
+                while c:
+                    v = c & -c
+                    c ^= v
+                    inc[v.bit_length() - 1] |= i
+            return
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            extend(clique | b, cand & adj[b.bit_length() - 1], need - 1)
+
+    extend(0, (1 << len(adj)) - 1, t)
+    return out, inc
+
+
+def maximal_kt_free_subsets(adj, t, keep):
+    """All inclusion-maximal vertex masks whose induced subgraph has no
+    K_t and that contain the mask ``keep``, in ascending mask order; t >= 1.
+
+    S is maximal K_t-free exactly when its complement is a minimal
+    transversal of the t-cliques (a minimal vertex set meeting every one),
+    so the t-cliques are listed as masks and their minimal transversals
+    are enumerated depth-first by MMCS: K. Murakami and T. Uno, *Efficient
+    algorithms for dualizing large-scale hypergraphs*, Discrete Appl. Math.
+    170 (2014) 83-94.  Sets of cliques are bitmasks over the clique list:
+    the uncovered ones, each vertex's incidences (built while the cliques
+    are listed) and each transversal vertex's critical cliques, so a
+    branch updates them with mask operations and copies no clique list.
+    A branch that covers the last clique emits its set at once.  A graph
+    without t-cliques yields the full mask; at t = 1 every vertex is a
+    K_1, so only the empty mask is left.  Time and memory grow with the
+    number of t-cliques, which is small on the K_{t+1}-free hosts the
+    family extension passes.
+
+    A set contains ``keep`` exactly when its complement avoids it, and a
+    transversal T that avoids ``keep`` is minimal among all transversals
+    exactly when it is minimal among those that avoid ``keep`` (T - x is
+    one of them too), so the search starts with the vertices of ``keep``
+    out of its candidates and finds exactly those sets.  A ``keep`` that
+    holds a K_t leaves a clique with no candidate, so none.
+    """
+    if t < 1:
+        raise ValueError(f"subset clique threshold {t} below 1")
+    full = (1 << len(adj)) - 1
+    cliques, inc = _clique_masks(adj, t)
+    if not cliques:
+        return [full]
+    out = []
+
+    # S: transversal mask so far; crit: for each vertex of S, the cliques
+    # whose only S-vertex it is, each nonempty, so S is a minimal
+    # transversal of the cliques it covers; uncov: the cliques S misses,
+    # never empty here; cand: vertices the branch may still add.
+    def rec(S, crit, uncov, cand):
+        # branch on the uncovered clique with the fewest candidates: every
+        # transversal extending S takes one of them; the scan stops at a
+        # clique with at most one, which leaves at most one branch
+        best, most = 0, t + 1
+        rest = uncov
+        while rest:
+            i = rest & -rest
+            rest ^= i
+            c = cliques[i.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < most:
+                best, most = c, k
+                if k <= 1:
+                    break
+        cand &= ~best
+        while best:
+            b = best & -best
+            best ^= b
+            hit = inc[b.bit_length() - 1]
+            crit2 = [cu & ~hit for cu in crit]
+            if all(crit2):
+                left = uncov & ~hit
+                if left:
+                    crit2.append(hit & uncov)
+                    rec(S | b, crit2, left, cand)
+                else:
+                    out.append(full ^ S ^ b)
+            # later siblings may add b: their subtrees exclude the
+            # vertices branched on after them, so no set repeats
+            cand |= b
+
+    rec(0, [], (1 << len(cliques)) - 1, full & ~keep)
+    out.sort()
+    return out
+
+
+def _deficient_cover(adj, q, within):
+    """Plus-K_q of a K_q-free graph h, given as ``adj``, grown by new
+    vertices on maximal K_{q-1}-free sets of h, decided as a set cover.
+    Returns ``(need, fixes, ends)``: one bit of ``need`` per deficient
+    non-edge of h, ``fixes(M)`` the bits of those that M fixes, and
+    ``ends`` the union of the deficient non-edges' ends, which every M
+    that fixes them all contains.  ``within`` is the ``has_clique_within``
+    it asks: this module's in ``valid_multisets``, the backend's in
+    ``cliques.deficient_cover``.
+
+    Lemma.  Let G be h plus r new pairwise non-adjacent vertices whose
+    neighbourhoods M_1..M_r are maximal K_{q-1}-free sets of h, every two of
+    them (repeats included) meeting in a set that holds a K_{q-2}.  A
+    new-old non-edge of G completes a K_q, because M_j is maximal
+    K_{q-1}-free; a new-new one does by the pair condition.  Call a
+    non-edge xy of h deficient when N(x) & N(y) holds no K_{q-2}, and say
+    M fixes it when x, y are in M and N(x) & N(y) & M holds a K_{q-3}: the
+    new vertices are independent, so a K_{q-2} in the common
+    neighbourhood of xy in G has at most one of them.  So G is plus-K_q
+    exactly when the fixes of M_1..M_r cover the deficient non-edges.  At
+    r = 1 there is no pair condition: one new vertex on a maximal
+    K_{q-1}-free set M gives a plus-K_q graph exactly when ``fixes(M) ==
+    need``.  At r = 0, G = h is plus-K_q exactly when ``need`` is 0.
+    """
+    full = (1 << len(adj)) - 1
+    deficient = []
+    ends = 0
+    for x, row in enumerate(adj):
+        rest = ~row & full >> (x + 1) << (x + 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common = row & adj[b.bit_length() - 1]
+            if not within(adj, common, q - 2):
+                deficient.append((1 << x | b, common))
+                ends |= 1 << x | b
+
+    def fixes(M):
+        f = 0
+        for bit, (pair, common) in enumerate(deficient):
+            if pair & M == pair and within(adj, common & M, q - 3):
+                f |= 1 << bit
+        return f
+
+    return (1 << len(deficient)) - 1, fixes, ends
+
+
+def valid_multisets(adj, q, r, t):
+    """The r-element multisets of maximal K_{q-1}-free vertex sets of the
+    host h, given as ``adj``, that can serve as neighbourhoods of r new
+    independent vertices and make the extended graph plus-K_q: every pair
+    (repeats included) intersects in a set carrying a K_{q-2}, deleting the
+    union of any k of them leaves independence number at most t - k, and
+    their fixes cover D(h), the deficient non-edges of h.  Returned as
+    tuples of masks in nondecreasing set order; q >= 2, r >= 0.
+
+    By the lemma of ``_deficient_cover`` such a multiset makes the
+    extended graph plus-K_q exactly when its fixes cover D(h).  D(h) is
+    found once per host and each candidate's fixes once, as a bitmask over
+    D(h); every slot stops at the first candidate from which the fixes
+    still available (repeats allowed, so its own included) cannot cover
+    what is left, and the last slot takes only a candidate that finishes
+    the cover itself, before its pair and residue tests, so a full
+    multiset covers D(h) and is emitted untested.  At r = 0 that leaves h
+    itself, valid exactly when D(h) is empty.
+
+    Lemma.  A maximal K_{q-1}-free set M other than V holds a K_{q-2}, so
+    only M = V needs the kernel's test: T = V - M is a minimal transversal
+    of the (q-1)-cliques, so each x in T lies in a (q-1)-clique C that
+    meets T only in x, and C - x is a K_{q-2} inside M."""
+    if r < 0:
+        raise ValueError(f"negative multiset size {r}")
+    subsets = maximal_kt_free_subsets(adj, q - 1, 0)
+    full = (1 << len(adj)) - 1
+    cadj = complement_adj(adj)
+    alpha_rest = {}
+
+    def rest_ok(union, k):
+        got = alpha_rest.get(union)
+        if got is None:
+            got = max_clique_size_within(cadj, full & ~union)
+            alpha_rest[union] = got
+        return got <= t - k
+
+    # a maximal K_{q-1}-free M other than V holds a K_{q-2}: see above
+    cand = [
+        i
+        for i, M in enumerate(subsets)
+        if (M != full or has_clique_within(adj, M, q - 2)) and rest_ok(M, 1)
+    ]
+    need, fixes, _ = _deficient_cover(adj, q, has_clique_within)
+    if r == 0:
+        # h alone: no slot can fix anything, so D(h) must be empty
+        return [] if need else [()]
+    # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
+    # fixed by cand[pos:], all that the slots from pos on may still add
+    fix = [fixes(subsets[i]) for i in cand]
+    ahead = [0] * (len(cand) + 1)
+    for pos in range(len(cand) - 1, -1, -1):
+        ahead[pos] = ahead[pos + 1] | fix[pos]
+    # a candidate meets itself in a K_{q-2}, as its filter found
+    pair_ok = {(i, i): True for i in cand}
+
+    def compatible(i, j):
+        key = (i, j) if i <= j else (j, i)
+        got = pair_ok.get(key)
+        if got is None:
+            got = has_clique_within(adj, subsets[i] & subsets[j], q - 2)
+            pair_ok[key] = got
+        return got
+
+    out = []
+    chosen = []
+
+    # unions[b]: the union and the count of the chosen slots at the bits of
+    # b; each chosen slot doubles the list
+    def rec(start, covered, unions):
+        d = len(chosen)
+        if d == r:
+            # the last slot took only a candidate that finished the cover
+            out.append(tuple(subsets[i] for i in chosen))
+            return
+        last = d == r - 1
+        for pos in range(start, len(cand)):
+            # ahead only shrinks with pos: no later candidate can finish
+            # either (at the root this drops a host that no multiset covers)
+            if covered | ahead[pos] != need:
+                break
+            # the last slot must finish the cover itself
+            if last and covered | fix[pos] != need:
+                continue
+            i = cand[pos]
+            if any(not compatible(j, i) for j in chosen):
+                continue
+            # residue condition for every subset of the chosen slots joined by
+            # the new one; they make the next slot's unions
+            grown = list(unions)
+            for union, k in unions:
+                union |= subsets[i]
+                if not rest_ok(union, k + 1):
+                    break
+                grown.append((union, k + 1))
+            else:
+                chosen.append(i)
+                rec(pos, covered | fix[pos], grown)
+                chosen.pop()
+
+    rec(0, 0, [(0, 0)])
+    return out
+
+
+def extension_lines(adj, entries, q, r, t):
+    """The output lines of one extension host, sorted and each once: for
+    every multiset of ``valid_multisets(adj, q, r, t)`` the host with r new
+    independent vertices attached on its sets (``graphs.attach``), kept
+    when it arrows the canonical vector ``entries``, as its
+    ``canonical_line``.  Each such graph is plus-K_q by the cover lemma and
+    is not tested for it; the caller passes () as the vector when the
+    K_{q-1} that every such graph holds (at r >= 2) already arrows it."""
+    lines = set()
+    for masks in valid_multisets(adj, q, r, t):
+        child = attach(adj, masks)
+        if not entries or arrows(child, entries):
+            lines.add(canonical_line(child))
+    return sorted(lines)

@@ -62,12 +62,7 @@ from __future__ import annotations
 from . import _kernels as K
 from .arrowing import arrows_adj, canonicalize
 from .canon import GraphSet, canonical_line
-from .cliques import (
-    complement_adj,
-    deficient_cover,
-    maximal_kt_free_subsets,
-    twin_pairs,
-)
+from .cliques import complement_adj, deficient_cover, twin_pairs
 from .graphs import Graph, GraphError, attach, bits_of, from_graph6
 
 
@@ -100,7 +95,7 @@ def _children(level, q: int, t: int, maximal=False):
         full = (1 << k) - 1
         if maximal:
             need, fixes, ends = deficient_cover(adj, q)
-            masks = maximal_kt_free_subsets(Graph._trusted(k, adj), q - 1, ends)
+            masks = impl.maximal_kt_free_subsets(adj, q - 1, ends)
             if not masks:
                 continue
             pairs = ()

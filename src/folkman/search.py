@@ -18,7 +18,8 @@ Two cooperating constructions:
   canonical lines stays the exact isomorph rejection, and a line is
   expanded only when it first enters it.  Every kept child holds a
   K_{q-2}, so when that alone arrows the vector
-  (``arrowing.clique_arrows``) no child is tested for arrowing.
+  (``arrowing.clique_arrows``, decided once per descent) no child is
+  tested for arrowing.
 
 * ``generate_family`` / ``generate_family_cone_split`` lift a complete
   family on n-r vertices (its smallest clique target lowered by one) to the
@@ -27,17 +28,22 @@ Two cooperating constructions:
   sets chosen under the pair-intersection and independence-residue
   conditions, then keep the results that arrow the full target vector
   (each holds a K_{q-1}, so only a vector that K_{q-1} does not arrow is
-  tested).
+  tested; decided once per extension).
   Such a result is edge-maximal (plus-K_q) exactly when the chosen sets
   together fix every non-edge of the host whose common neighbourhood
   holds no K_{q-2}; ``valid_multisets`` searches only multisets that can
   still cover those non-edges, and fills the last slot only with a set
   that completes the cover, so every multiset it returns covers them and
-  no extended graph is tested for it afterwards.  The cone-split variant
-  restricts the expensive extension to cone-vertex-free hosts and recovers
-  the coned part of the family directly from the one-smaller and
-  one-sparser families.  Both add their new vertices with
-  ``graphs.attach``.
+  no extended graph is tested for it afterwards.  One host's outputs come
+  from the kernel ``extension_lines``: MMCS (``maximal_kt_free_subsets``),
+  the deficient cover, the cover-first multiset search, the new vertices
+  attached, the arrowing test and the canonical lines.  The pure twin
+  (``_kernels_py``) states the cover lemma and the search; the compiled
+  twin runs the same loop in C.  The cone-split variant restricts the
+  expensive extension to cone-vertex-free hosts and recovers the coned
+  part of the family directly from the one-smaller and one-sparser
+  families.  New vertices are added by ``graphs.attach`` (the pure
+  kernel's, and the cone split's coned outputs) or in C.
 
 Both constructions run their work units through ``_dispatch``: one class
 of the descent, or one extension host, per task.  The calling process is
@@ -66,7 +72,7 @@ from typing import NamedTuple
 from . import _kernels as K
 from .arrowing import ArrowVector, arrows_adj, canonicalize, clique_arrows
 from .canon import GraphSet, canonical_line, cone_count
-from .cliques import complement_adj, deficient_cover, maximal_kt_free_subsets
+from .cliques import complement_adj
 from .graphs import (
     Graph, GraphError, MAX_VERTICES, attach, from_graph6, graph6_lines, unpack_graph6
 )
@@ -300,12 +306,10 @@ def _dispatch(fn, tasks, give, workers):
 def _descent_worker(entries, q, t, task):
     """The children of the class ``task = (adj, dead)`` in (entries; q; t),
     as ``descent_children`` of the kernel backend in use at call time
-    returns them.  A kept child holds a K_{q-2} (see descent_children), so
-    the vector goes to the kernel only when such a graph may fail to arrow
-    it."""
+    returns them; ``entries`` is () when the caller found that the
+    children's K_{q-2} decides arrowing (see ``plus_clique_descent``)."""
     adj, dead = task
-    vec = () if clique_arrows(entries, q - 2) else entries
-    return K.impl.descent_children(adj, dead, vec, q, t)
+    return K.impl.descent_children(adj, dead, entries, q, t)
 
 
 def load_family(path, family=None) -> GraphSet:
@@ -360,112 +364,20 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
         # a seed outside the plus-clique family heads an empty subtree
         if K.impl.is_plus_k(g.adj, q - 1):
             enter([(canonical_line(g.adj), (g.adj, (0,) * g.n))])
-    _dispatch(partial(_descent_worker, entries, q, t), tasks, enter, workers)
+    # a kept child holds a K_{q-2} (see descent_children), so the vector
+    # goes to the kernel only when such a graph may fail to arrow it
+    vec = () if clique_arrows(entries, q - 2) else entries
+    _dispatch(partial(_descent_worker, vec, q, t), tasks, enter, workers)
     return result
 
 
 def valid_multisets(h: Graph, q: int, r: int, t: int):
     """The r-element multisets of maximal K_{q-1}-free vertex sets of h that
     can serve as neighbourhoods of r new independent vertices and make the
-    extended graph plus-K_q: every pair (repeats included) intersects in a
-    set carrying a K_{q-2}, deleting the union of any k of them leaves
-    independence number at most t - k, and their fixes cover D(h), the
-    deficient non-edges of h.  Returned as tuples of masks in nondecreasing
-    set order.
-
-    By the lemma of ``cliques.deficient_cover`` such a multiset makes the
-    extended graph plus-K_q exactly when its fixes cover D(h).  D(h) is
-    found once per host and each candidate's fixes once, as a bitmask over
-    D(h); every slot stops at the first candidate from which the fixes
-    still available (repeats allowed, so its own included) cannot cover
-    what is left, and the last slot takes only a candidate that finishes
-    the cover itself, before its pair and residue tests, so a full
-    multiset covers D(h) and is emitted untested.  At r = 0 that leaves h
-    itself, valid exactly when D(h) is empty.
-
-    Lemma.  A maximal K_{q-1}-free set M other than V holds a K_{q-2}, so
-    only M = V needs the kernel's test: T = V - M is a minimal transversal
-    of the (q-1)-cliques, so each x in T lies in a (q-1)-clique C that
-    meets T only in x, and C - x is a K_{q-2} inside M."""
-    subsets = maximal_kt_free_subsets(h, q - 1)
-    impl = K.impl
-    adj = h.adj
-    full = h.full_mask()
-    cadj = complement_adj(adj)
-    alpha_rest = {}
-
-    def rest_ok(union, k):
-        got = alpha_rest.get(union)
-        if got is None:
-            got = impl.max_clique_size_within(cadj, full & ~union)
-            alpha_rest[union] = got
-        return got <= t - k
-
-    # a maximal K_{q-1}-free M other than V holds a K_{q-2}: see above
-    cand = [
-        i
-        for i, M in enumerate(subsets)
-        if (M != full or impl.has_clique_within(adj, M, q - 2)) and rest_ok(M, 1)
-    ]
-    need, fixes, _ = deficient_cover(adj, q)
-    if r == 0:
-        # h alone: no slot can fix anything, so D(h) must be empty
-        return [] if need else [()]
-    # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
-    # fixed by cand[pos:], all that the slots from pos on may still add
-    fix = [fixes(subsets[i]) for i in cand]
-    ahead = [0] * (len(cand) + 1)
-    for pos in range(len(cand) - 1, -1, -1):
-        ahead[pos] = ahead[pos + 1] | fix[pos]
-    # a candidate meets itself in a K_{q-2}, as its filter found
-    pair_ok = {(i, i): True for i in cand}
-
-    def compatible(i, j):
-        key = (i, j) if i <= j else (j, i)
-        got = pair_ok.get(key)
-        if got is None:
-            got = impl.has_clique_within(adj, subsets[i] & subsets[j], q - 2)
-            pair_ok[key] = got
-        return got
-
-    out = []
-    chosen = []
-
-    # unions[b]: the union and the count of the chosen slots at the bits of
-    # b; each chosen slot doubles the list
-    def rec(start, covered, unions):
-        d = len(chosen)
-        if d == r:
-            # the last slot took only a candidate that finished the cover
-            out.append(tuple(subsets[i] for i in chosen))
-            return
-        last = d == r - 1
-        for pos in range(start, len(cand)):
-            # ahead only shrinks with pos: no later candidate can finish
-            # either (at the root this drops a host that no multiset covers)
-            if covered | ahead[pos] != need:
-                break
-            # the last slot must finish the cover itself
-            if last and covered | fix[pos] != need:
-                continue
-            i = cand[pos]
-            if any(not compatible(j, i) for j in chosen):
-                continue
-            # residue condition for every subset of the chosen slots joined by
-            # the new one; they make the next slot's unions
-            grown = list(unions)
-            for union, k in unions:
-                union |= subsets[i]
-                if not rest_ok(union, k + 1):
-                    break
-                grown.append((union, k + 1))
-            else:
-                chosen.append(i)
-                rec(pos, covered | fix[pos], grown)
-                chosen.pop()
-
-    rec(0, 0, [(0, 0)])
-    return out
+    extended graph plus-K_q, as tuples of masks in nondecreasing set order:
+    the kernel ``valid_multisets`` (the pure twin's docstring states the
+    pair, residue and cover conditions and the cover-first search)."""
+    return K.impl.valid_multisets(h.adj, q, r, t)
 
 
 def attach_vertices(h: Graph, masks) -> Graph:
@@ -475,23 +387,14 @@ def attach_vertices(h: Graph, masks) -> Graph:
 
 
 def _extension_worker(entries, q, r, t, cone_free, line):
-    """The set of output lines of one canonical host line (none for a
-    coned host under ``cone_free``)."""
-    results = set()
+    """The sorted output lines of one canonical host line (none for a
+    coned host under ``cone_free``), as ``extension_lines`` of the kernel
+    backend in use at call time returns them; ``entries`` is () when the
+    caller found that the outputs' K_{q-1} decides arrowing (see
+    ``_extend``)."""
     if cone_free and cone_count(line):
-        return results
-    h = from_graph6(line)
-    # Every multiset gives a plus-K_q graph (see valid_multisets).  Its
-    # r >= 2 new vertices are independent, and a non-edge between two of
-    # them completes a K_q, so the graph holds a K_{q-1}: the arrowing test
-    # is needed only when such a graph may fail it.
-    arrowing = not clique_arrows(entries, q - 1)
-    for masks in valid_multisets(h, q, r, t):
-        # built from a validated host, so the adjacency skips Graph's checks
-        adj = attach(h.adj, masks)
-        if not arrowing or arrows_adj(adj, entries):
-            results.add(canonical_line(adj))
-    return results
+        return ()
+    return K.impl.extension_lines(from_graph6(line).adj, entries, q, r, t)
 
 
 def _extend(spec, seeds, workers, descended, cone_free=False):
@@ -507,7 +410,13 @@ def _extend(spec, seeds, workers, descended, cone_free=False):
         for line in lines:
             out.insert_canonical(line)
 
-    worker = partial(_extension_worker, spec.avec.entries, spec.q, spec.r, spec.t, cone_free)
+    # Every multiset gives a plus-K_q graph (see valid_multisets).  Its
+    # r >= 2 new vertices are independent, and a non-edge between two of
+    # them completes a K_q, so the graph holds a K_{q-1}: the vector goes
+    # to the kernel only when such a graph may fail to arrow it.
+    entries = spec.avec.entries
+    vec = () if clique_arrows(entries, spec.q - 1) else entries
+    worker = partial(_extension_worker, vec, spec.q, spec.r, spec.t, cone_free)
     _dispatch(worker, descended.lines(), give, workers)
     return out, descended
 

@@ -120,22 +120,23 @@ def test_maximal_children_pass_the_degree_test_first_and_scan_no_twins(monkeypat
     # sum 28 and reaches the independence test (t = 4).  Each set holds
     # both of the twins 0 and 1.  The last level builds no twin classes
     # (the twins lemma of folkman.generate); a level builds them once per
-    # parent.
+    # parent.  (The last level asks the kernel for the sets, so the
+    # counting kernels record the keep mask of each call.)
     kernels = _CountingKernels(_kernels.impl)
     listed = []
     scanned = []
 
-    def counting_subsets(g, t, keep=0):
+    def counting_subsets(adj, t, keep):
         listed.append(keep)
-        return real_subsets(g, t, keep)
+        return real_subsets(adj, t, keep)
 
     def counting_twin_pairs(adj):
         scanned.append(adj)
         return twin_pairs(adj)
 
-    real_subsets = generate.maximal_kt_free_subsets
+    real_subsets = kernels.maximal_kt_free_subsets
+    kernels.maximal_kt_free_subsets = counting_subsets
     monkeypatch.setattr(_kernels, "impl", kernels)
-    monkeypatch.setattr(generate, "maximal_kt_free_subsets", counting_subsets)
     monkeypatch.setattr(generate, "twin_pairs", counting_twin_pairs)
     cases = (
         (Graph.cycle(5), 3, 3, [0], 0),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkman import _kernels_py as py
-from folkman.graphs import Graph, adj_to_graph6, bits_of, join
+from folkman.graphs import CapacityError, Graph, adj_to_graph6, bits_of, join
 from tests.conftest import (
     KERNELS_C,
     available_backends,
@@ -29,6 +29,8 @@ from tests.oracles import (
     canonical_perm_reference,
     clique_number_brute,
     has_mono_clique,
+    maximal_ktfree_brute,
+    maximal_ktfree_recursive,
 )
 
 cy = available_backends().get("compiled")
@@ -181,6 +183,7 @@ def _public_names(module):
 def test_compiled_twin_exports_the_pure_twins_names():
     assert _public_names(cy) == _public_names(py)
     assert {"descent_children", "canonical_line", "arrows"} <= _public_names(py)
+    assert {"maximal_kt_free_subsets", "valid_multisets", "extension_lines"} <= _public_names(py)
     assert cy.COVER_MAX == py.COVER_MAX
 
 
@@ -256,8 +259,14 @@ def test_compiled_twin_reads_lists_and_tuples_alike(rng):
             (cy.canonical_perm, ()),
             (cy.canonical_line, ()),
             (cy.descent_children, (dead, (2, 3), t + 2, 3)),
+            (cy.maximal_kt_free_subsets, (t + 1, mask)),
+            (cy.valid_multisets, (t + 2, 2, 3)),
+            (cy.extension_lines, ((2, 3), t + 2, 2, 3)),
         ):
             assert f(rows, *args) == f(adj, *args), (f.__name__, adj)
+        assert cy.extension_lines(adj, [2, 3], t + 2, 2, 3) == cy.extension_lines(
+            adj, (2, 3), t + 2, 2, 3
+        )
         assert cy.arrows(adj, [2, 3]) == cy.arrows(adj, (2, 3))
         assert cy.descent_children(adj, list(dead), [2, 3], t + 2, 3) == cy.descent_children(
             adj, dead, (2, 3), t + 2, 3
@@ -279,6 +288,9 @@ def test_compiled_twin_rejects_more_than_64_vertices():
         (cy.canonical_perm, ()),
         (cy.canonical_line, ()),
         (cy.descent_children, (adj, (), 4, 3)),
+        (cy.maximal_kt_free_subsets, (2, 0)),
+        (cy.valid_multisets, (4, 2, 3)),
+        (cy.extension_lines, ((), 4, 2, 3)),
     ):
         with pytest.raises(ValueError):
             f(adj, *args)
@@ -291,6 +303,76 @@ def test_compiled_descent_children_rejects_malformed_tasks():
         cy.descent_children((1 << 5, 0), (0, 0), (), 4, 3)
     with pytest.raises(ValueError):
         cy.descent_children((2, 1), (0,), (), 4, 3)
+
+
+def test_extension_kernels_reject_what_the_pure_twin_rejects():
+    # a threshold below 1, a negative multiset size, and more than 64
+    # vertices once the new ones are attached (graphs.attach's error);
+    # on the empty 63-vertex host at q = 3 the one maximal K_2-free set,
+    # all of it, fixes every non-edge, so the pair of it is valid
+    host = (0,) * 63
+    assert py.valid_multisets(host, 3, 2, 3) == [(py.maximal_kt_free_subsets(host, 2, 0)[0],) * 2]
+    for name, kernels in available_backends().items():
+        for t in (0, -1):
+            with pytest.raises(ValueError):
+                kernels.maximal_kt_free_subsets((0, 0), t, 0)
+            with pytest.raises(ValueError):
+                kernels.valid_multisets((0, 0), t + 1, 2, 3)
+        with pytest.raises(ValueError):
+            kernels.valid_multisets((0, 0), 3, -1, 3)
+        with pytest.raises(CapacityError):
+            kernels.extension_lines(host, (), 3, 2, 3)
+        assert kernels.extension_lines(host, (), 3, 1, 3) == py.extension_lines(host, (), 3, 1, 3), name
+
+
+@needs_compiled
+def test_compiled_extension_kernels_reject_rows_beyond_the_host():
+    # the deficient cover reads the row of every vertex a row names
+    for f, args in (
+        (cy.valid_multisets, (4, 2, 3)),
+        (cy.extension_lines, ((), 4, 2, 3)),
+    ):
+        with pytest.raises(ValueError):
+            f((1 << 5, 0), *args)
+
+
+@st.composite
+def _graphs_thresholds_and_keeps(draw):
+    g = draw(graphs(16))
+    t = draw(st.integers(1, 5))
+    keep = draw(st.integers(0, g.full_mask())) & draw(st.integers(0, g.full_mask()))
+    return g, t, keep
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_graphs_thresholds_and_keeps())
+def test_maximal_kt_free_subsets_match_brute_force(case):
+    # both twins give every maximal K_t-free set that holds keep, in
+    # ascending order: against a scan of every subset, or past 12
+    # vertices, where that scan takes seconds, an include/exclude recursion
+    g, t, keep = case
+    every = maximal_ktfree_brute(g, t) if g.n <= 12 else maximal_ktfree_recursive(g, t)
+    want = [m for m in every if m & keep == keep]
+    for name, kernels in available_backends().items():
+        assert kernels.maximal_kt_free_subsets(g.adj, t, keep) == want, (name, g.adj, t, keep)
+
+
+@needs_compiled
+def test_compiled_maximal_kt_free_subsets_on_61_to_64_vertices(rng):
+    # random graphs at their clique number, where the cliques are few, and
+    # complete graphs at t = 2, whose 1,830-2,016 edges make the clique
+    # sets 29-32 words long and the transversals 60-63 vertices deep
+    for n in range(61, 65):
+        complete = tuple((1 << n) - 1 ^ 1 << v for v in range(n))
+        cases = [(complete, 2)]
+        for p in (0.05, 0.3, 0.5, 0.7):
+            adj = _random_adj(rng, n, p)
+            cases.append((adj, py.max_clique_size(adj)))
+        for adj, t in cases:
+            for keep in (0, rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)):
+                want = py.maximal_kt_free_subsets(adj, t, keep)
+                assert cy.maximal_kt_free_subsets(adj, t, keep) == want, (adj, t, keep)
+        assert len(py.maximal_kt_free_subsets(complete, 2, 0)) == n
 
 
 @needs_compiled

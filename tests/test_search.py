@@ -211,6 +211,29 @@ def test_valid_multisets_match_reference_on_h6_8_12_hosts(r):
     assert hits
 
 
+EXTENSION_H7_8_14 = HOSTS_H6_8_12.with_name("extension_h7_8_14_t3.txt")
+
+
+def test_extension_lines_twins_match_the_recorded_table():
+    # every host of the benchmark's H(6; 8; 12) plus-clique set extended to
+    # H(7; 8; 14) at r = 2, t = 3: a K_7 arrows (7), so the extension
+    # passes () as the vector; passing (7) anyway tests arrowing and keeps
+    # every line
+    table = {}
+    for row in graph6_lines(EXTENSION_H7_8_14):
+        host, *outs = row.split(" ")
+        table[host] = sorted(outs)
+    assert list(table) == list(graph6_lines(HOSTS_H6_8_12)) and len(table) == 3104
+    outputs = 0
+    for host, want in table.items():
+        adj = from_graph6(host).adj
+        for name, kernels in available_backends().items():
+            for vec in ((), (7,)):
+                assert kernels.extension_lines(adj, vec, 8, 2, 3) == want, (name, vec, host)
+        outputs += len(want)
+    assert outputs == 1379
+
+
 def test_valid_multisets_without_deficient_pairs():
     # every non-edge already completes a K_q in h, so nothing is cut:
     # C_5 at q = 3, K_6 less a perfect matching at q = 4
@@ -229,6 +252,48 @@ def test_valid_multisets_with_an_unfixable_deficient_pair():
     for r in (0, 1, 2, 3):
         assert valid_multisets(h, 4, r, 3) == []
         _multisets_match_reference(h, 4, r, 3)
+
+
+def test_valid_multisets_need_a_k_q_minus_2_in_each_set():
+    # K_m at q = m + 3 has no deficient non-edge, and its one maximal
+    # K_{q-1}-free set, all of it, holds no K_{q-2}: two new vertices on it
+    # would share no K_{q-2}, so no multiset is valid
+    for m in range(4):
+        h = Graph.complete(m)
+        for r in (1, 2):
+            assert valid_multisets_reference(h, m + 3, r, 3) == []
+            _multisets_match_reference(h, m + 3, r, 3)
+
+
+def _expect_no_multiset(backend, adj, q, r, t):
+    assert available_backends()[backend].valid_multisets(adj, q, r, t) == []
+
+
+def test_valid_multisets_stop_at_the_root_when_no_multiset_can_cover():
+    # An isolated vertex z lies in every maximal triangle-free set and
+    # shares no neighbour with any vertex, so no set fixes the deficient
+    # non-edges at z (q = 4).  The other vertices are a cone c over an
+    # isolated f and five disjoint edges: the 32 sets c + f + z plus one
+    # end of each edge pairwise meet in the edge cf, and no residue fails
+    # at t = 20.  The search must stop at its first slot: past it, it
+    # would visit the hundreds of millions of 9-slot multisets of those
+    # sets, 512 residue unions each, so each backend gets 60 s in a
+    # process of its own.
+    z, c, f = 0, 1, 2
+    edges = [(c, v) for v in range(f, 13)] + [(v, v + 1) for v in range(3, 13, 2)]
+    h = from_edges(13, edges)
+    assert len(maximal_kt_free_subsets(h, 3)) == 33
+    assert all(m >> z & 1 for m in maximal_kt_free_subsets(h, 3))
+    for backend in available_backends():
+        proc = multiprocessing.get_context("fork").Process(
+            target=_expect_no_multiset, args=(backend, h.adj, 4, 10, 20)
+        )
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join()
+        assert proc.exitcode == 0, backend
 
 
 def test_valid_multisets_at_q3_fix_by_containment():
@@ -770,35 +835,40 @@ def test_generate_family_chain_matches_brute_force_n7():
 
 def test_arrowing_is_tested_only_where_a_clique_does_not_decide_it(monkeypatch):
     # a descent child holds a K_{q-2} and an extension output a K_{q-1}:
-    # the workers test arrowing exactly when that clique does not arrow the
-    # vector, sum(a_i - 1) + 1 > q - 2 or > q - 1, and find the same graphs
-    # (the descent's calls counted on the pure twin, whose kernels call
-    # arrows through its module's globals)
+    # the descent and the extension test arrowing exactly when that clique
+    # does not arrow the vector, sum(a_i - 1) + 1 > q - 2 or > q - 1, and
+    # find the same graphs (counted on the pure twin, whose kernels call
+    # arrows through its module's globals; the descent also tests each
+    # seed for membership, which is not counted)
     calls = []
 
     def counting(adj, entries):
-        calls.append(entries)
+        calls.append(tuple(adj))
         return real(adj, entries)
 
     real = _kernels_py.arrows
     for avec, q, n, tested in (((3,), 5, 7, False), ((3,), 4, 7, True)):
         entries = ArrowVector(avec).canonical().entries
-        members = list(plus_clique_descent(maximal_family_exhaustive(avec, q, n, 3), avec, q, 3))
+        seeds = maximal_family_exhaustive(avec, q, n, 3)
+        members = list(plus_clique_descent(seeds, avec, q, 3))
         want = [descent_worker_reference(entries, q, 3, (g.adj, (0,) * n)) for g in members]
         with monkeypatch.context() as m:
             m.setattr(_kernels, "impl", _kernels_py)
             m.setattr(_kernels_py, "arrows", counting)
             calls.clear()
-            got = [_descent_worker(entries, q, 3, (g.adj, (0,) * n)) for g in members]
-        assert got == want and bool(calls) == tested, (avec, q)
-    real = search.arrows_adj
+            got = plus_clique_descent(seeds, avec, q, 3).lines()
+            children = set(calls) - {g.adj for g in seeds}
+        assert got == [canonical_line(g.adj) for g in members], (avec, q)
+        assert bool(children) == tested, (avec, q)
+        assert [_descent_worker(entries, q, 3, (g.adj, (0,) * n)) for g in members] == want
     # (2, 3) at q = 4 has sum(a_i - 1) + 1 = q; (3,) at q = 4 has q - 1
     for avec, tested in (((2, 3), True), ((3,), False)):
         fam = spec(avec, 4, 7, 2, 3)
         seeds = maximal_family_exhaustive(fam.decremented(), 4, 5, 3)
         descended = plus_clique_descent(seeds, fam.decremented(), 4, 3)
         with monkeypatch.context() as m:
-            m.setattr(search, "arrows_adj", counting)
+            m.setattr(_kernels, "impl", _kernels_py)
+            m.setattr(_kernels_py, "arrows", counting)
             calls.clear()
             out = generate_family(fam, seeds, descended=descended).output
         assert bool(calls) == tested, avec
@@ -806,19 +876,43 @@ def test_arrowing_is_tested_only_where_a_clique_does_not_decide_it(monkeypatch):
         assert len(out) > 0
 
 
+def test_clique_arrows_is_decided_once_per_descent_and_extension(monkeypatch):
+    # the vector handed to every task is decided once per call, whatever
+    # the number of classes or hosts
+    decided = []
+
+    def counting(entries, k):
+        decided.append(k)
+        return real(entries, k)
+
+    real = search.clique_arrows
+    monkeypatch.setattr(search, "clique_arrows", counting)
+    for avec in ((3,), (2, 3)):
+        fam = spec(avec, 4, 8, 2, 3)
+        seeds = maximal_family_exhaustive(fam.decremented(), 4, 6, 3)
+        decided.clear()
+        descended = plus_clique_descent(seeds, fam.decremented(), 4, 3)
+        assert decided == [2] and len(descended) > 1, avec
+        decided.clear()
+        generate_family(fam, seeds, descended=descended)
+        assert decided == [3], avec
+
+
 def test_cone_split_equals_plain_on_q4(monkeypatch):
     # (spec, seeds, cone seeds, hosts, cone-free hosts): every host of n = 5
     # is coned, while n = 8 makes the cone split extend its 21 cone-free
-    # hosts and skip the other 9
+    # hosts and skip the other 9 (counted on the pure twin, whose
+    # extension_lines calls valid_multisets through its module's globals)
     extended = []
-    real_valid_multisets = search.valid_multisets
+    real_valid_multisets = _kernels_py.valid_multisets
 
-    def counted(h, *args):
-        extended.append(h)
-        return real_valid_multisets(h, *args)
+    def counted(adj, *args):
+        extended.append(adj)
+        return real_valid_multisets(adj, *args)
 
     # the count is seen in-process only, so at one worker
-    monkeypatch.setattr(search, "valid_multisets", counted)
+    monkeypatch.setattr(_kernels, "impl", _kernels_py)
+    monkeypatch.setattr(_kernels_py, "valid_multisets", counted)
     cases = [
         (
             spec((3,), 4, 5, 2, 3),
