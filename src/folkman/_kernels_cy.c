@@ -1205,45 +1205,68 @@ static void fixes(const u64 *adj, long q, const struct u64vec *pairs, const stru
 static int valid_multisets(struct multisets *s, const u64 *adj, int n, long q, long r, long t)
 {
     struct u64vec pairs = {0}, commons = {0};
-    u64 full = full_mask(n);
+    u64 full = full_mask(n), ends = 0;
     s->adj = adj;
     s->full = full;
     s->q = q;
     s->r = r;
     s->t = t;
-    for (int v = 0; v < n; v++)
-        s->cadj[v] = full ^ adj[v] ^ (u64)1 << v;
-    if (maximal_kt_free_subsets(adj, n, q - 1, 0, &s->subsets) < 0)
-        return -1;
-    for (size_t i = 0; i < s->subsets.count; i++) {
-        u64 M = s->subsets.items[i];
-        int ok = M != full || has_clique_within(adj, M, q - 2);
-        if ((ok && rest_ok(s, M, 1, &ok) < 0) || (ok && push(&s->cand, i) < 0))
-            return -1;
-    }
     int err = deficient_cover(adj, n, q, &pairs, &commons) < 0;
-    size_t nd = pairs.count, dw = s->dw = (nd + 63) / 64, nc = s->cand.count;
+    size_t nd = pairs.count, dw = s->dw = (nd + 63) / 64;
+    for (size_t i = 0; i < nd; i++)
+        ends |= pairs.items[i];
     if (!err && r == 0)
         s->found = nd == 0;
     else if (!err) {
         s->need = new_words(dw);
-        s->fix = new_words(nc * dw);
-        s->ahead = new_words((nc + 1) * dw);
-        err = s->need == NULL || s->fix == NULL || s->ahead == NULL;
+        err = s->need == NULL
+              || maximal_kt_free_subsets(adj, n, q - 1, r == 1 ? ends : 0, &s->subsets) < 0;
     }
     if (!err && r > 0) {
+        for (int v = 0; v < n; v++)
+            s->cadj[v] = full ^ adj[v] ^ (u64)1 << v;
         for (size_t i = 0; i < nd; i++)
             s->need[i / 64] |= (u64)1 << (i % 64);
-        for (size_t pos = 0; pos < nc; pos++)
-            fixes(adj, q, &pairs, &commons, s->subsets.items[s->cand.items[pos]], s->fix + pos * dw);
-        for (size_t pos = nc; pos-- > 0;)
-            for (size_t w = 0; w < dw; w++)
-                s->ahead[pos * dw + w] = s->ahead[(pos + 1) * dw + w] | s->fix[pos * dw + w];
-        struct mlevel *root = level_at(s, 0);
-        err = root == NULL;
+    }
+    if (!err && r == 1) {
+        /* the ends lemma; the residue of one set M is V - M */
+        u64 *fix = s->fix = new_words(dw);
+        err = fix == NULL;
+        for (size_t i = 0; !err && i < s->subsets.count; i++) {
+            u64 M = s->subsets.items[i];
+            memset(fix, 0, sizeof *fix * dw);
+            fixes(adj, q, &pairs, &commons, M, fix);
+            if (memcmp(fix, s->need, sizeof *fix * dw) == 0
+                && (M != full || has_clique_within(adj, M, q - 2))
+                && !has_clique_within(s->cadj, full & ~M, t)) {
+                err = push(&s->out, i) < 0;
+                s->found++;
+            }
+        }
+    } else if (!err && r > 1) {
+        for (size_t i = 0; !err && i < s->subsets.count; i++) {
+            u64 M = s->subsets.items[i];
+            int ok = M != full || has_clique_within(adj, M, q - 2);
+            err = (ok && rest_ok(s, M, 1, &ok) < 0) || (ok && push(&s->cand, i) < 0);
+        }
+        size_t nc = s->cand.count;
         if (!err) {
-            root->unions[0] = 0;
-            err = multisets_rec(s, 0, 0) < 0;
+            s->fix = new_words(nc * dw);
+            s->ahead = new_words((nc + 1) * dw);
+            err = s->fix == NULL || s->ahead == NULL;
+        }
+        if (!err) {
+            for (size_t pos = 0; pos < nc; pos++)
+                fixes(adj, q, &pairs, &commons, s->subsets.items[s->cand.items[pos]], s->fix + pos * dw);
+            for (size_t pos = nc; pos-- > 0;)
+                for (size_t w = 0; w < dw; w++)
+                    s->ahead[pos * dw + w] = s->ahead[(pos + 1) * dw + w] | s->fix[pos * dw + w];
+            struct mlevel *root = level_at(s, 0);
+            err = root == NULL;
+            if (!err) {
+                root->unions[0] = 0;
+                err = multisets_rec(s, 0, 0) < 0;
+            }
         }
     }
     PyMem_Free(pairs.items);

@@ -14,8 +14,7 @@ the two on random inputs.  The one real difference in how they work: the
 compiled twin writes a leaf's code as bytes in ``graphs.edge_code``'s bit
 order (first bit in the top bit of the first byte), where this module
 compares the integers ``edge_code`` returns, and writes a canonical line
-from those bytes.  (Its ``free_partition`` also reads the tried empty
-limits off the classes, as the same set, instead of keeping a list.)
+from those bytes.
 
 Kernels call each other directly, not through ``_kernels.impl``, so a
 proxy on ``impl`` sees only the calls made from outside the kernels.
@@ -213,13 +212,12 @@ def free_partition(adj, limits):
         v = order[i]
         av = adj[v]
         bit = 1 << v
-        tried_empty = []
         for c in range(s):
             cur = classes[c]
-            if cur == 0:
-                if limits[c] in tried_empty:
-                    continue
-                tried_empty.append(limits[c])
+            # an empty class before c with c's limit was tried, and the
+            # classes before c are back as they were
+            if not cur and any(not classes[e] and limits[e] == limits[c] for e in range(c)):
+                continue
             if has_clique_within(adj, cur & av, limits[c]):
                 continue
             classes[c] = cur | bit
@@ -730,15 +728,12 @@ def maximal_kt_free_subsets(adj, t, keep):
     return out
 
 
-def _deficient_cover(adj, q, within):
+def _deficient_cover(adj, q):
     """Plus-K_q of a K_q-free graph h, given as ``adj``, grown by new
     vertices on maximal K_{q-1}-free sets of h, decided as a set cover.
     Returns ``(need, fixes, ends)``: one bit of ``need`` per deficient
     non-edge of h, ``fixes(M)`` the bits of those that M fixes, and
-    ``ends`` the union of the deficient non-edges' ends, which every M
-    that fixes them all contains.  ``within`` is the ``has_clique_within``
-    it asks: this module's in ``valid_multisets``, the backend's in
-    ``cliques.deficient_cover``.
+    ``ends`` the union of the deficient non-edges' ends.
 
     Lemma.  Let G be h plus r new pairwise non-adjacent vertices whose
     neighbourhoods M_1..M_r are maximal K_{q-1}-free sets of h, every two of
@@ -763,14 +758,14 @@ def _deficient_cover(adj, q, within):
             b = rest & -rest
             rest ^= b
             common = row & adj[b.bit_length() - 1]
-            if not within(adj, common, q - 2):
+            if not has_clique_within(adj, common, q - 2):
                 deficient.append((1 << x | b, common))
                 ends |= 1 << x | b
 
     def fixes(M):
         f = 0
         for bit, (pair, common) in enumerate(deficient):
-            if pair & M == pair and within(adj, common & M, q - 3):
+            if pair & M == pair and has_clique_within(adj, common & M, q - 3):
                 f |= 1 << bit
         return f
 
@@ -788,23 +783,46 @@ def valid_multisets(adj, q, r, t):
 
     By the lemma of ``_deficient_cover`` such a multiset makes the
     extended graph plus-K_q exactly when its fixes cover D(h).  D(h) is
-    found once per host and each candidate's fixes once, as a bitmask over
-    D(h); every slot stops at the first candidate from which the fixes
-    still available (repeats allowed, so its own included) cannot cover
-    what is left, and the last slot takes only a candidate that finishes
-    the cover itself, before its pair and residue tests, so a full
-    multiset covers D(h) and is emitted untested.  At r = 0 that leaves h
-    itself, valid exactly when D(h) is empty.
+    found first, once per host, and each candidate's fixes once, as a
+    bitmask over D(h); every slot stops at the first candidate from which
+    the fixes still available (repeats allowed, so its own included)
+    cannot cover what is left, and the last slot takes only a candidate
+    that finishes the cover itself, before its pair and residue tests, so
+    a full multiset covers D(h) and is emitted untested.  At r = 0 that
+    leaves h itself, valid exactly when D(h) is empty.
 
-    Lemma.  A maximal K_{q-1}-free set M other than V holds a K_{q-2}, so
-    only M = V needs the kernel's test: T = V - M is a minimal transversal
-    of the (q-1)-cliques, so each x in T lies in a (q-1)-clique C that
-    meets T only in x, and C - x is a K_{q-2} inside M."""
+    Lemma (K_{q-2}).  A maximal K_{q-1}-free set M other than V holds a
+    K_{q-2}, so only M = V needs the kernel's test: T = V - M is a minimal
+    transversal of the (q-1)-cliques, so each x in T lies in a (q-1)-clique
+    C that meets T only in x, and C - x is a K_{q-2} inside M.
+
+    Lemma (ends).  M fixes a deficient non-edge xy only if x and y are in
+    M, so a set that fixes them all contains their union ``ends``.  At
+    r = 1 the one slot is the last, so its set must fix them all: only the
+    maximal K_{q-1}-free sets that contain ``ends`` are listed
+    (``maximal_kt_free_subsets`` with ``keep = ends``, none when ``ends``
+    holds a K_{q-1}), and each is tested for the cover, the K_{q-2} and
+    the residue in turn."""
     if r < 0:
         raise ValueError(f"negative multiset size {r}")
-    subsets = maximal_kt_free_subsets(adj, q - 1, 0)
+    if q < 2:
+        raise ValueError(f"subset clique threshold {q - 1} below 1")
+    need, fixes, ends = _deficient_cover(adj, q)
+    if r == 0:
+        # h alone: no slot can fix anything, so D(h) must be empty
+        return [] if need else [()]
     full = (1 << len(adj)) - 1
     cadj = complement_adj(adj)
+    if r == 1:
+        # the ends lemma above; the residue of one set M is V - M
+        return [
+            (M,)
+            for M in maximal_kt_free_subsets(adj, q - 1, ends)
+            if fixes(M) == need
+            and (M != full or has_clique_within(adj, M, q - 2))
+            and not has_clique_within(cadj, full & ~M, t)
+        ]
+    subsets = maximal_kt_free_subsets(adj, q - 1, 0)
     alpha_rest = {}
 
     def rest_ok(union, k):
@@ -820,10 +838,6 @@ def valid_multisets(adj, q, r, t):
         for i, M in enumerate(subsets)
         if (M != full or has_clique_within(adj, M, q - 2)) and rest_ok(M, 1)
     ]
-    need, fixes, _ = _deficient_cover(adj, q, has_clique_within)
-    if r == 0:
-        # h alone: no slot can fix anything, so D(h) must be empty
-        return [] if need else [()]
     # fix[pos]: the deficient non-edges cand[pos] fixes; ahead[pos]: those
     # fixed by cand[pos:], all that the slots from pos on may still add
     fix = [fixes(subsets[i]) for i in cand]

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from . import _kernels as K
-# the pure canonical search seeds its automorphisms with the same scan
-from ._kernels_py import _deficient_cover, twin_pairs
 from .graphs import Graph, GraphError, complement_adj
 
 
@@ -40,9 +38,3 @@ def maximal_kt_free_subsets(g: Graph, t: int, keep: int = 0) -> list[int]:
         raise GraphError(f"subset clique threshold {t} below 1")
     return K.impl.maximal_kt_free_subsets(g.adj, t, keep)
 
-
-def deficient_cover(adj, q: int):
-    """``(need, fixes, ends)`` of the cover lemma for the K_q-free graph
-    ``adj`` (``_kernels_py._deficient_cover`` states and proves it), its
-    clique queries made on the backend in use."""
-    return _deficient_cover(adj, q, K.impl.has_clique_within)

@@ -8,12 +8,12 @@ be its canonical parent's deleted vertex (McKay's test, invariant half):
 it must have the largest degree of the child and, among the child's
 vertices of that degree, the largest neighbour-degree sum, ties kept.  Both
 tests read tables of the parent and a few mask operations per
-neighbourhood, before any kernel call.  On the levels a neighbourhood is
-then tried only when it meets every twin class of the parent
-(``cliques.twin_pairs``) in a prefix, one per orbit of the parent's twin
-swaps: a swap maps the child onto an isomorphic sibling, and the invariant
-and bound tests commute with it.  Levels travel as adjacencies keyed by
-canonical line, so no level is decoded again.
+neighbourhood, before any kernel call.  A neighbourhood is then tried only
+when it meets every twin class of the parent (the kernel ``twin_pairs``)
+in a prefix, one per orbit of the parent's twin swaps: a swap maps the
+child onto an isomorphic sibling, and the invariant and bound tests
+commute with it.  Levels travel as adjacencies keyed by canonical line, so
+no level is decoded again.
 
 Lemma (completeness).  Let C be a class on k+1 vertices with clique number
 below q and independence number at most t, and w a vertex of C with the
@@ -22,27 +22,26 @@ bounds are hereditary, so C - w is a class of level k, and attaching w back
 to its canonical copy passes both invariant tests: no vertex of C beats w.
 So ``bounded_classes`` loses no class.
 
-``maximal_family_exhaustive`` builds its last level from the same child
-loop, but gives the new vertex only maximal K_{q-1}-free sets M that fix
-every deficient non-edge of the parent (``cliques.deficient_cover``):
-exactly the neighbourhoods that leave the child edge-maximal, so no child
-is tested for it.  Only the children that also arrow are labeled.
+``maximal_family_exhaustive`` makes its last level with the extension
+kernel at r = 1: ``extension_lines`` of each parent attaches one vertex on
+each maximal K_{q-1}-free set that holds a K_{q-2}, fixes every deficient
+non-edge of the parent (the cover lemma of ``_kernels_py._deficient_cover``)
+and keeps the independence number at most t.  Every such child is
+edge-maximal, so none is tested for it, and only the children that arrow
+are labeled.
 
-Lemma (ends).  M fixes a deficient non-edge xy only if x and y are in M,
-so M contains the union ``ends`` of the deficient non-edges' ends.  A
-parent whose ``ends`` holds a K_{q-1} has no such M and no child.  Only
-the maximal K_{q-1}-free sets that contain ``ends`` are listed
-(``maximal_kt_free_subsets`` with ``keep = ends``, none for such a
-parent).
-
-Lemma (twins).  Let M, a maximal K_{q-1}-free set of the K_q-free parent
-holding ``ends``, pass the degree test: every vertex of M has degree below
-|M|.  Let y be in M and x a twin of y outside M.  If N(x) = N(y), M + x
-holds x plus a K_{q-2} K of M & N(y), so y plus K is a K_{q-1} in M.  If
-N[x] = N[y], x is in N(y) - M and deg(y) < |M|, so some z in M lies
-outside N[y] = N[x]; x is not in ``ends``, so N(x) & N(z) holds a K_{q-2},
-which misses y, a non-neighbour of z, and makes a K_q with x and y.  So M
-is a union of twin classes, and the last level runs no twin test.
+Lemma (maximal).  Let G be an edge-maximal member on n >= q vertices and
+w any vertex of G.  G - w is a class of level n - 1 (the bounds are
+hereditary).  N(w) is a maximal K_{q-1}-free set of G - w: it holds no
+K_{q-1}, as G has no K_q, and for a non-neighbour x of w the edge wx
+makes a K_q, so N(w) + x holds a K_{q-1}.  N(w) holds a K_{q-2}: if w has
+a non-neighbour z, in N(w) & N(z); if not, G, not complete, has a
+non-edge xy away from w, N(x) & N(y) holds a K_{q-2} K, and K, or
+K - w + x when w is in K, lies in N(w).  G is plus-K_q, so N(w) fixes
+every deficient non-edge of G - w (the cover lemma at r = 1), and an
+independent set of G - w - N(w) plus w is one of G, so the residue test
+passes too.  So no class is lost.  Below q vertices the only
+edge-maximal K_q-free graph is K_n.
 
 Lemma (repeats).  The last level's parents, level n - 1, are not labeled
 or deduplicated: they stream from the child loop of level n - 2, which
@@ -60,13 +59,13 @@ brute-force ``tests/oracles.py::maximal_family_reference``.
 from __future__ import annotations
 
 from . import _kernels as K
-from .arrowing import arrows_adj, canonicalize
+from .arrowing import arrows_adj, canonicalize, clique_arrows
 from .canon import GraphSet, canonical_line
-from .cliques import complement_adj, deficient_cover, twin_pairs
+from .cliques import complement_adj
 from .graphs import Graph, GraphError, attach, bits_of, from_graph6
 
 
-def _children(level, q: int, t: int, maximal=False):
+def _children(level, q: int, t: int):
     """Adjacency tuples (``graphs.attach``) of every adjacency of ``level``
     with one vertex attached by every neighbourhood that keeps clique number
     below q and independence number at most t, and gives the new vertex the
@@ -78,32 +77,14 @@ def _children(level, q: int, t: int, maximal=False):
     invariant tests are McKay's canonical parent, invariant half: see the
     completeness lemma above.  In the child a neighbour x of the new vertex
     gains one degree, so x's neighbour-degree sum there is the parent's,
-    plus its neighbours in the neighbourhood, plus the new vertex's degree.
-
-    Under ``maximal`` only the edge-maximal K_q-free children are made: the
-    neighbourhoods are the maximal K_{q-1}-free sets of the parent that fix
-    every deficient non-edge (``cliques.deficient_cover`` at r = 1).  In an
-    edge-maximal K_q-free graph every vertex's neighbourhood is a maximal
-    K_{q-1}-free set of the graph less that vertex, so no class is lost.
-    The cover comes first: by the ends lemma above, only the sets that
-    contain the deficient non-edges' ends are listed, none when the ends
-    hold a K_{q-1}.  The parent's tables are built only when a set is
-    left.  No twin test is run there (the twins lemma above)."""
+    plus its neighbours in the neighbourhood, plus the new vertex's degree."""
     impl = K.impl
     for adj in level:
         k = len(adj)
         full = (1 << k) - 1
-        if maximal:
-            need, fixes, ends = deficient_cover(adj, q)
-            masks = impl.maximal_kt_free_subsets(adj, q - 1, ends)
-            if not masks:
-                continue
-            pairs = ()
-        else:
-            masks = range(full + 1)
-            # (v, its preceding twin) as bits: nb is tried only when it
-            # meets every twin class in a prefix
-            pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(adj)) if p]
+        # (v, its preceding twin) as bits: nb is tried only when it meets
+        # every twin class in a prefix
+        pairs = [(1 << v, p) for v, p in enumerate(impl.twin_pairs(adj)) if p]
         cadj = complement_adj(adj)
         # at_least[d]: vertices of degree >= d, as suffix unions of the
         # degree classes; nds[x]: the degree sum of x's neighbours
@@ -118,7 +99,7 @@ def _children(level, q: int, t: int, maximal=False):
                 nds[b.bit_length() - 1] += d
         for d in range(k - 1, -1, -1):
             at_least[d] |= at_least[d + 1]
-        for nb in masks:
+        for nb in range(full + 1):
             # in the child a neighbour gains one, the new vertex has degree s
             s = nb.bit_count()
             if at_least[s] & nb or at_least[s + 1] & ~nb:
@@ -138,12 +119,9 @@ def _children(level, q: int, t: int, maximal=False):
                     for x in bits_of(peers)
                 ):
                     continue
-            # a maximal K_{q-1}-free set holds no K_{q-1}
-            if not maximal and impl.has_clique_within(adj, nb, q - 1):
+            if impl.has_clique_within(adj, nb, q - 1):
                 continue
             if impl.has_clique_within(cadj, full ^ nb, t):
-                continue
-            if maximal and fixes(nb) != need:
                 continue
             yield attach(adj, (nb,))
 
@@ -177,21 +155,25 @@ def maximal_family_exhaustive(avec, q: int, n: int, t: int) -> GraphSet:
 
     The levels below n - 1 are those of ``bounded_classes``.  Level n - 1
     is not labeled: the children of level n - 2 go straight to the last
-    level (the repeats lemma above), at n = 1 the 0-vertex graph.  The last
-    level is ``_children`` under ``maximal`` (at n = 0 the 0-vertex graph,
-    with no non-edge): every child is edge-maximal by construction, and it
-    is labeled only if it arrows.
+    level (the repeats lemma above), one ``extension_lines`` call at r = 1
+    per parent (the maximal lemma above).  Every child it makes holds a
+    K_{q-1}, so the vector goes to the kernel only when a K_{q-1} may not
+    arrow it.  Below q vertices the answer is K_n when it arrows.
     """
     if n < 0:
         raise GraphError("negative vertex count")
-    entries = canonicalize(avec).entries
-    level = _level(max(n - 2, 0), q, t).values()
-    if n > 1:
-        level = _children(level, q, t)
-    if n > 0:
-        level = _children(level, q, t, maximal=True)
     out = GraphSet()
-    for adj in level:
+    if q < 2 or t < 1:
+        return out
+    entries = canonicalize(avec).entries
+    if n < q:
+        adj = Graph.complete(n).adj
         if arrows_adj(adj, entries):
             out.insert_canonical(canonical_line(adj))
+        return out
+    vec = () if clique_arrows(entries, q - 1) else entries
+    impl = K.impl
+    for adj in _children(_level(n - 2, q, t).values(), q, t):
+        for line in impl.extension_lines(adj, vec, q, 1, t):
+            out.insert_canonical(line)
     return out

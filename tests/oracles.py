@@ -46,7 +46,7 @@ test, except these, which call the engine's kernels or canonical labeling:
 from itertools import combinations, product
 
 from folkman import _kernels as K
-from folkman._kernels_py import MAX_AUT_GENERATORS
+from folkman._kernels_py import MAX_AUT_GENERATORS, twin_pairs
 from folkman.arrowing import ArrowVector, arrows, arrows_adj
 from folkman.canon import GraphSet, canonical_line
 from folkman.cliques import (
@@ -54,7 +54,6 @@ from folkman.cliques import (
     has_clique,
     is_plus_kt,
     maximal_kt_free_subsets,
-    twin_pairs,
 )
 from folkman.generate import bounded_classes
 from folkman.graphs import Graph, GraphError, bits_of, join

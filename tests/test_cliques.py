@@ -4,14 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from folkman._kernels_py import _deficient_cover, twin_pairs
 from folkman.cliques import (
     clique_number,
-    deficient_cover,
     has_clique,
     independence_number,
     is_plus_kt,
     maximal_kt_free_subsets,
-    twin_pairs,
 )
 from folkman.graphs import Graph, GraphError, join
 from folkman.search import attach_vertices
@@ -259,7 +258,7 @@ def test_deficient_cover_decides_plus_clique_at_r0_and_r1(rng):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if has_edge(h, u, v)]
         for u, v in rng.sample(edges, min(len(edges), rng.randint(0, 2))):
             h = remove_edge(h, u, v)
-        need, fixes, ends = deficient_cover(h.adj, q)
+        need, fixes, ends = _deficient_cover(h.adj, q)
         assert (need == 0) == is_plus_kt(h, q) == (ends == 0)
         for M in maximal_kt_free_subsets(h, q - 1):
             assert (fixes(M) == need) == is_plus_kt(attach_vertices(h, [M]), q)

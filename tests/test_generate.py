@@ -2,25 +2,22 @@ from collections import Counter
 
 import pytest
 
-from folkman import _kernels, generate
+from folkman import _kernels, _kernels_py
 from folkman.canon import canonical_form
 from folkman.cliques import (
     clique_number,
-    deficient_cover,
     has_clique,
     independence_number,
     is_plus_kt,
-    maximal_kt_free_subsets,
-    twin_pairs,
 )
 from folkman.generate import (
     _children,
     bounded_classes,
     maximal_family_exhaustive,
 )
-from folkman.graphs import Graph, bits_of, to_graph6
+from folkman.graphs import Graph, to_graph6
 from folkman.arrowing import arrows
-from tests.conftest import available_backends, complete_less_matching, random_graph
+from tests.conftest import available_backends, complete_less_matching
 from tests.oracles import (
     bounded_classes_reference,
     graph_classes,
@@ -103,91 +100,51 @@ def test_twin_swaps_leave_one_neighbourhood_per_orbit(monkeypatch):
     assert kernels.calls[6] == 16
 
 
-def test_maximal_children_pass_the_degree_test_first_and_scan_no_twins(monkeypatch):
-    # At q = 3 the maximal K_2-free sets are the maximal independent sets.
-    # C_5 has no deficient non-edge and five such sets, all pairs, whose
-    # vertices would get degree 3 against the new vertex's 2, so none
-    # reaches the independence test (t = 3).  K_1 + K_2 has the deficient
-    # non-edges 01 and 02, whose ends hold the edge 12: no independent set
-    # contains them, so none is listed and none tested.
-    # At q = 4 the parent below, with the neighbourhoods 567, 567, 467, 456,
-    # 2357, 01347, 01237 and 012456, has the deficient ends {0, 1, 2, 3},
-    # which hold no triangle, and three maximal triangle-free
-    # sets contain them.  {0, 1, 2, 3, 7} gives 7 degree 6 against the new
-    # vertex's 5; with {0, 1, 2, 3, 4, 6} the new vertex and 7 both get
-    # degree 6, and 7's neighbours' degrees sum to 23 + 5 = 28 against the
-    # new vertex's 27; {0, 1, 2, 3, 5, 6} ties 7, 5 and 6 at degree 6 and
-    # sum 28 and reaches the independence test (t = 4).  Each set holds
-    # both of the twins 0 and 1.  The last level builds no twin classes
-    # (the twins lemma of folkman.generate); a level builds them once per
-    # parent.  (The last level asks the kernel for the sets, so the
-    # counting kernels record the keep mask of each call.)
-    kernels = _CountingKernels(_kernels.impl)
+def test_last_level_lists_only_sets_holding_the_ends_and_scans_no_twins(monkeypatch):
+    # The last level is the extension kernel at r = 1 (counted on the pure
+    # twin, whose kernels call each other through its module's globals),
+    # and it lists only the maximal K_{q-1}-free sets that hold the ends of
+    # the deficient non-edges.  At q = 3 the maximal K_2-free sets are the
+    # maximal independent sets.  C_5 has no deficient non-edge, so the keep
+    # mask is 0.  K_1 + K_2 has the deficient non-edges 01 and 02, whose
+    # ends hold the edge 12: no independent set contains them, so none is
+    # listed.  At q = 4 the parent below, with the neighbourhoods 567, 567,
+    # 467, 456, 2357, 01347, 01237 and 012456, has the deficient ends
+    # {0, 1, 2, 3}, which hold no triangle.
     listed = []
-    scanned = []
 
     def counting_subsets(adj, t, keep):
         listed.append(keep)
         return real_subsets(adj, t, keep)
 
+    real_subsets = _kernels_py.maximal_kt_free_subsets
+    monkeypatch.setattr(_kernels_py, "maximal_kt_free_subsets", counting_subsets)
+    cases = (
+        (Graph.cycle(5), 3, 3, [0]),
+        (Graph(3, [0, 0b100, 0b10]), 3, 3, [0b111]),
+        (Graph(8, [0xE0, 0xE0, 0xD0, 0x70, 0xAC, 0x9B, 0x8F, 0x77]), 4, 4, [0b1111]),
+    )
+    for g, q, t, keeps in cases:
+        listed.clear()
+        _kernels_py.extension_lines(g.adj, (), q, 1, t)
+        assert listed == keeps
+    # a level scans the twin classes of each of its parents once; the last
+    # level's parents, the children of level n - 2, get no scan (the
+    # kernels call each other directly, so the proxy sees only the levels)
+    kernels = _CountingKernels(_kernels_py)
+    scanned = []
+
     def counting_twin_pairs(adj):
         scanned.append(adj)
-        return twin_pairs(adj)
+        return _kernels_py.twin_pairs(adj)
 
-    real_subsets = kernels.maximal_kt_free_subsets
-    kernels.maximal_kt_free_subsets = counting_subsets
+    kernels.twin_pairs = counting_twin_pairs
     monkeypatch.setattr(_kernels, "impl", kernels)
-    monkeypatch.setattr(generate, "twin_pairs", counting_twin_pairs)
-    cases = (
-        (Graph.cycle(5), 3, 3, [0], 0),
-        (Graph(3, [0, 0b100, 0b10]), 3, 3, [0b111], 0),
-        (Graph(8, [0xE0, 0xE0, 0xD0, 0x70, 0xAC, 0x9B, 0x8F, 0x77]), 4, 4, [0b1111], 1),
-    )
-    for g, q, t, keeps, tested in cases:
-        kernels.calls.clear()
-        listed.clear()
-        list(_children([g.adj], q, t, maximal=True))
-        assert listed == keeps
-        assert kernels.calls[t] == tested
-        assert scanned == []
-        list(_children([g.adj], q, t))
-        assert scanned == [g.adj]
+    for avec, q, n, t in (((3,), 4, 7, 3), ((3,), 5, 8, 4)):
+        want = sum(len(bounded_classes(k, q, t)) for k in range(n - 1))
         scanned.clear()
-
-
-def _with_twins(rng, g):
-    """g with a few random vertices made open or closed twins of others."""
-    adj = list(g.adj)
-    for _ in range(rng.randrange(g.n)):
-        u, v = rng.sample(range(g.n), 2)
-        # N(u) = N(v), or with v added N[u] = N[v]
-        row = adj[v] & ~(1 << u) | (1 << v if rng.random() < 0.5 else 0)
-        adj = [r & ~(1 << u) | (1 << u if row >> w & 1 else 0) for w, r in enumerate(adj)]
-        adj[u] = row
-    return Graph(g.n, adj)
-
-
-def test_last_level_sets_that_pass_the_degree_test_are_unions_of_twin_classes(rng):
-    # the twins lemma of folkman.generate, on random twin-rich K_q-free
-    # parents: a maximal K_{q-1}-free set that holds the deficient ends and
-    # whose vertices all have degree below its size meets every twin class
-    # in all or none of it; without the degree test some sets split one
-    whole_classes = split = 0
-    for q in range(3, 7):
-        for _ in range(300):
-            g = _with_twins(rng, random_graph(rng, rng.randrange(1, 10), rng.random()))
-            if has_clique(g, q):
-                continue
-            _, _, ends = deficient_cover(g.adj, q)
-            pairs = [(1 << v, p) for v, p in enumerate(twin_pairs(g.adj)) if p]
-            for m in maximal_kt_free_subsets(g, q - 1, ends):
-                union = all(bool(m & b) == bool(m & p) for b, p in pairs)
-                if all(g.adj[v].bit_count() < m.bit_count() for v in bits_of(m)):
-                    assert union, (q, g.adj, m)
-                    whole_classes += any(m & b for b, _ in pairs)
-                else:
-                    split += not union
-    assert whole_classes and split
+        maximal_family_exhaustive(avec, q, n, t)
+        assert len(scanned) == want
 
 
 def test_bounded_classes_match_filtered_full_enumeration():
@@ -254,7 +211,16 @@ def test_complete_base_matches_exhaustive():
 # number at least p and below m, so their arrowing runs free_partition.
 # At q = 2 the new vertex's one neighbourhood is the empty set, the only
 # K_1-free set, and at q = 3 the fix test asks for a K_0, always present.
+# Around the cut below q vertices, where the answer is K_n when it arrows,
+# (3) and (2, 3) at q = 5 and 6 on q - 2 to q + 1 vertices, t = 0 to 2:
+# K_n arrows (3) from n = 3 and (2, 3) from n = 4.
 EXHAUSTIVE_GRID = [((2, 2, 2), 4, n, 3) for n in range(8)] + [
+    (avec, q, n, t)
+    for avec in ((3,), (2, 3))
+    for q in (5, 6)
+    for n in range(q - 2, q + 2)
+    for t in range(3)
+] + [
     (avec, q, n, t)
     for avec, q in (((1,), 2), ((2,), 3), ((2, 2), 3))
     for n in range(5)
@@ -287,19 +253,34 @@ def test_exhaustive_final_level_filter_matches_reference(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_exhaustive_final_level_runs_no_plus_clique_test(backend, monkeypatch):
-    # the last vertex's neighbourhoods make every child edge-maximal, so no
-    # child is tested for it; the degree and twin tests still run on them
-    # and here leave one child per class for the arrowing test
+    # The last vertex's neighbourhoods make every child edge-maximal, so no
+    # child is tested for it.  The last level is one extension_lines call
+    # at r = 1 per streamed parent, 1316 here, and a K_4 arrows (3), so the
+    # vector goes as ().  Inside the pure twin's kernel neither is_plus_k
+    # nor arrows runs, and 28 children are made for the 7 classes.
     kernels = _CountingKernels(available_backends()[backend])
-    arrowed = []
+    hosts = []
+    inside = Counter()
 
-    def arrows_adj(adj, entries):
-        arrowed.append(adj)
-        return real_arrows_adj(adj, entries)
+    def extension_lines(adj, vec, q, r, t):
+        hosts.append((vec, q, r, t))
+        return kernels.impl.extension_lines(adj, vec, q, r, t)
 
-    real_arrows_adj = generate.arrows_adj
+    def counted(name):
+        real = getattr(_kernels_py, name)
+
+        def count(*args):
+            inside[name] += 1
+            return real(*args)
+
+        return count
+
+    kernels.extension_lines = extension_lines
     monkeypatch.setattr(_kernels, "impl", kernels)
-    monkeypatch.setattr(generate, "arrows_adj", arrows_adj)
+    for name in ("is_plus_k", "arrows", "attach"):
+        monkeypatch.setattr(_kernels_py, name, counted(name))
     assert len(maximal_family_exhaustive((3,), 5, 8, 4)) == 7
     assert kernels.calls["is_plus_k"] == 0
-    assert len(arrowed) == 7
+    assert hosts == [((), 5, 1, 4)] * 1316
+    if backend == "python":
+        assert inside == {"attach": 28}

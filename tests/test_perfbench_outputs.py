@@ -1,8 +1,8 @@
 """The outputs the benchmark pins must keep matching its reference: each
 workload is run through ``perfbench/workloads.py`` itself, loaded read-only,
-on a cut-down input, and checked by its own ``check``.  The workloads that
-pin the compiled backend run on every backend that imports.  Everything it
-writes goes under ``tmp_path``."""
+on a cut-down input, and checked by its own ``check``.  Each runs on every
+backend that imports, whichever backend its benchmark run pins.  Everything
+it writes goes under ``tmp_path``."""
 
 import importlib.util
 import shutil
@@ -51,7 +51,9 @@ def test_pipeline_artifacts_match_the_pinned_reference(tmp_path, workers, backen
     assert wl.check(tmp_path, outcome, reference) == [], workers
 
 
-def test_exhaustive_output_matches_the_pinned_reference():
+@backends
+def test_exhaustive_output_matches_the_pinned_reference(backend):
+    _use(backend)
     wl = workloads.WORKLOADS["exhaustive"]
     assert wl.check(None, wl.run(None, 1), reference) == []
 
