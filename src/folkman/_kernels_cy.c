@@ -1,6 +1,7 @@
 /* Compiled twin of _kernels_py: clique search, free-partition search and
- * arrowing, canonical labeling and canonical graph6 lines, the plus-clique
- * descent's child loop and the family extension's host loop.
+ * arrowing, canonical labeling and canonical graph6 lines, graph6 decoding,
+ * the plus-clique descent's child loop and the family extension's host
+ * loop.
  *
  * Hand-written against the CPython C API.  Each function ports the one of
  * the same name in _kernels_py (less a leading underscore; a nested Python
@@ -12,11 +13,14 @@
  * uint64_t neighbour masks; a leaf's code is graphs.edge_code's bit stream
  * written into bytes, first bit in the top bit of byte 0, so that memcmp
  * orders codes as the integers compare, and a canonical line is written
- * from those bytes.  Kernels call each other as C functions.  Sets over a
- * list whose length is known only at run time (a host's cliques, its
- * deficient non-edges) are arrays of 64-bit words, and every buffer that
- * grows with the input is allocated; a failed allocation raises
- * MemoryError.
+ * from those bytes.  The graph6 decoders (graph6_adj, cone_count) run
+ * graphs.unpack_graph6's checks only to accept or reject a line: a line or
+ * argument they reject goes to the pure twin, which raises the error, so
+ * each message and offset is written once.  Kernels call each other as C
+ * functions.  Sets over a list whose length is known only at run time (a
+ * host's cliques, its deficient non-edges) are arrays of 64-bit words, and
+ * every buffer that grows with the input is allocated; a failed allocation
+ * raises MemoryError.
  *
  * Build: cc -O2 -shared -fPIC -I<python include> _kernels_cy.c -o <so>
  */
@@ -673,6 +677,91 @@ static int graph6_line(const struct canon *cs, char *out)
             out[len++] = (char)(63 + (w >> shift & 63));
     }
     return len;
+}
+
+/* -- graph6 decoding ----------------------------------------------------- */
+
+/* The edge characters of a graph6 line that graphs.unpack_graph6 accepts,
+ * and its vertex count. */
+struct g6 {
+    const unsigned char *body;
+    int n;
+};
+
+/* graphs._BLANKS */
+static int blank(unsigned char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/* 0 with *out filled when graphs.unpack_graph6 accepts line, else -1 with
+ * no exception set: the caller asks the pure twin for the error.  The
+ * checks run in unpack_graph6's order; a line that is not an ASCII str
+ * holds a byte outside the graph6 range or is no line at all. */
+static int g6_parse(PyObject *line, struct g6 *out)
+{
+    if (!PyUnicode_Check(line) || !PyUnicode_IS_ASCII(line))
+        return -1;
+    const unsigned char *s = PyUnicode_1BYTE_DATA(line);
+    Py_ssize_t len = PyUnicode_GET_LENGTH(line);
+    while (len && blank(s[len - 1]))
+        len--;
+    while (len && blank(*s)) {
+        s++;
+        len--;
+    }
+    if (len >= 10 && !memcmp(s, ">>graph6<<", 10)) {
+        s += 10;
+        len -= 10;
+    }
+    if (!len)
+        return -1;
+    for (Py_ssize_t i = 0; i < len; i++)
+        if (s[i] < '?' || s[i] > '~')
+            return -1;
+    Py_ssize_t body = 1;
+    long n = s[0] - 63;
+    if (s[0] == '~') {
+        if (len < 4 || s[1] == '~')
+            return -1;
+        n = (long)(s[1] - 63) << 12 | (s[2] - 63) << 6 | (s[3] - 63);
+        body = 4;
+    }
+    if (n > MAXN)
+        return -1;
+    long bits = n * (n - 1) / 2, need = (bits + 5) / 6;
+    if (len - body != need)
+        return -1;
+    /* the padding fills the low end of the last character */
+    if (need && (s[len - 1] - 63) & ((1 << (6 * need - bits)) - 1))
+        return -1;
+    out->body = s + body;
+    out->n = (int)n;
+    return 0;
+}
+
+/* edge bit k of a parsed line: six to a character, first bit on top */
+static int g6_bit(const struct g6 *g, long k) { return (g->body[k / 6] - 63) >> (5 - k % 6) & 1; }
+
+/* The rows of a parsed line; bit k is the edge ij with k = j(j-1)/2 + i,
+ * the upper triangle column by column. */
+static void g6_rows(const struct g6 *g, u64 *adj)
+{
+    long k = 0;
+    memset(adj, 0, sizeof(u64) * (size_t)g->n);
+    for (int j = 1; j < g->n; j++)
+        for (int i = 0; i < j; i++, k++)
+            if (g6_bit(g, k)) {
+                adj[i] |= (u64)1 << j;
+                adj[j] |= (u64)1 << i;
+            }
+}
+
+/* The number of trailing columns of a parsed line that are all ones. */
+static int g6_cone_count(const struct g6 *g)
+{
+    for (int j = g->n - 1; j >= 0; j--)
+        for (long k = (long)j * (j - 1) / 2, end = k + j; k < end; k++)
+            if (!g6_bit(g, k))
+                return g->n - 1 - j;
+    return g->n;
 }
 
 /* -- descent child loop --------------------------------------------------- */
@@ -1581,6 +1670,46 @@ meth_canonical_line(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyUnicode_DecodeASCII(line, graph6_line(&cs, line), NULL);
 }
 
+/* The pure twin's kernel name called on the arguments the compiled one
+ * rejected, so that it raises its error; NULL with that error set, or with
+ * SystemError if the pure twin accepts them after all. */
+static PyObject *pure_twin_error(const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *mod = PyImport_ImportModule("folkman._kernels_py");
+    PyObject *f = mod ? PyObject_GetAttrString(mod, name) : NULL;
+    PyObject *got = f ? PyObject_Vectorcall(f, args, (size_t)nargs, NULL) : NULL;
+    Py_XDECREF(mod);
+    Py_XDECREF(f);
+    if (got != NULL) {
+        Py_DECREF(got);
+        PyErr_Format(PyExc_SystemError, "%s: the pure twin accepts what the compiled twin rejected",
+                     name);
+    }
+    return NULL;
+}
+
+static PyObject *
+meth_graph6_adj(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct g6 g;
+    u64 adj[MAXN];
+    (void)self;
+    if (nargs != 1 || g6_parse(args[0], &g) < 0)
+        return pure_twin_error("graph6_adj", args, nargs);
+    g6_rows(&g, adj);
+    return masks_tuple(adj, g.n);
+}
+
+static PyObject *
+meth_cone_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    struct g6 g;
+    (void)self;
+    if (nargs != 1 || g6_parse(args[0], &g) < 0)
+        return pure_twin_error("cone_count", args, nargs);
+    return PyLong_FromLong(g6_cone_count(&g));
+}
+
 static PyObject *
 meth_descent_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1710,6 +1839,10 @@ static PyMethodDef methods[] = {
      "Permutation (position -> vertex) giving the least edge code."},
     {"canonical_line", (PyCFunction)(void (*)(void))meth_canonical_line, METH_FASTCALL,
      "graph6 line of the graph relabeled by canonical_perm."},
+    {"graph6_adj", (PyCFunction)(void (*)(void))meth_graph6_adj, METH_FASTCALL,
+     "Neighbour masks of the graph of a graph6 line."},
+    {"cone_count", (PyCFunction)(void (*)(void))meth_cone_count, METH_FASTCALL,
+     "How many vertices of the graph of a canonical line are adjacent to all others."},
     {"descent_children", (PyCFunction)(void (*)(void))meth_descent_children, METH_FASTCALL,
      "Sorted (canonical line, (child, dead masks)) pairs of one descent class."},
     {"maximal_kt_free_subsets", (PyCFunction)(void (*)(void))meth_maximal_kt_free_subsets,

@@ -1,5 +1,6 @@
 """Bitset kernels: clique search, free-partition search and arrowing,
-canonical labeling and canonical graph6 lines, the plus-clique descent's
+canonical labeling and canonical graph6 lines, graph6 decoding
+(``graph6_adj`` and ``cone_count``), the plus-clique descent's
 child loop (``descent_children``, whose docstring and comments are the one
 statement of the descent's key rule) and the family extension's host loop
 (``maximal_kt_free_subsets``, the deficient cover, ``valid_multisets`` and
@@ -14,19 +15,21 @@ the two on random inputs.  The one real difference in how they work: the
 compiled twin writes a leaf's code as bytes in ``graphs.edge_code``'s bit
 order (first bit in the top bit of the first byte), where this module
 compares the integers ``edge_code`` returns, and writes a canonical line
-from those bytes.
+from those bytes.  The compiled graph6 decoders only accept or reject a
+line: on a line or argument they reject they call the twin here, so each
+error, message and offset, is written once, in ``graphs.unpack_graph6``.
 
 Kernels call each other directly, not through ``_kernels.impl``, so a
 proxy on ``impl`` sees only the calls made from outside the kernels.
 
-A graph arrives as a sequence ``adj`` of per-vertex neighbour bitmasks over
-vertex indices 0..n-1 (symmetric, no loops, n <= 64).  Vertex subsets are
-plain int masks.
+A graph arrives as a graph6 line or as a sequence ``adj`` of per-vertex
+neighbour bitmasks over vertex indices 0..n-1 (symmetric, no loops,
+n <= 64).  Vertex subsets are plain int masks.
 """
 
 from __future__ import annotations
 
-from .graphs import adj_to_graph6, attach, complement_adj, edge_code
+from .graphs import adj_to_graph6, attach, complement_adj, edge_code, unpack_graph6
 
 BACKEND = "python"
 
@@ -466,6 +469,42 @@ def canonical_line(adj) -> str:
     """graph6 line of the graph relabeled by ``canonical_perm``: equal lines
     exactly for isomorphic graphs."""
     return adj_to_graph6(len(adj), adj, canonical_perm(adj))
+
+
+def graph6_adj(line) -> tuple:
+    """The neighbour masks of the graph of a graph6 line, in the line's own
+    labeling.  A malformed line raises ``unpack_graph6``'s
+    Graph6ParseError; the compiled twin raises it by calling this one."""
+    n, code = unpack_graph6(line)
+    # edge bits run from the top in column-major upper-triangle order, so
+    # in the reversed stream column j is the j bits from j(j-1)/2 up, bit i
+    # standing for the edge ij
+    stream = int(format(code, f"0{n * (n - 1) // 2}b")[::-1], 2)
+    adj = [0] * n
+    for j in range(1, n):
+        col = (stream >> (j * (j - 1) // 2)) & ((1 << j) - 1)
+        adj[j] = col
+        bj = 1 << j
+        while col:
+            b = col & -col
+            col ^= b
+            adj[b.bit_length() - 1] |= bj
+    return tuple(adj)
+
+
+def cone_count(line) -> int:
+    """How many vertices of the graph of a canonical line are adjacent to
+    all others, with ``graph6_adj``'s errors.  Both twins' canonical_perm
+    splits by degree first, in ascending order, and only in place after
+    that, so a canonical labeling lists the cone vertices last.  Column j
+    of the edge bits holds the edges from vertex j to the vertices before
+    it, so the cone vertices are the trailing columns that are all ones."""
+    n, code = unpack_graph6(line)
+    for j in range(n - 1, -1, -1):
+        if ~code & ((1 << j) - 1):
+            return n - 1 - j
+        code >>= j
+    return n
 
 
 def descent_children(adj, dead, entries, q, t):

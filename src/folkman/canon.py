@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from . import _kernels as K
-from .graphs import Graph, from_graph6, graph6_lines, unpack_graph6
+from .graphs import Graph, from_graph6, graph6_lines
 
 
 def canonical_line(adj) -> str:
@@ -31,17 +31,9 @@ def canonical_form(g: Graph) -> str:
 
 def cone_count(line: str) -> int:
     """How many vertices of the graph of a canonical line are adjacent to
-    all others.  Both kernel twins split by degree first, in ascending
-    order, and only in place after that, so a canonical labeling lists the
-    cone vertices last.  Column j of the edge bits holds the edges from
-    vertex j to the vertices before it, so the cone vertices are the
-    trailing columns that are all ones."""
-    n, code = unpack_graph6(line)
-    for j in range(n - 1, -1, -1):
-        if ~code & ((1 << j) - 1):
-            return n - 1 - j
-        code >>= j
-    return n
+    all others (the kernel ``cone_count``: a canonical labeling lists them
+    last)."""
+    return K.impl.cone_count(line)
 
 
 class GraphSet:

@@ -253,22 +253,11 @@ def unpack_graph6(line: str) -> tuple[int, int]:
 
 
 def from_graph6(line: str) -> Graph:
-    n, code = unpack_graph6(line)
-    # edge bits run from the top in column-major upper-triangle order, so
-    # in the reversed stream column j is the j bits from j(j-1)/2 up, bit i
-    # standing for the edge ij
-    stream = int(format(code, f"0{n * (n - 1) // 2}b")[::-1], 2)
-    adj = [0] * n
-    for j in range(1, n):
-        col = (stream >> (j * (j - 1) // 2)) & ((1 << j) - 1)
-        adj[j] = col
-        bj = 1 << j
-        while col:
-            b = col & -col
-            col ^= b
-            adj[b.bit_length() - 1] |= bj
+    """The graph of a graph6 line, decoded by the kernel ``graph6_adj`` of
+    the backend in use; a malformed line raises Graph6ParseError."""
+    adj = K.impl.graph6_adj(line)
     # symmetric and loop-free by construction: skip Graph's checks
-    return Graph._trusted(n, tuple(adj))
+    return Graph._trusted(len(adj), adj)
 
 
 def graph6_lines(path) -> Iterator[str]:
@@ -279,3 +268,8 @@ def graph6_lines(path) -> Iterator[str]:
             line = line.strip(_BLANKS)
             if line and not line.startswith("#"):
                 yield line
+
+
+# The kernels import this module's codec, so they are imported last: every
+# name above exists whichever of the two modules is imported first.
+from . import _kernels as K  # noqa: E402

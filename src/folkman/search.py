@@ -39,10 +39,12 @@ Two cooperating constructions:
   the deficient cover, the cover-first multiset search, the new vertices
   attached, the arrowing test and the canonical lines.  The pure twin
   (``_kernels_py``) states the cover lemma and the search; the compiled
-  twin runs the same loop in C.  The cone-split variant restricts the
-  expensive extension to cone-vertex-free hosts and recovers the coned
-  part of the family directly from the one-smaller and one-sparser
-  families.  New vertices are added by ``graphs.attach`` (the pure
+  twin runs the same loop in C.  A task is a host's canonical line: the
+  kernel ``graph6_adj`` decodes it and, in the cone split, the kernel
+  ``cone_count`` filters it first, so a host's task is kernel calls
+  only.  The cone-split variant restricts the expensive extension to
+  cone-vertex-free hosts and recovers the coned part of the family
+  directly from the one-smaller and one-sparser families.  New vertices are added by ``graphs.attach`` (the pure
   kernel's, and the cone split's coned outputs) or in C.
 
 Both constructions run their work units through ``_dispatch``: one class
@@ -392,9 +394,10 @@ def _extension_worker(entries, q, r, t, cone_free, line):
     backend in use at call time returns them; ``entries`` is () when the
     caller found that the outputs' K_{q-1} decides arrowing (see
     ``_extend``)."""
-    if cone_free and cone_count(line):
+    impl = K.impl
+    if cone_free and impl.cone_count(line):
         return ()
-    return K.impl.extension_lines(from_graph6(line).adj, entries, q, r, t)
+    return impl.extension_lines(impl.graph6_adj(line), entries, q, r, t)
 
 
 def _extend(spec, seeds, workers, descended, cone_free=False):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from folkman import _kernels
 from folkman.graphs import (
     CapacityError,
     Graph,
@@ -17,6 +18,7 @@ from folkman.graphs import (
 )
 from tests.conftest import (
     add_edge,
+    available_backends,
     degree,
     delete_vertices,
     edge_count,
@@ -211,12 +213,15 @@ MALFORMED_GRAPH6 = [
 ]
 
 
-def test_graph6_errors():
-    for line, message, offset in MALFORMED_GRAPH6:
-        with pytest.raises(Graph6ParseError) as err:
-            from_graph6(line)
-        assert str(err.value) == f"{message} (byte offset {offset})", repr(line)
-        assert err.value.offset == offset, repr(line)
+def test_graph6_errors(monkeypatch):
+    # under every kernel backend: from_graph6 decodes through it
+    for name, backend in available_backends().items():
+        monkeypatch.setattr(_kernels, "impl", backend)
+        for line, message, offset in MALFORMED_GRAPH6:
+            with pytest.raises(Graph6ParseError) as err:
+                from_graph6(line)
+            assert str(err.value) == f"{message} (byte offset {offset})", (name, repr(line))
+            assert err.value.offset == offset, (name, repr(line))
 
 
 def test_capacity():

@@ -184,6 +184,7 @@ def test_compiled_twin_exports_the_pure_twins_names():
     assert _public_names(cy) == _public_names(py)
     assert {"descent_children", "canonical_line", "arrows"} <= _public_names(py)
     assert {"maximal_kt_free_subsets", "valid_multisets", "extension_lines"} <= _public_names(py)
+    assert {"graph6_adj", "cone_count"} <= _public_names(py)
     assert cy.COVER_MAX == py.COVER_MAX
 
 
@@ -226,6 +227,125 @@ def test_backend_parity_of_canonical_lines(rng):
         assert line == adj_to_graph6(len(adj), adj, py.canonical_perm(adj))
         assert cy.canonical_line(adj) == line, adj
         assert cy.canonical_line(adj) == adj_to_graph6(len(adj), adj, cy.canonical_perm(adj)), adj
+
+
+def _trailing_cones(adj):
+    # the trailing vertices adjacent to every vertex before them
+    n = len(adj)
+    for j in range(n - 1, -1, -1):
+        if adj[j] & ((1 << j) - 1) != (1 << j) - 1:
+            return n - 1 - j
+    return n
+
+
+def test_graph6_decoders_on_valid_lines(rng):
+    # orders 0-64 (the "~" long form from 63) at five densities, bare, in
+    # blanks and after the ">>graph6<<" header; a graph joined to a few
+    # cone vertices, listed last, gives cone_count something to find
+    cases = []
+    for n in range(65):
+        for p in (0, 0.1, 0.5, 0.9, 1):
+            cases.append(_random_adj(rng, n, p))
+        if n >= 3:
+            cones = rng.randint(1, 3)
+            cases.append(join(Graph(n - cones, _random_adj(rng, n - cones, 0.5)), Graph.complete(cones)).adj)
+    for adj in cases:
+        line = adj_to_graph6(len(adj), adj)
+        cones = _trailing_cones(adj)
+        for text in (line, f" \t{line}\r\n", f">>graph6<<{line}", f"\v>>graph6<<{line}\f "):
+            for name, kernels in available_backends().items():
+                assert kernels.graph6_adj(text) == tuple(adj), (name, text)
+                assert kernels.cone_count(text) == cones, (name, text)
+
+
+_G6_RANGE = "".join(map(chr, range(63, 127)))
+# bytes outside the graph6 range that line stripping keeps, Latin-1 included
+_OUTSIDE = [chr(c) for c in range(256) if not 63 <= c <= 126 and chr(c) not in " \t\n\r\v\f"]
+
+
+@st.composite
+def _valid_lines(draw):
+    n = draw(st.integers(0, 64))
+    bits = draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    adj = [0] * n
+    k = n * (n - 1) // 2
+    for j in range(1, n):
+        for i in range(j):
+            k -= 1
+            if bits >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj_to_graph6(n, adj)
+
+
+@st.composite
+def _malformed_lines(draw):
+    # one defect each; graphs.unpack_graph6 rejects every one of them
+    line = draw(_valid_lines())
+    head = 4 if line.startswith("~") else 1
+    kind = draw(st.sampled_from(
+        ["range", "long header", "tilde", "length", "padding", "blank", "not str"]
+    ))
+    if kind == "range":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from(_OUTSIDE)) + line[i + 1 :]
+    elif kind == "long header":
+        line = "~" + draw(st.text(_G6_RANGE, max_size=2))
+    elif kind == "tilde":
+        line = "~~" + draw(st.text(_G6_RANGE, max_size=12))
+    elif kind == "length":
+        cut = draw(st.integers(1, 3))
+        if len(line) - cut >= head and draw(st.booleans()):
+            line = line[:-cut]
+        else:
+            line += draw(st.text(_G6_RANGE, min_size=cut, max_size=cut))
+    elif kind == "padding":
+        n = draw(st.integers(2, 64).filter(lambda n: n * (n - 1) // 2 % 6))
+        line = adj_to_graph6(n, (0,) * n)
+        pad = -(n * (n - 1) // 2) % 6
+        line = line[:-1] + chr(63 + draw(st.integers(1, (1 << pad) - 1)))
+    elif kind == "blank":
+        return draw(st.text(" \t\n\r\v\f", max_size=4))
+    else:
+        return draw(st.one_of(
+            st.none(), st.integers(), st.binary(max_size=4), st.lists(st.integers(), max_size=2)
+        ))
+    if draw(st.booleans()):
+        line = ">>graph6<<" + line
+    return draw(st.text(" \t\n", max_size=2)) + line + draw(st.text(" \r\n", max_size=2))
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@needs_compiled
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_malformed_lines(), st.text(st.characters(max_codepoint=255), max_size=12))
+def test_graph6_decoders_fail_alike(line, text):
+    # the compiled decoders raise the pure twin's errors, class, message
+    # and offset, on lines with one defect each; a random Latin-1 string
+    # that happens to be a line must decode alike
+    assert _outcome(py.graph6_adj, line)[0] != "ok", line
+    for arg in (line, text):
+        for name in ("graph6_adj", "cone_count"):
+            want = _outcome(getattr(py, name), arg)
+            assert _outcome(getattr(cy, name), arg) == want, (name, arg)
+
+
+@needs_compiled
+def test_compiled_graph6_decoders_delegate_their_errors(monkeypatch):
+    # wrong argument counts raise the pure twin's TypeError, and a line the
+    # pure twin accepts after the compiled one rejected it is a SystemError
+    for name in ("graph6_adj", "cone_count"):
+        for args in ((), ("A_", "A_")):
+            assert _outcome(getattr(cy, name), *args) == _outcome(getattr(py, name), *args)
+        monkeypatch.setattr(py, name, lambda line: 0)
+        with pytest.raises(SystemError):
+            getattr(cy, name)("A`")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
