@@ -778,12 +778,59 @@ static int descending(const void *a, const void *b)
     return (x < y) - (x > y);
 }
 
-/* A kept child: its canonical line and adjacency.  The list grows as
- * children come, in the order the pure twin meets them. */
+/* Whether the non-edge xy of adj, x < y, is re-addable: its common
+ * neighbourhood holds no K_{q-2}.  verdict[x * n + y] keeps the answer as
+ * 1 + it, 0 while untested, so each is found at most once per parent. */
+static int readdable(const u64 *adj, int n, int x, int y, long q, unsigned char *verdict)
+{
+    unsigned char *vd = &verdict[x * n + y];
+    if (!*vd)
+        *vd = (unsigned char)(1 + !has_clique_within(adj, adj[x] & adj[y], q - 2));
+    return *vd - 1;
+}
+
+/* 0 when a re-addable non-edge xy of adj, y in ys, holds no K_{q-3} in
+ * child, else 1. */
+static int reached_hold(const u64 *adj, const u64 *child, int n, int x, u64 ys, long q,
+                        unsigned char *verdict)
+{
+    for (; ys; ys &= ys - 1) {
+        int y = ctz(ys);
+        if (readdable(adj, n, x < y ? x : y, x < y ? y : x, q, verdict)
+            && !has_clique_within(child, child[x] & child[y], q - 3))
+            return 0;
+    }
+    return 1;
+}
+
+/* The pure twin's child_is_plus_k: whether adj less its edge uv is
+ * plus-K_{q-1}, adj being plus-K_{q-1}.  The pure descent_children's
+ * docstring states why only the non-edges the removal reaches are tested. */
+static int child_is_plus_k(const u64 *adj, int n, int u, int v, long q, unsigned char *verdict)
+{
+    u64 au = adj[u], av = adj[v], bu = (u64)1 << u, bv = (u64)1 << v, child[MAXN];
+    if (!has_clique_within(adj, au & av, q - 3))
+        return 0;
+    memcpy(child, adj, sizeof(u64) * (size_t)n);
+    child[u] = au ^ bv;
+    child[v] = av ^ bu;
+    if (!reached_hold(adj, child, n, u, av & ~(au | bu), q, verdict)
+        || !reached_hold(adj, child, n, v, au & ~(av | bv), q, verdict))
+        return 0;
+    for (u64 m = au & av; m;) {
+        int x = ctz(m);
+        m &= m - 1;
+        if (!reached_hold(adj, child, n, x, m & ~adj[x], q, verdict))
+            return 0;
+    }
+    return 1;
+}
+
+/* A kept child P - uv: its canonical line and the removed edge.  The list
+ * grows as children come, in the order the pure twin meets them. */
 struct kept {
-    int len;
+    int len, u, v;
     char line[G6MAX];
-    u64 adj[MAXN];
 };
 
 struct kept_list {
@@ -815,6 +862,8 @@ static int descent_children(const u64 *adj, int n, u64 *dead, const struct vecto
     u64 gaps[MAXGAPS], rpair[MAXGAPS];
     long rkey[MAXGAPS];
     int deg[MAXN], ngaps = 0, done = 0, nreadd = 0;
+    unsigned char verdict[MAXN * MAXN];
+    memset(verdict, 0, (size_t)(n * n));
     twin_pairs(adj, n, twin);
     for (int x = n - 1; x >= 0; x--) {
         u64 ax = adj[x];
@@ -852,7 +901,7 @@ static int descent_children(const u64 *adj, int n, u64 *dead, const struct vecto
                 while (done < ngaps && GAP_KEY(gaps[done]) > key) {
                     u64 g = gaps[done++];
                     int x = GAP_X(g), y = GAP_Y(g);
-                    if (!has_clique_within(adj, adj[x] & adj[y], q - 2)) {
+                    if (readdable(adj, n, x, y, q, verdict)) {
                         rkey[nreadd] = GAP_KEY(g);
                         rpair[nreadd] = (u64)1 << x | (u64)1 << y;
                         if (!(rpair[nreadd++] & uv)) {
@@ -864,9 +913,10 @@ static int descent_children(const u64 *adj, int n, u64 *dead, const struct vecto
             if (outranked)
                 continue;
             memcpy(child, adj, sizeof(u64) * (size_t)n);
-            child[u] &= ~bv;
-            child[v] &= ~bu;
-            if (!is_plus_k(child, n, q - 1) || has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
+            child[u] = au ^ bv;
+            child[v] ^= bu;
+            if (!child_is_plus_k(adj, n, u, v, q, verdict)
+                || has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
                 || (vec->s && !arrows(child, n, vec))) {
                 dead[u] |= bv;
                 dead[v] |= bu;
@@ -894,7 +944,8 @@ static int descent_children(const u64 *adj, int n, u64 *dead, const struct vecto
             if (kp == NULL || label(cs, child, n) < 0)
                 return -1;
             kp->len = graph6_line(cs, kp->line);
-            memcpy(kp->adj, child, sizeof(u64) * (size_t)n);
+            kp->u = u;
+            kp->v = v;
         }
     }
     return 0;
@@ -1440,9 +1491,29 @@ static int repeated(struct kept *const *order, int i)
            && !memcmp(order[i]->line, order[i - 1]->line, (size_t)order[i]->len);
 }
 
-/* The sorted (line, (child, dead)) list of the kept children, the first
- * child of each line. */
-static PyObject *children_list(const struct kept_list *kl, const u64 *dead, int n)
+/* The rows of the kept child P - uv: P's own int objects rows[i], but for
+ * the two that lose the edge. */
+static PyObject *child_rows(const struct kept *kp, const u64 *adj, PyObject *const *rows, int n)
+{
+    PyObject *out = PyTuple_New(n);
+    for (int i = 0; out && i < n; i++) {
+        PyObject *row = rows[i];
+        if (i == kp->u || i == kp->v) {
+            row = PyLong_FromUnsignedLongLong(adj[i] & ~((u64)1 << (kp->u + kp->v - i)));
+            if (row == NULL)
+                Py_CLEAR(out);
+        } else
+            Py_INCREF(row);
+        if (out)
+            PyTuple_SET_ITEM(out, i, row);
+    }
+    return out;
+}
+
+/* The sorted (line, (child, dead)) list of the kept children of P = adj,
+ * whose row objects are rows, the first child of each line. */
+static PyObject *children_list(const struct kept_list *kl, const u64 *adj, PyObject *const *rows,
+                               const u64 *dead, int n)
 {
     struct kept **order = sorted_kept(kl);
     PyObject *final = masks_tuple(dead, n), *out = PyList_New(0);
@@ -1453,7 +1524,7 @@ static PyObject *children_list(const struct kept_list *kl, const u64 *dead, int 
         if (repeated(order, i))
             continue;
         PyObject *line = PyUnicode_DecodeASCII(kp->line, kp->len, NULL);
-        PyObject *child = masks_tuple(kp->adj, n);
+        PyObject *child = child_rows(kp, adj, rows, n);
         PyObject *task = child ? PyTuple_Pack(2, child, final) : NULL;
         PyObject *item = line && task ? PyTuple_Pack(2, line, task) : NULL;
         int err = item == NULL || PyList_Append(out, item) < 0;
@@ -1716,28 +1787,69 @@ meth_descent_children(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     u64 adj[MAXN], dead[MAXN];
     int n, nd;
     long q, t;
-    struct vector vec;
     (void)self;
-    if (check_nargs("descent_children", nargs, 5) < 0 || (n = load(args[0], adj)) < 0
-        || (nd = load(args[1], dead)) < 0 || load_long(args[3], &q) < 0
-        || load_long(args[4], &t) < 0)
+    if (check_nargs("descent_children", nargs, 5) < 0)
         return NULL;
+    /* one sequence of rows is read, whose objects the children share */
+    PyObject *rows = PySequence_Fast(args[0], "adjacency must be a sequence of int masks");
+    if (rows == NULL)
+        return NULL;
+    PyObject *out = NULL;
+    struct vector vec;
+    if ((n = load(rows, adj)) < 0 || (nd = load(args[1], dead)) < 0 || load_long(args[3], &q) < 0
+        || load_long(args[4], &t) < 0)
+        goto done;
     if (nd != n) {
         PyErr_Format(PyExc_ValueError, "%d dead masks for %d vertices", nd, n);
-        return NULL;
+        goto done;
     }
     /* the loop reads the degree of every vertex a row names */
     if (check_rows(adj, n) < 0 || load_vector(args[2], &vec) < 0)
-        return NULL;
-    struct canon cs = {0};
-    struct kept_list kept = {0};
-    PyObject *out = NULL;
-    if (descent_children(adj, n, dead, &vec, q, t, &cs, &kept) == 0)
-        out = children_list(&kept, dead, n);
-    PyMem_Free(cs.gens);
-    PyMem_Free(kept.items);
-    free_vector(&vec);
+        goto done;
+    {
+        struct canon cs = {0};
+        struct kept_list kept = {0};
+        if (descent_children(adj, n, dead, &vec, q, t, &cs, &kept) == 0)
+            out = children_list(&kept, adj, PySequence_Fast_ITEMS(rows), dead, n);
+        PyMem_Free(cs.gens);
+        PyMem_Free(kept.items);
+        free_vector(&vec);
+    }
+done:
+    Py_DECREF(rows);
     return out;
+}
+
+static PyObject *
+meth_child_is_plus_k(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 adj[MAXN];
+    unsigned char own[MAXN * MAXN], *verdict = own;
+    int n;
+    long u, v, q;
+    (void)self;
+    if (nargs != 4 && nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "child_is_plus_k() takes 4 or 5 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if ((n = load(args[0], adj)) < 0 || load_long(args[1], &u) < 0 || load_long(args[2], &v) < 0
+        || load_long(args[3], &q) < 0 || check_rows(adj, n) < 0)
+        return NULL;
+    if (u < 0 || u >= n || v < 0 || v >= n || !(adj[u] >> v & 1)) {
+        PyErr_Format(PyExc_ValueError, "%ld %ld is not an edge", u, v);
+        return NULL;
+    }
+    if (nargs == 5 && args[4] != Py_None) {
+        /* the caller's verdicts, read and written in place */
+        if (!PyByteArray_Check(args[4]) || PyByteArray_GET_SIZE(args[4]) != n * n) {
+            PyErr_Format(PyExc_ValueError, "verdict must be a bytearray of %d bytes", n * n);
+            return NULL;
+        }
+        verdict = (unsigned char *)PyByteArray_AS_STRING(args[4]);
+    } else
+        memset(own, 0, (size_t)(n * n));
+    return PyBool_FromLong(child_is_plus_k(adj, n, (int)u, (int)v, q, verdict));
 }
 
 static PyObject *
@@ -1843,6 +1955,8 @@ static PyMethodDef methods[] = {
      "Neighbour masks of the graph of a graph6 line."},
     {"cone_count", (PyCFunction)(void (*)(void))meth_cone_count, METH_FASTCALL,
      "How many vertices of the graph of a canonical line are adjacent to all others."},
+    {"child_is_plus_k", (PyCFunction)(void (*)(void))meth_child_is_plus_k, METH_FASTCALL,
+     "Whether a plus-K_{q-1} graph less its edge uv is plus-K_{q-1}."},
     {"descent_children", (PyCFunction)(void (*)(void))meth_descent_children, METH_FASTCALL,
      "Sorted (canonical line, (child, dead masks)) pairs of one descent class."},
     {"maximal_kt_free_subsets", (PyCFunction)(void (*)(void))meth_maximal_kt_free_subsets,

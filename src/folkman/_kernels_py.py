@@ -507,6 +507,59 @@ def cone_count(line) -> int:
     return n
 
 
+def child_is_plus_k(adj, u, v, q, verdict=None):
+    """True iff P - uv is plus-K_{q-1}, for an edge uv of P = ``adj``,
+    given that P is plus-K_{q-1} itself (not checked): only uv and the
+    non-edges of P that removing uv reaches are tested, by the lemma in
+    ``descent_children``'s docstring.  ``verdict`` is a bytearray of n * n
+    bytes whose byte x * n + y, x < y, reads 0 while the non-edge xy is
+    untested, else 1 + whether it is re-addable in P; a 0 is tested here
+    and written back, so a caller that keeps the array for P tests each
+    non-edge at most once."""
+    au = adj[u]
+    av = adj[v]
+    common = au & av
+    if not has_clique_within(adj, common, q - 3):
+        return False
+    n = len(adj)
+    if verdict is None:
+        verdict = bytearray(n * n)
+    bu = 1 << u
+    bv = 1 << v
+    child = list(adj)
+    child[u] = au ^ bv
+    child[v] = av ^ bu
+    # (x, the y of the reached non-edges xy): u's non-neighbours in N(v),
+    # v's in N(u), then the non-edges inside N(u) & N(v)
+    reached = [(u, av & ~(au | bu)), (v, au & ~(av | bv))]
+    m = common
+    while m:
+        b = m & -m
+        m ^= b
+        x = b.bit_length() - 1
+        reached.append((x, m & ~adj[x]))
+    for x, ys in reached:
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            y = b.bit_length() - 1
+            if _readdable(adj, n, min(x, y), max(x, y), q, verdict) and not has_clique_within(
+                child, child[x] & child[y], q - 3
+            ):
+                return False
+    return True
+
+
+def _readdable(adj, n, x, y, q, verdict):
+    """Whether the non-edge xy, x < y, of the n-vertex graph ``adj`` is
+    re-addable (its common neighbourhood holds no K_{q-2}), read from or
+    written to ``verdict[x * n + y]`` as ``child_is_plus_k`` keeps it."""
+    i = x * n + y
+    if not verdict[i]:
+        verdict[i] = 2 if not has_clique_within(adj, adj[x] & adj[y], q - 2) else 1
+    return verdict[i] == 2
+
+
 def descent_children(adj, dead, entries, q, t):
     """The children of one class P of the plus-clique descent in the family
     (entries; q; independence <= t): sorted (canonical line, (child
@@ -537,7 +590,22 @@ def descent_children(adj, dead, entries, q, t):
     tested for re-addability (at most once) only when the rule of some edge
     reaches it, its key being above that edge's.  The non-edges that keep
     their key and verdict from P are checked before the family tests, the
-    others after, so only children that enter the result are labeled."""
+    others after, so only children that enter the result are labeled.
+
+    Plus-K_{q-1} test (``child_is_plus_k``).  Precondition: P is itself
+    plus-K_{q-1}; the descent checks each seed, and every child passes
+    this test.  In C = P - uv a non-edge xy of P keeps its common
+    neighbourhood and the edges inside it unless u and v both lie in
+    N(x) & N(y) | {x, y}: with x = u it loses v when v is in N(y), and with
+    x, y away from u and v it loses the edge uv when both lie in it.  A
+    non-edge whose common neighbourhood holds a K_{q-2} (one that is not
+    re-addable) still holds a K_{q-3} after losing one vertex or one edge,
+    and by the precondition every other one holds a K_{q-3} in P.  So C is
+    plus-K_{q-1} exactly when N(u) & N(v), which C keeps with its edges,
+    holds a K_{q-3} and every re-addable non-edge of P that passes the
+    {u, v} filter still holds a K_{q-3} in C.  The test and the key rule's
+    scan share one verdict per non-edge of P, re-addable or not, each found
+    at most once."""
     dead = list(dead)
     n = len(adj)
     # Canonical parent (McKay, invariant half): C = P - uv is kept only if
@@ -580,6 +648,7 @@ def descent_children(adj, dead, entries, q, t):
     gaps.sort(reverse=True)
     done = 0
     readd = []
+    verdict = bytearray(n * n)
     children = {}
     for u, au in enumerate(adj):
         if twin[u]:
@@ -607,7 +676,7 @@ def descent_children(adj, dead, entries, q, t):
                 while done < len(gaps) and gaps[done][0] > key:
                     k, x, y = gaps[done]
                     done += 1
-                    if not has_clique_within(adj, adj[x] & adj[y], q - 2):
+                    if _readdable(adj, n, x, y, q, verdict):
                         pair = 1 << x | 1 << y
                         readd.append((k, pair))
                         if not pair & uv:
@@ -615,9 +684,6 @@ def descent_children(adj, dead, entries, q, t):
                             break
             if outranked:
                 continue
-            child = list(adj)
-            child[u] &= ~bv
-            child[v] &= ~bu
             # The family tests, plus-clique (the most selective) first.
             # Independence cap: a new independent (t+1)-set must contain
             # both endpoints, i.e. a (t-1)-clique in their common complement
@@ -629,8 +695,11 @@ def descent_children(adj, dead, entries, q, t):
             # subgraph: the child is dropped before it is labeled and uv is
             # dead in the whole subtree.  The key rule's rejections do not
             # carry down and mark nothing.
+            child = list(adj)
+            child[u] = au ^ bv
+            child[v] ^= bu
             if (
-                not is_plus_k(child, q - 1)
+                not child_is_plus_k(adj, u, v, q, verdict)
                 or has_clique_within(cadj, cadj[u] & cadj[v], t - 1)
                 or entries and not arrows(child, entries)
             ):

@@ -68,6 +68,17 @@ class GraphSet:
         self._members.add(line)
         return True
 
+    def insert_new(self, items) -> list:
+        """Insert the canonical line of each (line, value) pair (trusted
+        path); returns the values whose line was new, in order."""
+        members = self._members
+        new = []
+        for line, value in items:
+            if line not in members:
+                members.add(line)
+                new.append(value)
+        return new
+
     def lines(self) -> list[str]:
         return sorted(self._members)
 

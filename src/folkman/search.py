@@ -52,8 +52,9 @@ of the descent, or one extension host, per task.  The calling process is
 one of the workers: the others are a fork pool of workers - 1 processes
 (none for one worker), shared by every call made inside a ``worker_pool``
 block (a pipeline run opens one for the whole run).  While more than one
-task is pending an idle forked worker is sent up to ``_BATCH`` of them per
-message; otherwise the caller runs the next task itself.
+task is pending a forked worker holding fewer than two batches is sent up
+to ``_BATCH`` of them per message, so it never waits for the caller to
+read its last reply; otherwise the caller runs the next task itself.
 The descent's work list is a stack of the classes not yet expanded, each
 held as the adjacency its worker built with its dead masks, so no class is
 decoded from graph6 again; a class is pushed when its canonical line first
@@ -66,6 +67,7 @@ of canonical lines, so the output is identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
+import select
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -176,11 +178,16 @@ class _Pool:
     tasks and results, so a round trip costs two process wake-ups.  Each
     message carries a batch of tasks and its reply the list of their
     results.  A worker closes the parent's ends of the pool's pipes, so it
-    sees EOF and exits when the parent dies without closing the pool."""
+    sees EOF and exits when the parent dies without closing the pool.  A
+    pool that forks registers its pipes with one ``select.poll``,
+    ``poller``, and maps their descriptors back to them in ``by_fd``; a
+    pool of no forks makes neither."""
 
     def __init__(self, forks):
         self.conns = []
         self.procs = []
+        self.poller = None
+        self.by_fd = None
         self.closed = False
         try:
             for _ in range(forks):
@@ -192,6 +199,11 @@ class _Pool:
                 theirs.close()
                 self.conns.append(ours)
                 self.procs.append(proc)
+            if forks:
+                self.poller = select.poll()
+                self.by_fd = {conn.fileno(): conn for conn in self.conns}
+                for fd in self.by_fd:
+                    self.poller.register(fd, select.POLLIN)
         except BaseException:
             self.close()
             raise
@@ -231,10 +243,12 @@ _open_pool = None
 def worker_pool(workers):
     """Fork ``workers`` - 1 processes once (none for one worker); with the
     calling process they are the workers of every plus_clique_descent and
-    family extension made with the same worker count inside the block.
-    Yields the pool.  Inside a block that already holds an open pool of that
-    size, yields that pool; otherwise the pool made here is closed when the
-    block exits, however it exits.  A count below 1 is an input error."""
+    family extension made with the same worker count inside the block,
+    each forked one kept up to two batches deep by ``_dispatch`` while more
+    than one task is pending.  Yields the pool.  Inside a block that
+    already holds an open pool of that size, yields that pool; otherwise
+    the pool made here is closed when the block exits, however it exits.
+    A count below 1 is an input error."""
     global _open_pool
     if workers < 1:
         raise GraphError(f"needs at least 1 worker, got {workers}")
@@ -258,41 +272,53 @@ def _dispatch(fn, tasks, give, workers):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
     first, until the list is empty with no task in flight.  give() may push
     new tasks onto the list.  The caller is one of the workers, and each
-    forked worker of the worker_pool holds one batch at a time: while more
-    than one task is pending, a free one is sent up to
-    min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks popped in one
-    message, so a long list costs few round trips while a short one still
+    forked worker of the worker_pool is kept up to two batches deep, so it
+    starts its next batch without waiting for the caller to read its last
+    reply: while more than one task is pending, a worker holding fewer than
+    two is sent min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks
+    popped in one message, each worker its first batch before any its
+    second, so a long list costs few round trips while a short one still
     spreads over the workers.  Otherwise the caller pops one task, runs it
     and collects the replies already in, blocking only when the list is
-    empty and batches are in flight.  With one worker the pool forks
-    nothing, so every task runs in the caller as it is popped.  A task is
-    one item; the constants of the call go on ``fn`` (a ``partial``).
-    Results are given in completion order, a batch's in the order its tasks
-    were popped; a task that raises raises here and closes the pool."""
+    empty and batches are in flight.  A message of _BATCH descent tasks of
+    64 vertices (under 91 KB pickled) is under half a Unix socket's default
+    send buffer, so a send to a busy worker never waits on its reply being
+    read, which would deadlock a worker blocked on writing a long reply.
+    With one worker the
+    pool forks nothing and the loop makes no per-worker state: every task
+    runs in the caller as it is popped.  A task is one item; the constants
+    of the call go on ``fn`` (a ``partial``).  Results are given in
+    completion order, a batch's in the order its tasks were popped; a task
+    that raises raises here and closes the pool."""
     with worker_pool(workers) as pool:
-        idle = pool.conns[::-1]
-        running = set()
         try:
-            while tasks or running:
-                while idle and len(tasks) > 1:
+            if not pool.conns:
+                while tasks:
+                    give(fn(tasks.pop()))
+                return
+            # a pipe is listed once per batch it may still take
+            free = pool.conns[::-1] * 2
+            by_fd = pool.by_fd
+            poll = pool.poller.poll
+            in_flight = 0
+            while tasks or in_flight:
+                while free and len(tasks) > 1:
                     k = min(_BATCH, max(1, len(tasks) // (2 * workers)))
-                    conn = idle.pop()
+                    conn = free.pop()
                     conn.send((fn, [tasks.pop() for _ in range(k)]))
-                    running.add(conn)
+                    in_flight += 1
                 if tasks:
                     give(fn(tasks.pop()))
-                if running:
-                    # loaded only with a batch in flight, so never at one worker
-                    from multiprocessing.connection import wait
-
+                if in_flight:
                     # poll while tasks are pending, block once none is
-                    for conn in wait(list(running), 0 if tasks else None):
+                    for fd, _ in poll(0 if tasks else None):
+                        conn = by_fd[fd]
                         try:
                             ok, value = conn.recv()
                         except EOFError:
                             raise RuntimeError("a worker process exited during its task") from None
-                        running.remove(conn)
-                        idle.append(conn)
+                        in_flight -= 1
+                        free.append(conn)
                         if not ok:
                             exc, where = value
                             raise exc from RuntimeError(f"in a worker process:\n{where}")
@@ -349,15 +375,14 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     # Workers pass on plus-clique members only, so every line they return
     # belongs in the result, and a class goes on the work list, as the
     # task (adjacency, dead masks) that came with its line, only when the
-    # line first enters the result: each class is expanded once.  The list
-    # is popped last in, first out, so it stays small.  A seed has no dead
-    # edge yet.
+    # line first enters the result: each class is expanded once, and one
+    # call merges a class's children.  The list is popped last in, first
+    # out, so it stays small.  A seed has no dead edge yet; it is checked
+    # to be plus-K_{q-1}, which descent_children requires of every class.
     tasks = []
 
     def enter(children):
-        for line, task in children:
-            if result.insert_canonical(line):
-                tasks.append(task)
+        tasks.extend(result.insert_new(children))
 
     for g in seeds:
         defect = family.defect(g.adj)

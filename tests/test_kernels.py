@@ -408,6 +408,7 @@ def test_compiled_twin_rejects_more_than_64_vertices():
         (cy.canonical_perm, ()),
         (cy.canonical_line, ()),
         (cy.descent_children, (adj, (), 4, 3)),
+        (cy.child_is_plus_k, (0, 1, 4)),
         (cy.maximal_kt_free_subsets, (2, 0)),
         (cy.valid_multisets, (4, 2, 3)),
         (cy.extension_lines, ((), 4, 2, 3)),
@@ -423,6 +424,22 @@ def test_compiled_descent_children_rejects_malformed_tasks():
         cy.descent_children((1 << 5, 0), (0, 0), (), 4, 3)
     with pytest.raises(ValueError):
         cy.descent_children((2, 1), (0,), (), 4, 3)
+
+
+@needs_compiled
+def test_compiled_child_is_plus_k_rejects_a_non_edge_and_a_wrong_verdict_array():
+    # the test reads the rows of u and v and, through the verdict array,
+    # n * n bytes
+    path = (2, 5, 2)  # the path 0 - 1 - 2
+    assert cy.child_is_plus_k(path, 0, 1, 3, bytearray(9)) == py.child_is_plus_k(path, 0, 1, 3)
+    for u, v in ((0, 2), (1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            cy.child_is_plus_k(path, u, v, 3)
+    for verdict in (bytearray(8), bytes(9), [0] * 9):
+        with pytest.raises(ValueError):
+            cy.child_is_plus_k(path, 0, 1, 3, verdict)
+    with pytest.raises(TypeError):
+        cy.child_is_plus_k(path, 0, 1)
 
 
 def test_extension_kernels_reject_what_the_pure_twin_rejects():

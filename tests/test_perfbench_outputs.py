@@ -74,3 +74,12 @@ def test_descent_of_the_seed_0_input_matches_the_pinned_reference(backend):
     wl = workloads.WORKLOADS["descent"]
     maximals = wl.setup(0)
     assert wl.check(maximals, wl.run(maximals, 1), reference) == []
+
+
+@backends
+def test_descent_of_the_seed_0_input_at_2_workers_matches_the_pinned_reference(backend):
+    # a wide frontier, on which the forked worker is kept two batches deep
+    _use(backend)
+    wl = workloads.WORKLOADS["descent"]
+    maximals = wl.setup(0)
+    assert wl.check(maximals, wl.run(maximals, 2), reference) == []

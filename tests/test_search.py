@@ -1,7 +1,10 @@
 import multiprocessing
 import os
+import pickle
 import random
+import select
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -562,18 +565,89 @@ def test_descent_children_twins_return_the_same_children(rng):
         assert len(seen) == (size or len(plus_clique_descent(seeds, avec, q, t))), avec
 
 
-def _counting_plus_k(monkeypatch):
-    """Run the descent on the pure twin, whose ``is_plus_k`` is replaced by
-    one that records the graph of each call in the returned list: a
-    kernel's own calls are made through its module's globals."""
+def _child_tests_match_the_full_test(adj, q):
+    """Both twins' child_is_plus_k(adj, u, v, q) on every edge uv of the
+    plus-K_{q-1} graph ``adj``, alone and with one verdict array kept
+    across the edges as descent_children keeps it, must equal the pure
+    is_plus_k of adj less uv at q - 1; both twins must write the same
+    verdicts, each one found from its definition.  Returns the results."""
+    n = len(adj)
+    edges = [(u, v) for u, row in enumerate(adj) for v in bits_of(row >> u + 1 << u + 1)]
+    want = []
+    for u, v in edges:
+        child = list(adj)
+        child[u] ^= 1 << v
+        child[v] ^= 1 << u
+        want.append(_kernels_py.is_plus_k(child, q - 1))
+    kept = {}
+    for name, kernels in available_backends().items():
+        assert [kernels.child_is_plus_k(adj, u, v, q) for u, v in edges] == want, (name, adj, q)
+        verdict = kept[name] = bytearray(n * n)
+        got = [kernels.child_is_plus_k(adj, u, v, q, verdict) for u, v in edges]
+        assert got == want, (name, adj, q)
+    for i, found in enumerate(kept["python"]):
+        x, y = divmod(i, n)
+        if found:
+            assert x < y and not adj[x] >> y & 1, (adj, q, x, y)
+            readd = not _kernels_py.has_clique_within(adj, adj[x] & adj[y], q - 2)
+            assert found == 1 + readd, (adj, q, x, y)
+    assert all(verdict == kept["python"] for verdict in kept.values()), (adj, q)
+    return want
+
+
+def test_child_plus_k_test_matches_the_full_test_on_every_descent_class():
+    # on every edge of every class of the benchmark's descent input and of
+    # DESCENT_CONFIGS' descents, with children that pass and that fail
+    h6 = [from_graph6(line) for line in graph6_lines(MAXIMAL_H6_8_12)]
+    cases = [(h6, (6,), 8, 3)]
+    for avec, q, n, t in DESCENT_CONFIGS:
+        cases.append((maximal_family_exhaustive(avec, q, n, t), avec, q, t))
+    for seeds, avec, q, t in cases:
+        verdicts = Counter()
+        for g in plus_clique_descent(seeds, avec, q, t):
+            verdicts.update(_child_tests_match_the_full_test(g.adj, q))
+        assert verdicts[True] and verdicts[False], (avec, q, t)
+
+
+@st.composite
+def _edge_maximal_kt_free(draw, max_n):
+    # the pairs taken in a drawn order, each added unless it completes a K_t
+    n = draw(st.integers(0, max_n))
+    t = draw(st.integers(2, 6))
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    adj = [0] * n
+    for u, v in pairs:
+        if not _kernels_py.has_clique_within(adj, adj[u] & adj[v], t - 2):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj), t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edge_maximal_kt_free(11))
+def test_child_plus_k_test_matches_the_full_test_on_edge_maximal_graphs(drawn):
+    # an edge-maximal K_t-free graph is plus-K_s for every s <= t
+    adj, t = drawn
+    for q in range(2, t + 2):
+        _child_tests_match_the_full_test(adj, q)
+
+
+def _counting_child_tests(monkeypatch):
+    """Run the descent on the pure twin, whose ``child_is_plus_k`` is
+    replaced by one that records the child P - uv of each call in the
+    returned list: a kernel's own calls are made through its module's
+    globals."""
     tested = []
-    real = _kernels_py.is_plus_k
+    real = _kernels_py.child_is_plus_k
 
-    def is_plus_k(adj, t):
-        tested.append(tuple(adj))
-        return real(adj, t)
+    def child_is_plus_k(adj, u, v, q, verdict=None):
+        child = list(adj)
+        child[u] &= ~(1 << v)
+        child[v] &= ~(1 << u)
+        tested.append(tuple(child))
+        return real(adj, u, v, q, verdict)
 
-    monkeypatch.setattr(_kernels_py, "is_plus_k", is_plus_k)
+    monkeypatch.setattr(_kernels_py, "child_is_plus_k", child_is_plus_k)
     monkeypatch.setattr(_kernels, "impl", _kernels_py)
     return tested
 
@@ -584,21 +658,16 @@ def _forgetting_dead(entries, q, t, task):
 
 
 class _ReplayedChildren:
-    """A compiled kernel module whose ``is_plus_k`` calls are recorded in
-    ``tested`` and whose ``descent_children`` is replayed on the pure twin,
-    which must return the same children: the compiled child loop makes its
-    ``is_plus_k`` calls in C, so the replay's calls stand for them."""
+    """A compiled kernel module whose ``descent_children`` is replayed on
+    the pure twin, which must return the same children: the compiled child
+    loop makes its ``child_is_plus_k`` calls in C, so the replay's calls
+    (recorded by ``_counting_child_tests``) stand for them."""
 
-    def __init__(self, real, tested):
+    def __init__(self, real):
         self.real = real
-        self.tested = tested
 
     def __getattr__(self, name):
         return getattr(self.real, name)
-
-    def is_plus_k(self, adj, t):
-        self.tested.append(tuple(adj))
-        return self.real.is_plus_k(adj, t)
 
     def descent_children(self, adj, dead, entries, q, t):
         got = self.real.descent_children(adj, dead, entries, q, t)
@@ -609,13 +678,13 @@ class _ReplayedChildren:
 @pytest.mark.parametrize("backend", sorted(available_backends()))
 def test_dead_edges_cut_plus_clique_tests_and_keep_every_line(backend, monkeypatch):
     # a dead edge heads a subtree without members: a descent whose classes
-    # forget their dead masks makes strictly more is_plus_k calls and finds
-    # the same lines (the compiled twin's calls counted on the pure twin's
-    # replay of each of its classes)
-    tested = _counting_plus_k(monkeypatch)
+    # forget their dead masks tests strictly more children for plus-K_{q-1}
+    # and finds the same lines (the compiled twin's tests counted on the
+    # pure twin's replay of each of its classes)
+    tested = _counting_child_tests(monkeypatch)
     real = available_backends()[backend]
     if real is not _kernels_py:
-        monkeypatch.setattr(_kernels, "impl", _ReplayedChildren(real, tested))
+        monkeypatch.setattr(_kernels, "impl", _ReplayedChildren(real))
     for avec, q, n, t in DESCENT_CONFIGS:
         seeds = maximal_family_exhaustive(avec, q, n, t)
         tested.clear()
@@ -656,22 +725,36 @@ def test_dead_edges_fail_a_family_test(monkeypatch):
 
 
 class _RecordingPool(search._Pool):
-    """A pool that records the batch of tasks in each message it sends."""
+    """A pool that records the batch of tasks in each message it sends, and
+    in ``events`` each send and each reply read as ("send" or "recv", the
+    index of the worker's pipe)."""
 
     sent = []
+    events = []
 
     def __init__(self, workers):
         super().__init__(workers)
-        for conn in self.conns:
-            conn.send = self._recording(conn.send)
+        for i, conn in enumerate(self.conns):
+            conn.send = self._recording(i, conn.send)
+            conn.recv = self._reading(i, conn.recv)
 
     @classmethod
-    def _recording(cls, send):
+    def _recording(cls, i, send):
         def record(message):
             cls.sent.append(message[1])
+            cls.events.append(("send", i))
             return send(message)
 
         return record
+
+    @classmethod
+    def _reading(cls, i, recv):
+        def read():
+            reply = recv()
+            cls.events.append(("recv", i))
+            return reply
+
+        return read
 
 
 # The tasks run by the calling process.  The recording workers below append
@@ -710,6 +793,41 @@ def test_descent_ships_classes_in_batches(monkeypatch):
         # want holds each class once, so no class ran twice
         assert sorted(shipped + ran) == want, workers
         assert len(sent) < len(shipped), workers
+
+
+def test_a_busy_worker_is_sent_its_next_batch_before_its_reply_is_read(monkeypatch):
+    # each forked worker is kept up to two batches deep while more than
+    # one task is pending, and never deeper; every batch's reply is read
+    seeds = maximal_family_exhaustive((3,), 4, 8, 3)
+    want = plus_clique_descent(seeds, (3,), 4, 3).lines()
+    monkeypatch.setattr(search, "_Pool", _RecordingPool)
+    for workers in (2, 3):
+        _RecordingPool.sent.clear()
+        _RecordingPool.events.clear()
+        assert plus_clique_descent(seeds, (3,), 4, 3, workers=workers).lines() == want
+        depth = Counter()
+        deepest = 0
+        for kind, i in _RecordingPool.events:
+            depth[i] += 1 if kind == "send" else -1
+            assert 0 <= depth[i] <= 2, workers
+            deepest = max(deepest, depth[i])
+        assert deepest == 2, workers
+        assert not +depth, workers
+
+
+def test_the_largest_descent_message_fits_half_the_send_buffer():
+    # a worker may hold its first batch unread when its second is sent, so
+    # the largest message must fit the send buffer of the pool's socket
+    # pair twice over, or the caller's send could wait on a worker blocked
+    # on writing its reply
+    full = (1 << 64) - 1
+    batch = [(tuple(full ^ 1 << i ^ k for i in range(64)), (full ^ k,) * 64) for k in range(search._BATCH)]
+    entries = ArrowVector((3, 3, 3, 3)).canonical().entries
+    message = (partial(search._descent_worker, entries, 9, 64), batch)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        size = ours.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+    assert 2 * len(pickle.dumps(message)) < size
 
 
 def test_extension_ships_hosts_in_batches(monkeypatch):
@@ -765,7 +883,7 @@ def test_descent_tries_one_edge_per_twin_swap_orbit(monkeypatch):
         for avec, q, n, t in DESCENT_CONFIGS + (((3,), 5, 8, 4),)
     ]
     cases.append((graph_set_of([Graph.complete(7)]), (3,), 8, 2))
-    tested = _counting_plus_k(monkeypatch)
+    tested = _counting_child_tests(monkeypatch)
     merged = tried = 0
     for seeds, avec, q, t in cases:
         entries = ArrowVector(avec).canonical().entries
@@ -1178,14 +1296,12 @@ def test_dispatch_runs_a_lone_pending_task_in_the_caller(monkeypatch):
 
 def test_one_worker_dispatch_runs_every_task_in_the_caller(monkeypatch):
     # a one-worker pool forks nothing, so the one loop runs each task in
-    # the caller as it is popped, last in first out, and never waits on a
-    # pipe
-    import multiprocessing.connection
+    # the caller as it is popped, last in first out, and never makes a
+    # poller to wait on a pipe
+    def no_poll(*args):
+        raise AssertionError("poller made with no process forked")
 
-    def no_wait(*args):
-        raise AssertionError("wait called with no batch in flight")
-
-    monkeypatch.setattr(multiprocessing.connection, "wait", no_wait)
+    monkeypatch.setattr(select, "poll", no_poll)
     caller = os.getpid()
     tasks = [1, 2, 3]
     out = []
@@ -1203,13 +1319,16 @@ def test_one_worker_dispatch_runs_every_task_in_the_caller(monkeypatch):
 
 
 def test_one_worker_run_leaves_the_pipe_module_unimported():
-    # multiprocessing.connection is loaded only with a batch in flight
+    # multiprocessing.connection is loaded only to fork, and a pool that
+    # forks nothing makes no poller
     script = (
         "import sys\n"
-        "from folkman.search import _dispatch\n"
+        "from folkman.search import _dispatch, worker_pool\n"
         "out = []\n"
-        "_dispatch(abs, [-1, 2], out.append, 1)\n"
+        "with worker_pool(1) as pool:\n"
+        "    _dispatch(abs, [-1, 2], out.append, 1)\n"
         "assert out == [2, 1], out\n"
+        "assert pool.poller is None and pool.by_fd is None\n"
         "assert 'multiprocessing.connection' not in sys.modules\n"
     )
     src = str(Path(search.__file__).parents[1])
