@@ -82,6 +82,10 @@ class GraphSet:
     def lines(self) -> list[str]:
         return sorted(self._members)
 
+    def unsorted_lines(self) -> list[str]:
+        """The lines in set order, which varies with the hash seed."""
+        return list(self._members)
+
     def update(self, other: "GraphSet") -> None:
         self._members |= other._members
 

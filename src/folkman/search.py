@@ -28,7 +28,7 @@ Two cooperating constructions:
   sets chosen under the pair-intersection and independence-residue
   conditions, then keep the results that arrow the full target vector
   (each holds a K_{q-1}, so only a vector that K_{q-1} does not arrow is
-  tested; decided once per extension).
+  tested; decided once per ``FamilySpec``).
   Such a result is edge-maximal (plus-K_q) exactly when the chosen sets
   together fix every non-edge of the host whose common neighbourhood
   holds no K_{q-2}; ``valid_multisets`` searches only multisets that can
@@ -48,20 +48,20 @@ Two cooperating constructions:
   kernel's, and the cone split's coned outputs) or in C.
 
 Both constructions run their work units through ``_dispatch``: one class
-of the descent, or one extension host, per task.  The calling process is
-one of the workers: the others are a fork pool of workers - 1 processes
-(none for one worker), shared by every call made inside a ``worker_pool``
-block (a pipeline run opens one for the whole run).  While more than one
-task is pending a forked worker holding fewer than two batches is sent up
-to ``_BATCH`` of them per message, so it never waits for the caller to
-read its last reply; otherwise the caller runs the next task itself.
-The descent's work list is a stack of the classes not yet expanded, each
-held as the adjacency its worker built with its dead masks, so no class is
-decoded from graph6 again; a class is pushed when its canonical line first
-enters the result.
-Every child test commutes with relabeling, so the children's lines do not
-depend on which labeling of a class is expanded.  Results merge into sets
-of canonical lines, so the output is identical for any worker count.
+of the descent, or one extension host, per task; at one worker the caller
+runs them all and enters no pool.  Otherwise it is one of the workers and
+the others are a fork pool of workers - 1 processes, shared by every call
+made inside a ``worker_pool`` block (a pipeline run opens one for the
+run).  While more than one task is pending a forked worker holding fewer
+than two batches is sent up to ``_BATCH`` of them per message, so it never
+waits for the caller to read its last reply; otherwise the caller runs the
+next task itself.  The descent's work list is a stack of the classes not
+yet expanded, each held as the adjacency its worker built with its dead
+masks, so no class is decoded from graph6 again; a class is pushed when
+its canonical line first enters the result.  Every child test commutes with
+relabeling, so the children's lines do not depend on which labeling of a
+class is expanded.  Results merge into sets of canonical lines, so the
+output is identical for any worker count and any order of the tasks.
 """
 
 from __future__ import annotations
@@ -151,19 +151,28 @@ class FamilySpec:
             raise GraphError(f"order {self.n} outside 1..{MAX_VERTICES}")
         if self.n - self.r < 1:
             raise GraphError(f"order {self.n} too small for r={self.r}")
-        # found once: every extension call reads the chain rule
-        object.__setattr__(self, "_decremented", self.avec.decremented_first())
+        # found once, as every extension call reads them.  An output is
+        # plus-K_q (see valid_multisets), and a non-edge between two of its
+        # r >= 2 new vertices completes a K_q: it holds a K_{q-1}, so
+        # _arrows, the vector it is tested against, is () when that arrows.
+        dec, entries = self.avec.decremented_first(), self.avec.entries
+        self.__dict__.update(
+            _decremented=dec,
+            _input=Family(dec.entries, self.q, self.n - self.r, self.t),
+            _cone=Family(dec.entries, self.q - 1, self.n - 1, self.t),
+            _arrows=() if clique_arrows(entries, self.q - 1) else entries,
+        )
 
     def decremented(self) -> ArrowVector:
         return self._decremented
 
     def input_family(self) -> Family:
         """A step's input: the decremented vector on n - r vertices."""
-        return Family(self.decremented().entries, self.q, self.n - self.r, self.t)
+        return self._input
 
     def cone_family(self) -> Family:
         """A cone split's second input: the decremented vector, q - 1, n - 1."""
-        return Family(self.decremented().entries, self.q - 1, self.n - 1, self.t)
+        return self._cone
 
 
 @dataclass
@@ -243,12 +252,11 @@ _open_pool = None
 def worker_pool(workers):
     """Fork ``workers`` - 1 processes once (none for one worker); with the
     calling process they are the workers of every plus_clique_descent and
-    family extension made with the same worker count inside the block,
-    each forked one kept up to two batches deep by ``_dispatch`` while more
-    than one task is pending.  Yields the pool.  Inside a block that
-    already holds an open pool of that size, yields that pool; otherwise
-    the pool made here is closed when the block exits, however it exits.
-    A count below 1 is an input error."""
+    family extension made with that worker count inside the block.  Yields
+    the pool: an open one of that size if the block is inside one, else a
+    new one, closed when the block exits, however it exits.  This is the
+    one check of a worker count (``_dispatch`` enters it at every count but
+    1): a count below 1 is an input error."""
     global _open_pool
     if workers < 1:
         raise GraphError(f"needs at least 1 worker, got {workers}")
@@ -270,32 +278,28 @@ _BATCH = 64  # most tasks sent to a worker in one message
 
 def _dispatch(fn, tasks, give, workers):
     """Call give(fn(task)) for every task of the list ``tasks``, last one
-    first, until the list is empty with no task in flight.  give() may push
-    new tasks onto the list.  The caller is one of the workers, and each
-    forked worker of the worker_pool is kept up to two batches deep, so it
-    starts its next batch without waiting for the caller to read its last
-    reply: while more than one task is pending, a worker holding fewer than
-    two is sent min(_BATCH, max(1, len(tasks) // (2 * workers))) tasks
-    popped in one message, each worker its first batch before any its
-    second, so a long list costs few round trips while a short one still
-    spreads over the workers.  Otherwise the caller pops one task, runs it
-    and collects the replies already in, blocking only when the list is
-    empty and batches are in flight.  A message of _BATCH descent tasks of
-    64 vertices (under 91 KB pickled) is under half a Unix socket's default
-    send buffer, so a send to a busy worker never waits on its reply being
-    read, which would deadlock a worker blocked on writing a long reply.
-    With one worker the
-    pool forks nothing and the loop makes no per-worker state: every task
-    runs in the caller as it is popped.  A task is one item; the constants
-    of the call go on ``fn`` (a ``partial``).  Results are given in
-    completion order, a batch's in the order its tasks were popped; a task
-    that raises raises here and closes the pool."""
+    first, until the list is empty with no task in flight; give() may push
+    new tasks.  A task is one item, the call's constants go on ``fn`` (a
+    ``partial``).  At one worker no pool is entered or made: the caller
+    runs each task as it is popped.  Otherwise the caller is one of the
+    worker_pool's workers.  While more than one task is pending, a forked
+    worker holding fewer than two batches is sent min(_BATCH, max(1,
+    len(tasks) // (2 * workers))) popped tasks in one message, each worker
+    its first batch before any its second: a long list costs few round
+    trips, a short one still spreads, and no worker waits for the caller
+    to read its last reply.  Otherwise the caller runs one task and
+    collects the replies in, blocking only when the list is empty.  A
+    message of _BATCH 64-vertex descent tasks (under 91 KB pickled) is
+    under half a Unix socket's default send buffer, so a send to a busy
+    worker never waits on its reply being read (a deadlock with a worker
+    writing a long reply).  Results come in completion order, a batch's in
+    popping order; a task that raises raises here and closes the pool."""
+    if workers == 1:
+        while tasks:
+            give(fn(tasks.pop()))
+        return
     with worker_pool(workers) as pool:
         try:
-            if not pool.conns:
-                while tasks:
-                    give(fn(tasks.pop()))
-                return
             # a pipe is listed once per batch it may still take
             free = pool.conns[::-1] * 2
             by_fd = pool.by_fd
@@ -369,9 +373,7 @@ def plus_clique_descent(maximals, avec, q, t, workers=1):
     entries = canonicalize(avec).entries
     seeds = list(maximals)
     result = GraphSet()
-    if not seeds:
-        return result
-    family = Family(entries, q, seeds[0].n, t)
+    family = Family(entries, q, seeds[0].n if seeds else 0, t)
     # Workers pass on plus-clique members only, so every line they return
     # belongs in the result, and a class goes on the work list, as the
     # task (adjacency, dead masks) that came with its line, only when the
@@ -417,8 +419,7 @@ def _extension_worker(entries, q, r, t, cone_free, line):
     """The sorted output lines of one canonical host line (none for a
     coned host under ``cone_free``), as ``extension_lines`` of the kernel
     backend in use at call time returns them; ``entries`` is () when the
-    caller found that the outputs' K_{q-1} decides arrowing (see
-    ``_extend``)."""
+    outputs' K_{q-1} decides arrowing (see ``FamilySpec``)."""
     impl = K.impl
     if cone_free and impl.cone_count(line):
         return ()
@@ -427,8 +428,8 @@ def _extension_worker(entries, q, r, t, cone_free, line):
 
 def _extend(spec, seeds, workers, descended, cone_free=False):
     """Order-check ``seeds``, extend ``descended`` or their descent (cone-free
-    hosts only under ``cone_free``), one host line per task; the output and
-    the plus-clique set."""
+    hosts only under ``cone_free``), one host line per task in set order;
+    the output (a set, saved sorted) and the plus-clique set."""
     _check_input_order(seeds, spec.input_family().n, "input family")
     if descended is None:
         descended = plus_clique_descent(seeds, spec.decremented(), spec.q, spec.t, workers=workers)
@@ -438,19 +439,13 @@ def _extend(spec, seeds, workers, descended, cone_free=False):
         for line in lines:
             out.insert_canonical(line)
 
-    # Every multiset gives a plus-K_q graph (see valid_multisets).  Its
-    # r >= 2 new vertices are independent, and a non-edge between two of
-    # them completes a K_q, so the graph holds a K_{q-1}: the vector goes
-    # to the kernel only when such a graph may fail to arrow it.
-    entries = spec.avec.entries
-    vec = () if clique_arrows(entries, spec.q - 1) else entries
-    worker = partial(_extension_worker, vec, spec.q, spec.r, spec.t, cone_free)
-    _dispatch(worker, descended.lines(), give, workers)
+    worker = partial(_extension_worker, spec._arrows, spec.q, spec.r, spec.t, cone_free)
+    _dispatch(worker, descended.unsorted_lines(), give, workers)
     return out, descended
 
 
 def _check_input_order(seeds, expected, what):
-    for n, _ in map(unpack_graph6, seeds.lines()):
+    for n, _ in map(unpack_graph6, seeds.unsorted_lines()):
         if n != expected:
             raise GraphError(f"{what} must have {expected} vertices, found {n}")
 
@@ -478,7 +473,7 @@ def generate_family_cone_split(
     output, aprime = _extend(spec, seeds, workers, descended, cone_free=True)
     entries = spec.avec.entries
     if spec.t > spec.r:
-        coned = [line for line in seeds.lines() if cone_count(line) == 1]
+        coned = [line for line in seeds.unsorted_lines() if cone_count(line) == 1]
         for w in map(from_graph6, coned):
             if arrows_adj(w.adj, entries):
                 adj = attach(w.adj, [w.full_mask() >> 1] * spec.r)

@@ -995,8 +995,9 @@ def test_arrowing_is_tested_only_where_a_clique_does_not_decide_it(monkeypatch):
 
 
 def test_clique_arrows_is_decided_once_per_descent_and_extension(monkeypatch):
-    # the vector handed to every task is decided once per call, whatever
-    # the number of classes or hosts
+    # the vector handed to every task is decided once per descent, and
+    # once per FamilySpec for its extensions, whatever the number of
+    # classes or hosts
     decided = []
 
     def counting(entries, k):
@@ -1006,14 +1007,17 @@ def test_clique_arrows_is_decided_once_per_descent_and_extension(monkeypatch):
     real = search.clique_arrows
     monkeypatch.setattr(search, "clique_arrows", counting)
     for avec in ((3,), (2, 3)):
+        decided.clear()
         fam = spec(avec, 4, 8, 2, 3)
+        assert decided == [3], avec
         seeds = maximal_family_exhaustive(fam.decremented(), 4, 6, 3)
         decided.clear()
         descended = plus_clique_descent(seeds, fam.decremented(), 4, 3)
         assert decided == [2] and len(descended) > 1, avec
         decided.clear()
-        generate_family(fam, seeds, descended=descended)
-        assert decided == [3], avec
+        for _ in range(2):
+            assert len(generate_family(fam, seeds, descended=descended).output), avec
+        assert decided == [], avec
 
 
 def test_cone_split_equals_plain_on_q4(monkeypatch):
@@ -1163,8 +1167,18 @@ def test_worker_count_does_not_change_results():
     assert a.plus_clique.lines() == b.plus_clique.lines()
 
 
+def _cone_split_inputs():
+    """H(4; 5; 9) at r = 2, t = 3: its spec, the seeds H(3; 5; 7), the cone
+    seeds H(3; 4; 8) and the seeds' descended plus-clique set."""
+    sp = spec((4,), 5, 9, 2, 3)
+    seeds = maximal_family_exhaustive((3,), 5, 7, 3)
+    cone_seeds = maximal_family_exhaustive((3,), 4, 8, 3)
+    return sp, seeds, cone_seeds, plus_clique_descent(seeds, (3,), 5, 3)
+
+
 def test_worker_count_below_one_is_an_input_error():
-    # worker_pool is the one check of the count, wherever it comes from
+    # worker_pool is the one check of the count, wherever it comes from,
+    # and every entry point reaches it with work to do or none
     base = complete_base((3,), 8, 6, 3)
     with pytest.raises(GraphError, match="at least 1 worker"):
         generate_family(spec((4,), 8, 8, 2, 3), base, workers=-1)
@@ -1173,6 +1187,144 @@ def test_worker_count_below_one_is_an_input_error():
     with pytest.raises(GraphError, match="at least 1 worker"):
         with worker_pool(0):
             pass
+    sp, seeds, cone_seeds, descended = _cone_split_inputs()
+    none = GraphSet()
+    for workers in (0, -2):
+        calls = {
+            "descent": lambda: plus_clique_descent(seeds, (3,), 5, 3, workers=workers),
+            "descent, no seeds": lambda: plus_clique_descent([], (3,), 4, 3, workers=workers),
+            "extension": lambda: generate_family(sp, seeds, workers=workers),
+            "extension, no hosts": lambda: generate_family(
+                sp, none, workers=workers, descended=none
+            ),
+            "cone split": lambda: generate_family_cone_split(
+                sp, seeds, cone_seeds, workers=workers, descended=descended
+            ),
+            "cone split, no hosts": lambda: generate_family_cone_split(
+                sp, none, none, workers=workers, descended=none
+            ),
+        }
+        for what, call in calls.items():
+            with pytest.raises(GraphError, match=f"^needs at least 1 worker, got {workers}$"):
+                call()
+                pytest.fail(what)
+    assert not multiprocessing.active_children()
+
+
+class _NoPool:
+    def __init__(self, forks):
+        raise AssertionError("pool object made for one worker")
+
+
+def test_one_worker_runs_build_no_pool_object(monkeypatch):
+    sp, seeds, cone_seeds, descended = _cone_split_inputs()
+    want = (
+        plus_clique_descent(seeds, (3,), 5, 3).lines(),
+        generate_family(sp, seeds).output.lines(),
+        generate_family_cone_split(sp, seeds, cone_seeds).output.lines(),
+    )
+    monkeypatch.setattr(search, "_Pool", _NoPool)
+    got = (
+        plus_clique_descent(seeds, (3,), 5, 3, workers=1).lines(),
+        generate_family(sp, seeds, workers=1).output.lines(),
+        generate_family_cone_split(sp, seeds, cone_seeds, workers=1).output.lines(),
+    )
+    assert got == want and all(want)
+    with pytest.raises(AssertionError, match="pool object made"):
+        plus_clique_descent(seeds, (3,), 5, 3, workers=2)
+
+
+def _fail_on_7(task):
+    return _fail_in_caller(task) if task == 7 else abs(task)
+
+
+def test_a_task_run_by_the_caller_at_one_worker_raises_unchanged(monkeypatch):
+    monkeypatch.setattr(search, "_Pool", _NoPool)
+    out = []
+    with pytest.raises(ValueError, match="task 7 failed") as info:
+        _dispatch(_fail_on_7, [5, 7, -3], out.append, 1)
+    assert info.value.__cause__ is None and info.value.__context__ is None
+    # the last task runs first, and none runs after the one that raised
+    assert out == [3]
+
+
+def _hosts_in_order(lines):
+    out = GraphSet()
+    for line in lines:
+        out.insert_canonical(line)
+    return out
+
+
+class _HostsHandedOutInOrder(GraphSet):
+    def __init__(self, lines):
+        super().__init__()
+        self.order = list(lines)
+        for line in lines:
+            self.insert_canonical(line)
+
+    def unsorted_lines(self):
+        return list(self.order)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extension_output_does_not_depend_on_host_order(workers, monkeypatch):
+    # hosts are dispatched in set order, which follows the insertion
+    # history and the hash seed; the outputs must not
+    sp, seeds, cone_seeds, descended = _cone_split_inputs()
+    lines = descended.lines()
+    assert len(lines) > 8
+    shuffled = list(lines)
+    random.Random(5).shuffle(shuffled)
+    orders = [lines, lines[::-1], shuffled]
+    want = generate_family(sp, seeds, descended=descended).output.lines()
+    assert want
+    dispatched = []
+    real_dispatch = search._dispatch
+
+    def recording(fn, tasks, give, w):
+        dispatched.append(tuple(tasks))
+        return real_dispatch(fn, tasks, give, w)
+
+    monkeypatch.setattr(search, "_dispatch", recording)
+    for order in orders:
+        hosts = _hosts_in_order(order)
+        assert generate_family(sp, seeds, workers, hosts).output.lines() == want
+        split = generate_family_cone_split(sp, seeds, cone_seeds, workers, hosts)
+        assert split.output.lines() == want
+    # the same with the hosts handed out in each of those orders outright
+    for order in orders:
+        hosts = _HostsHandedOutInOrder(order)
+        assert generate_family(sp, seeds, workers, hosts).output.lines() == want
+        split = generate_family_cone_split(sp, seeds, cone_seeds, workers, hosts)
+        assert split.output.lines() == want
+    assert {tuple(order) for order in orders} <= set(dispatched)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_folkman_extend_output_is_byte_identical_across_hash_seeds(
+    tmp_path, workers, algorithm
+):
+    sp, seeds, cone_seeds, _ = _cone_split_inputs()
+    seeds.save(tmp_path / "seeds.g6")
+    cone_seeds.save(tmp_path / "cone.g6")
+    src = str(Path(search.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}.g6"
+        cmd = [
+            sys.executable, "-m", "folkman.cli", "extend", "--spec", "4; 5; 9; 2; 3",
+            "--input", str(tmp_path / "seeds.g6"), "--output", str(out),
+            "--algorithm", str(algorithm), "--workers", str(workers),
+        ]
+        if algorithm == 2:
+            cmd += ["--input2", str(tmp_path / "cone.g6")]
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(out.read_bytes())
+    want = generate_family(sp, seeds).output.lines()
+    assert outputs[0] == outputs[1] == "".join(f"{line}\n" for line in want).encode()
 
 
 def _abs_all(tasks, workers):
@@ -1329,6 +1481,15 @@ def test_one_worker_run_leaves_the_pipe_module_unimported():
         "    _dispatch(abs, [-1, 2], out.append, 1)\n"
         "assert out == [2, 1], out\n"
         "assert pool.poller is None and pool.by_fd is None\n"
+        # the descent and both extensions, at one worker
+        "from folkman.generate import maximal_family_exhaustive as exhaustive\n"
+        "from folkman.search import FamilySpec, generate_family\n"
+        "from folkman.search import generate_family_cone_split, plus_clique_descent\n"
+        "seeds, cone = exhaustive((3,), 5, 7, 3), exhaustive((3,), 4, 8, 3)\n"
+        "sp = FamilySpec((4,), 5, 9, 2, 3)\n"
+        "assert len(plus_clique_descent(seeds, (3,), 5, 3)) > 1\n"
+        "assert len(generate_family(sp, seeds).output)\n"
+        "assert len(generate_family_cone_split(sp, seeds, cone).output)\n"
         "assert 'multiprocessing.connection' not in sys.modules\n"
     )
     src = str(Path(search.__file__).parents[1])
